@@ -3,7 +3,9 @@
 Construction subcommands print a polynomial or a charge-labelled collection;
 verification subcommands run exact identity checks and use the exit code to
 report the verdict.  Exit status: 0 success / all checks pass, 1 at least
-one check failed, 2 invalid input (one-line diagnostic on stderr).
+one check failed, 2 invalid input or a verification that ran no checks
+(one-line diagnostic on stderr), 141 (128 + SIGPIPE) when the reader of
+standard output closed it early.
 
 File formats (all JSON, rationals as integers or strings like "-3/4"):
 
@@ -34,7 +36,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -69,16 +70,6 @@ DEFAULT_MAX_DEGREE = 64
 
 class UsageError(Exception):
     """Invalid input; the message becomes the one-line diagnostic."""
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """A validated unit of work: subcommand, parameters, output format."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    fmt: str = "text"
-    timings: bool = False
 
 
 # -- input parsing ---------------------------------------------------------------
@@ -212,7 +203,7 @@ def parse_one_spec(column) -> HSpec:
         if unknown:
             raise UsageError(f"unknown spec term fields: {sorted(unknown)}")
         degree = item.get("degree", 1)
-        if not isinstance(degree, int) or degree < 1:
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
             raise UsageError(f"degree must be a positive integer, got {degree!r}")
         coeff = parse_rational(item.get("coeff", 1))
         shift = parse_shift_entries(item.get("shift", []))
@@ -249,7 +240,7 @@ def parse_profile_obj(data) -> KdVProfile:
     raw_parts = data.get("n_parts")
     if not isinstance(raw_parts, list) or not raw_parts:
         raise UsageError("profile needs a non-empty \"n_parts\" array")
-    if not all(isinstance(n, int) for n in raw_parts):
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in raw_parts):
         raise UsageError("n_parts entries must be integers")
     raw_specs = data.get("specs")
     if raw_specs is None:
@@ -281,8 +272,8 @@ def random_shift_vector(rng: random.Random, length: int) -> list[Fraction]:
 # -- output ----------------------------------------------------------------------
 
 
-def emit(job: JobSpec, lines: list[str], obj) -> None:
-    if job.fmt == "json":
+def emit(args, lines: list[str], obj) -> None:
+    if args.json:
         print(json.dumps(obj, sort_keys=True, indent=2))
     else:
         for line in lines:
@@ -300,13 +291,11 @@ def collection_lines(coll: TauCollection) -> list[str]:
     ]
 
 
-def report_lines(reports: Sequence[VerificationReport]) -> list[str]:
-    return [str(r) for r in reports]
-
-
-def finish_verify(job: JobSpec, reports: list[VerificationReport]) -> int:
+def finish_verify(args, reports: list[VerificationReport]) -> int:
+    if not reports:
+        raise UsageError("no checks were run; nothing was verified")
     ok = all(r.passed for r in reports)
-    lines = report_lines(reports)
+    lines = [str(r) for r in reports]
     failed = sum(1 for r in reports if not r.passed)
     if ok:
         lines.append(f"all {len(reports)} checks passed")
@@ -314,22 +303,13 @@ def finish_verify(job: JobSpec, reports: list[VerificationReport]) -> int:
         lines.append(f"{failed} of {len(reports)} checks FAILED")
     obj = {
         "pass": ok,
-        "reports": [r.to_json_obj(include_timing=job.timings) for r in reports],
+        "reports": [r.to_json_obj(include_timing=args.timings) for r in reports],
     }
-    emit(job, lines, obj)
+    emit(args, lines, obj)
     return 0 if ok else 1
 
 
 # -- subcommand handlers -----------------------------------------------------------
-
-
-def job_from_args(args, subcommand: str, **params) -> JobSpec:
-    return JobSpec(
-        subcommand=subcommand,
-        params=params,
-        fmt="json" if getattr(args, "json", False) else "text",
-        timings=getattr(args, "timings", False),
-    )
 
 
 def cmd_schur(args) -> int:
@@ -338,9 +318,8 @@ def cmd_schur(args) -> int:
     if args.component < 1:
         raise UsageError("--component must be >= 1")
     guard_degree(args.j)
-    job = job_from_args(args, "schur", j=args.j, component=args.component)
     p = elementary_schur(args.j, component=args.component, ncomp=args.component)
-    emit(job, [str(p)], poly_payload(p))
+    emit(args, [str(p)], poly_payload(p))
     return 0
 
 
@@ -348,23 +327,21 @@ def cmd_tau_kp(args) -> int:
     p = parse_partition(args.partition)
     guard_degree(p.size)
     shifts = column_shifts_from_arg(args.shifts, len(p))
-    job = job_from_args(args, "tau-kp", partition=list(p))
     tau = tau_kp(p, shifts)
-    emit(job, [str(tau)], poly_payload(tau))
+    emit(args, [str(tau)], poly_payload(tau))
     return 0
 
 
 def cmd_tau_mkp(args) -> int:
     specs = parse_specs_obj(load_json_file(args.specs))
     guard_degree(spec_degree_bound(specs))
-    job = job_from_args(args, "tau-mkp", specs=args.specs)
     if args.charge is not None:
         charge = parse_charge(args.charge)
         tau = tau_mkp_entry(specs, charge)
-        emit(job, [str(tau)], poly_payload(tau))
+        emit(args, [str(tau)], poly_payload(tau))
         return 0
     coll = tau_mkp_collection(specs)
-    emit(job, collection_lines(coll), coll.to_json_obj())
+    emit(args, collection_lines(coll), coll.to_json_obj())
     return 0
 
 
@@ -374,25 +351,23 @@ def cmd_tau_nkdv(args) -> int:
         raise UsageError("--n must be >= 2")
     guard_degree(p.size)
     shifts = class_shifts_from_arg(args.shifts, args.n)
-    job = job_from_args(args, "tau-nkdv", partition=list(p), n=args.n)
     tau = tau_nkdv(p, args.n, shifts)
-    emit(job, [str(tau)], poly_payload(tau))
+    emit(args, [str(tau)], poly_payload(tau))
     return 0
 
 
 def cmd_tau_mnkdv(args) -> int:
     profile = parse_profile_obj(load_json_file(args.profile))
     guard_degree(profile_degree_bound(profile))
-    job = job_from_args(args, "tau-mnkdv", profile=args.profile)
     if args.charge is not None:
         charge = parse_charge(args.charge)
         if len(charge) != profile.ncomp:
             raise UsageError(f"charge must have {profile.ncomp} parts")
         tau = tau_mnkdv_entry(profile, charge)
-        emit(job, [str(tau)], poly_payload(tau))
+        emit(args, [str(tau)], poly_payload(tau))
         return 0
     coll = tau_mnkdv_collection(profile)
-    emit(job, collection_lines(coll), coll.to_json_obj())
+    emit(args, collection_lines(coll), coll.to_json_obj())
     return 0
 
 
@@ -416,17 +391,16 @@ def _akns_params(args) -> dict:
 
 def cmd_akns(args) -> int:
     ps = _akns_params(args)
-    job = job_from_args(args, "akns", m1=ps["m1"], m2=ps["m2"], k=ps["big_k"])
     if args.p is not None:
         tau = akns_tau(
             ps["m1"], ps["m2"], ps["b1"], ps["b2"], ps["c1"], ps["c2"], ps["big_k"], args.p
         )
-        emit(job, [str(tau)], poly_payload(tau))
+        emit(args, [str(tau)], poly_payload(tau))
         return 0
     coll = akns_collection(
         ps["m1"], ps["m2"], ps["b1"], ps["b2"], ps["c1"], ps["c2"], ps["big_k"]
     )
-    emit(job, collection_lines(coll), coll.to_json_obj())
+    emit(args, collection_lines(coll), coll.to_json_obj())
     return 0
 
 
@@ -436,11 +410,10 @@ def cmd_list_periodic(args) -> int:
     if args.max_size < 0:
         raise UsageError("--max-size must be >= 0")
     guard_degree(args.max_size)
-    job = job_from_args(args, "list-periodic", n=args.n, max_size=args.max_size)
     found = enumerate_n_periodic(args.n, args.max_size)
     lines = [",".join(str(x) for x in p.parts) if p.parts else "()" for p in found]
     obj = {"n": args.n, "max_size": args.max_size, "partitions": [list(p) for p in found]}
-    emit(job, lines, obj)
+    emit(args, lines, obj)
     return 0
 
 
@@ -457,7 +430,7 @@ def _kp_shift_sets(args, p: Partition) -> list[list[list[Fraction]] | None]:
     return [column_shifts_from_arg(args.shifts, len(p))]
 
 
-def _verify_kp(args, job: JobSpec) -> int:
+def _verify_kp(args) -> int:
     if args.partition is None:
         raise UsageError("verify --what kp needs --partition")
     p = parse_partition(args.partition)
@@ -467,10 +440,10 @@ def _verify_kp(args, job: JobSpec) -> int:
     for shifts in _kp_shift_sets(args, p):
         tau = tau_kp(p, shifts)
         reports.append(hirota_kp_check(tau, j=args.j, n=n))
-    return finish_verify(job, reports)
+    return finish_verify(args, reports)
 
 
-def _verify_nkdv(args, job: JobSpec) -> int:
+def _verify_nkdv(args) -> int:
     if args.partition is None or args.n is None:
         raise UsageError("verify --what nkdv needs --partition and --n")
     if args.n < 2:
@@ -496,21 +469,21 @@ def _verify_nkdv(args, job: JobSpec) -> int:
         reports.append(reduction_check(tau, (args.n,), j_max=args.d_max))
         for j in range(args.j_max + 1):
             reports.append(hirota_kp_check(tau, j=j, n=args.n))
-    return finish_verify(job, reports)
+    return finish_verify(args, reports)
 
 
-def _verify_mkp(args, job: JobSpec) -> int:
+def _verify_mkp(args) -> int:
     if args.specs is None:
         raise UsageError("verify --what mkp needs --specs")
     specs = parse_specs_obj(load_json_file(args.specs))
     guard_degree(spec_degree_bound(specs))
     coll = tau_mkp_collection(specs)
-    return finish_verify(job, verify_mkp_collection(coll))
+    return finish_verify(args, verify_mkp_collection(coll))
 
 
-def _verify_mnkdv(args, job: JobSpec, with_hirota: bool) -> int:
+def _verify_mnkdv(args, with_hirota: bool) -> int:
     if args.profile is None:
-        raise UsageError(f"verify --what {job.params['what']} needs --profile")
+        raise UsageError(f"verify --what {args.what} needs --profile")
     profile = parse_profile_obj(load_json_file(args.profile))
     guard_degree(profile_degree_bound(profile))
     coll = tau_mnkdv_collection(profile)
@@ -524,10 +497,10 @@ def _verify_mnkdv(args, job: JobSpec, with_hirota: bool) -> int:
                 coll, n_parts=profile.n_parts, j_values=tuple(range(args.j_max + 1))
             )
         )
-    return finish_verify(job, reports)
+    return finish_verify(args, reports)
 
 
-def _verify_akns(args, job: JobSpec) -> int:
+def _verify_akns(args) -> int:
     if args.m1 is None or args.m2 is None:
         raise UsageError("verify --what akns needs --m1 and --m2")
     ps = _akns_params(args)
@@ -547,23 +520,22 @@ def _verify_akns(args, job: JobSpec) -> int:
         if not bases:
             raise UsageError("no interior base label with a nonzero tau")
     reports = [akns_pde_check(coll, base) for base in bases]
-    return finish_verify(job, reports)
+    return finish_verify(args, reports)
 
 
 def cmd_verify(args) -> int:
-    job = job_from_args(args, "verify", what=args.what)
     if args.what == "kp":
-        return _verify_kp(args, job)
+        return _verify_kp(args)
     if args.what == "nkdv":
-        return _verify_nkdv(args, job)
+        return _verify_nkdv(args)
     if args.what == "mkp":
-        return _verify_mkp(args, job)
+        return _verify_mkp(args)
     if args.what == "mnkdv":
-        return _verify_mnkdv(args, job, with_hirota=True)
+        return _verify_mnkdv(args, with_hirota=True)
     if args.what == "reduction":
-        return _verify_mnkdv(args, job, with_hirota=False)
+        return _verify_mnkdv(args, with_hirota=False)
     if args.what == "akns":
-        return _verify_akns(args, job)
+        return _verify_akns(args)
     raise UsageError(f"unknown verification target {args.what!r}")
 
 
@@ -593,9 +565,13 @@ def _compare_mkp_case(case) -> list[tuple[str, bool]]:
     if raw_charges is None:
         charges = list(charge_vectors(len(specs), ncomp))
     else:
-        if not isinstance(raw_charges, list):
-            raise UsageError("\"charges\" must be an array of charge vectors")
-        charges = [tuple(int(x) for x in ch) for ch in raw_charges]
+        if not isinstance(raw_charges, list) or not all(
+            isinstance(ch, list)
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in ch)
+            for ch in raw_charges
+        ):
+            raise UsageError("\"charges\" must be an array of integer arrays")
+        charges = [tuple(ch) for ch in raw_charges]
     gens = [generator_from_hspec(spec, ncomp) for spec in specs]
     out = []
     for charge in charges:
@@ -609,7 +585,6 @@ def _compare_mkp_case(case) -> list[tuple[str, bool]]:
 def cmd_oracle_compare(args) -> int:
     data = load_json_file(args.case)
     cases = data if isinstance(data, list) else [data]
-    job = job_from_args(args, "oracle-compare", case=args.case)
     results: list[tuple[str, bool]] = []
     for case in cases:
         if not isinstance(case, dict):
@@ -632,7 +607,7 @@ def cmd_oracle_compare(args) -> int:
         "pass": ok,
         "cases": [{"case": desc, "match": match} for desc, match in results],
     }
-    emit(job, lines, obj)
+    emit(args, lines, obj)
     return 0 if ok else 1
 
 
@@ -741,13 +716,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit does not
+        # raise a second time on the closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed by its reader", file=sys.stderr)
+        return 141
 
 
 if __name__ == "__main__":

@@ -43,7 +43,6 @@ from typing import Iterator, Sequence
 
 from .polycore import (
     Family,
-    LaurentZ,
     Poly,
     VarId,
     laurent_mul_residue,
@@ -93,15 +92,43 @@ def _finish(identity: str, params: dict, obstruction: Poly, t0: float,
     )
 
 
+def _residue_term(tau_t: Poly, tau_y: Poly, power: int, component: int) -> Poly:
+    """Res_z z^power * tau_t(t - [z^-1]_a) * tau_y(y + [z^-1]_a) * exp-series.
+
+    The Miwa shifts and the series exp(sum (t_i - y_i) z^i) act in component
+    a = ``component`` only; ``tau_y`` is given in the t-variables.
+    """
+    left = miwa_shift(tau_t, Family.T, component, -1)
+    right = miwa_shift(rename_family(tau_y, Family.T, Family.Y), Family.Y, component, +1)
+    return laurent_mul_residue([left, right], extra_z_power=power, component=component)
+
+
 def hirota_kp_check(tau: Poly, j: int = 0, n: int = 1) -> VerificationReport:
     """Residue identity for a single-component tau; z^{jn} selects the reduction."""
     if j < 0 or n < 1:
         raise ValueError("need j >= 0 and n >= 1")
     t0 = time.perf_counter()
-    left = miwa_shift(tau, Family.T, 1, -1)
-    right = miwa_shift(rename_family(tau, Family.T, Family.Y), Family.Y, 1, +1)
-    obstruction = laurent_mul_residue([left, right], extra_z_power=j * n, component=1)
+    obstruction = _residue_term(tau, tau, j * n, 1)
     return _finish("kp-residue", {"j": j, "n": n}, obstruction, t0)
+
+
+def _pair_terms(
+    collection: TauCollection, mv: ChargeVector, qv: ChargeVector
+) -> Iterator[tuple[int, int, Poly, Poly]]:
+    """(a, sign, tau^(m - e_a), tau^(q + e_a)) for every component a whose
+    term of the multicomponent identity does not reference a zero entry."""
+    prefix = 0  # running parity of m_1 + .. + m_{a-1} + q_1 + .. + q_{a-1}
+    for a in range(1, collection.ncomp + 1):
+        sign = -1 if prefix & 1 else 1
+        prefix += mv[a - 1] + qv[a - 1]
+        m_shift = mv[:a - 1] + (mv[a - 1] - 1,) + mv[a:]
+        q_shift = qv[:a - 1] + (qv[a - 1] + 1,) + qv[a:]
+        if any(x < 0 for x in m_shift) or any(x < 0 for x in q_shift):
+            continue
+        tau_t = collection.get(m_shift)
+        tau_y = collection.get(q_shift)
+        if tau_t.terms and tau_y.terms:
+            yield a, sign, tau_t, tau_y
 
 
 def hirota_mkp_check(
@@ -134,23 +161,9 @@ def hirota_mkp_check(
     t0 = time.perf_counter()
     ncomp_poly = next(iter(collection.entries.values())).ncomp if collection.entries else s
     obstruction = Poly.zero(ncomp_poly)
-    prefix = 0  # running parity of m_1 + .. + m_{a-1} + q_1 + .. + q_{a-1}
-    for a in range(1, s + 1):
-        sign = -1 if prefix & 1 else 1
-        prefix += mv[a - 1] + qv[a - 1]
-        m_shift = mv[:a - 1] + (mv[a - 1] - 1,) + mv[a:]
-        q_shift = qv[:a - 1] + (qv[a - 1] + 1,) + qv[a:]
-        if any(x < 0 for x in m_shift) or any(x < 0 for x in q_shift):
-            continue
-        tau_t = collection.get(m_shift)
-        tau_y = collection.get(q_shift)
-        if not tau_t.terms or not tau_y.terms:
-            continue
-        left = miwa_shift(tau_t, Family.T, a, -1)
-        right = miwa_shift(rename_family(tau_y, Family.T, Family.Y), Family.Y, a, +1)
+    for a, sign, tau_t, tau_y in _pair_terms(collection, mv, qv):
         power = mv[a - 1] - qv[a - 1] + j * parts[a - 1] - 2
-        term = laurent_mul_residue([left, right], extra_z_power=power, component=a)
-        obstruction = obstruction + term.scale(sign)
+        obstruction = obstruction + _residue_term(tau_t, tau_y, power, a).scale(sign)
     return _finish(
         "mkp-residue",
         {"m": list(mv), "q": list(qv), "j": j, "n_parts": list(parts)},
@@ -171,17 +184,6 @@ def _offset_labels(collection: TauCollection, delta: int) -> list[ChargeVector]:
     return sorted(out)
 
 
-def _pair_is_trivial(collection: TauCollection, mv: ChargeVector, qv: ChargeVector) -> bool:
-    for a in range(collection.ncomp):
-        m_shift = mv[:a] + (mv[a] - 1,) + mv[a + 1:]
-        q_shift = qv[:a] + (qv[a] + 1,) + qv[a + 1:]
-        if any(x < 0 for x in m_shift) or any(x < 0 for x in q_shift):
-            continue
-        if collection.get(m_shift).terms and collection.get(q_shift).terms:
-            return False
-    return True
-
-
 def verify_mkp_collection(
     collection: TauCollection,
     n_parts: Sequence[int] | None = None,
@@ -198,7 +200,7 @@ def verify_mkp_collection(
     for j in j_values:
         for mv in ms:
             for qv in qs:
-                if _pair_is_trivial(collection, mv, qv):
+                if next(_pair_terms(collection, mv, qv), None) is None:
                     continue
                 reports.append(hirota_mkp_check(collection, mv, qv, j, n_parts))
     return reports

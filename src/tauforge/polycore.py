@@ -14,11 +14,13 @@ one ambient is fine.
 ``LaurentZ`` is a finitely supported Laurent series in an auxiliary variable
 z whose coefficients are ``Poly`` values.  It is what a Miwa shift
 t_i -> t_i +- z^{-i}/i produces, and the residue extraction used by the
-bilinear identity checks lives here as well.
+bilinear identity checks lives here as well, with the one Schur recurrence
+(``schur_table``) that both the exp-series and ``schur`` build on.
 """
 
 from __future__ import annotations
 
+import threading
 from enum import IntEnum
 from fractions import Fraction
 from math import comb
@@ -598,8 +600,44 @@ def miwa_shift(p: Poly, family: Family, component: int, sign: int) -> LaurentZ:
     return LaurentZ._raw(coeffs, p.ncomp)
 
 
+def schur_table(table: list, upto: int, arg: Callable[[int], object]) -> list:
+    """Extend ``table`` = [s_0(g), s_1(g), ...] in place through s_upto(g).
+
+    s_n(g) is the z^n coefficient of exp(sum_i g_i z^i), computed by the
+    recurrence n * s_n = sum_{i=1}^{n} i * g_i * s_{n-i}; ``arg(i)`` returns
+    g_i as a ``Poly`` or a ``Fraction`` matching ``table[0]``.
+    """
+    for n in range(len(table), upto + 1):
+        acc = table[0] * 0
+        for i in range(1, n + 1):
+            g = arg(i)
+            if g:
+                acc = acc + g * table[n - i] * i
+        table.append(acc * Fraction(1, n))
+    return table
+
+
+# Serializes growth of the module-level Schur tables.  Lookups read without
+# it: a table only ever grows by appending its next, finished entry.
+_SERIES_LOCK = threading.Lock()
+
+
+def cached_schur(cache: dict, k: int, component: int, ncomp: int, arg: Callable) -> Poly:
+    """s_k(g) from the table cache[(ncomp, component)], g_i = arg(i, component, ncomp)."""
+    table = cache.get((ncomp, component))
+    if table is None or len(table) <= k:
+        with _SERIES_LOCK:
+            table = cache.setdefault((ncomp, component), [Poly.const(1, ncomp)])
+            schur_table(table, k, lambda i: arg(i, component, ncomp))
+    return table[k]
+
+
+def _t_minus_y(index: int, component: int, ncomp: int) -> Poly:
+    return tvar(index, component, ncomp) - yvar(index, component, ncomp)
+
+
 # Coefficients of exp(sum_i (t_i - y_i) z^i) per (ncomp, component), grown on
-# demand.  Guarded by the GIL; a lock is unnecessary for CPython dict ops.
+# demand through ``cached_schur``.
 _EXP_DIFF_CACHE: dict[tuple[int, int], list[Poly]] = {}
 
 
@@ -609,19 +647,7 @@ def exp_difference_coeff(k: int, component: int = 1, ncomp: int = 1) -> Poly:
         raise ValueError("series order must be >= 0")
     if not 1 <= component <= ncomp:
         raise ValueError(f"component {component} outside ambient range 1..{ncomp}")
-    key = (ncomp, component)
-    cache = _EXP_DIFF_CACHE.get(key)
-    if cache is None:
-        cache = [Poly.const(1, ncomp)]
-        _EXP_DIFF_CACHE[key] = cache
-    while len(cache) <= k:
-        n = len(cache)
-        acc = Poly.zero(ncomp)
-        for i in range(1, n + 1):
-            g = tvar(i, component, ncomp) - yvar(i, component, ncomp)
-            acc = acc + (g * cache[n - i]).scale(i)
-        cache.append(acc.scale(Fraction(1, n)))
-    return cache[k]
+    return cached_schur(_EXP_DIFF_CACHE, k, component, ncomp, _t_minus_y)
 
 
 def laurent_mul_residue(

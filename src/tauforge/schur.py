@@ -1,9 +1,9 @@
 """Elementary Schur polynomials s_j and their shifted/constant variants.
 
 s_j is defined by exp(sum_{i>=1} t_i z^i) = sum_{j>=0} s_j(t) z^j and computed
-through the recurrence j*s_j = sum_{i=1}^{j} i * t_i * s_{j-i}, with s_0 = 1
-and s_j = 0 for j < 0.  The generating-function route is kept independent in
-the tests as a cross-check.
+through the recurrence j*s_j = sum_{i=1}^{j} i * t_i * s_{j-i} of
+``polycore.schur_table``, with s_0 = 1 and s_j = 0 for j < 0.  The
+generating-function route is kept independent in the tests as a cross-check.
 
 A ShiftVector is a finite tuple of rational constants c = (c_1, c_2, ...);
 entries beyond the stored length read as zero.  ``schur_shifted`` evaluates
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .polycore import Poly, RationalLike, tvar
+from .polycore import Poly, RationalLike, cached_schur, schur_table, tvar
 
 ShiftLike = Union["ShiftVector", Sequence[RationalLike], None]
 
@@ -66,53 +66,12 @@ def elementary_schur(j: int, component: int = 1, ncomp: int = 1) -> Poly:
     """s_j in the t-variables of one component; zero for j < 0."""
     if j < 0:
         return Poly.zero(ncomp)
-    key = (ncomp, component)
-    cache = _SCHUR_CACHE.get(key)
-    if cache is None:
-        cache = [Poly.const(1, ncomp)]
-        _SCHUR_CACHE[key] = cache
-    while len(cache) <= j:
-        n = len(cache)
-        acc = Poly.zero(ncomp)
-        for i in range(1, n + 1):
-            acc = acc + (tvar(i, component, ncomp) * cache[n - i]).scale(i)
-        cache.append(acc.scale(Fraction(1, n)))
-    return cache[j]
-
-
-def schur_of_args(upto: int, args: Sequence[Poly]) -> list[Poly]:
-    """[s_0(g), ..., s_upto(g)] with arbitrary Poly arguments g_1, g_2, ...
-
-    ``args[i-1]`` plays the role of t_i; missing trailing arguments are zero.
-    Used for Schur evaluations at composite arguments such as x + c or -x + c.
-    """
-    if upto < 0:
-        return []
-    if not args:
-        raise ValueError("need at least one argument polynomial")
-    ncomp = args[0].ncomp
-    out = [Poly.const(1, ncomp)]
-    for n in range(1, upto + 1):
-        acc = Poly.zero(ncomp)
-        for i in range(1, n + 1):
-            if i <= len(args) and args[i - 1].terms:
-                acc = acc + (args[i - 1] * out[n - i]).scale(i)
-        out.append(acc.scale(Fraction(1, n)))
-    return out
+    return cached_schur(_SCHUR_CACHE, j, component, ncomp, tvar)
 
 
 def schur_constants(upto: int, c: ShiftLike) -> list[Fraction]:
     """[s_0(c), ..., s_upto(c)] for a constant argument vector."""
-    cv = ShiftVector.coerce(c)
-    out = [Fraction(1)]
-    for n in range(1, upto + 1):
-        acc = Fraction(0)
-        for i in range(1, n + 1):
-            ci = cv.get(i)
-            if ci:
-                acc += i * ci * out[n - i]
-        out.append(acc / n)
-    return out
+    return schur_table([Fraction(1)], upto, ShiftVector.coerce(c).get)
 
 
 def schur_constant(j: int, c: ShiftLike) -> Fraction:

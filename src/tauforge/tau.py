@@ -33,8 +33,8 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, expected_shift_lengths, is_n_periodic
-from .polycore import Family, Poly, RationalLike, VarId, xvar
-from .schur import ShiftLike, ShiftVector, schur_of_args, schur_shifted
+from .polycore import Family, Poly, RationalLike, VarId, relabel_vars
+from .schur import ShiftLike, ShiftVector, schur_shifted
 
 ChargeVector = tuple[int, ...]
 
@@ -328,15 +328,14 @@ def tau_nkdv(
 ) -> Poly:
     """n-KdV tau-function for an n-periodic partition.
 
-    Row i uses the shift vector of the residue class (l_i - i + 1) mod n;
-    missing classes read as zero shifts.  Raises for non-periodic input.
+    The transpose of ``tau_kp``'s matrix: column j uses the shift vector of
+    the residue class (l_j - j + 1) mod n, truncated to the l_j + m - j
+    entries its Schur polynomials read; missing classes read as zero shifts.
+    Raises for non-periodic input.
     """
     p = Partition.coerce(partition)
     if not is_n_periodic(p, n):
         raise ValueError(f"partition {p} is not {n}-periodic")
-    m = len(p)
-    if m == 0:
-        return Poly.const(1)
     classes: dict[int, ShiftVector] = {}
     if shifts_by_class:
         for key, value in shifts_by_class.items():
@@ -344,17 +343,11 @@ def tau_nkdv(
             if not 0 <= k < n:
                 raise ValueError(f"residue class {k} outside 0..{n - 1}")
             classes[k] = ShiftVector.coerce(value)
-    row_shifts = [
-        classes.get((p.parts[i - 1] - i + 1) % n, ShiftVector()) for i in range(1, m + 1)
+    columns = [
+        classes.get((p.parts[j] - j) % n, ShiftVector()).entries[:length]
+        for j, length in enumerate(expected_shift_lengths(p))
     ]
-    rows = [
-        [
-            schur_shifted(p.parts[i] + (j + 1) - (i + 1), row_shifts[i])
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    return det_poly(rows)
+    return tau_kp(p, columns)
 
 
 # -- (n_1, ..., n_s)-KdV ---------------------------------------------------------
@@ -490,26 +483,19 @@ def akns_tau(
     if (p > 0 and not b1f) or (p < big_k and not b2f):
         return Poly.zero(1)
 
-    def args(shift: ShiftVector, sign: int, upto: int) -> list[Poly]:
-        gs = []
-        for i in range(1, upto + 1):
-            gs.append(xvar(i).scale(sign) + Poly.const(shift.get(i)))
-        return gs or [Poly.zero(1)]
+    def rows(m: int, shift: ShiftVector, sign: int, count: int) -> list[list[Poly]]:
+        # Rows u = 1..count, columns v = 1..K of s_{m-u-v+1}(sign * x + c), from
+        # s_k(t + c) with t_i -> sign * x_i; no table is built for zero rows.
+        def to_x(v: VarId) -> tuple[VarId, int]:
+            return VarId(Family.X, 1, v.index), sign
 
-    s_plus = schur_of_args(max(m1 - 1, 0), args(cv1, +1, max(m1 - 1, 0)))
-    s_minus = schur_of_args(max(m2 - 1, 0), args(cv2, -1, max(m2 - 1, 0)))
+        table = [relabel_vars(schur_shifted(k, shift), to_x) for k in range(m if count else 0)]
+        return [
+            [table[k] if k >= 0 else Poly.zero(1) for k in range(m - u, m - u - big_k, -1)]
+            for u in range(1, count + 1)
+        ]
 
-    def entry(table: list[Poly], idx: int) -> Poly:
-        if idx < 0 or idx >= len(table):
-            return Poly.zero(1)
-        return table[idx]
-
-    rows: list[list[Poly]] = []
-    for u in range(1, p + 1):
-        rows.append([entry(s_plus, m1 - u - v + 1) for v in range(1, big_k + 1)])
-    for u in range(1, big_k - p + 1):
-        rows.append([entry(s_minus, m2 - u - v + 1) for v in range(1, big_k + 1)])
-    det = det_poly(rows)
+    det = det_poly(rows(m1, cv1, +1, p) + rows(m2, cv2, -1, big_k - p))
     return det.scale(b1f**p * b2f ** (big_k - p))
 
 

@@ -15,7 +15,17 @@ from itertools import permutations
 from math import factorial
 from typing import Mapping, Sequence
 
-from tauforge import Family, Poly, VarId, expected_shift_lengths, tvar
+from tauforge import (
+    Family,
+    Partition,
+    Poly,
+    ShiftVector,
+    VarId,
+    expected_shift_lengths,
+    schur_shifted,
+    tvar,
+    xvar,
+)
 from tauforge.polycore import LaurentZ
 
 
@@ -118,3 +128,52 @@ def random_shifts_for(rng: random.Random, partition) -> list[list[Fraction]]:
         [random_fraction(rng) for _ in range(length)]
         for length in expected_shift_lengths(partition)
     ]
+
+
+def nkdv_by_row_shifts(partition, n: int, shifts_by_class) -> Poly:
+    """n-KdV determinant with the shifts on rows, as first built.
+
+    Row i is s_{l_i + j - i}(t + c) for j = 1..m, with c the whole vector of
+    the residue class (l_i - i + 1) mod n: no transpose, no truncation, and a
+    permutation-sum determinant.
+    """
+    p = Partition.coerce(partition)
+    m = len(p)
+    if m == 0:
+        return Poly.const(1)
+    row_shifts = [shifts_by_class.get((p.parts[i] - i) % n) for i in range(m)]
+    rows = [[schur_shifted(p.parts[i] + j - i, row_shifts[i]) for j in range(m)] for i in range(m)]
+    return det_by_permutations(rows)
+
+
+def schur_of_args(upto: int, args: Sequence[Poly]) -> list[Poly]:
+    """[s_0(g), ..., s_upto(g)] by the recurrence at Poly arguments g_i = args[i-1]."""
+    out = [Poly.const(1, args[0].ncomp)]
+    for n in range(1, upto + 1):
+        acc = Poly.zero(args[0].ncomp)
+        for i in range(1, min(n, len(args)) + 1):
+            acc = acc + (args[i - 1] * out[n - i]).scale(i)
+        out.append(acc.scale(Fraction(1, n)))
+    return out
+
+
+def akns_by_args(m1: int, m2: int, b1, b2, c1, c2, big_k: int, p: int) -> Poly:
+    """AKNS tau^(p, K-p) from Schur tables at the arguments +x_i + c1_i and
+    -x_i + c2_i, with a permutation-sum determinant."""
+    b1, b2 = Fraction(b1), Fraction(b2)
+
+    def table(c, sign: int, m: int) -> list[Poly]:
+        cv = ShiftVector.coerce(c)
+        args = [xvar(i).scale(sign) + Poly.const(cv.get(i)) for i in range(1, m + 1)]
+        return schur_of_args(m - 1, args)
+
+    def entry(tab: list[Poly], idx: int) -> Poly:
+        return tab[idx] if 0 <= idx < len(tab) else Poly.zero()
+
+    s_plus, s_minus = table(c1, +1, m1), table(c2, -1, m2)
+    rows = [[entry(s_plus, m1 - u - v + 1) for v in range(1, big_k + 1)] for u in range(1, p + 1)]
+    rows += [
+        [entry(s_minus, m2 - u - v + 1) for v in range(1, big_k + 1)]
+        for u in range(1, big_k - p + 1)
+    ]
+    return det_by_permutations(rows).scale(b1**p * b2 ** (big_k - p))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +141,21 @@ def test_tau_mkp_rejects_unknown_term_field(capsys, tmp_path):
     specs = write_json(tmp_path, "specs.json", {"specs": [[{"degre": 2}]]})
     rc, _, err = run(capsys, "tau-mkp", "--specs", specs)
     assert rc == 2 and "unknown spec term fields" in err
+
+
+@pytest.mark.parametrize(
+    "flag, body, needle",
+    [
+        ("--specs", {"specs": [[{"degree": True, "coeff": "1"}]]}, "degree"),
+        ("--profile", {"n_parts": [True], "specs": [[{"degree": 2}]]}, "n_parts"),
+    ],
+)
+def test_booleans_are_not_integers(capsys, tmp_path, flag, body, needle):
+    path = write_json(tmp_path, "input.json", body)
+    command = "tau-mkp" if flag == "--specs" else "tau-mnkdv"
+    rc, out, err = run(capsys, command, flag, path)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and needle in err and err.count("\n") == 1
 
 
 def test_tau_mnkdv_collection(capsys, tmp_path):
@@ -297,6 +316,29 @@ def test_verify_json_omits_timing_by_default(capsys):
     assert all("time_ms" in r for r in payload["reports"])
 
 
+EMPTY_PROFILE = {
+    "n_parts": [2, 1],
+    "specs": [
+        [{"degree": 2, "coeff": "1"}, {"degree": 2, "coeff": "2"}],
+        [{"degree": 2, "coeff": "3", "shift": ["1"]}, {"degree": 2, "coeff": "-1"}],
+    ],
+}
+
+
+def test_verify_with_no_checks_is_an_error(capsys, tmp_path):
+    rc, out, err = run(
+        capsys, "verify", "--what", "kp", "--partition", "2,1",
+        "--shifts", "random", "--trials", "0",
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    # a reduced profile whose collection has no nonzero entry
+    profile = write_json(tmp_path, "profile.json", EMPTY_PROFILE)
+    rc, out, err = run(capsys, "verify", "--what", "mnkdv", "--profile", profile)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_requires_needed_arguments(capsys):
     rc, _, err = run(capsys, "verify", "--what", "kp")
     assert rc == 2 and "--partition" in err
@@ -327,6 +369,41 @@ def test_oracle_compare_rejects_unknown_kind(capsys, tmp_path):
     case = write_json(tmp_path, "case.json", {"kind": "akns"})
     rc, _, err = run(capsys, "oracle-compare", "--case", case)
     assert rc == 2 and "kind" in err
+
+
+@pytest.mark.parametrize("charges", [[[None, 2]], [3], [[1, True]]])
+def test_oracle_compare_charges_must_be_integer_arrays(capsys, tmp_path, charges):
+    case = write_json(
+        tmp_path,
+        "case.json",
+        {"kind": "mkp", "specs": TWO_COMPONENT_SPECS["specs"], "charges": charges},
+    )
+    rc, out, err = run(capsys, "oracle-compare", "--case", case)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "charges" in err and err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_exits_141_without_traceback():
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE whatever the timing.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tauforge", "akns", "--m1", "2", "--m2", "2", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,12 +16,12 @@ from tauforge import (
     elementary_schur,
     schur_constant,
     schur_constants,
-    schur_of_args,
     schur_shifted,
     solve_shifts,
     tvar,
 )
-from tauforge.polycore import shift_vars
+from tauforge import polycore, schur
+from tauforge.polycore import exp_difference_coeff, shift_vars
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -93,20 +95,40 @@ def test_shifted_with_zero_shift():
         assert schur_shifted(j, []) == elementary_schur(j)
 
 
-def test_schur_of_args_reduces_to_elementary():
-    args = [tvar(i) for i in range(1, 7)]
-    table = schur_of_args(6, args)
-    for j in range(7):
-        assert table[j] == elementary_schur(j)
+def test_concurrent_growth_keeps_tables_ordered():
+    # Four threads grow the same cold tables at a 1 us switch interval; a
+    # lost or duplicated append leaves an entry at the wrong order.  The key
+    # ncomp=5 is used by no other test, so both tables start cold.
+    ncomp, k_schur, k_exp = 5, 18, 10
+    schur._SCHUR_CACHE.pop((ncomp, 1), None)
+    polycore._EXP_DIFF_CACHE.pop((ncomp, 1), None)
+    errors = []
 
+    def grow():
+        try:
+            elementary_schur(k_schur, 1, ncomp)
+            exp_difference_coeff(k_exp, 1, ncomp)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
 
-def test_schur_of_args_shifted_argument():
-    # feeding t_i + c_i reproduces the shifted polynomials
-    cs = [Fraction(1, 2), Fraction(-2)]
-    args = [tvar(1) + Poly.const(cs[0]), tvar(2) + Poly.const(cs[1]), tvar(3)]
-    table = schur_of_args(3, args)
-    for j in range(4):
-        assert table[j] == schur_shifted(j, cs)
+    threads = [threading.Thread(target=grow) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for table, k in [
+        (schur._SCHUR_CACHE[(ncomp, 1)], k_schur),
+        (polycore._EXP_DIFF_CACHE[(ncomp, 1)], k_exp),
+    ]:
+        assert len(table) == k + 1
+        assert [p.weighted_degree() for p in table] == list(range(k + 1))
 
 
 def test_shift_vector_access():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import det_by_permutations, random_fraction, random_shifts_for
+from oracles import (
+    akns_by_args,
+    det_by_permutations,
+    nkdv_by_row_shifts,
+    random_fraction,
+    random_shifts_for,
+)
 from tauforge import (
     Family,
     HSpec,
@@ -23,6 +29,7 @@ from tauforge import (
     compute_kj,
     det_poly,
     elementary_schur,
+    enumerate_n_periodic,
     expected_shift_lengths,
     kp_specs_from_partition,
     schur_shifted,
@@ -268,6 +275,17 @@ def test_tau_nkdv_is_transposed_kp_with_class_shifts():
         assert tau_nkdv(p, n, classes) == tau_kp(p, cols), (parts, n)
 
 
+def test_tau_nkdv_matches_row_shift_reference():
+    # every 2- and 3-periodic partition up to size 8, with class vectors
+    # longer than any column of the determinant reads
+    rng = random.Random(23)
+    for n in (2, 3):
+        for p in enumerate_n_periodic(n, 8):
+            width = max(expected_shift_lengths(p), default=0) + 2
+            classes = {k: [random_fraction(rng) for _ in range(width)] for k in range(n)}
+            assert tau_nkdv(p, n, classes) == nkdv_by_row_shifts(p, n, classes), (p, n)
+
+
 def test_tau_nkdv_has_no_reduced_variables():
     for parts, n in [((2, 1), 2), ((3, 2, 1), 2), ((3, 1, 1), 3), ((2, 2, 1, 1), 3)]:
         tau = tau_nkdv(parts, n)
@@ -409,6 +427,19 @@ def test_akns_shift_dependence():
     got = akns_tau(2, 1, 1, 1, c, None, 1, 1)
     # 1 x 1 determinant: b1 * s_{m1 - 1}(x + c) = x1 + c1
     assert got == xvar(1) + Poly.const(Fraction(1, 2))
+
+
+def test_akns_matches_argument_table_reference():
+    rng = random.Random(29)
+    for m1 in range(1, 6):
+        for m2 in range(1, 6):
+            b1, b2 = (Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for _ in range(2))
+            c1 = [random_fraction(rng) for _ in range(m1)]
+            c2 = [random_fraction(rng) for _ in range(m2)]
+            big_k = max(m1, m2)
+            for p in range(big_k + 1):
+                got = akns_tau(m1, m2, b1, b2, c1, c2, big_k, p)
+                assert got == akns_by_args(m1, m2, b1, b2, c1, c2, big_k, p), (m1, m2, p)
 
 
 def test_akns_collection_default_k():
