@@ -3,9 +3,9 @@
 Construction subcommands print a polynomial or a charge-labelled collection;
 verification subcommands run exact identity checks and use the exit code to
 report the verdict.  Exit status: 0 success / all checks pass, 1 at least
-one check failed, 2 invalid input or a verification that ran no checks
-(one-line diagnostic on stderr), 141 (128 + SIGPIPE) when the reader of
-standard output closed it early.
+one check failed, 2 invalid input or a verification or oracle comparison
+that ran no checks (one-line diagnostic on stderr), 141 (128 + SIGPIPE)
+when the reader of standard output closed it early.
 
 File formats (all JSON, rationals as integers or strings like "-3/4"):
 
@@ -229,8 +229,11 @@ def parse_specs_obj(data) -> list[HSpec]:
     ncomp = specs[0].ncomp
     if any(spec.ncomp != ncomp for spec in specs):
         raise UsageError("all spec columns must list the same number of components")
-    if declared is not None and declared != ncomp:
-        raise UsageError(f"declared ncomp {declared} does not match columns ({ncomp})")
+    if declared is not None:
+        if not isinstance(declared, int) or isinstance(declared, bool):
+            raise UsageError(f"ncomp must be an integer, got {declared!r}")
+        if declared != ncomp:
+            raise UsageError(f"declared ncomp {declared} does not match columns ({ncomp})")
     return specs
 
 
@@ -392,6 +395,8 @@ def _akns_params(args) -> dict:
 def cmd_akns(args) -> int:
     ps = _akns_params(args)
     if args.p is not None:
+        if not 0 <= args.p <= ps["big_k"]:
+            raise UsageError(f"--p must lie in 0..{ps['big_k']}, got {args.p}")
         tau = akns_tau(
             ps["m1"], ps["m2"], ps["b1"], ps["b2"], ps["c1"], ps["c2"], ps["big_k"], args.p
         )
@@ -541,8 +546,10 @@ def cmd_verify(args) -> int:
 
 def _compare_kp_case(case) -> list[tuple[str, bool]]:
     raw = case.get("partition")
-    if not isinstance(raw, list):
-        raise UsageError("kp case needs a \"partition\" array")
+    if not isinstance(raw, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in raw
+    ):
+        raise UsageError("kp case needs a \"partition\" array of integers")
     try:
         p = Partition.coerce(raw)
     except ValueError as exc:
@@ -596,6 +603,8 @@ def cmd_oracle_compare(args) -> int:
             results.extend(_compare_mkp_case(case))
         else:
             raise UsageError(f"case kind must be \"kp\" or \"mkp\", got {kind!r}")
+    if not results:
+        raise UsageError("no comparisons were run; nothing was compared")
     ok = all(match for _, match in results)
     lines = [("MATCH " if match else "MISMATCH ") + desc for desc, match in results]
     lines.append(

@@ -100,7 +100,7 @@ def _residue_term(tau_t: Poly, tau_y: Poly, power: int, component: int) -> Poly:
     """
     left = miwa_shift(tau_t, Family.T, component, -1)
     right = miwa_shift(rename_family(tau_y, Family.T, Family.Y), Family.Y, component, +1)
-    return laurent_mul_residue([left, right], extra_z_power=power, component=component)
+    return laurent_mul_residue(left, right, power, component)
 
 
 def hirota_kp_check(tau: Poly, j: int = 0, n: int = 1) -> VerificationReport:

@@ -11,10 +11,10 @@ ambient component count ``ncomp``; it is an error to combine polynomials with
 different ambient counts, while mixing variable families or components inside
 one ambient is fine.
 
-``LaurentZ`` is a finitely supported Laurent series in an auxiliary variable
-z whose coefficients are ``Poly`` values.  It is what a Miwa shift
-t_i -> t_i +- z^{-i}/i produces, and the residue extraction used by the
-bilinear identity checks lives here as well, with the one Schur recurrence
+A Miwa shift t_i -> t_i +- z^{-i}/i turns a polynomial into a polynomial in
+z^{-1}, kept as the plain list of its ``Poly`` coefficients (``miwa_shift``).
+The residue extraction used by the bilinear identity checks lives here as
+well (``laurent_mul_residue``), with the one Schur recurrence
 (``schur_table``) that both the exp-series and ``schur`` build on.
 """
 
@@ -458,101 +458,20 @@ def rename_family(p: Poly, src: Family, dst: Family) -> Poly:
     )
 
 
-# -- Laurent series in z ------------------------------------------------------
+# -- Miwa shifts ---------------------------------------------------------------
 
 
-class LaurentZ:
-    """Finitely supported Laurent polynomial in z with Poly coefficients."""
-
-    __slots__ = ("coeffs", "ncomp")
-
-    def __init__(self, coeffs: Mapping[int, Poly] | None = None, ncomp: int = 1):
-        self.coeffs: dict[int, Poly] = {}
-        self.ncomp = ncomp
-        if coeffs:
-            for e, p in coeffs.items():
-                if p.ncomp != ncomp:
-                    raise ValueError("ambient component count mismatch in LaurentZ")
-                if p.terms:
-                    self.coeffs[e] = p
-
-    @classmethod
-    def _raw(cls, coeffs: dict[int, Poly], ncomp: int) -> "LaurentZ":
-        self = object.__new__(cls)
-        self.coeffs = coeffs
-        self.ncomp = ncomp
-        return self
-
-    @classmethod
-    def from_poly(cls, p: Poly, z_power: int = 0) -> "LaurentZ":
-        return cls._raw({z_power: p} if p.terms else {}, p.ncomp)
-
-    def coeff(self, e: int) -> Poly:
-        return self.coeffs.get(e, Poly.zero(self.ncomp))
-
-    def lowest(self) -> int | None:
-        return min(self.coeffs) if self.coeffs else None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentZ):
-            return NotImplemented
-        return self.ncomp == other.ncomp and self.coeffs == other.coeffs
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "LaurentZ") -> "LaurentZ":
-        if self.ncomp != other.ncomp:
-            raise ValueError("ambient component count mismatch")
-        out = dict(self.coeffs)
-        for e, p in other.coeffs.items():
-            q = out.get(e)
-            s = p if q is None else q + p
-            if s.terms:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return LaurentZ._raw(out, self.ncomp)
-
-    def __mul__(self, other: "LaurentZ") -> "LaurentZ":
-        if self.ncomp != other.ncomp:
-            raise ValueError("ambient component count mismatch")
-        out: dict[int, Poly] = {}
-        for e1, p1 in self.coeffs.items():
-            for e2, p2 in other.coeffs.items():
-                prod = p1 * p2
-                if not prod.terms:
-                    continue
-                e = e1 + e2
-                acc = out.get(e)
-                s = prod if acc is None else acc + prod
-                if s.terms:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentZ._raw(out, self.ncomp)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for e in sorted(self.coeffs):
-            bits.append(f"z^{e}*({self.coeffs[e]})")
-        return " + ".join(bits)
-
-    def __repr__(self) -> str:
-        return f"LaurentZ({self!s})"
-
-
-def miwa_shift(p: Poly, family: Family, component: int, sign: int) -> LaurentZ:
+def miwa_shift(p: Poly, family: Family, component: int, sign: int) -> list[Poly]:
     """Substitute v_i -> v_i + sign * z^{-i}/i for family/component variables.
 
-    The result is a Laurent polynomial in z; the z^0 coefficient is p itself
-    and the lowest z exponent is bounded below by -weighted_degree(p).
-    Variables of other families or components pass through untouched.
+    The result is a polynomial in z^{-1}, returned as its coefficient list:
+    ``out[k]`` multiplies z^{-k} for k = 0..weighted_degree(p), and
+    ``out[0]`` is p itself.  Variables of other families or components pass
+    through untouched.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    total: dict[int, dict[Monomial, Fraction]] = {}
+    total: list[dict[Monomial, Fraction]] = [{} for _ in range(max(p.weighted_degree(), 0) + 1)]
     for mono, coeff in p.terms.items():
         fixed: list[tuple[VarId, int]] = []
         expand: list[tuple[VarId, int]] = []
@@ -567,10 +486,10 @@ def miwa_shift(p: Poly, family: Family, component: int, sign: int) -> LaurentZ:
             nxt: dict[int, dict[Monomial, Fraction]] = {}
             for k in range(e + 1):
                 co = comb(e, k) * base**k
-                zshift = -v.index * k
+                zshift = v.index * k
                 frag: Monomial = ((v, e - k),) if e - k else ONE_MONOMIAL
-                for zexp, tdict in acc.items():
-                    bucket = nxt.setdefault(zexp + zshift, {})
+                for depth, tdict in acc.items():
+                    bucket = nxt.setdefault(depth + zshift, {})
                     for m0, c0 in tdict.items():
                         m1 = _merge_monomials(m0, frag)
                         c1 = c0 * co
@@ -584,8 +503,8 @@ def miwa_shift(p: Poly, family: Family, component: int, sign: int) -> LaurentZ:
                             else:
                                 del bucket[m1]
             acc = nxt
-        for zexp, tdict in acc.items():
-            bucket = total.setdefault(zexp, {})
+        for depth, tdict in acc.items():
+            bucket = total[depth]
             for m0, c0 in tdict.items():
                 prev = bucket.get(m0)
                 if prev is None:
@@ -596,8 +515,7 @@ def miwa_shift(p: Poly, family: Family, component: int, sign: int) -> LaurentZ:
                         bucket[m0] = prev
                     else:
                         del bucket[m0]
-    coeffs = {z: Poly._raw(t, p.ncomp) for z, t in total.items() if t}
-    return LaurentZ._raw(coeffs, p.ncomp)
+    return [Poly._raw(t, p.ncomp) for t in total]
 
 
 def schur_table(table: list, upto: int, arg: Callable[[int], object]) -> list:
@@ -651,23 +569,23 @@ def exp_difference_coeff(k: int, component: int = 1, ncomp: int = 1) -> Poly:
 
 
 def laurent_mul_residue(
-    factors: Sequence[LaurentZ], extra_z_power: int = 0, component: int = 1
+    left: Sequence[Poly], right: Sequence[Poly], extra_z_power: int = 0, component: int = 1
 ) -> Poly:
-    """Residue (z^{-1} coefficient) of z^extra * prod(factors) * exp-series.
+    """Residue (z^{-1} coefficient) of z^extra * L(z) * R(z) * exp-series.
 
-    The implicit series factor is exp(sum_i (t_i - y_i) z^i) in the given
-    component; its truncation order is forced by the finite negative support
-    of the product, so the result is exact.
+    ``left[a]`` and ``right[b]`` are the z^{-a} and z^{-b} coefficients of L
+    and R, as ``miwa_shift`` returns them.  The implicit series factor is
+    exp(sum_i (t_i - y_i) z^i) in the given component.  A pair (a, b) meets
+    the series coefficient of z^{a+b-extra-1}, so only pairs with
+    a + b > extra are multiplied; the others cannot reach z^{-1}.  The result
+    is exact.
     """
-    if not factors:
-        raise ValueError("need at least one Laurent factor")
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = prod * f
-    ncomp = prod.ncomp
+    ncomp = left[0].ncomp
     total = Poly.zero(ncomp)
-    for e, pe in prod.coeffs.items():
-        k = -1 - extra_z_power - e
-        if k >= 0:
-            total = total + pe * exp_difference_coeff(k, component, ncomp)
+    for s in range(max(extra_z_power + 1, 0), len(left) + len(right) - 1):
+        group = Poly.zero(ncomp)
+        for a in range(max(0, s - len(right) + 1), min(s, len(left) - 1) + 1):
+            group = group + left[a] * right[s - a]
+        if group.terms:
+            total = total + group * exp_difference_coeff(s - extra_z_power - 1, component, ncomp)
     return total

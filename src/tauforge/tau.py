@@ -470,33 +470,44 @@ def akns_tau(
     s_{m2 - u - v + 1}(-x + c2) (u = 1..K-p).  Zero whenever
     K > max(m1, m2); the label part p must lie in 0..K.
     """
+    return next(_akns_entries(m1, m2, b1, b2, c1, c2, big_k, (p,)))[1]
+
+
+def _akns_entries(
+    m1: int, m2: int, b1: RationalLike, b2: RationalLike, c1: ShiftLike, c2: ShiftLike,
+    big_k: int, ps: Iterable[int],
+) -> Iterator[tuple[int, Poly]]:
+    """(p, tau^(p, K-p)) for each p in ``ps``, sharing the two x-tables."""
     if m1 < 1 or m2 < 1:
         raise ValueError("degrees must be >= 1")
     if big_k < 1:
         raise ValueError("K must be >= 1")
-    if not 0 <= p <= big_k:
-        return Poly.zero(1)
     cv1 = ShiftVector.coerce(c1)
     cv2 = ShiftVector.coerce(c2)
     b1f = Fraction(b1)
     b2f = Fraction(b2)
-    if (p > 0 and not b1f) or (p < big_k and not b2f):
-        return Poly.zero(1)
+    tables: dict[int, list[Poly]] = {}
 
     def rows(m: int, shift: ShiftVector, sign: int, count: int) -> list[list[Poly]]:
         # Rows u = 1..count, columns v = 1..K of s_{m-u-v+1}(sign * x + c), from
-        # s_k(t + c) with t_i -> sign * x_i; no table is built for zero rows.
+        # s_k(t + c) with t_i -> sign * x_i.  Each side's table is built on the
+        # first p that has rows on that side, and never for zero rows.
         def to_x(v: VarId) -> tuple[VarId, int]:
             return VarId(Family.X, 1, v.index), sign
 
-        table = [relabel_vars(schur_shifted(k, shift), to_x) for k in range(m if count else 0)]
+        if count and sign not in tables:
+            tables[sign] = [relabel_vars(schur_shifted(k, shift), to_x) for k in range(m)]
         return [
-            [table[k] if k >= 0 else Poly.zero(1) for k in range(m - u, m - u - big_k, -1)]
+            [tables[sign][k] if k >= 0 else Poly.zero(1) for k in range(m - u, m - u - big_k, -1)]
             for u in range(1, count + 1)
         ]
 
-    det = det_poly(rows(m1, cv1, +1, p) + rows(m2, cv2, -1, big_k - p))
-    return det.scale(b1f**p * b2f ** (big_k - p))
+    for p in ps:
+        if not 0 <= p <= big_k or (p > 0 and not b1f) or (p < big_k and not b2f):
+            yield p, Poly.zero(1)
+            continue
+        det = det_poly(rows(m1, cv1, +1, p) + rows(m2, cv2, -1, big_k - p))
+        yield p, det.scale(b1f**p * b2f ** (big_k - p))
 
 
 def akns_collection(
@@ -512,8 +523,7 @@ def akns_collection(
     size for which the family solves the AKNS system."""
     K = max(m1, m2) if big_k is None else big_k
     entries: dict[ChargeVector, Poly] = {}
-    for p in range(K + 1):
-        poly = akns_tau(m1, m2, b1, b2, c1, c2, K, p)
+    for p, poly in _akns_entries(m1, m2, b1, b2, c1, c2, K, range(K + 1)):
         if poly.terms:
             entries[(p, K - p)] = poly
     return TauCollection(total=K, ncomp=2, entries=entries)

@@ -25,8 +25,8 @@ from tauforge import (
     schur_shifted,
     tvar,
     xvar,
+    yvar,
 )
-from tauforge.polycore import LaurentZ
 
 
 def eval_poly(p: Poly, values: Mapping[VarId, Fraction]) -> Fraction:
@@ -67,11 +67,12 @@ def schur_by_series(upto: int, component: int = 1, ncomp: int = 1) -> list[Poly]
     return series
 
 
-def miwa_by_operator(p: Poly, family: Family, component: int, sign: int) -> LaurentZ:
+def miwa_by_operator(p: Poly, family: Family, component: int, sign: int) -> list[Poly]:
     """Miwa substitution as the operator exponential of sign * sum z^{-i}/i d/dt_i.
 
     The exponential series terminates because every derivative strictly
-    lowers the weighted degree.
+    lowers the weighted degree.  Returns the z^0, z^{-1}, ... coefficients
+    through z^{-weighted_degree(p)}, the list form ``miwa_shift`` uses.
     """
     idxs = sorted(
         {v.index for v in p.variables() if v.family == family and v.component == component}
@@ -98,7 +99,35 @@ def miwa_by_operator(p: Poly, family: Family, component: int, sign: int) -> Laur
         for e, q in layer.items():
             prev = total.get(e)
             total[e] = q if prev is None else prev + q
-    return LaurentZ({e: q for e, q in total.items() if q.terms}, p.ncomp)
+    return [total.get(-k, Poly.zero(p.ncomp)) for k in range(max(p.weighted_degree(), 0) + 1)]
+
+
+def residue_by_convolution(
+    left: Sequence[Poly], right: Sequence[Poly], extra_z_power: int, component: int
+) -> Poly:
+    """Res_z z^extra * L(z) * R(z) * exp(sum (t_i - y_i) z^i), the long way.
+
+    ``left`` and ``right`` hold z^0, z^{-1}, ... coefficients.  Every pair is
+    multiplied into the full product L * R, and only then is each product
+    coefficient paired with the series coefficient that lands on z^{-1}; the
+    series comes from ``schur_of_args``, not the package's cached tables.
+    """
+    ncomp = left[0].ncomp
+    product = [Poly.zero(ncomp) for _ in range(len(left) + len(right) - 1)]
+    for a, p in enumerate(left):
+        for b, q in enumerate(right):
+            product[a + b] = product[a + b] + p * q
+    upto = max(len(product) - extra_z_power - 2, 0)
+    diffs = [
+        tvar(i, component, ncomp) - yvar(i, component, ncomp) for i in range(1, upto + 2)
+    ]
+    series = schur_of_args(upto, diffs)
+    total = Poly.zero(ncomp)
+    for depth, coeff in enumerate(product):
+        k = depth - extra_z_power - 1
+        if k >= 0:
+            total = total + coeff * series[k]
+    return total
 
 
 def det_by_permutations(rows: Sequence[Sequence[Poly]]) -> Poly:

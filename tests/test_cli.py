@@ -148,6 +148,8 @@ def test_tau_mkp_rejects_unknown_term_field(capsys, tmp_path):
     [
         ("--specs", {"specs": [[{"degree": True, "coeff": "1"}]]}, "degree"),
         ("--profile", {"n_parts": [True], "specs": [[{"degree": 2}]]}, "n_parts"),
+        ("--specs", {"specs": [[{"degree": 2}]], "ncomp": True}, "ncomp"),
+        ("--specs", {"specs": [[{"degree": 2}]], "ncomp": 1.0}, "ncomp"),
     ],
 )
 def test_booleans_are_not_integers(capsys, tmp_path, flag, body, needle):
@@ -169,6 +171,16 @@ def test_akns_single_entry(capsys):
     rc, out, _ = run(capsys, "akns", "--m1", "2", "--m2", "2", "--p", "1")
     assert rc == 0
     assert out == "2*x1\n"
+    # p = K is the last label inside the polyhedron
+    rc, out, _ = run(capsys, "akns", "--m1", "2", "--m2", "2", "--p", "2")
+    assert rc == 0 and out == "-1\n"
+
+
+@pytest.mark.parametrize("p", ["-1", "3"])
+def test_akns_rejects_p_outside_0_to_k(capsys, p):
+    rc, out, err = run(capsys, "akns", "--m1", "2", "--m2", "2", "--p", p)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "--p" in err and err.count("\n") == 1
 
 
 def test_akns_collection_lines(capsys):
@@ -381,6 +393,24 @@ def test_oracle_compare_charges_must_be_integer_arrays(capsys, tmp_path, charges
     rc, out, err = run(capsys, "oracle-compare", "--case", case)
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "charges" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("partition", [[2.5, "1"], [True, True], [2, None]])
+def test_oracle_compare_partition_parts_must_be_integers(capsys, tmp_path, partition):
+    case = write_json(tmp_path, "case.json", {"kind": "kp", "partition": partition})
+    rc, out, err = run(capsys, "oracle-compare", "--case", case)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "partition" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "body", [[], {"kind": "mkp", "specs": TWO_COMPONENT_SPECS["specs"], "charges": []}]
+)
+def test_oracle_compare_with_no_comparisons_is_an_error(capsys, tmp_path, body):
+    case = write_json(tmp_path, "case.json", body)
+    rc, out, err = run(capsys, "oracle-compare", "--case", case)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_closed_stdout_pipe_exits_141_without_traceback():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_shifts_for
+from oracles import miwa_by_operator, random_shifts_for, residue_by_convolution
 from tauforge import (
     Family,
     HSpec,
@@ -16,6 +16,7 @@ from tauforge import (
     hirota_kp_check,
     hirota_mkp_check,
     kp_specs_from_partition,
+    rename_family,
     reduction_check,
     tau_kp,
     tau_mkp_collection,
@@ -96,6 +97,19 @@ def test_kp_residue_higher_j_detects_reduction():
     assert hirota_kp_check(tau, 0, 2).passed
     assert not hirota_kp_check(tau, 1, 2).passed
 
+
+
+def test_kp_obstruction_matches_full_convolution_reference():
+    # perturbed n-KdV taus leave nonzero obstructions at every j; each must
+    # equal the one built from operator Miwa shifts and the full product
+    for parts, n in [((3, 2, 1), 2), ((4, 2), 3)]:
+        tau = tau_nkdv(parts, n) + tvar(1) ** 4 * tvar(2)
+        left = miwa_by_operator(tau, Family.T, 1, -1)
+        right = miwa_by_operator(rename_family(tau, Family.T, Family.Y), Family.Y, 1, +1)
+        for j in range(3):
+            r = hirota_kp_check(tau, j, n)
+            assert not r.passed, (parts, j)
+            assert r.obstruction == residue_by_convolution(left, right, j * n, 1), (parts, j)
 
 # -- multicomponent residue identity --------------------------------------------
 

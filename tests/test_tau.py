@@ -437,9 +437,12 @@ def test_akns_matches_argument_table_reference():
             c1 = [random_fraction(rng) for _ in range(m1)]
             c2 = [random_fraction(rng) for _ in range(m2)]
             big_k = max(m1, m2)
+            coll = akns_collection(m1, m2, b1, b2, c1, c2)
             for p in range(big_k + 1):
-                got = akns_tau(m1, m2, b1, b2, c1, c2, big_k, p)
-                assert got == akns_by_args(m1, m2, b1, b2, c1, c2, big_k, p), (m1, m2, p)
+                want = akns_by_args(m1, m2, b1, b2, c1, c2, big_k, p)
+                assert akns_tau(m1, m2, b1, b2, c1, c2, big_k, p) == want, (m1, m2, p)
+                # the collection builds each x-table once and must agree entry by entry
+                assert coll.get((p, big_k - p)) == want, (m1, m2, p)
 
 
 def test_akns_collection_default_k():
