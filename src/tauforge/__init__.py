@@ -4,8 +4,9 @@ Everything is computed over the rationals with no floating point anywhere:
 sparse multivariate polynomials (polycore), elementary Schur polynomials
 and shift algebra (schur), periodic partitions (partitions), determinant
 constructors for the KP / multicomponent KP / n-KdV / mixed-reduction /
-AKNS families (tau), bilinear residue verification (hirota), and an
-independent exterior-algebra oracle (fock).
+AKNS families (tau), bilinear residue verification (hirota) with its
+fermionic single-component form (fermion), and an independent
+exterior-algebra oracle (fock).
 """
 
 from .fock import (

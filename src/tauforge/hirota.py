@@ -10,7 +10,21 @@ The single-component identity verified is
 
 where [z^-1] is the Miwa vector (z^-1, z^-2/2, z^-3/3, ...) and Res picks
 the z^-1 coefficient; j = 0, n = 1 is the plain KP case and z^{jn} gives the
-reduced hierarchy.  The multicomponent identity sums, over components a,
+reduced hierarchy.  ``hirota_kp_check`` computes it in its fermionic form
+(module ``fermion``): with tau = sum_mu xi_mu s_mu(t) and each state mu
+written as the Maya set {mu_i - i}, the residue is the bosonization of
+
+    B = sum_i psi_i tau (x) psi*_{i + j n} tau,
+
+where psi_i inserts position i and psi*_k removes position k, each with
+sign (-1)^{#occupied positions above}.  tau passes exactly when B = 0.  A
+nonzero B maps back term by term: a charge +1 state S becomes
+s_lambda(t) with lambda_i = S_i + i - 1, a charge -1 state becomes
+s_lambda(y) with lambda_i = S_i + i + 1, and the obstruction is
+sum_ab B_ab s_a(t) s_b(y), the same polynomial the residue gives.  tau must
+be a polynomial in the t-variables of component 1.
+
+The multicomponent identity sums, over components a,
 
     (-1)^{m_1+..+m_{a-1}+q_1+..+q_{a-1}}
         * Res_z z^{m_a-q_a+j n_a-2}
@@ -41,6 +55,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from .fermion import kp_obstruction
 from .polycore import (
     Family,
     Poly,
@@ -104,11 +119,15 @@ def _residue_term(tau_t: Poly, tau_y: Poly, power: int, component: int) -> Poly:
 
 
 def hirota_kp_check(tau: Poly, j: int = 0, n: int = 1) -> VerificationReport:
-    """Residue identity for a single-component tau; z^{jn} selects the reduction."""
+    """Residue identity for a single-component tau; z^{jn} selects the reduction.
+
+    Raises ``ValueError`` if tau has a variable other than a t-variable of
+    component 1.
+    """
     if j < 0 or n < 1:
         raise ValueError("need j >= 0 and n >= 1")
     t0 = time.perf_counter()
-    obstruction = _residue_term(tau, tau, j * n, 1)
+    obstruction = kp_obstruction(tau, j * n)
     return _finish("kp-residue", {"j": j, "n": n}, obstruction, t0)
 
 

@@ -13,8 +13,8 @@ one ambient is fine.
 
 A Miwa shift t_i -> t_i +- z^{-i}/i turns a polynomial into a polynomial in
 z^{-1}, kept as the plain list of its ``Poly`` coefficients (``miwa_shift``).
-The residue extraction used by the bilinear identity checks lives here as
-well (``laurent_mul_residue``), with the one Schur recurrence
+The residue extraction used by the multicomponent identity check lives here
+as well (``laurent_mul_residue``), with the one Schur recurrence
 (``schur_table``) that both the exp-series and ``schur`` build on.
 """
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 from typing import Mapping, Sequence
@@ -22,6 +23,7 @@ from tauforge import (
     ShiftVector,
     VarId,
     expected_shift_lengths,
+    rename_family,
     schur_shifted,
     tvar,
     xvar,
@@ -102,6 +104,15 @@ def miwa_by_operator(p: Poly, family: Family, component: int, sign: int) -> list
     return [total.get(-k, Poly.zero(p.ncomp)) for k in range(max(p.weighted_degree(), 0) + 1)]
 
 
+@cache
+def difference_series(upto: int, component: int, ncomp: int) -> tuple[Poly, ...]:
+    """s_0..s_upto of exp(sum (t_i - y_i) z^i) by ``schur_of_args``, once per order."""
+    diffs = [
+        tvar(i, component, ncomp) - yvar(i, component, ncomp) for i in range(1, upto + 2)
+    ]
+    return tuple(schur_of_args(upto, diffs))
+
+
 def residue_by_convolution(
     left: Sequence[Poly], right: Sequence[Poly], extra_z_power: int, component: int
 ) -> Poly:
@@ -117,17 +128,21 @@ def residue_by_convolution(
     for a, p in enumerate(left):
         for b, q in enumerate(right):
             product[a + b] = product[a + b] + p * q
-    upto = max(len(product) - extra_z_power - 2, 0)
-    diffs = [
-        tvar(i, component, ncomp) - yvar(i, component, ncomp) for i in range(1, upto + 2)
-    ]
-    series = schur_of_args(upto, diffs)
+    series = difference_series(max(len(product) - extra_z_power - 2, 0), component, ncomp)
     total = Poly.zero(ncomp)
     for depth, coeff in enumerate(product):
         k = depth - extra_z_power - 1
         if k >= 0:
             total = total + coeff * series[k]
     return total
+
+
+def kp_residue_obstruction(tau: Poly, j: int, n: int) -> Poly:
+    """The obstruction ``hirota_kp_check(tau, j, n)`` reports, computed as the
+    residue from operator Miwa shifts and the full product."""
+    left = miwa_by_operator(tau, Family.T, 1, -1)
+    right = miwa_by_operator(rename_family(tau, Family.T, Family.Y), Family.Y, 1, +1)
+    return residue_by_convolution(left, right, j * n, 1)
 
 
 def det_by_permutations(rows: Sequence[Sequence[Poly]]) -> Poly:

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tauforge import HSpec, Poly, elementary_schur, tau_kp, tau_mkp_entry
 from tauforge.cli import main
@@ -439,3 +441,77 @@ def test_closed_stdout_pipe_exits_141_without_traceback():
 def test_missing_file_is_input_error(capsys, tmp_path):
     rc, _, err = run(capsys, "tau-mkp", "--specs", str(tmp_path / "absent.json"))
     assert rc == 2 and "cannot read" in err
+
+
+# -- fuzzed input files ----------------------------------------------------------
+
+_KEYS = st.sampled_from(
+    ["specs", "ncomp", "degree", "coeff", "shift", "n_parts", "kind", "partition",
+     "shifts", "charges", "0", "1", "2", "x"]
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["zero", "1/2", "-3", "2.5", "1/0", "x", ""])
+)
+_ANY_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+_SHIFT_FILE = st.dictionaries(
+    st.sampled_from(["0", "1", "2", "3", "-1", "x"]),
+    _LEAVES | st.lists(_LEAVES, max_size=4),
+    max_size=3,
+)
+_TERM = st.none() | _LEAVES | st.fixed_dictionaries(
+    {}, optional={"degree": _LEAVES, "coeff": _LEAVES, "shift": _ANY_JSON, "x": _LEAVES}
+)
+_SPECS = st.lists(st.lists(_TERM, max_size=3), max_size=3)
+_SPECS_FILE = _SPECS | st.fixed_dictionaries({"specs": _SPECS}, optional={"ncomp": _LEAVES})
+_PROFILE_FILE = st.fixed_dictionaries(
+    {}, optional={"n_parts": st.lists(_LEAVES, max_size=3) | _LEAVES, "specs": _SPECS_FILE}
+)
+_CASE = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["kp", "mkp", "other"]) | _LEAVES},
+    optional={
+        "partition": st.lists(_LEAVES, max_size=3) | _LEAVES,
+        "shifts": _SHIFT_FILE | _LEAVES,
+        "specs": _SPECS_FILE | _LEAVES,
+        "charges": st.lists(st.lists(st.integers(-2, 4), max_size=3) | _LEAVES, max_size=3)
+        | _LEAVES,
+    },
+)
+_FUZZ_COMMANDS = {
+    "shift": [
+        ["tau-kp", "--partition", "2,1", "--shifts"],
+        ["tau-nkdv", "--partition", "2,1", "--n", "2", "--shifts"],
+        ["verify", "--what", "kp", "--partition", "2,1", "--shifts"],
+        ["verify", "--what", "nkdv", "--partition", "2,1", "--n", "2", "--shifts"],
+    ],
+    "spec": [["tau-mkp", "--specs"], ["verify", "--what", "mkp", "--specs"]],
+    "profile": [["tau-mnkdv", "--profile"], ["verify", "--what", "mnkdv", "--profile"]],
+    "case": [["oracle-compare", "--case"]],
+}
+_FUZZ_BODIES = {
+    "shift": _SHIFT_FILE | _ANY_JSON,
+    "spec": _SPECS_FILE | _ANY_JSON,
+    "profile": _PROFILE_FILE | _ANY_JSON,
+    "case": _CASE | st.lists(_CASE, max_size=2) | _ANY_JSON,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZ_COMMANDS))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_input_files_exit_cleanly(kind, data, capsys, tmp_path, monkeypatch):
+    # A small degree cap keeps every accepted input cheap to construct.
+    monkeypatch.setenv("TAUFORGE_MAX_DEGREE", "6")
+    body = data.draw(_FUZZ_BODIES[kind], label="body")
+    command = data.draw(st.sampled_from(_FUZZ_COMMANDS[kind]), label="command")
+    path = write_json(tmp_path, "input.json", body)
+    rc, _, err = run(capsys, *command, path)
+    assert rc in (0, 1, 2)
+    assert err == "" or (err.startswith("error:") and err.count("\n") == 1), err

@@ -24,6 +24,7 @@ from tauforge import (
     tvar,
     verify_mkp_collection,
     xvar,
+    yvar,
 )
 
 
@@ -57,6 +58,15 @@ def test_kp_residue_validation():
         hirota_kp_check(tvar(1), j=-1)
     with pytest.raises(ValueError):
         hirota_kp_check(tvar(1), n=0)
+
+
+def test_kp_residue_takes_t_variables_of_component_1_only():
+    for bad in [yvar(1), xvar(1), tvar(1, 2, 2), tvar(2) + yvar(1) ** 2]:
+        with pytest.raises(ValueError):
+            hirota_kp_check(bad)
+    # other components of the ambient may exist as long as tau does not use them
+    r = hirota_kp_check(tvar(1, 1, 2) ** 2 + tvar(2, 1, 2), 1, 2)
+    assert r.obstruction.ncomp == 2 and r.obstruction.terms
 
 
 def test_kp_residue_passes_on_schur():
