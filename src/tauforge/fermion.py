@@ -23,9 +23,12 @@ becomes s_lambda(y) with lambda_i = S_i + i + 1, and
 [t^nu] s_lambda = chi^lambda_nu / prod_k m_k(nu)!.
 
 B and the bosonization run on integer numerators over one common
-denominator; only the final coefficients are fractions.  The character and
-Schur-term caches are dicts whose values are never mutated; a race only
-computes an entry twice, so they need no lock.
+denominator; only the final coefficients are fractions.  Only the character
+rows the expansion reads are kept between calls, so the cache grows with
+the size of the inputs and not with the size of B, whose shapes reach twice
+the size of tau: a bosonization builds its rows in a table of its own and
+drops it on return.  The kept rows sit in a dict whose values are never
+mutated; a race only computes an entry twice, so it needs no lock.
 """
 
 from __future__ import annotations
@@ -43,43 +46,54 @@ from .polycore import Family, Monomial, Poly, VarId
 PartitionKey = tuple[int, ...]
 Maya = tuple[int, ...]  # occupied positions above the floor, decreasing
 StateMatrix = dict[Maya, dict[Maya, int]]
+# chi^lambda_nu over nu with parts <= top, keyed by (lambda, top)
+RowTable = dict[tuple[PartitionKey, int], dict[PartitionKey, int]]
 
-_CHARACTERS: dict[PartitionKey, Mapping[PartitionKey, int]] = {}
-# One object per shape, shared by every column that lists it.
-_SHAPES: dict[PartitionKey, PartitionKey] = {}
-_SCHUR_TERMS: dict[tuple[PartitionKey, Family], tuple[tuple[Monomial, int], ...]] = {}
+_CHARACTERS: RowTable = {}
 
 
-def characters(nu: PartitionKey) -> Mapping[PartitionKey, int]:
-    """The nonzero chi^lambda_nu over lambda of size |nu|; ``nu`` is decreasing.
+def _row(lam: PartitionKey, top: int, table: RowTable) -> dict[PartitionKey, int]:
+    """The nonzero chi^lam_nu over nu of size |lam| whose parts are <= top.
 
-    Built by adding a rim hook of length nu_1 to every shape of
-    characters(nu_2, nu_3, ...): on beta-numbers a bead moves from b to
-    b + nu_1 onto a free place, with sign (-1)^{beads strictly between}.
+    Removes a rim hook of length k = nu_1 first, then the rest of nu from
+    what is left: on beta-numbers a bead moves from b down to a free place
+    b - k, with sign (-1)^{beads strictly between}.  ``top`` is at most
+    |lam|, so that each row is kept under one key.
     """
-    hit = _CHARACTERS.get(nu)
+    hit = table.get((lam, top))
     if hit is not None:
         return hit
-    if not nu:
-        column = {(): 1}
-    else:
-        k, size = nu[0], sum(nu)
-        column = {}
-        for lam, chi in characters(nu[1:]).items():
-            beads = [part + size - 1 - i for i, part in enumerate(lam)]
-            beads += range(size - 1 - len(lam), -1, -1)
-            occupied = set(beads)
-            for r, b in enumerate(beads):
-                if b + k in occupied:
-                    continue
-                moved = sorted([*beads[:r], *beads[r + 1:], b + k], reverse=True)
-                shape = tuple(x - (size - 1 - i) for i, x in enumerate(moved))
-                shape = shape[:size - shape.count(0)]
-                shape = _SHAPES.setdefault(shape, shape)
-                between = sum(1 for c in beads[:r] if c < b + k)
-                column[shape] = column.get(shape, 0) + (-chi if between & 1 else chi)
-        column = {lam: chi for lam, chi in column.items() if chi}
-    return _CHARACTERS.setdefault(nu, MappingProxyType(column))
+    size, rows = sum(lam), len(lam)
+    row: dict[PartitionKey, int] = {(): 1} if not size else {}
+    beads = [part + rows - 1 - i for i, part in enumerate(lam)]
+    ascending = beads[::-1]
+    for k in range(min(top, size), 0, -1):
+        rests: dict[PartitionKey, int] = {}  # chi over the rest of nu
+        for r, b in enumerate(beads):
+            if b < k:
+                continue
+            below = bisect_right(ascending, b - k)
+            if below and ascending[below - 1] == b - k:
+                continue
+            # the hook starts in row r, ends in row r + between, and takes one
+            # box from each row in between
+            between = rows - below - r - 1
+            end = r + 1 + between
+            rest = (*lam[:r], *(p - 1 for p in lam[r + 1:end]), lam[r] - k + between, *lam[end:])
+            if not rest[-1]:
+                rest = rest[:rest.index(0)]
+            sign = -1 if between & 1 else 1
+            for nu, chi in _row(rest, min(k, size - k), table).items():
+                rests[nu] = rests.get(nu, 0) + sign * chi
+        for nu, chi in rests.items():
+            if chi:
+                row[(k, *nu)] = chi
+    return table.setdefault((lam, top), row)
+
+
+def characters(lam: PartitionKey) -> Mapping[PartitionKey, int]:
+    """The nonzero chi^lambda_nu over nu of size |lambda|; ``lam`` is decreasing."""
+    return MappingProxyType(_row(lam, sum(lam), _CHARACTERS))
 
 
 @cache
@@ -87,30 +101,14 @@ def _power(family: Family, k: int, mult: int) -> tuple[VarId, int]:
     return (VarId(family, 1, k), mult)
 
 
-def _schur_terms(lam: PartitionKey, family: Family) -> tuple[tuple[Monomial, int], ...]:
-    """|lambda|! * s_lambda in component 1 of ``family``, as (monomial, integer)."""
-    hit = _SCHUR_TERMS.get((lam, family))
-    if hit is not None:
-        return hit
-    size = sum(lam)
-    terms = []
-    for nu in partitions_of(size):
-        chi = characters(nu).get(lam)
-        if chi:
-            mono, coeff = [], chi * factorial(size)
-            for k in sorted(set(nu)):
-                mult = nu.count(k)
-                mono.append(_power(family, k, mult))
-                coeff //= factorial(mult)
-            terms.append((tuple(mono), coeff))
-    return _SCHUR_TERMS.setdefault((lam, family), tuple(terms))
-
-
-def schur_poly(lam: PartitionKey, family: Family = Family.T, ncomp: int = 1) -> Poly:
-    """s_lambda in the variables of component 1 of ``family``."""
-    lam = tuple(lam)
-    scale = factorial(sum(lam))
-    return Poly({m: Fraction(c, scale) for m, c in _schur_terms(lam, family)}, ncomp)
+def _monomial(nu: PartitionKey, family: Family) -> tuple[Monomial, int]:
+    """t^nu in component 1 of ``family``, with prod_k m_k(nu)!."""
+    mono, weight = [], 1
+    for k in sorted(set(nu)):
+        mult = nu.count(k)
+        mono.append(_power(family, k, mult))
+        weight *= factorial(mult)
+    return tuple(mono), weight
 
 
 def schur_expansion(tau: Poly) -> dict[PartitionKey, Fraction]:
@@ -119,7 +117,7 @@ def schur_expansion(tau: Poly) -> dict[PartitionKey, Fraction]:
     Raises ``ValueError`` unless every variable of tau is a t-variable of
     component 1.
     """
-    xi: dict[PartitionKey, Fraction] = {}
+    by_size: dict[int, dict[PartitionKey, Fraction]] = {}
     for mono, a in tau.terms.items():
         nu: list[int] = []
         weight = 1
@@ -131,10 +129,15 @@ def schur_expansion(tau: Poly) -> dict[PartitionKey, Fraction]:
             nu += [v.index] * e
             weight *= v.index**e
         nu.sort(reverse=True)
-        c = a / weight
-        for lam, chi in characters(tuple(nu)).items():
-            xi[lam] = xi.get(lam, 0) + chi * c
-    return {lam: c for lam, c in xi.items() if c}
+        by_size.setdefault(sum(nu), {})[tuple(nu)] = a / weight
+    xi: dict[PartitionKey, Fraction] = {}
+    for size, coeffs in by_size.items():
+        for lam in partitions_of(size):
+            row = characters(lam)
+            c = sum(row.get(nu, 0) * a for nu, a in coeffs.items())
+            if c:
+                xi[lam] = c
+    return xi
 
 
 def sato_b(xi: Mapping[PartitionKey, Fraction], shift: int) -> tuple[StateMatrix, int]:
@@ -182,7 +185,7 @@ def _shape(maya: Maya, charge: int) -> PartitionKey:
     return tuple(lam for lam in (p + i - charge for i, p in enumerate(maya, 1)) if lam)
 
 
-def bosonize(b: StateMatrix, denominator: int, ncomp: int = 1) -> Poly:
+def bosonize(b: StateMatrix, denominator: int, ncomp: int) -> Poly:
     """(1/d) sum_{a,b} B_ab s_{lambda(a)}(t) s_{lambda(b)}(y), grouped by a.
 
     Each Schur factor is brought to the denominator of the largest size on
@@ -194,18 +197,33 @@ def bosonize(b: StateMatrix, denominator: int, ncomp: int = 1) -> Poly:
     shapes_y = {s: _shape(s, -1) for row in b.values() for s in row}
     top_t = max(sum(lam) for lam in shapes_t.values())
     top_y = max(sum(lam) for lam in shapes_y.values())
+    table: RowTable = {}
+    monomials: dict[tuple[PartitionKey, Family], tuple[Monomial, int]] = {}
+
+    def schur_terms(lam: PartitionKey, family: Family) -> list[tuple[Monomial, int]]:
+        # |lambda|! * s_lambda as (monomial, integer)
+        size = sum(lam)
+        terms = []
+        for nu, chi in _row(lam, size, table).items():
+            hit = monomials.get((nu, family))
+            if hit is None:
+                hit = monomials[nu, family] = _monomial(nu, family)
+            terms.append((hit[0], chi * factorial(size) // hit[1]))
+        return terms
+
+    terms_y = {lam: schur_terms(lam, Family.Y) for lam in set(shapes_y.values())}
     out: dict[Monomial, int] = {}
     for a, row in b.items():
         inner: dict[Monomial, int] = {}
         for s, cb in row.items():
             lam = shapes_y[s]
             cb *= factorial(top_y) // factorial(sum(lam))
-            for my, cy in _schur_terms(lam, Family.Y):
+            for my, cy in terms_y[lam]:
                 inner[my] = inner.get(my, 0) + cb * cy
         inner = {m: c for m, c in inner.items() if c}
         lam = shapes_t[a]
         scale = factorial(top_t) // factorial(sum(lam))
-        for mt, ct in _schur_terms(lam, Family.T):
+        for mt, ct in schur_terms(lam, Family.T):
             ct *= scale
             for my, cy in inner.items():
                 m = mt + my

@@ -13,8 +13,8 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial
-from typing import Mapping, Sequence
+from math import factorial, lcm
+from typing import Iterable, Mapping, Sequence
 
 from tauforge import (
     Family,
@@ -113,6 +113,72 @@ def difference_series(upto: int, component: int, ncomp: int) -> tuple[Poly, ...]
     return tuple(schur_of_args(upto, diffs))
 
 
+def _pack(
+    polys: Sequence[Poly], offsets: Mapping[VarId, int]
+) -> tuple[int, list[dict[int, int]]]:
+    """Each poly as {packed monomial: numerator} over one common denominator.
+
+    A monomial packs into one integer with variable v's exponent at bit
+    ``offsets[v]``, so multiplying two monomials adds their integers.
+    """
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return den, [
+        {
+            sum(e << offsets[v] for v, e in mono): c.numerator * (den // c.denominator)
+            for mono, c in p.terms.items()
+        }
+        for p in polys
+    ]
+
+
+def _residues(
+    left: Sequence[Poly], right: Sequence[Poly], powers: Iterable[int], component: int
+) -> dict[int, Poly]:
+    """``residue_by_convolution`` at every power, from one full product.
+
+    The products run on integer numerators with packed monomials: every
+    exponent fits its bit field, since none exceeds the sum of the largest
+    total degrees of L, R and the series.
+    """
+    powers = sorted(set(powers))
+    ncomp = left[0].ncomp
+    series = difference_series(max(len(left) + len(right) - powers[0] - 3, 0), component, ncomp)
+    groups = (left, right, series)
+    variables = sorted({v for group in groups for p in group for v in p.variables()})
+    bound = sum(
+        max((sum(e for _, e in mono) for p in group for mono in p.terms), default=0)
+        for group in groups
+    )
+    width = max(bound.bit_length(), 1)
+    offsets = {v: i * width for i, v in enumerate(variables)}
+    (dl, left_n), (dr, right_n), (ds, series_n) = (_pack(g, offsets) for g in groups)
+    product: list[dict[int, int]] = [{} for _ in range(len(left) + len(right) - 1)]
+    for a, p in enumerate(left_n):
+        for b, q in enumerate(right_n):
+            acc = product[a + b]
+            for mp, cp in p.items():
+                for mq, cq in q.items():
+                    acc[mp + mq] = acc.get(mp + mq, 0) + cp * cq
+    mask = (1 << width) - 1
+    monomials: dict[int, tuple] = {}  # unpacked once, shared by the powers
+    out = {}
+    for power in powers:
+        total: dict[int, int] = {}
+        for depth, coeff in enumerate(product):
+            k = depth - power - 1
+            if k >= 0:
+                for mp, cp in coeff.items():
+                    for ms, cs in series_n[k].items():
+                        total[mp + ms] = total.get(mp + ms, 0) + cp * cs
+        for m in total.keys() - monomials.keys():
+            fields = [(v, (m >> offsets[v]) & mask) for v in variables]
+            monomials[m] = tuple((v, e) for v, e in fields if e)
+        out[power] = Poly(
+            {monomials[m]: Fraction(c, dl * dr * ds) for m, c in total.items()}, ncomp
+        )
+    return out
+
+
 def residue_by_convolution(
     left: Sequence[Poly], right: Sequence[Poly], extra_z_power: int, component: int
 ) -> Poly:
@@ -123,26 +189,16 @@ def residue_by_convolution(
     coefficient paired with the series coefficient that lands on z^{-1}; the
     series comes from ``schur_of_args``, not the package's cached tables.
     """
-    ncomp = left[0].ncomp
-    product = [Poly.zero(ncomp) for _ in range(len(left) + len(right) - 1)]
-    for a, p in enumerate(left):
-        for b, q in enumerate(right):
-            product[a + b] = product[a + b] + p * q
-    series = difference_series(max(len(product) - extra_z_power - 2, 0), component, ncomp)
-    total = Poly.zero(ncomp)
-    for depth, coeff in enumerate(product):
-        k = depth - extra_z_power - 1
-        if k >= 0:
-            total = total + coeff * series[k]
-    return total
+    return _residues(left, right, [extra_z_power], component)[extra_z_power]
 
 
-def kp_residue_obstruction(tau: Poly, j: int, n: int) -> Poly:
-    """The obstruction ``hirota_kp_check(tau, j, n)`` reports, computed as the
-    residue from operator Miwa shifts and the full product."""
+def kp_residue_obstructions(tau: Poly, powers: Iterable[int]) -> dict[int, Poly]:
+    """The obstruction ``hirota_kp_check(tau, j, n)`` reports, for each j * n in
+    ``powers``, computed as the residue from operator Miwa shifts and one
+    full product."""
     left = miwa_by_operator(tau, Family.T, 1, -1)
     right = miwa_by_operator(rename_family(tau, Family.T, Family.Y), Family.Y, 1, +1)
-    return residue_by_convolution(left, right, j * n, 1)
+    return _residues(left, right, powers, 1)
 
 
 def det_by_permutations(rows: Sequence[Sequence[Poly]]) -> Poly:

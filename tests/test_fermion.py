@@ -7,8 +7,9 @@ import threading
 from fractions import Fraction
 from math import factorial
 
-from oracles import kp_residue_obstruction, random_fraction, random_shifts_for
+from oracles import kp_residue_obstructions, random_fraction, random_shifts_for
 from tauforge import (
+    Family,
     Partition,
     Poly,
     all_partitions,
@@ -37,12 +38,24 @@ def _z(nu: tuple[int, ...]) -> int:
     return out
 
 
+def _schur_poly(lam: tuple[int, ...]) -> Poly:
+    """s_lambda = sum_nu chi^lambda_nu t^nu / prod_k m_k(nu)!."""
+    total = Poly.zero()
+    for nu, chi in fermion.characters(lam).items():
+        term = Poly.const(chi)
+        for k in set(nu):
+            m = nu.count(k)
+            term = (term * tvar(k) ** m).scale(Fraction(1, factorial(m)))
+        total = total + term
+    return total
+
+
 # -- Murnaghan-Nakayama characters ------------------------------------------------
 
 
 def test_character_schur_functions_equal_the_jacobi_trudi_determinant():
     for lam in all_partitions(8):
-        assert fermion.schur_poly(lam.parts) == tau_kp(lam), lam
+        assert _schur_poly(lam.parts) == tau_kp(lam), lam
 
 
 def test_characters_are_orthogonal():
@@ -52,7 +65,7 @@ def test_characters_are_orthogonal():
             for mu in classes:
                 total = sum(
                     Fraction(
-                        fermion.characters(nu).get(lam, 0) * fermion.characters(nu).get(mu, 0),
+                        fermion.characters(lam).get(nu, 0) * fermion.characters(mu).get(nu, 0),
                         _z(nu),
                     )
                     for nu in classes
@@ -63,7 +76,7 @@ def test_characters_are_orthogonal():
 def test_schur_expansion_recovers_the_coefficients():
     rng = random.Random(11)
     xi = {lam.parts: _nonzero_fraction(rng) for lam in all_partitions(5)}
-    tau = sum((fermion.schur_poly(lam).scale(c) for lam, c in xi.items()), Poly.zero())
+    tau = sum((_schur_poly(lam).scale(c) for lam, c in xi.items()), Poly.zero())
     assert fermion.schur_expansion(tau) == xi
 
 
@@ -95,11 +108,9 @@ def test_kp_obstruction_matches_the_residue_reference():
     cases += [(tau, (n,)) for tau, n in _nkdv_taus()]
     failing = 0
     for tau, ns in cases:
-        reference = {}
+        reference = kp_residue_obstructions(tau, {j * n for j in range(3) for n in ns})
         for j in range(3):
             for n in ns:
-                if j * n not in reference:
-                    reference[j * n] = kp_residue_obstruction(tau, j, n)
                 report = hirota_kp_check(tau, j, n)
                 assert report.obstruction == reference[j * n], (str(tau), j, n)
                 failing += not report.passed
@@ -115,15 +126,27 @@ def test_every_partition_of_8_passes_and_a_perturbed_copy_fails():
         assert not hirota_kp_check(bad).passed, parts
 
 
+def test_a_failing_check_keeps_no_characters_beyond_the_input():
+    # The bosonization reads s_lambda(t) up to |lambda| = 11 here; only the
+    # rows of the expansion, of size at most 6, may stay cached.
+    tau = tau_kp((3, 2, 1)) + (tvar(1) ** 4 * tvar(2)).scale(Fraction(3, 2))
+    fermion._CHARACTERS.clear()
+    report = hirota_kp_check(tau)
+    t_weights = [
+        sum(v.index * e for v, e in mono if v.family == Family.T)
+        for mono in report.obstruction.terms
+    ]
+    assert max(t_weights) == 11
+    assert max(sum(lam) for lam, _ in fermion._CHARACTERS) == 6
+
+
 def test_concurrent_cold_caches_give_the_same_obstruction():
-    # Four threads fill the emptied character and Schur-term caches at a 1 us
-    # switch interval; every obstruction must equal the reference one.
+    # Four threads fill the emptied character cache at a 1 us switch
+    # interval; every obstruction must equal the reference one.
     tau = tau_nkdv((3, 2, 1), 2) + (tvar(1) ** 4 * tvar(2)).scale(Fraction(3, 2))
-    expected = kp_residue_obstruction(tau, 0, 1)
+    expected = kp_residue_obstructions(tau, [0])[0]
     assert expected.terms
     fermion._CHARACTERS.clear()
-    fermion._SHAPES.clear()
-    fermion._SCHUR_TERMS.clear()
     results, errors = [], []
 
     def check():
