@@ -44,9 +44,6 @@ from .polycore import (
     Family,
     Poly,
     VarId,
-    laurent_mul_residue,
-    miwa_shift,
-    rename_family,
     tvar,
     xvar,
     yvar,
@@ -118,11 +115,8 @@ __all__ = [
     "hirota_mkp_check",
     "is_n_periodic",
     "kp_specs_from_partition",
-    "laurent_mul_residue",
-    "miwa_shift",
     "oracle_tau",
     "reduction_check",
-    "rename_family",
     "schur_constant",
     "schur_constants",
     "schur_shifted",

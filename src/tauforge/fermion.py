@@ -1,51 +1,54 @@
-"""Fermionic form of the single-component residue identity.
+"""Fermionic form of the KP and s-component KP bilinear identities.
 
-Under the boson-fermion correspondence a charge-0 state |mu> is the Schur
-function s_mu(t), and the residue identity
+Under the s-component boson-fermion correspondence a state with species
+charges l = (l_1, .., l_s) is a sum of products of Schur functions, one per
+species b in the times t^(b).  ``hirota`` states the identities and their
+element B; for polynomial tau-functions it is a finite sum:
 
-    Res_z z^{j n} tau(t - [z^-1]) tau(y + [z^-1]) exp(sum (t_i - y_i) z^i)
-
-is the bilinear element B = sum_i psi_i tau (x) psi*_{i + j n} tau.  For a
-polynomial tau the sum is finite:
-
-1. Expand tau = sum_mu xi_mu s_mu(t).  The Hall form is diagonal on
-   t-monomials, so xi_mu = sum_nu a_nu chi^mu_nu / prod_k k^{m_k(nu)}, with
-   a_nu = [t^nu] tau and the characters chi^mu_nu of the symmetric group
-   (Murnaghan-Nakayama rule on beta-numbers).
-2. Write each state as its Maya set {mu_i - i}; below a floor that all
-   states share every position is occupied.  psi_i inserts i with sign
+1. Expand tau = sum xi_{mu(1)..mu(s)} prod_b s_{mu(b)}(t^(b)), one species
+   at a time.  The Hall form is diagonal on t-monomials, so
+   xi_mu = sum_nu a_nu chi^mu_nu / prod_k k^{m_k(nu)}, with a_nu = [t^nu] tau
+   and the characters chi^mu_nu of the symmetric group (Murnaghan-Nakayama
+   rule on beta-numbers).
+2. Write species b of a state at charge l_b as the Maya set
+   {mu_i - i + l_b}; below a floor that every state of species b shares,
+   each position is occupied.  psi_i inserts i with sign
    (-1)^{#occupied > i} and psi*_k removes k with sign (-1)^{#occupied > k}.
-3. tau satisfies the identity exactly when B is empty.
+3. The identity holds exactly when B is empty.
 
-A nonempty B is bosonized back into the residue polynomial: a state S at
-charge +1 becomes s_lambda(t) with lambda_i = S_i + i - 1, one at charge -1
-becomes s_lambda(y) with lambda_i = S_i + i + 1, and
+A nonempty B is bosonized species by species: a state S at charge c becomes
+s_lambda with lambda_i = S_i + i - c, and
 [t^nu] s_lambda = chi^lambda_nu / prod_k m_k(nu)!.
 
-B and the bosonization run on integer numerators over one common
-denominator; only the final coefficients are fractions.  Only the character
-rows the expansion reads are kept between calls, so the cache grows with
-the size of the inputs and not with the size of B, whose shapes reach twice
-the size of tau: a bosonization builds its rows in a table of its own and
-drops it on return.  The kept rows sit in a dict whose values are never
-mutated; a race only computes an entry twice, so it needs no lock.
+The expansion, B and the bosonization run on integer numerators over one
+common denominator each; only the coefficients they return are fractions.
+Only the character rows the expansion reads are kept between calls, so the
+cache grows with the size of the inputs and not with the size of B, whose
+shapes reach twice the size of tau: a bosonization builds its rows in a
+table of its own and drops it on return.  The kept rows sit in a dict whose
+values are never mutated; a race only computes an entry twice, so it needs
+no lock.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache
-from math import factorial, lcm
+from functools import cache, reduce
+from math import factorial, lcm, prod
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .partitions import partitions_of
 from .polycore import Family, Monomial, Poly, VarId
 
 PartitionKey = tuple[int, ...]
 Maya = tuple[int, ...]  # occupied positions above the floor, decreasing
-StateMatrix = dict[Maya, dict[Maya, int]]
+Label = tuple[int, ...]  # one charge per species
+State = tuple[Maya, ...]  # one Maya set per species
+StateMatrix = dict[State, dict[State, int]]
+# (sign, species index a, label of the psi side, label of the psi* side, shift)
+Term = tuple[int, int, Label, Label, int]
 # chi^lambda_nu over nu with parts <= top, keyed by (lambda, top)
 RowTable = dict[tuple[PartitionKey, int], dict[PartitionKey, int]]
 
@@ -97,142 +100,191 @@ def characters(lam: PartitionKey) -> Mapping[PartitionKey, int]:
 
 
 @cache
-def _power(family: Family, k: int, mult: int) -> tuple[VarId, int]:
-    return (VarId(family, 1, k), mult)
+def _power(family: Family, component: int, k: int, mult: int) -> tuple[VarId, int]:
+    return (VarId(family, component, k), mult)
 
 
-def _monomial(nu: PartitionKey, family: Family) -> tuple[Monomial, int]:
-    """t^nu in component 1 of ``family``, with prod_k m_k(nu)!."""
+def _monomial(nu: PartitionKey, family: Family, component: int) -> tuple[Monomial, int]:
+    """t^nu in ``component`` of ``family``, with prod_k m_k(nu)!."""
     mono, weight = [], 1
     for k in sorted(set(nu)):
         mult = nu.count(k)
-        mono.append(_power(family, k, mult))
+        mono.append(_power(family, component, k, mult))
         weight *= factorial(mult)
     return tuple(mono), weight
 
 
-def schur_expansion(tau: Poly) -> dict[PartitionKey, Fraction]:
-    """The nonzero xi_mu of tau = sum_mu xi_mu s_mu(t).
+def schur_expansion(tau: Poly, species: int) -> dict[tuple[PartitionKey, ...], Fraction]:
+    """The nonzero xi of tau = sum xi_{mu(1)..mu(s)} prod_b s_{mu(b)}(t^(b)).
 
-    Raises ``ValueError`` unless every variable of tau is a t-variable of
-    component 1.
+    Keys hold one partition per species.  The transform runs on integer
+    numerators over one common denominator.  Raises ``ValueError`` unless
+    every variable of tau is a t-variable of a component 1..``species``.
     """
-    by_size: dict[int, dict[PartitionKey, Fraction]] = {}
+    ratios: dict[tuple[PartitionKey, ...], tuple[int, int]] = {}
     for mono, a in tau.terms.items():
-        nu: list[int] = []
-        weight = 1
+        nus: list[list[int]] = [[] for _ in range(species)]
+        weight = a.denominator
         for v, e in mono:
-            if v.family != Family.T or v.component != 1:
+            if v.family != Family.T or not 1 <= v.component <= species:
                 raise ValueError(
-                    f"the KP check takes t-variables of component 1 only, got {v}"
+                    f"the check takes t-variables of components 1..{species} only, got {v}"
                 )
-            nu += [v.index] * e
+            nus[v.component - 1] += [v.index] * e
             weight *= v.index**e
-        nu.sort(reverse=True)
-        by_size.setdefault(sum(nu), {})[tuple(nu)] = a / weight
-    xi: dict[PartitionKey, Fraction] = {}
-    for size, coeffs in by_size.items():
-        for lam in partitions_of(size):
-            row = characters(lam)
-            c = sum(row.get(nu, 0) * a for nu, a in coeffs.items())
-            if c:
-                xi[lam] = c
-    return xi
+        ratios[tuple(tuple(nu[::-1]) for nu in nus)] = (a.numerator, weight)
+    den = lcm(*(d for _, d in ratios.values()))
+    coeffs = {key: n * (den // d) for key, (n, d) in ratios.items()}
+    for b in range(species):
+        groups: dict[tuple, dict[PartitionKey, int]] = {}
+        for key, c in coeffs.items():
+            groups.setdefault((key[:b], sum(key[b]), key[b + 1:]), {})[key[b]] = c
+        coeffs = {}
+        for (head, size, tail), group in groups.items():
+            for lam in partitions_of(size):
+                row = characters(lam)
+                c = sum(row.get(nu, 0) * n for nu, n in group.items())
+                if c:
+                    coeffs[head + (lam,) + tail] = c
+    return {key: Fraction(c, den) for key, c in coeffs.items()}
 
 
-def sato_b(xi: Mapping[PartitionKey, Fraction], shift: int) -> tuple[StateMatrix, int]:
-    """B = sum_i psi_i tau (x) psi*_{i + shift} tau as ({a: {b: numerator}}, d).
+def _maya(mu: PartitionKey, charge: int, floor: int) -> Maya:
+    """{mu_i - i + charge} for i = 1..charge - floor."""
+    return tuple(
+        p - i + charge for i, p in enumerate(mu + (0,) * (charge - floor - len(mu)), 1)
+    )
 
-    B_ab is numerator / d.  ``a`` is a state of charge +1 and ``b`` one of
-    charge -1, both as Maya sets over the floor shared by every state of
-    tau; zero entries are dropped, so B = 0 is the empty dict.
+
+def fock_states(
+    entries: Mapping[Label, Poly], species: int
+) -> tuple[dict[Label, list[tuple[State, int]]], int]:
+    """Each entry's Schur expansion as states with integer numerators, and d.
+
+    The state of xi_mu at label l has numerator xi_mu * d; species b holds
+    the Maya set {mu_i - i + l_b} above a floor f_b shared by every state of
+    species b, so it lists l_b - f_b positions.
     """
-    den = lcm(*(c.denominator for c in xi.values()))
-    floor = max((len(lam) for lam in xi), default=0)
-    states = [
-        (tuple(p - i for i, p in enumerate(lam + (0,) * (floor - len(lam)), 1)),
-         c.numerator * (den // c.denominator))
-        for lam, c in xi.items()
+    xis = {label: schur_expansion(tau, species) for label, tau in entries.items()}
+    den = lcm(*(c.denominator for xi in xis.values() for c in xi.values()))
+    floors = [
+        min((label[b] - len(key[b]) for label, xi in xis.items() for key in xi), default=0)
+        for b in range(species)
     ]
-    removed: dict[int, list[tuple[Maya, int]]] = {}
-    for maya, c in states:
-        for r, k in enumerate(maya):
-            removed.setdefault(k - shift, []).append(
-                (maya[:r] + maya[r + 1:], -c if r & 1 else c)
-            )
+    states = {
+        label: [
+            (tuple(map(_maya, key, label, floors)), c.numerator * (den // c.denominator))
+            for key, c in xi.items()
+        ]
+        for label, xi in xis.items()
+    }
+    return states, den
+
+
+def sato_b(states: Mapping[Label, list[tuple[State, int]]], terms: Iterable[Term]) -> StateMatrix:
+    """B = sum over terms of sign * sum_i psi^(a)_i tau^(l) (x) psi*^(a)_{i + shift} tau^(l').
+
+    A term is (sign, a, l, l', shift), with ``a`` the 0-based species;
+    ``states`` are those of ``fock_states``.  B comes back as {A: {B': c}}
+    with c over d^2; zero entries are dropped, so B = 0 is the empty dict.
+    """
     out: StateMatrix = {}
-    for maya, c in states:
-        members = set(maya)
-        ascending = maya[::-1]
-        for i, targets in removed.items():
-            if i < -floor or i in members:
-                continue
-            above = len(maya) - bisect_right(ascending, i)
-            ca = -c if above & 1 else c
-            row = out.setdefault(maya[:above] + (i,) + maya[above:], {})
-            for b, cb in targets:
-                row[b] = row.get(b, 0) + ca * cb
-    for a in list(out):
-        row = {b: c for b, c in out[a].items() if c}
-        if row:
-            out[a] = row
-        else:
-            del out[a]
-    return out, den * den
+    for sign, a, left, right, shift in terms:
+        removed: dict[int, list[tuple[State, int]]] = {}
+        for state, c in states[right]:
+            maya = state[a]
+            for r, k in enumerate(maya):
+                removed.setdefault(k - shift, []).append(
+                    (state[:a] + (maya[:r] + maya[r + 1:],) + state[a + 1:], -c if r & 1 else c)
+                )
+        for state, c in states[left]:
+            maya = state[a]
+            floor = left[a] - len(maya)
+            members = set(maya)
+            ascending = maya[::-1]
+            for i, targets in removed.items():
+                if i < floor or i in members:
+                    continue
+                above = len(maya) - bisect_right(ascending, i)
+                ca = -sign * c if above & 1 else sign * c
+                inserted = state[:a] + (maya[:above] + (i,) + maya[above:],) + state[a + 1:]
+                row = out.setdefault(inserted, {})
+                for b, cb in targets:
+                    row[b] = row.get(b, 0) + ca * cb
+    rows = ((a, {b: c for b, c in row.items() if c}) for a, row in out.items())
+    return {a: row for a, row in rows if row}
 
 
 def _shape(maya: Maya, charge: int) -> PartitionKey:
     return tuple(lam for lam in (p + i - charge for i, p in enumerate(maya, 1)) if lam)
 
 
-def bosonize(b: StateMatrix, denominator: int, ncomp: int) -> Poly:
-    """(1/d) sum_{a,b} B_ab s_{lambda(a)}(t) s_{lambda(b)}(y), grouped by a.
+def _times(
+    left: list[tuple[Monomial, int]], right: list[tuple[Monomial, int]]
+) -> list[tuple[Monomial, int]]:
+    return [(ml + mr, cl * cr) for ml, cl in left for mr, cr in right]
 
-    Each Schur factor is brought to the denominator of the largest size on
-    its side, so the sums stay integral.  The t- and y-monomials are
-    disjoint and T sorts before Y, so each product monomial is the
-    concatenation of its two factors.
+
+def bosonize(b: StateMatrix, denominator: int, m: Label, q: Label, ncomp: int) -> Poly:
+    """(1/d) sum B_AB prod_s s_{lambda(A_s)}(t^(s)) s_{lambda(B_s)}(y^(s)), grouped by A.
+
+    A has species charges ``m`` and B has ``q``.  Each Schur factor is
+    brought to the denominator of the largest size of its species and side,
+    so the sums stay integral.  Monomials sort by family, then component,
+    so each product monomial is the concatenation of its factors: t^(1), ..,
+    t^(s), then y^(1), .., y^(s).
     """
-    shapes_t = {a: _shape(a, 1) for a in b}
-    shapes_y = {s: _shape(s, -1) for row in b.values() for s in row}
-    top_t = max(sum(lam) for lam in shapes_t.values())
-    top_y = max(sum(lam) for lam in shapes_y.values())
     table: RowTable = {}
-    monomials: dict[tuple[PartitionKey, Family], tuple[Monomial, int]] = {}
+    monomials: dict[tuple[PartitionKey, Family, int], tuple[Monomial, int]] = {}
 
-    def schur_terms(lam: PartitionKey, family: Family) -> list[tuple[Monomial, int]]:
-        # |lambda|! * s_lambda as (monomial, integer)
-        size = sum(lam)
-        terms = []
-        for nu, chi in _row(lam, size, table).items():
-            hit = monomials.get((nu, family))
+    def expand(states: Iterable[State], charges: Label, family: Family):
+        # each state as prod_s top_s! * s_lambda(s) over (monomial, integer)
+        shapes = {s: [_shape(maya, c) for maya, c in zip(s, charges)] for s in states}
+        tops = [max(sum(sh[k]) for sh in shapes.values()) for k in range(len(charges))]
+        factors: dict[tuple[PartitionKey, int], list[tuple[Monomial, int]]] = {}
+
+        def factor(lam: PartitionKey, k: int) -> list[tuple[Monomial, int]]:
+            hit = factors.get((lam, k))
             if hit is None:
-                hit = monomials[nu, family] = _monomial(nu, family)
-            terms.append((hit[0], chi * factorial(size) // hit[1]))
-        return terms
+                hit = factors[lam, k] = []
+                for nu, chi in _row(lam, sum(lam), table).items():
+                    mono = monomials.get((nu, family, k))
+                    if mono is None:
+                        mono = monomials[nu, family, k] = _monomial(nu, family, k + 1)
+                    hit.append((mono[0], chi * (factorial(tops[k]) // mono[1])))
+            return hit
 
-    terms_y = {lam: schur_terms(lam, Family.Y) for lam in set(shapes_y.values())}
+        out = {
+            s: reduce(_times, [factor(lam, k) for k, lam in enumerate(lams)])
+            for s, lams in shapes.items()
+        }
+        return out, prod(factorial(top) for top in tops)
+
+    terms_t, den_t = expand(b, m, Family.T)
+    terms_y, den_y = expand({s for row in b.values() for s in row}, q, Family.Y)
     out: dict[Monomial, int] = {}
     for a, row in b.items():
         inner: dict[Monomial, int] = {}
         for s, cb in row.items():
-            lam = shapes_y[s]
-            cb *= factorial(top_y) // factorial(sum(lam))
-            for my, cy in terms_y[lam]:
+            for my, cy in terms_y[s]:
                 inner[my] = inner.get(my, 0) + cb * cy
-        inner = {m: c for m, c in inner.items() if c}
-        lam = shapes_t[a]
-        scale = factorial(top_t) // factorial(sum(lam))
-        for mt, ct in schur_terms(lam, Family.T):
-            ct *= scale
+        inner = {mono: c for mono, c in inner.items() if c}
+        for mt, ct in terms_t[a]:
             for my, cy in inner.items():
-                m = mt + my
-                out[m] = out.get(m, 0) + ct * cy
-    den = denominator * factorial(top_t) * factorial(top_y)
-    return Poly({m: Fraction(c, den) for m, c in out.items() if c}, ncomp)
+                mono = mt + my
+                out[mono] = out.get(mono, 0) + ct * cy
+    den = denominator * den_t * den_y
+    return Poly({mono: Fraction(c, den) for mono, c in out.items() if c}, ncomp)
 
 
-def kp_obstruction(tau: Poly, shift: int) -> Poly:
-    """The residue polynomial of the identity with z^shift, via B."""
-    b, den = sato_b(schur_expansion(tau), shift)
-    return bosonize(b, den, tau.ncomp) if b else Poly.zero(tau.ncomp)
+def obstruction(
+    states: Mapping[Label, list[tuple[State, int]]],
+    denominator: int,
+    terms: Iterable[Term],
+    m: Label,
+    q: Label,
+    ncomp: int,
+) -> Poly:
+    """The obstruction polynomial of the (m, q) sector: B, bosonized if nonzero."""
+    b = sato_b(states, terms)
+    return bosonize(b, denominator**2, m, q, ncomp) if b else Poly.zero(ncomp)

@@ -10,21 +10,7 @@ The single-component identity verified is
 
 where [z^-1] is the Miwa vector (z^-1, z^-2/2, z^-3/3, ...) and Res picks
 the z^-1 coefficient; j = 0, n = 1 is the plain KP case and z^{jn} gives the
-reduced hierarchy.  ``hirota_kp_check`` computes it in its fermionic form
-(module ``fermion``): with tau = sum_mu xi_mu s_mu(t) and each state mu
-written as the Maya set {mu_i - i}, the residue is the bosonization of
-
-    B = sum_i psi_i tau (x) psi*_{i + j n} tau,
-
-where psi_i inserts position i and psi*_k removes position k, each with
-sign (-1)^{#occupied positions above}.  tau passes exactly when B = 0.  A
-nonzero B maps back term by term: a charge +1 state S becomes
-s_lambda(t) with lambda_i = S_i + i - 1, a charge -1 state becomes
-s_lambda(y) with lambda_i = S_i + i + 1, and the obstruction is
-sum_ab B_ab s_a(t) s_b(y), the same polynomial the residue gives.  tau must
-be a polynomial in the t-variables of component 1.
-
-The multicomponent identity sums, over components a,
+reduced hierarchy.  The multicomponent identity sums, over components a,
 
     (-1)^{m_1+..+m_{a-1}+q_1+..+q_{a-1}}
         * Res_z z^{m_a-q_a+j n_a-2}
@@ -33,6 +19,25 @@ The multicomponent identity sums, over components a,
 
 with the Miwa shift applied in component a only, for label vectors m, q
 summing to total + 1 and total - 1.
+
+Both are computed in their fermionic form (module ``fermion``), with one
+fermion species per component.  Each entry is expanded as
+tau^(l) = sum xi prod_b s_{mu(b)}(t^(b)), a state whose species b is the
+Maya set {mu(b)_i - i + l_b}, and the residue is the bosonization of
+
+    B = sum_a sign_a sum_i psi^(a)_i tau^(m - e_a) (x) psi*^(a)_{i + j n_a} tau^(q + e_a).
+
+psi^(a)_i inserts position i into species a and psi*^(a)_k removes k, each
+with sign (-1)^{#occupied positions above} in that species, and the Klein
+sign sign_a = (-1)^{m_1+..+m_{a-1}+q_1+..+q_{a-1}} is the parity of the
+charges the species before a carry on both sides.  The charges in the Maya
+sets are absolute, so every a lands in the same (m, q) sector, and a pair
+passes exactly when B = 0.  A nonzero B maps back term by term: species b
+of a state S becomes s_lambda(t^(b)) at charge m_b and s_lambda(y^(b)) at
+charge q_b, with lambda_i = S_i + i - charge, which gives the residue
+polynomial itself.  The single-component check is one species with tau at
+charge 0, m = 1 and q = -1, so B = sum_i psi_i tau (x) psi*_{i + j n} tau.
+Every entry must be a polynomial in the t-variables of components 1..s.
 
 AKNS check.  The two-component (1,1)-reduced families in the half-difference
 variables x satisfy, with w = tau^(p, K-p) at a base label and its lattice
@@ -53,17 +58,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .fermion import kp_obstruction
-from .polycore import (
-    Family,
-    Poly,
-    VarId,
-    laurent_mul_residue,
-    miwa_shift,
-    rename_family,
-)
+from . import fermion
+from .polycore import Family, Poly, VarId
 from .tau import ChargeVector, TauCollection, apply_D
 
 
@@ -107,15 +105,8 @@ def _finish(identity: str, params: dict, obstruction: Poly, t0: float,
     )
 
 
-def _residue_term(tau_t: Poly, tau_y: Poly, power: int, component: int) -> Poly:
-    """Res_z z^power * tau_t(t - [z^-1]_a) * tau_y(y + [z^-1]_a) * exp-series.
-
-    The Miwa shifts and the series exp(sum (t_i - y_i) z^i) act in component
-    a = ``component`` only; ``tau_y`` is given in the t-variables.
-    """
-    left = miwa_shift(tau_t, Family.T, component, -1)
-    right = miwa_shift(rename_family(tau_y, Family.T, Family.Y), Family.Y, component, +1)
-    return laurent_mul_residue(left, right, power, component)
+def _first_nonzero(residuals: Iterable[Poly], ncomp: int) -> Poly:
+    return next((r for r in residuals if r.terms), Poly.zero(ncomp))
 
 
 def hirota_kp_check(tau: Poly, j: int = 0, n: int = 1) -> VerificationReport:
@@ -127,42 +118,35 @@ def hirota_kp_check(tau: Poly, j: int = 0, n: int = 1) -> VerificationReport:
     if j < 0 or n < 1:
         raise ValueError("need j >= 0 and n >= 1")
     t0 = time.perf_counter()
-    obstruction = kp_obstruction(tau, j * n)
+    fock = fermion.fock_states({(0,): tau}, 1)
+    obstruction = fermion.obstruction(*fock, [(1, 0, (0,), (0,), j * n)], (1,), (-1,), tau.ncomp)
     return _finish("kp-residue", {"j": j, "n": n}, obstruction, t0)
 
 
 def _pair_terms(
     collection: TauCollection, mv: ChargeVector, qv: ChargeVector
-) -> Iterator[tuple[int, int, Poly, Poly]]:
-    """(a, sign, tau^(m - e_a), tau^(q + e_a)) for every component a whose
-    term of the multicomponent identity does not reference a zero entry."""
+) -> Iterator[tuple[int, int, ChargeVector, ChargeVector]]:
+    """(sign, a, m - e_a, q + e_a) for every component a (0-based) whose term
+    of the multicomponent identity references two nonzero entries."""
     prefix = 0  # running parity of m_1 + .. + m_{a-1} + q_1 + .. + q_{a-1}
-    for a in range(1, collection.ncomp + 1):
+    for a in range(collection.ncomp):
         sign = -1 if prefix & 1 else 1
-        prefix += mv[a - 1] + qv[a - 1]
-        m_shift = mv[:a - 1] + (mv[a - 1] - 1,) + mv[a:]
-        q_shift = qv[:a - 1] + (qv[a - 1] + 1,) + qv[a:]
-        if any(x < 0 for x in m_shift) or any(x < 0 for x in q_shift):
-            continue
-        tau_t = collection.get(m_shift)
-        tau_y = collection.get(q_shift)
-        if tau_t.terms and tau_y.terms:
-            yield a, sign, tau_t, tau_y
+        prefix += mv[a] + qv[a]
+        m_shift = mv[:a] + (mv[a] - 1,) + mv[a + 1:]
+        q_shift = qv[:a] + (qv[a] + 1,) + qv[a + 1:]
+        if m_shift in collection.entries and q_shift in collection.entries:
+            yield sign, a, m_shift, q_shift
 
 
-def hirota_mkp_check(
+def _mkp_check(
     collection: TauCollection,
+    fock: tuple[dict, int],
     m: Sequence[int],
     q: Sequence[int],
-    j: int = 0,
-    n_parts: Sequence[int] | None = None,
+    j: int,
+    n_parts: Sequence[int] | None,
 ) -> VerificationReport:
-    """Multicomponent residue identity at one pair of offset labels.
-
-    ``m`` must sum to total + 1 and ``q`` to total - 1, so that the shifted
-    labels m - e_a and q + e_a lie on the collection's level.  Entries off
-    the polyhedron read as zero and their terms drop out.
-    """
+    """``hirota_mkp_check`` on fock = fermion.fock_states(collection.entries, s)."""
     s = collection.ncomp
     mv = tuple(int(x) for x in m)
     qv = tuple(int(x) for x in q)
@@ -178,17 +162,35 @@ def hirota_mkp_check(
     if j < 0:
         raise ValueError("need j >= 0")
     t0 = time.perf_counter()
-    ncomp_poly = next(iter(collection.entries.values())).ncomp if collection.entries else s
-    obstruction = Poly.zero(ncomp_poly)
-    for a, sign, tau_t, tau_y in _pair_terms(collection, mv, qv):
-        power = mv[a - 1] - qv[a - 1] + j * parts[a - 1] - 2
-        obstruction = obstruction + _residue_term(tau_t, tau_y, power, a).scale(sign)
+    terms = [(sign, a, ml, ql, j * parts[a])
+             for sign, a, ml, ql in _pair_terms(collection, mv, qv)]
+    obstruction = fermion.obstruction(*fock, terms, mv, qv, collection.ambient)
     return _finish(
         "mkp-residue",
         {"m": list(mv), "q": list(qv), "j": j, "n_parts": list(parts)},
         obstruction,
         t0,
     )
+
+
+def hirota_mkp_check(
+    collection: TauCollection,
+    m: Sequence[int],
+    q: Sequence[int],
+    j: int = 0,
+    n_parts: Sequence[int] | None = None,
+) -> VerificationReport:
+    """Multicomponent residue identity at one pair of offset labels.
+
+    ``m`` must sum to total + 1 and ``q`` to total - 1, so that the shifted
+    labels m - e_a and q + e_a lie on the collection's level.  Entries off
+    the polyhedron read as zero and their terms drop out.  Raises
+    ``ValueError`` if an entry has a variable other than a t-variable of a
+    component 1..s.  Every entry is expanded on each call; to check many
+    pairs, ``verify_mkp_collection`` expands them once.
+    """
+    fock = fermion.fock_states(collection.entries, collection.ncomp)
+    return _mkp_check(collection, fock, m, q, j, n_parts)
 
 
 def _offset_labels(collection: TauCollection, delta: int) -> list[ChargeVector]:
@@ -211,8 +213,10 @@ def verify_mkp_collection(
     """Run the residue identity over every label pair touching the collection.
 
     Pairs whose every term references a zero entry hold trivially and are
-    skipped.
+    skipped.  Each entry is expanded once, for every pair and j; entries are
+    checked as in ``hirota_mkp_check``.
     """
+    fock = fermion.fock_states(collection.entries, collection.ncomp)
     reports: list[VerificationReport] = []
     ms = _offset_labels(collection, +1)
     qs = _offset_labels(collection, -1)
@@ -221,27 +225,25 @@ def verify_mkp_collection(
             for qv in qs:
                 if next(_pair_terms(collection, mv, qv), None) is None:
                     continue
-                reports.append(hirota_mkp_check(collection, mv, qv, j, n_parts))
+                reports.append(_mkp_check(collection, fock, mv, qv, j, n_parts))
     return reports
 
 
 def reduction_check(
     p: Poly, n_parts: Sequence[int], j_max: int = 3
 ) -> VerificationReport:
-    """Check D_j p = 0 for j = 1..j_max; per-j residuals are reported."""
+    """Check D_j p = 0 for j = 1..j_max; per-j residuals are reported.
+
+    The obstruction is the residual of the first j with a nonzero one.
+    """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     t0 = time.perf_counter()
-    per: dict[str, Poly] = {}
-    total = Poly.zero(p.ncomp)
-    for j in range(1, j_max + 1):
-        dj = apply_D(p, j, n_parts)
-        per[f"j={j}"] = dj
-        total = total + dj * dj
+    per = {f"j={j}": apply_D(p, j, n_parts) for j in range(1, j_max + 1)}
     return _finish(
         "reduction-derivative",
         {"n_parts": list(n_parts), "j_max": j_max},
-        total,
+        _first_nonzero(per.values(), p.ncomp),
         t0,
         per_param=per,
     )
@@ -252,7 +254,8 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
 
     ``base`` picks tau^0; the two flows use the lattice neighbors at
     base + (1, -1) and base + (-1, 1).  Both denominator-cleared residuals
-    must vanish (see the module docstring for the derivation).
+    must vanish (see the module docstring for the derivation); the
+    obstruction is the first nonzero one, q_flow before r_flow.
     """
     if collection.ncomp != 2:
         raise ValueError("the AKNS check needs a two-component label lattice")
@@ -290,13 +293,11 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
         nonlinear = (f * f * (v if orientation > 0 else u)).scale(8)
         return lhs.scale(2 * orientation) - rhs - nonlinear
 
-    res_q = flow_residual(u, +1)
-    res_r = flow_residual(v, -1)
-    obstruction = res_q * res_q + res_r * res_r
+    per = {"q_flow": flow_residual(u, +1), "r_flow": flow_residual(v, -1)}
     return _finish(
         "akns-pde",
         {"base": list(base_label)},
-        obstruction,
+        _first_nonzero(per.values(), w.ncomp),
         t0,
-        per_param={"q_flow": res_q, "r_flow": res_r},
+        per_param=per,
     )

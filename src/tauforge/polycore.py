@@ -11,20 +11,16 @@ ambient component count ``ncomp``; it is an error to combine polynomials with
 different ambient counts, while mixing variable families or components inside
 one ambient is fine.
 
-A Miwa shift t_i -> t_i +- z^{-i}/i turns a polynomial into a polynomial in
-z^{-1}, kept as the plain list of its ``Poly`` coefficients (``miwa_shift``).
-The residue extraction used by the multicomponent identity check lives here
-as well (``laurent_mul_residue``), with the one Schur recurrence
-(``schur_table``) that both the exp-series and ``schur`` build on.
+The one Schur recurrence (``schur_table``), which ``schur`` builds its
+tables on, lives here as well.
 """
 
 from __future__ import annotations
 
-import threading
 from enum import IntEnum
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 
 class Family(IntEnum):
@@ -449,73 +445,7 @@ def relabel_vars(p: Poly, fn: Callable[[VarId], tuple[VarId, RationalLike]]) -> 
     return Poly._raw(out, p.ncomp)
 
 
-def rename_family(p: Poly, src: Family, dst: Family) -> Poly:
-    """Rename every variable of family ``src`` to family ``dst``."""
-    if src == dst:
-        return p
-    return relabel_vars(
-        p, lambda v: (VarId(dst, v.component, v.index), 1) if v.family == src else (v, 1)
-    )
-
-
-# -- Miwa shifts ---------------------------------------------------------------
-
-
-def miwa_shift(p: Poly, family: Family, component: int, sign: int) -> list[Poly]:
-    """Substitute v_i -> v_i + sign * z^{-i}/i for family/component variables.
-
-    The result is a polynomial in z^{-1}, returned as its coefficient list:
-    ``out[k]`` multiplies z^{-k} for k = 0..weighted_degree(p), and
-    ``out[0]`` is p itself.  Variables of other families or components pass
-    through untouched.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    total: list[dict[Monomial, Fraction]] = [{} for _ in range(max(p.weighted_degree(), 0) + 1)]
-    for mono, coeff in p.terms.items():
-        fixed: list[tuple[VarId, int]] = []
-        expand: list[tuple[VarId, int]] = []
-        for v, e in mono:
-            if v.family == family and v.component == component:
-                expand.append((v, e))
-            else:
-                fixed.append((v, e))
-        acc: dict[int, dict[Monomial, Fraction]] = {0: {tuple(fixed): coeff}}
-        for v, e in expand:
-            base = Fraction(sign, v.index)
-            nxt: dict[int, dict[Monomial, Fraction]] = {}
-            for k in range(e + 1):
-                co = comb(e, k) * base**k
-                zshift = v.index * k
-                frag: Monomial = ((v, e - k),) if e - k else ONE_MONOMIAL
-                for depth, tdict in acc.items():
-                    bucket = nxt.setdefault(depth + zshift, {})
-                    for m0, c0 in tdict.items():
-                        m1 = _merge_monomials(m0, frag)
-                        c1 = c0 * co
-                        prev = bucket.get(m1)
-                        if prev is None:
-                            bucket[m1] = c1
-                        else:
-                            prev = prev + c1
-                            if prev:
-                                bucket[m1] = prev
-                            else:
-                                del bucket[m1]
-            acc = nxt
-        for depth, tdict in acc.items():
-            bucket = total[depth]
-            for m0, c0 in tdict.items():
-                prev = bucket.get(m0)
-                if prev is None:
-                    bucket[m0] = c0
-                else:
-                    prev = prev + c0
-                    if prev:
-                        bucket[m0] = prev
-                    else:
-                        del bucket[m0]
-    return [Poly._raw(t, p.ncomp) for t in total]
+# -- Schur recurrence ------------------------------------------------------------
 
 
 def schur_table(table: list, upto: int, arg: Callable[[int], object]) -> list:
@@ -533,59 +463,3 @@ def schur_table(table: list, upto: int, arg: Callable[[int], object]) -> list:
                 acc = acc + g * table[n - i] * i
         table.append(acc * Fraction(1, n))
     return table
-
-
-# Serializes growth of the module-level Schur tables.  Lookups read without
-# it: a table only ever grows by appending its next, finished entry.
-_SERIES_LOCK = threading.Lock()
-
-
-def cached_schur(cache: dict, k: int, component: int, ncomp: int, arg: Callable) -> Poly:
-    """s_k(g) from the table cache[(ncomp, component)], g_i = arg(i, component, ncomp)."""
-    table = cache.get((ncomp, component))
-    if table is None or len(table) <= k:
-        with _SERIES_LOCK:
-            table = cache.setdefault((ncomp, component), [Poly.const(1, ncomp)])
-            schur_table(table, k, lambda i: arg(i, component, ncomp))
-    return table[k]
-
-
-def _t_minus_y(index: int, component: int, ncomp: int) -> Poly:
-    return tvar(index, component, ncomp) - yvar(index, component, ncomp)
-
-
-# Coefficients of exp(sum_i (t_i - y_i) z^i) per (ncomp, component), grown on
-# demand through ``cached_schur``.
-_EXP_DIFF_CACHE: dict[tuple[int, int], list[Poly]] = {}
-
-
-def exp_difference_coeff(k: int, component: int = 1, ncomp: int = 1) -> Poly:
-    """Coefficient of z^k in exp(sum_{i>=1} (t_i - y_i) z^i) for one component."""
-    if k < 0:
-        raise ValueError("series order must be >= 0")
-    if not 1 <= component <= ncomp:
-        raise ValueError(f"component {component} outside ambient range 1..{ncomp}")
-    return cached_schur(_EXP_DIFF_CACHE, k, component, ncomp, _t_minus_y)
-
-
-def laurent_mul_residue(
-    left: Sequence[Poly], right: Sequence[Poly], extra_z_power: int = 0, component: int = 1
-) -> Poly:
-    """Residue (z^{-1} coefficient) of z^extra * L(z) * R(z) * exp-series.
-
-    ``left[a]`` and ``right[b]`` are the z^{-a} and z^{-b} coefficients of L
-    and R, as ``miwa_shift`` returns them.  The implicit series factor is
-    exp(sum_i (t_i - y_i) z^i) in the given component.  A pair (a, b) meets
-    the series coefficient of z^{a+b-extra-1}, so only pairs with
-    a + b > extra are multiplied; the others cannot reach z^{-1}.  The result
-    is exact.
-    """
-    ncomp = left[0].ncomp
-    total = Poly.zero(ncomp)
-    for s in range(max(extra_z_power + 1, 0), len(left) + len(right) - 1):
-        group = Poly.zero(ncomp)
-        for a in range(max(0, s - len(right) + 1), min(s, len(left) - 1) + 1):
-            group = group + left[a] * right[s - a]
-        if group.terms:
-            total = total + group * exp_difference_coeff(s - extra_z_power - 1, component, ncomp)
-    return total

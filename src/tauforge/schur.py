@@ -14,11 +14,12 @@ b_M != 0 it finds the unique c with sum_i b_i s_i(t) = b_M s_M(t + c).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .polycore import Poly, RationalLike, cached_schur, schur_table, tvar
+from .polycore import Poly, RationalLike, schur_table, tvar
 
 ShiftLike = Union["ShiftVector", Sequence[RationalLike], None]
 
@@ -59,14 +60,23 @@ class ShiftVector:
         return all(not c for c in self.entries)
 
 
+# [s_0, s_1, ...] per (ncomp, component).  A table grows only under the
+# lock; lookups read without it, since a table only ever grows by appending
+# its next, finished entry.
 _SCHUR_CACHE: dict[tuple[int, int], list[Poly]] = {}
+_SCHUR_LOCK = threading.Lock()
 
 
 def elementary_schur(j: int, component: int = 1, ncomp: int = 1) -> Poly:
     """s_j in the t-variables of one component; zero for j < 0."""
     if j < 0:
         return Poly.zero(ncomp)
-    return cached_schur(_SCHUR_CACHE, j, component, ncomp, tvar)
+    table = _SCHUR_CACHE.get((ncomp, component))
+    if table is None or len(table) <= j:
+        with _SCHUR_LOCK:
+            table = _SCHUR_CACHE.setdefault((ncomp, component), [Poly.const(1, ncomp)])
+            schur_table(table, j, lambda i: tvar(i, component, ncomp))
+    return table[j]
 
 
 def schur_constants(upto: int, c: ShiftLike) -> list[Fraction]:

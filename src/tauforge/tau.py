@@ -215,7 +215,9 @@ class TauCollection:
     """Tau-functions indexed by charge vectors on one level of the lattice.
 
     ``total`` is the common charge sum; zero entries are omitted and read
-    back as the zero polynomial.
+    back as the zero polynomial.  ``ncomp`` is the label arity; every entry
+    shares one polynomial ambient (``ambient``), which for AKNS collections
+    is 1, since their entries are polynomials in x alone.
     """
 
     total: int
@@ -230,16 +232,21 @@ class TauCollection:
                 raise ValueError(f"label {label} is outside the charge polyhedron")
             if not poly.terms:
                 raise ValueError("store only nonzero entries")
+            if poly.ncomp != self.ambient:
+                raise ValueError(f"entry {label} has ambient {poly.ncomp}, not {self.ambient}")
+
+    @property
+    def ambient(self) -> int:
+        """The ``ncomp`` of every entry; the label arity for an empty collection."""
+        first = next(iter(self.entries.values()), None)
+        return self.ncomp if first is None else first.ncomp
 
     def get(self, label: Sequence[int]) -> Poly:
         key = tuple(label)
         if len(key) != self.ncomp:
             raise ValueError(f"label {key} has wrong arity")
         hit = self.entries.get(key)
-        if hit is not None:
-            return hit
-        some = next(iter(self.entries.values()), None)
-        return Poly.zero(some.ncomp if some is not None else 1)
+        return Poly.zero(self.ambient) if hit is None else hit
 
     def labels(self) -> list[ChargeVector]:
         return sorted(self.entries)

@@ -21,14 +21,15 @@ from tauforge import (
     Partition,
     Poly,
     ShiftVector,
+    TauCollection,
     VarId,
     expected_shift_lengths,
-    rename_family,
     schur_shifted,
     tvar,
     xvar,
     yvar,
 )
+from tauforge.polycore import relabel_vars
 
 
 def eval_poly(p: Poly, values: Mapping[VarId, Fraction]) -> Fraction:
@@ -74,7 +75,7 @@ def miwa_by_operator(p: Poly, family: Family, component: int, sign: int) -> list
 
     The exponential series terminates because every derivative strictly
     lowers the weighted degree.  Returns the z^0, z^{-1}, ... coefficients
-    through z^{-weighted_degree(p)}, the list form ``miwa_shift`` uses.
+    through z^{-weighted_degree(p)}.
     """
     idxs = sorted(
         {v.index for v in p.variables() if v.family == family and v.component == component}
@@ -187,7 +188,7 @@ def residue_by_convolution(
     ``left`` and ``right`` hold z^0, z^{-1}, ... coefficients.  Every pair is
     multiplied into the full product L * R, and only then is each product
     coefficient paired with the series coefficient that lands on z^{-1}; the
-    series comes from ``schur_of_args``, not the package's cached tables.
+    series comes from ``schur_of_args``.
     """
     return _residues(left, right, [extra_z_power], component)[extra_z_power]
 
@@ -197,8 +198,42 @@ def kp_residue_obstructions(tau: Poly, powers: Iterable[int]) -> dict[int, Poly]
     ``powers``, computed as the residue from operator Miwa shifts and one
     full product."""
     left = miwa_by_operator(tau, Family.T, 1, -1)
-    right = miwa_by_operator(rename_family(tau, Family.T, Family.Y), Family.Y, 1, +1)
+    right = miwa_by_operator(
+        relabel_vars(tau, lambda v: (v._replace(family=Family.Y), 1)), Family.Y, 1, +1
+    )
     return _residues(left, right, powers, 1)
+
+
+def mkp_residue_obstruction(
+    collection: TauCollection,
+    m: Sequence[int],
+    q: Sequence[int],
+    j: int,
+    n_parts: Sequence[int],
+) -> Poly:
+    """The obstruction ``hirota_mkp_check(collection, m, q, j, n_parts)``
+    reports, as the signed sum over components a of
+
+        Res_z z^{m_a - q_a + j n_a - 2} tau^(m - e_a)(t - [z^-1]_a)
+            tau^(q + e_a)(y + [z^-1]_a) exp(sum (t^(a)_i - y^(a)_i) z^i)
+
+    from operator Miwa shifts and one full product per term."""
+    m, q = tuple(m), tuple(q)
+    total = Poly.zero(collection.ambient)
+    parity = 0
+    for a in range(1, len(m) + 1):
+        tau_t = collection.entries.get(m[:a - 1] + (m[a - 1] - 1,) + m[a:])
+        tau_y = collection.entries.get(q[:a - 1] + (q[a - 1] + 1,) + q[a:])
+        if tau_t is not None and tau_y is not None:
+            power = m[a - 1] - q[a - 1] + j * n_parts[a - 1] - 2
+            left = miwa_by_operator(tau_t, Family.T, a, -1)
+            right = miwa_by_operator(
+                relabel_vars(tau_y, lambda v: (v._replace(family=Family.Y), 1)), Family.Y, a, +1
+            )
+            residue = _residues(left, right, [power], a)[power]
+            total = total + residue.scale(-1 if parity & 1 else 1)
+        parity += m[a - 1] + q[a - 1]
+    return total
 
 
 def det_by_permutations(rows: Sequence[Sequence[Poly]]) -> Poly:

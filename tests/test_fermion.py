@@ -1,5 +1,5 @@
-"""The fermionic KP check: its characters, and its obstructions against the
-residue path it replaced (kept in ``oracles``)."""
+"""The fermionic KP and multicomponent checks: their characters, and their
+obstructions against the residue path they replaced (kept in ``oracles``)."""
 
 import random
 import sys
@@ -7,17 +7,28 @@ import threading
 from fractions import Fraction
 from math import factorial
 
-from oracles import kp_residue_obstructions, random_fraction, random_shifts_for
+from oracles import (
+    kp_residue_obstructions,
+    mkp_residue_obstruction,
+    random_fraction,
+    random_shifts_for,
+)
 from tauforge import (
     Family,
+    HSpec,
+    KdVProfile,
     Partition,
     Poly,
+    TauCollection,
     all_partitions,
     fermion,
     hirota_kp_check,
     tau_kp,
+    tau_mkp_collection,
+    tau_mnkdv_collection,
     tau_nkdv,
     tvar,
+    verify_mkp_collection,
 )
 from tauforge.partitions import partitions_of
 
@@ -77,7 +88,7 @@ def test_schur_expansion_recovers_the_coefficients():
     rng = random.Random(11)
     xi = {lam.parts: _nonzero_fraction(rng) for lam in all_partitions(5)}
     tau = sum((_schur_poly(lam).scale(c) for lam, c in xi.items()), Poly.zero())
-    assert fermion.schur_expansion(tau) == xi
+    assert fermion.schur_expansion(tau, 1) == {(lam,): c for lam, c in xi.items()}
 
 
 # -- obstructions against the residue reference ------------------------------------
@@ -115,6 +126,57 @@ def test_kp_obstruction_matches_the_residue_reference():
                 assert report.obstruction == reference[j * n], (str(tau), j, n)
                 failing += not report.passed
     assert failing > 300  # the comparison is not vacuous
+
+
+def _columns(rng: random.Random, ncomp: int, ncol: int, degree: int) -> list[HSpec]:
+    """Columns with seeded leading coefficients and shifts in every component."""
+    return [
+        HSpec.make([
+            (degree, _nonzero_fraction(rng), [random_fraction(rng) for _ in range(degree)])
+            for _ in range(ncomp)
+        ])
+        for _ in range(ncol)
+    ]
+
+
+def _perturbed(coll: TauCollection, rng: random.Random) -> TauCollection:
+    """``coll`` with c * t1^2 * t2 of component 1 added to its lowest entry."""
+    entries = dict(coll.entries)
+    first = min(entries)
+    s = coll.ambient
+    bump = (tvar(1, 1, s) ** 2 * tvar(2, 1, s)).scale(_nonzero_fraction(rng))
+    entries[first] = entries[first] + bump
+    return TauCollection(coll.total, coll.ncomp, entries)
+
+
+def test_mkp_obstruction_matches_the_residue_reference():
+    rng = random.Random(9)
+    cases = [
+        (tau_mkp_collection(_columns(rng, 2, 2, 2)), None, (0,)),
+        (tau_mkp_collection(_columns(rng, 3, 3, 2)), None, (0,)),
+        (tau_mkp_collection(_columns(rng, 3, 2, 3)), None, (0,)),
+        (tau_mnkdv_collection(KdVProfile((3, 2), tuple(_columns(rng, 2, 1, 3)))), (3, 2),
+         (0, 1, 2)),
+    ]
+    cases += [(_perturbed(coll, rng), n_parts, js) for coll, n_parts, js in cases]
+    checks = failing = 0
+    for coll, n_parts, js in cases:
+        parts = n_parts or (1,) * coll.ncomp
+        for report in verify_mkp_collection(coll, n_parts, js):
+            p = report.params
+            reference = mkp_residue_obstruction(coll, p["m"], p["q"], p["j"], parts)
+            assert report.obstruction == reference, (coll.ncomp, p)
+            checks += 1
+            failing += not report.passed
+    assert failing > 20 and checks > 2 * failing  # neither vacuous nor all failing
+
+
+def test_four_components_with_three_degree_3_columns():
+    coll = tau_mkp_collection(_columns(random.Random(4), 4, 3, 3))
+    reports = verify_mkp_collection(coll)
+    assert len(reports) > 100 and all(r.passed for r in reports)
+    bad = verify_mkp_collection(_perturbed(coll, random.Random(4)))
+    assert any(not r.passed for r in bad)
 
 
 def test_every_partition_of_8_passes_and_a_perturbed_copy_fails():

