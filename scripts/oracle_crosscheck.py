@@ -13,7 +13,6 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from tauforge import (
@@ -28,29 +27,20 @@ from tauforge import (
 from tauforge.fock import generator_from_hspec
 
 
-@dataclass(frozen=True)
-class CrosscheckConfig:
-    trials: int
-    seed: int
-    max_part: int
-    max_rows: int
-    max_degree: int
-
-
 def random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
 
 
-def random_partition(rng: random.Random, cfg: CrosscheckConfig) -> tuple[int, ...]:
-    rows = rng.randint(0, cfg.max_rows)
-    parts = sorted((rng.randint(1, cfg.max_part) for _ in range(rows)), reverse=True)
+def random_partition(rng: random.Random, args: argparse.Namespace) -> tuple[int, ...]:
+    rows = rng.randint(0, args.max_rows)
+    parts = sorted((rng.randint(1, args.max_part) for _ in range(rows)), reverse=True)
     return tuple(parts)
 
 
-def random_spec(rng: random.Random, cfg: CrosscheckConfig) -> HSpec:
+def random_spec(rng: random.Random, args: argparse.Namespace) -> HSpec:
     comps = []
     for _ in range(2):
-        degree = rng.randint(1, cfg.max_degree)
+        degree = rng.randint(1, args.max_degree)
         coeff = random_fraction(rng)
         shift = [random_fraction(rng) for _ in range(degree - 1)]
         comps.append((degree, coeff, shift))
@@ -60,8 +50,8 @@ def random_spec(rng: random.Random, cfg: CrosscheckConfig) -> HSpec:
     return HSpec.make(comps)
 
 
-def kp_trial(rng: random.Random, cfg: CrosscheckConfig) -> tuple[str, bool]:
-    p = random_partition(rng, cfg)
+def kp_trial(rng: random.Random, args: argparse.Namespace) -> tuple[str, bool]:
+    p = random_partition(rng, args)
     shifts = [
         [random_fraction(rng) for _ in range(n)] for n in expected_shift_lengths(p)
     ]
@@ -70,9 +60,9 @@ def kp_trial(rng: random.Random, cfg: CrosscheckConfig) -> tuple[str, bool]:
     return f"kp {p}", lhs == rhs
 
 
-def mkp_trial(rng: random.Random, cfg: CrosscheckConfig) -> list[tuple[str, bool]]:
+def mkp_trial(rng: random.Random, args: argparse.Namespace) -> list[tuple[str, bool]]:
     m = rng.randint(1, 3)
-    specs = [random_spec(rng, cfg) for _ in range(m)]
+    specs = [random_spec(rng, args) for _ in range(m)]
     coll = tau_mkp_collection(specs)
     gens = [generator_from_hspec(spec, 2) for spec in specs]
     out = []
@@ -91,20 +81,13 @@ def main(argv=None) -> int:
     parser.add_argument("--max-rows", type=int, default=4)
     parser.add_argument("--max-degree", type=int, default=3)
     args = parser.parse_args(argv)
-    cfg = CrosscheckConfig(
-        trials=args.trials,
-        seed=args.seed,
-        max_part=args.max_part,
-        max_rows=args.max_rows,
-        max_degree=args.max_degree,
-    )
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
 
     t0 = time.perf_counter()
     results: list[tuple[str, bool]] = []
-    for _ in range(cfg.trials):
-        results.append(kp_trial(rng, cfg))
-        results.extend(mkp_trial(rng, cfg))
+    for _ in range(args.trials):
+        results.append(kp_trial(rng, args))
+        results.extend(mkp_trial(rng, args))
     elapsed = time.perf_counter() - t0
 
     mismatches = [tag for tag, ok in results if not ok]

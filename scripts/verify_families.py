@@ -11,7 +11,6 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from tauforge import (
@@ -31,14 +30,6 @@ from tauforge import (
 )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_size: int
-    seed: int
-    trials: int
-    j_max: int
-
-
 def random_shift_vector(rng: random.Random, length: int) -> list[Fraction]:
     return [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(length)]
 
@@ -49,11 +40,11 @@ def timed(fn):
     return result, (time.perf_counter() - t0) * 1000.0
 
 
-def sweep_kp(cfg: SweepConfig) -> list[str]:
-    rng = random.Random(cfg.seed)
+def sweep_kp(args: argparse.Namespace) -> list[str]:
+    rng = random.Random(args.seed)
     failures = []
-    for p in all_partitions(cfg.max_size):
-        for trial in range(cfg.trials):
+    for p in all_partitions(args.max_size):
+        for trial in range(args.trials):
             shifts = [random_shift_vector(rng, n) for n in expected_shift_lengths(p)]
             report, ms = timed(lambda: hirota_kp_check(tau_kp(p, shifts), j=0))
             tag = f"kp {tuple(p)} trial={trial}"
@@ -63,17 +54,17 @@ def sweep_kp(cfg: SweepConfig) -> list[str]:
     return failures
 
 
-def sweep_nkdv(cfg: SweepConfig) -> list[str]:
-    rng = random.Random(cfg.seed)
+def sweep_nkdv(args: argparse.Namespace) -> list[str]:
+    rng = random.Random(args.seed)
     failures = []
     for n in (2, 3):
-        for p in enumerate_n_periodic(n, cfg.max_size):
+        for p in enumerate_n_periodic(n, args.max_size):
             shifts = {k: random_shift_vector(rng, 4) for k in range(n)}
             tau = tau_nkdv(p, n, shifts)
 
             def run():
                 reports = [reduction_check(tau, (n,), j_max=3)]
-                reports += [hirota_kp_check(tau, j, n) for j in range(cfg.j_max + 1)]
+                reports += [hirota_kp_check(tau, j, n) for j in range(args.j_max + 1)]
                 return reports
 
             reports, ms = timed(run)
@@ -118,8 +109,8 @@ def default_profiles(rng: random.Random) -> list[KdVProfile]:
     return out
 
 
-def sweep_mnkdv(cfg: SweepConfig) -> list[str]:
-    rng = random.Random(cfg.seed)
+def sweep_mnkdv(args: argparse.Namespace) -> list[str]:
+    rng = random.Random(args.seed)
     failures = []
     for idx, profile in enumerate(default_profiles(rng)):
         def run():
@@ -129,7 +120,7 @@ def sweep_mnkdv(cfg: SweepConfig) -> list[str]:
                 for label in coll.labels()
             ]
             reports += verify_mkp_collection(
-                coll, profile.n_parts, j_values=tuple(range(cfg.j_max + 1))
+                coll, profile.n_parts, j_values=tuple(range(args.j_max + 1))
             )
             return reports
 
@@ -142,8 +133,8 @@ def sweep_mnkdv(cfg: SweepConfig) -> list[str]:
     return failures
 
 
-def sweep_akns(cfg: SweepConfig) -> list[str]:
-    rng = random.Random(cfg.seed)
+def sweep_akns(args: argparse.Namespace) -> list[str]:
+    rng = random.Random(args.seed)
     failures = []
     for m1 in (2, 3):
         for m2 in (2, 3):
@@ -182,16 +173,13 @@ def main(argv=None) -> int:
                         help="random shift sets per partition in the KP sweep")
     parser.add_argument("--j-max", type=int, default=2)
     args = parser.parse_args(argv)
-    cfg = SweepConfig(
-        max_size=args.max_size, seed=args.seed, trials=args.trials, j_max=args.j_max
-    )
 
     t0 = time.perf_counter()
     failures = []
-    failures += sweep_kp(cfg)
-    failures += sweep_nkdv(cfg)
-    failures += sweep_mnkdv(cfg)
-    failures += sweep_akns(cfg)
+    failures += sweep_kp(args)
+    failures += sweep_nkdv(args)
+    failures += sweep_mnkdv(args)
+    failures += sweep_akns(args)
     elapsed = time.perf_counter() - t0
     if failures:
         print(f"{len(failures)} families FAILED in {elapsed:.1f} s:")

@@ -14,12 +14,12 @@ from .fock import (
     GeneratorVector,
     WedgeVector,
     alpha_action,
-    evolve,
     generator_from_hspec,
     generators_from_partition,
     generators_from_profile,
     oracle_tau,
     wedge_from_generators,
+    wedge_tau,
 )
 from .hirota import (
     VerificationReport,
@@ -105,7 +105,6 @@ __all__ = [
     "det_poly",
     "elementary_schur",
     "enumerate_n_periodic",
-    "evolve",
     "expected_shift_lengths",
     "free_parameter_count",
     "generator_from_hspec",
@@ -131,6 +130,7 @@ __all__ = [
     "v_sequence",
     "verify_mkp_collection",
     "wedge_from_generators",
+    "wedge_tau",
     "xvar",
     "yvar",
 ]

@@ -18,7 +18,9 @@ element B; for polynomial tau-functions it is a finite sum:
 
 A nonempty B is bosonized species by species: a state S at charge c becomes
 s_lambda with lambda_i = S_i + i - c, and
-[t^nu] s_lambda = chi^lambda_nu / prod_k m_k(nu)!.
+[t^nu] s_lambda = chi^lambda_nu / prod_k m_k(nu)!.  ``boson_image`` is the
+same map on one side, for a state vector; ``fock``'s oracle sends the
+Plucker coordinates of its generators through it.
 
 The expansion, B and the bosonization run on integer numerators over one
 common denominator each; only the coefficients they return are fractions.
@@ -225,43 +227,65 @@ def _times(
     return [(ml + mr, cl * cr) for ml, cl in left for mr, cr in right]
 
 
+def expand(
+    states: Iterable[State], charges: Label, family: Family, table: RowTable
+) -> tuple[dict[State, list[tuple[Monomial, int]]], int]:
+    """Each state as prod_b top_b! s_{lambda(S_b)} over (monomial, integer), and prod_b top_b!.
+
+    top_b is the largest size in species b; rows are read from and left in
+    ``table``.  Monomials sort by family, then component, so a product
+    monomial is the concatenation of its factors.
+    """
+    shapes = {s: [_shape(maya, c) for maya, c in zip(s, charges)] for s in states}
+    tops = [max((sum(sh[k]) for sh in shapes.values()), default=0) for k in range(len(charges))]
+    factors: dict[tuple[PartitionKey, int], list[tuple[Monomial, int]]] = {}
+    monomials: dict[tuple[PartitionKey, int], tuple[Monomial, int]] = {}
+
+    def factor(lam: PartitionKey, k: int) -> list[tuple[Monomial, int]]:
+        hit = factors.get((lam, k))
+        if hit is None:
+            hit = factors[lam, k] = []
+            for nu, chi in _row(lam, sum(lam), table).items():
+                mono = monomials.get((nu, k))
+                if mono is None:
+                    mono = monomials[nu, k] = _monomial(nu, family, k + 1)
+                hit.append((mono[0], chi * (factorial(tops[k]) // mono[1])))
+        return hit
+
+    out = {
+        s: reduce(_times, [factor(lam, k) for k, lam in enumerate(lams)])
+        for s, lams in shapes.items()
+    }
+    return out, prod(factorial(top) for top in tops)
+
+
+def boson_image(vector: Mapping[State, Fraction], charges: Label, ncomp: int) -> Poly:
+    """sum_S c_S prod_b s_{lambda(S_b)}(t^(b)) for a state vector {S: c_S}.
+
+    Every state has species charges ``charges``; the rows are built in a
+    table of their own, as in ``bosonize``.
+    """
+    d = lcm(*(c.denominator for c in vector.values()))
+    terms, den = expand(vector, charges, Family.T, {})
+    out: dict[Monomial, int] = {}
+    for s, c in vector.items():
+        n = c.numerator * (d // c.denominator)
+        for mono, ct in terms[s]:
+            out[mono] = out.get(mono, 0) + n * ct
+    den *= d
+    return Poly({mono: Fraction(c, den) for mono, c in out.items() if c}, ncomp)
+
+
 def bosonize(b: StateMatrix, denominator: int, m: Label, q: Label, ncomp: int) -> Poly:
     """(1/d) sum B_AB prod_s s_{lambda(A_s)}(t^(s)) s_{lambda(B_s)}(y^(s)), grouped by A.
 
-    A has species charges ``m`` and B has ``q``.  Each Schur factor is
-    brought to the denominator of the largest size of its species and side,
-    so the sums stay integral.  Monomials sort by family, then component,
-    so each product monomial is the concatenation of its factors: t^(1), ..,
-    t^(s), then y^(1), .., y^(s).
+    A has species charges ``m`` and B has ``q``; both sides are ``expand``ed
+    in one table of rows, so each product monomial is the concatenation
+    t^(1), .., t^(s), y^(1), .., y^(s) of its factors.
     """
     table: RowTable = {}
-    monomials: dict[tuple[PartitionKey, Family, int], tuple[Monomial, int]] = {}
-
-    def expand(states: Iterable[State], charges: Label, family: Family):
-        # each state as prod_s top_s! * s_lambda(s) over (monomial, integer)
-        shapes = {s: [_shape(maya, c) for maya, c in zip(s, charges)] for s in states}
-        tops = [max(sum(sh[k]) for sh in shapes.values()) for k in range(len(charges))]
-        factors: dict[tuple[PartitionKey, int], list[tuple[Monomial, int]]] = {}
-
-        def factor(lam: PartitionKey, k: int) -> list[tuple[Monomial, int]]:
-            hit = factors.get((lam, k))
-            if hit is None:
-                hit = factors[lam, k] = []
-                for nu, chi in _row(lam, sum(lam), table).items():
-                    mono = monomials.get((nu, family, k))
-                    if mono is None:
-                        mono = monomials[nu, family, k] = _monomial(nu, family, k + 1)
-                    hit.append((mono[0], chi * (factorial(tops[k]) // mono[1])))
-            return hit
-
-        out = {
-            s: reduce(_times, [factor(lam, k) for k, lam in enumerate(lams)])
-            for s, lams in shapes.items()
-        }
-        return out, prod(factorial(top) for top in tops)
-
-    terms_t, den_t = expand(b, m, Family.T)
-    terms_y, den_y = expand({s for row in b.values() for s in row}, q, Family.Y)
+    terms_t, den_t = expand(b, m, Family.T, table)
+    terms_y, den_y = expand({s for row in b.values() for s in row}, q, Family.Y, table)
     out: dict[Monomial, int] = {}
     for a, row in b.items():
         inner: dict[Monomial, int] = {}

@@ -1,4 +1,4 @@
-"""Independent oracle: wedge-space expansion of evolved basis vectors.
+"""Independent oracle: Plucker coordinates of the generators, bosonized.
 
 The semi-infinite wedge model underlying every determinant constructor in
 this package.  A generator is a finite rational combination of basis vectors
@@ -7,9 +7,15 @@ and a tau-function is the coefficient of a fixed target wedge monomial in
 the exterior product of the evolved generators over the vacuum (which fills
 every index <= 0 in every component).
 
-The oracle computes that coefficient by direct multilinear expansion with
-combinatorial sign tracking; it never builds a determinant, which keeps it
-independent of the constructors it certifies.
+Evolution commutes with the wedge, so the oracle wedges the rational
+generators at t = 0 (``wedge_from_generators``), which gives one coordinate
+xi_S per wedge monomial S.  Evolving S and reading off the target gives
+prod_a s_{lambda(S_a)}(t^(a)), so tau = sum_S xi_S prod_a s_{lambda(S_a)}(t^(a))
+over the S with m_a factors in each component a.  ``wedge_tau`` sends that
+state vector through ``fermion.boson_image``, the map the bilinear checks
+bosonize with, e_i^(a) being Maya position i - 1 of species a at charge m_a.
+The oracle never builds a determinant, which keeps it independent of the
+constructors it certifies.
 
 Basis vectors are ordered component-ascending, index-descending; the target
 monomial for charge (m_1, ..., m_s) is e_{m_1}^(1), ..., e_1^(1),
@@ -18,12 +24,12 @@ e_{m_2}^(2), ..., e_1^(s), which is already sorted in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .polycore import Poly, RationalLike
-from .schur import elementary_schur, schur_constant
+from . import fermion
+from .polycore import Poly, RationalLike, exact_fraction
+from .schur import schur_constants
 from .tau import ChargeVector, HSpec, KdVProfile, kp_specs_from_partition
 
 
@@ -50,7 +56,7 @@ class GeneratorVector:
         clean: dict[BasisVector, Fraction] = {}
         maxcomp = 0
         for bv, c in entries.items():
-            cf = Fraction(c)
+            cf = exact_fraction(c)
             if cf:
                 key = BasisVector(int(bv[0]), int(bv[1]))
                 if key.component < 1:
@@ -77,7 +83,7 @@ class GeneratorVector:
     __hash__ = None  # type: ignore[assignment]
 
     def scale(self, value: RationalLike) -> "GeneratorVector":
-        c = Fraction(value)
+        c = exact_fraction(value)
         if not c:
             raise ValueError("scaling a generator to zero is not representable")
         return GeneratorVector({bv: co * c for bv, co in self.entries.items()}, self.ncomp)
@@ -114,29 +120,11 @@ class GeneratorVector:
         return self.max_positive_index() is None
 
 
-def evolve(g: GeneratorVector) -> dict[BasisVector, Poly]:
-    """Time-evolved generator: coefficient of e_l^(a) is sum_i b_{l+i} s_i(t^(a)).
-
-    Images at index <= 0 coincide with vacuum factors and are dropped.
-    """
-    s = g.ncomp
-    out: dict[BasisVector, Poly] = {}
-    for bv, b in g.entries.items():
-        if bv.index < 1:
-            continue
-        for ell in range(1, bv.index + 1):
-            contrib = elementary_schur(bv.index - ell, bv.component, s).scale(b)
-            key = BasisVector(bv.component, ell)
-            acc = out.get(key)
-            out[key] = contrib if acc is None else acc + contrib
-    return {bv: p for bv, p in out.items() if p.terms}
-
-
 def oracle_tau(fs: Sequence[GeneratorVector], charge: Sequence[int]) -> Poly:
     """Coefficient of the charge's target wedge monomial in f_1(t) ^ ... ^ f_m(t).
 
-    Pure multilinear exterior expansion: each factor picks one target slot,
-    repeats die, and the permutation sign is tracked by inversion counting.
+    Evolution commutes with the wedge, so f_1 ^ ... ^ f_m is expanded at
+    t = 0 and its Plucker coordinates are bosonized by ``wedge_tau``.
     """
     label: ChargeVector = tuple(int(x) for x in charge)
     s = len(label)
@@ -150,48 +138,14 @@ def oracle_tau(fs: Sequence[GeneratorVector], charge: Sequence[int]) -> Poly:
     for g in fs:
         if g.ncomp != s:
             raise ValueError("generator ambient must match the charge arity")
-
-    target: list[BasisVector] = []
-    for a in range(1, s + 1):
-        for idx in range(label[a - 1], 0, -1):
-            target.append(BasisVector(a, idx))
-    pos_of = {bv: i for i, bv in enumerate(target)}
-
-    evolved: list[list[tuple[int, Poly]]] = []
-    for g in fs:
-        options = []
-        for bv, poly in evolve(g).items():
-            pos = pos_of.get(BasisVector(bv.component, bv.index))
-            if pos is not None:
-                options.append((pos, poly))
-        options.sort(key=lambda t: t[0])
-        evolved.append(options)
-
-    total = Poly.zero(s)
-
-    def descend(j: int, used: int, sign: int, acc: Poly) -> None:
-        nonlocal total
-        if j == m:
-            total = total + (acc if sign > 0 else -acc)
-            return
-        for pos, poly in evolved[j]:
-            bit = 1 << pos
-            if used & bit:
-                continue
-            inversions = (used >> (pos + 1)).bit_count()
-            prod = acc * poly
-            if prod.terms:
-                descend(j + 1, used | bit, -sign if inversions & 1 else sign, prod)
-
-    descend(0, 0, 1, Poly.const(1, s))
-    return total
+    return wedge_tau(wedge_from_generators(fs, s), label)
 
 
-# -- wedge vectors (used by the algebra-action unit tests) ----------------------
+# -- wedge vectors ----------------------------------------------------------------
 
 
 class WedgeVector:
-    """Finite combination of wedge monomials over a filled vacuum.
+    """Finite rational combination of wedge monomials over a filled vacuum.
 
     A monomial is a tuple of excited factors, each with index > floor, kept
     sorted in the canonical order; inserting an unsorted term tracks the
@@ -203,21 +157,23 @@ class WedgeVector:
 
     def __init__(
         self,
-        coeffs: Mapping[tuple[BasisVector, ...], Poly] | None = None,
+        coeffs: Mapping[tuple[BasisVector, ...], RationalLike] | None = None,
         floor: int = 0,
         ncomp: int = 1,
     ):
         self.floor = floor
         self.ncomp = ncomp
-        self.coeffs: dict[tuple[BasisVector, ...], Poly] = {}
+        self.coeffs: dict[tuple[BasisVector, ...], Fraction] = {}
         if coeffs:
-            for mono, poly in coeffs.items():
-                if poly.terms:
-                    self.coeffs[tuple(mono)] = poly
+            for mono, c in coeffs.items():
+                cf = exact_fraction(c)
+                if cf:
+                    self.coeffs[tuple(mono)] = cf
 
-    def add_term(self, factors: Sequence[BasisVector], weight: Poly) -> None:
+    def add_term(self, factors: Sequence[BasisVector], weight: RationalLike) -> None:
         """Insert weight * (factors wedge), normalizing order and sign."""
-        if not weight.terms:
+        weight = exact_fraction(weight)
+        if not weight:
             return
         fs = [BasisVector(int(b[0]), int(b[1])) for b in factors]
         for bv in fs:
@@ -226,24 +182,18 @@ class WedgeVector:
         keys = [bv.sort_key for bv in fs]
         if len(set(keys)) != len(keys):
             return  # repeated factor
-        inversions = 0
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                if keys[i] > keys[j]:
-                    inversions += 1
+        inversions = sum(k > later for i, k in enumerate(keys) for later in keys[i + 1:])
         mono = tuple(sorted(fs, key=lambda bv: bv.sort_key))
-        signed = weight if inversions % 2 == 0 else -weight
-        acc = self.coeffs.get(mono)
-        s = signed if acc is None else acc + signed
-        if s.terms:
-            self.coeffs[mono] = s
-        elif mono in self.coeffs:
-            del self.coeffs[mono]
+        c = self.coeffs.get(mono, Fraction(0)) + (weight if inversions % 2 == 0 else -weight)
+        if c:
+            self.coeffs[mono] = c
+        else:
+            self.coeffs.pop(mono, None)
 
-    def coeff(self, factors: Sequence[BasisVector]) -> Poly:
+    def coeff(self, factors: Sequence[BasisVector]) -> Fraction:
         mono = tuple(sorted((BasisVector(int(b[0]), int(b[1])) for b in factors),
                             key=lambda bv: bv.sort_key))
-        return self.coeffs.get(mono, Poly.zero(self.ncomp))
+        return self.coeffs.get(mono, Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WedgeVector):
@@ -266,27 +216,45 @@ def alpha_action(w: WedgeVector, component: int, i: int) -> WedgeVector:
     if i < 1:
         raise ValueError("only lowering modes (i >= 1) are modeled")
     out = WedgeVector(floor=w.floor, ncomp=w.ncomp)
-    for mono, poly in w.coeffs.items():
+    for mono, c in w.coeffs.items():
         for pos, bv in enumerate(mono):
             if bv.component != component:
                 continue
             moved = list(mono)
             moved[pos] = BasisVector(bv.component, bv.index - i)
-            out.add_term(moved, poly)
+            out.add_term(moved, c)
     return out
 
 
 def wedge_from_generators(fs: Sequence[GeneratorVector], ncomp: int, floor: int = 0) -> WedgeVector:
-    """Full expansion of evolve(f_1) ^ ... ^ evolve(f_m) over the vacuum."""
-    w = WedgeVector(floor=floor, ncomp=ncomp)
-    w.add_term((), Poly.const(1, ncomp))
+    """f_1 ^ ... ^ f_m over the vacuum at t = 0: the Plucker coordinates of the fs."""
+    w = WedgeVector({(): 1}, floor=floor, ncomp=ncomp)
     for g in fs:
         nxt = WedgeVector(floor=floor, ncomp=ncomp)
-        for bv, poly in evolve(g).items():
+        for bv, b in g.entries.items():
             for mono, acc in w.coeffs.items():
-                nxt.add_term(tuple(mono) + (bv,), acc * poly)
+                nxt.add_term(mono + (bv,), acc * b)
         w = nxt
     return w
+
+
+def wedge_tau(w: WedgeVector, charge: Sequence[int]) -> Poly:
+    """The boson image of w at ``charge``: sum_S xi_S prod_a s_{lambda(S_a)}(t^(a)).
+
+    Only monomials with charge_a - floor factors of each component a count.
+    Factor e_i^(a) is Maya position i - 1 of species a, so the vacuum fills
+    every position below the floor, as ``fermion`` expects.
+    """
+    counts = tuple(c - w.floor for c in charge)
+    states: dict[tuple[tuple[int, ...], ...], Fraction] = {}
+    for mono, c in w.coeffs.items():
+        state = tuple(
+            tuple(bv.index - 1 for bv in mono if bv.component == a)
+            for a in range(1, len(charge) + 1)
+        )
+        if tuple(map(len, state)) == counts:
+            states[state] = c
+    return fermion.boson_image(states, tuple(charge), w.ncomp)
 
 
 # -- bridges from column specs to generators ------------------------------------
@@ -300,14 +268,9 @@ def generator_from_hspec(spec: HSpec, ncomp: int) -> GeneratorVector:
     """
     entries: dict[BasisVector, Fraction] = {}
     for a, term in enumerate(spec.terms, start=1):
-        if not term.coeff:
-            continue
+        consts = schur_constants(term.degree - 1, term.shift)
         for ell in range(1, term.degree + 1):
-            coeff = term.coeff * schur_constant(term.degree - ell, term.shift)
-            if coeff:
-                entries[BasisVector(a, ell)] = entries.get(
-                    BasisVector(a, ell), Fraction(0)
-                ) + coeff
+            entries[BasisVector(a, ell)] = term.coeff * consts[term.degree - ell]
     return GeneratorVector(entries, ncomp)
 
 

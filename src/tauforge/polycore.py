@@ -56,6 +56,12 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def exact_fraction(value: RationalLike | str) -> Fraction:
+    """An int, a Fraction or a string such as "1/2" as a Fraction; anything else,
+    a float above all, raises ``TypeError`` (0.1 is not 1/10 in binary)."""
+    return Fraction(value) if isinstance(value, str) else _as_fraction(value)
+
+
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -350,7 +356,7 @@ class Poly:
         ncomp = int(obj.get("ncomp", 1))
         out: dict[Monomial, Fraction] = {}
         for term in obj["terms"]:
-            coeff = Fraction(term["coeff"])
+            coeff = exact_fraction(term["coeff"])
             pairs = []
             for fam, component, index, exponent in term["monomial"]:
                 v = VarId(Family[fam], int(component), int(index))

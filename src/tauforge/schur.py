@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .polycore import Poly, RationalLike, schur_table, tvar
+from .polycore import Poly, RationalLike, exact_fraction, schur_table, tvar
 
 ShiftLike = Union["ShiftVector", Sequence[RationalLike], None]
 
@@ -36,7 +36,7 @@ class ShiftVector:
             return cls()
         if isinstance(value, ShiftVector):
             return value
-        return cls(tuple(Fraction(x) for x in value))
+        return cls(tuple(exact_fraction(x) for x in value))
 
     @classmethod
     def zero(cls, length: int = 0) -> "ShiftVector":
@@ -113,7 +113,7 @@ def solve_shifts(b: Sequence[RationalLike]) -> ShiftVector:
     triangularly: c_k = g_k - (1/k) * sum_{i<k} i * c_i * g_{k-i} with
     g_k = b_{M-k}/b_M.
     """
-    bs = [Fraction(x) for x in b]
+    bs = [exact_fraction(x) for x in b]
     if not bs:
         raise ValueError("need at least b_0")
     M = len(bs) - 1

@@ -33,7 +33,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, expected_shift_lengths, is_n_periodic
-from .polycore import Family, Poly, RationalLike, VarId, relabel_vars
+from .polycore import Family, Poly, RationalLike, VarId, exact_fraction, relabel_vars
 from .schur import ShiftLike, ShiftVector, schur_shifted
 
 ChargeVector = tuple[int, ...]
@@ -130,7 +130,7 @@ class HTerm:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", exact_fraction(self.coeff))
         object.__setattr__(self, "shift", ShiftVector.coerce(self.shift))
 
 
@@ -148,7 +148,7 @@ class HSpec:
 
     @classmethod
     def make(cls, components: Sequence[tuple[int, RationalLike, ShiftLike]]) -> "HSpec":
-        return cls(tuple(HTerm(d, Fraction(b), ShiftVector.coerce(c)) for d, b, c in components))
+        return cls(tuple(HTerm(d, b, c) for d, b, c in components))
 
     @property
     def ncomp(self) -> int:
@@ -491,8 +491,8 @@ def _akns_entries(
         raise ValueError("K must be >= 1")
     cv1 = ShiftVector.coerce(c1)
     cv2 = ShiftVector.coerce(c2)
-    b1f = Fraction(b1)
-    b2f = Fraction(b2)
+    b1f = exact_fraction(b1)
+    b2f = exact_fraction(b2)
     tables: dict[int, list[Poly]] = {}
 
     def rows(m: int, shift: ShiftVector, sign: int, count: int) -> list[list[Poly]]:

@@ -3,8 +3,9 @@
 Everything here deliberately takes a different route than the package code:
 truncated series products instead of recurrences, rational evaluation
 instead of symbolic identity, operator exponentials instead of direct
-substitution, permutation sums instead of Laplace expansion.  A bug shared
-by both routes would have to be made twice, independently.
+substitution, permutation sums instead of Laplace expansion or Plucker
+coordinates.  A bug shared by both routes would have to be made twice,
+independently.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 from tauforge import (
+    BasisVector,
     Family,
+    GeneratorVector,
     Partition,
     Poly,
     ShiftVector,
     TauCollection,
     VarId,
+    elementary_schur,
     expected_shift_lengths,
     schur_shifted,
     tvar,
@@ -250,6 +254,63 @@ def det_by_permutations(rows: Sequence[Sequence[Poly]]) -> Poly:
             if not prod.terms:
                 break
         total = total + (prod if inversions % 2 == 0 else -prod)
+    return total
+
+
+def evolve(g: GeneratorVector) -> dict[BasisVector, Poly]:
+    """Time-evolved generator: coefficient of e_l^(a) is sum_i b_{l+i} s_i(t^(a)).
+
+    Images at index <= 0 coincide with vacuum factors and are dropped.
+    """
+    s = g.ncomp
+    out: dict[BasisVector, Poly] = {}
+    for bv, b in g.entries.items():
+        if bv.index < 1:
+            continue
+        for ell in range(1, bv.index + 1):
+            contrib = elementary_schur(bv.index - ell, bv.component, s).scale(b)
+            key = BasisVector(bv.component, ell)
+            acc = out.get(key)
+            out[key] = contrib if acc is None else acc + contrib
+    return {bv: p for bv, p in out.items() if p.terms}
+
+
+def oracle_by_permutations(fs: Sequence[GeneratorVector], charge: Sequence[int]) -> Poly:
+    """Coefficient of the charge's target monomial in evolve(f_1) ^ ... ^ evolve(f_m).
+
+    The target for charge (m_1, .., m_s) is e_{m_1}^(1), .., e_1^(1), ..,
+    e_1^(s).  Each factor picks one target slot, repeats die, and the sign
+    counts inversions: a permutation sum over the evolved generators, the
+    oracle that ``tauforge.fock.oracle_tau`` replaced.  Exponential in m.
+    """
+    label = tuple(charge)
+    s = len(label)
+    m = len(fs)
+    if m == 0:
+        return Poly.const(1, s if s else 1)
+    target = [BasisVector(a, idx) for a in range(1, s + 1) for idx in range(label[a - 1], 0, -1)]
+    pos_of = {bv: i for i, bv in enumerate(target)}
+    evolved = [
+        sorted((pos_of[bv], poly) for bv, poly in evolve(g).items() if bv in pos_of)
+        for g in fs
+    ]
+    total = Poly.zero(s)
+
+    def descend(j: int, used: int, sign: int, acc: Poly) -> None:
+        nonlocal total
+        if j == m:
+            total = total + (acc if sign > 0 else -acc)
+            return
+        for pos, poly in evolved[j]:
+            bit = 1 << pos
+            if used & bit:
+                continue
+            inversions = (used >> (pos + 1)).bit_count()
+            prod = acc * poly
+            if prod.terms:
+                descend(j + 1, used | bit, -sign if inversions & 1 else sign, prod)
+
+    descend(0, 0, 1, Poly.const(1, s))
     return total
 
 

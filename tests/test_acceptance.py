@@ -94,7 +94,7 @@ def test_criterion_3_determinants_equal_exterior_oracle():
     t0 = time.perf_counter()
     failures = []
     rng = random.Random(0)
-    for p in all_partitions(6):
+    for p in all_partitions(8):
         shifts = random_shifts_for(rng, p)
         det = tau_kp(p, shifts)
         orc = oracle_tau(generators_from_partition(p, shifts), (len(p),))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import random_shifts_for
+from oracles import evolve, oracle_by_permutations, random_fraction, random_shifts_for
 from tauforge import (
     BasisVector,
     Family,
@@ -16,11 +16,11 @@ from tauforge import (
     Poly,
     VarId,
     WedgeVector,
+    all_partitions,
     alpha_action,
     charge_vectors,
     compute_kj,
     elementary_schur,
-    evolve,
     generator_from_hspec,
     generators_from_partition,
     generators_from_profile,
@@ -30,6 +30,7 @@ from tauforge import (
     tau_nkdv,
     tvar,
     wedge_from_generators,
+    wedge_tau,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -127,7 +128,7 @@ def test_generator_from_hspec_skips_zero_components():
     assert set(g.entries) == {BasisVector(2, 2)}
 
 
-# -- time evolution --------------------------------------------------------------
+# -- time evolution (the reference in oracles) ------------------------------------
 
 
 def test_evolve_frozen():
@@ -243,42 +244,94 @@ def test_profile_generators_reproduce_reduced_tau():
     assert oracle_tau(gens, (2,)) == tau_nkdv((2, 1), 2)
 
 
+# -- the oracle against the permutation-sum reference ------------------------------
+
+
+def _specs(rng: random.Random, ncomp: int, ncol: int) -> list[HSpec]:
+    """Columns of degree 1..3 with seeded coefficients (some zero) and shifts."""
+    out = []
+    while len(out) < ncol:
+        terms = []
+        for _ in range(ncomp):
+            degree = rng.randint(1, 3)
+            shift = [random_fraction(rng) for _ in range(degree)]
+            terms.append((degree, random_fraction(rng), shift))
+        if any(t[1] for t in terms):
+            out.append(HSpec.make(terms))
+    return out
+
+
+def _differential_cases():
+    """(generators, charge) for m <= 6: partitions, 1- to 3-component specs, towers."""
+    rng = random.Random(12)
+    for p in all_partitions(6):
+        yield generators_from_partition(p, random_shifts_for(rng, p)), (len(p),)
+    for ncomp in (1, 2, 3):
+        for m in (1, 2, 3, 4):
+            for _ in range(3):
+                gens = [generator_from_hspec(spec, ncomp) for spec in _specs(rng, ncomp, m)]
+                for charge in charge_vectors(m, ncomp):
+                    yield gens, charge
+    for _ in range(3):
+        for n_parts, ncol in [((2,), 1), ((3,), 2), ((3, 2), 1), ((3, 2), 2), ((2, 1), 2)]:
+            profile = KdVProfile(n_parts, tuple(_specs(rng, len(n_parts), ncol)))
+            gens = generators_from_profile(profile)
+            if len(gens) <= 6:
+                for charge in charge_vectors(len(gens), profile.ncomp):
+                    yield gens, charge
+
+
+def test_oracle_matches_the_permutation_sum_reference():
+    compared = odd = dead = 0
+    for gens, charge in _differential_cases():
+        got = oracle_tau(gens, charge)
+        assert got == oracle_by_permutations(gens, charge), (charge, [g.entries for g in gens])
+        compared += 1
+        odd += bool(got.terms) and len(gens) % 4 in (2, 3)  # a reversed order flips these
+        dead += any(bv.index <= 0 for g in gens for bv in g.entries)
+    assert compared > 200 and odd > 60 and dead > 10
+
+
 # -- wedge vectors and the algebra action ------------------------------------------
 
 
 def test_wedge_add_term_normalizes_sign():
     w = WedgeVector()
-    w.add_term((BasisVector(1, 1), BasisVector(1, 2)), Poly.const(1))
-    assert w.coeff((BasisVector(1, 2), BasisVector(1, 1))) == Poly.const(-1)
+    w.add_term((BasisVector(1, 1), BasisVector(1, 2)), 1)
+    assert w.coeff((BasisVector(1, 2), BasisVector(1, 1))) == -1
     # coeff accepts unsorted queries
-    assert w.coeff((BasisVector(1, 1), BasisVector(1, 2))) == Poly.const(-1)
+    assert w.coeff((BasisVector(1, 1), BasisVector(1, 2))) == -1
 
 
 def test_wedge_add_term_kills_repeats_and_vacuum_collisions():
     w = WedgeVector()
-    w.add_term((BasisVector(1, 1), BasisVector(1, 1)), Poly.const(1))
+    w.add_term((BasisVector(1, 1), BasisVector(1, 1)), 1)
     assert w.coeffs == {}
-    w.add_term((BasisVector(1, 0),), Poly.const(1))
+    w.add_term((BasisVector(1, 0),), 1)
     assert w.coeffs == {}
     w = WedgeVector(floor=2, ncomp=1)
-    w.add_term((BasisVector(1, 2),), Poly.const(1))
+    w.add_term((BasisVector(1, 2),), 1)
     assert w.coeffs == {}
-    w.add_term((BasisVector(1, 3),), Poly.const(1))
-    assert w.coeff((BasisVector(1, 3),)) == Poly.const(1)
+    w.add_term((BasisVector(1, 3),), 1)
+    assert w.coeff((BasisVector(1, 3),)) == 1
 
 
 def test_wedge_terms_cancel():
     w = WedgeVector()
-    w.add_term((BasisVector(1, 2), BasisVector(1, 1)), tvar(1))
-    w.add_term((BasisVector(1, 1), BasisVector(1, 2)), tvar(1))
+    w.add_term((BasisVector(1, 2), BasisVector(1, 1)), Fraction(3, 2))
+    w.add_term((BasisVector(1, 1), BasisVector(1, 2)), Fraction(3, 2))
     assert w.coeffs == {}
 
 
 def test_wedge_expansion_matches_oracle():
-    gens = generators_from_partition((2, 1))
+    # the t = 0 wedge holds the Plucker coordinates: the target's is tau(0),
+    # and the boson image at the charge is tau itself
+    shifts = random_shifts_for(random.Random(3), Partition((2, 1)))
+    gens = generators_from_partition((2, 1), shifts)
     w = wedge_from_generators(gens, 1)
-    target = (BasisVector(1, 2), BasisVector(1, 1))
-    assert w.coeff(target) == oracle_tau(gens, (2,))
+    tau = tau_kp((2, 1), shifts)
+    assert w.coeff((BasisVector(1, 2), BasisVector(1, 1))) == tau.terms.get((), 0)
+    assert wedge_tau(w, (2,)) == tau == oracle_by_permutations(gens, (2,))
 
 
 def test_alpha_action_requires_lowering():
@@ -288,10 +341,10 @@ def test_alpha_action_requires_lowering():
 
 def test_alpha_action_frozen():
     w = WedgeVector()
-    w.add_term((BasisVector(1, 3), BasisVector(1, 1)), Poly.const(1))
+    w.add_term((BasisVector(1, 3), BasisVector(1, 1)), 1)
     moved = alpha_action(w, 1, 1)
     # e_3 -> e_2 survives; e_1 -> e_0 hits the vacuum
-    assert moved.coeff((BasisVector(1, 2), BasisVector(1, 1))) == Poly.const(1)
+    assert moved.coeff((BasisVector(1, 2), BasisVector(1, 1))) == 1
     assert len(moved.coeffs) == 1
     dead = alpha_action(moved, 1, 1)
     # e_2 -> e_1 repeats, e_1 -> e_0 collides: nothing left
@@ -299,17 +352,16 @@ def test_alpha_action_frozen():
 
 
 def test_alpha_action_is_time_derivative():
-    # evolution is exp(sum_i t_i alpha_i) acting on the wedge, and lowering
-    # modes commute, so d/dt_j of the evolved wedge equals alpha_j acting on it
-    gens = generators_from_partition((2, 1))
+    # evolution is exp(sum_j t_j alpha_j) acting on the wedge, and lowering
+    # modes commute, so the boson image of alpha_j w is d tau / d t_j
+    shifts = random_shifts_for(random.Random(4), Partition((3, 2, 1)))
+    gens = generators_from_partition((3, 2, 1), shifts)
     w = wedge_from_generators(gens, 1)
-    for j in (1, 2, 3):
-        moved = alpha_action(w, 1, j)
-        expect = WedgeVector(floor=0, ncomp=1)
-        v = VarId(Family.T, 1, j)
-        for mono, poly in w.coeffs.items():
-            expect.add_term(mono, poly.diff(v))
-        assert moved == expect, j
+    tau = oracle_tau(gens, (3,))
+    for j in range(1, 6):
+        derivative = tau.diff(VarId(Family.T, 1, j))
+        assert derivative.terms
+        assert wedge_tau(alpha_action(w, 1, j), (3,)) == derivative, j
 
 
 def test_alpha_action_is_time_derivative_multicomponent():
@@ -320,11 +372,9 @@ def test_alpha_action_is_time_derivative_multicomponent():
     gens = [generator_from_hspec(spec, 2) for spec in specs]
     w = wedge_from_generators(gens, 2)
     assert w.coeffs
-    for a in (1, 2):
-        for j in (1, 2):
-            moved = alpha_action(w, a, j)
-            expect = WedgeVector(floor=0, ncomp=2)
-            v = VarId(Family.T, a, j)
-            for mono, poly in w.coeffs.items():
-                expect.add_term(mono, poly.diff(v))
-            assert moved == expect, (a, j)
+    for charge in charge_vectors(2, 2):
+        tau = oracle_tau(gens, charge)
+        for a in (1, 2):
+            for j in (1, 2):
+                moved = wedge_tau(alpha_action(w, a, j), charge)
+                assert moved == tau.diff(VarId(Family.T, a, j)), (charge, a, j)

@@ -13,7 +13,9 @@ from oracles import (
     random_shifts_for,
 )
 from tauforge import (
+    BasisVector,
     Family,
+    GeneratorVector,
     HSpec,
     HTerm,
     KdVProfile,
@@ -22,6 +24,7 @@ from tauforge import (
     ShiftVector,
     TauCollection,
     VarId,
+    WedgeVector,
     akns_collection,
     akns_tau,
     apply_D,
@@ -33,6 +36,7 @@ from tauforge import (
     expected_shift_lengths,
     kp_specs_from_partition,
     schur_shifted,
+    solve_shifts,
     tau_kp,
     tau_mkp_collection,
     tau_mkp_entry,
@@ -90,6 +94,30 @@ def test_det_triangular():
 
 
 # -- single-component KP ---------------------------------------------------------
+
+
+def test_library_boundary_rejects_floats():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    calls = [
+        lambda: tau_kp((1,), [[0.1]]),
+        lambda: HSpec.make([(2, 0.5, None)]),
+        lambda: HTerm(2, Fraction(1), [0.5]),
+        lambda: ShiftVector.coerce([0.5]),
+        lambda: solve_shifts([0.5, 1]),
+        lambda: akns_tau(2, 2, 0.5, 1, None, None, 2, 1),
+        lambda: akns_tau(2, 2, 1, 0.5, None, None, 2, 1),
+        lambda: GeneratorVector({BasisVector(1, 1): 0.5}),
+        lambda: GeneratorVector.basis(1, 1).scale(0.5),
+        lambda: WedgeVector().add_term((BasisVector(1, 1),), 0.5),
+        lambda: Poly.from_json_obj({"terms": [{"coeff": 0.1, "monomial": []}]}),
+    ]
+    for i, call in enumerate(calls):
+        with pytest.raises(TypeError):
+            call()
+            pytest.fail(f"call {i} accepted a float")
+    # exact strings still read as rationals
+    assert HSpec.make([(2, "1/2", ["1/3"])]) == HSpec.make([(2, Fraction(1, 2), [Fraction(1, 3)])])
+    assert tau_kp((1,), [["-1/3"]]) == tau_kp((1,), [[Fraction(-1, 3)]])
 
 
 def test_tau_kp_frozen_values():
