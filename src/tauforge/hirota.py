@@ -279,19 +279,21 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
     x2 = VarId(Family.X, 1, 2)
 
     w1, w2, w11 = w.diff(x1), w.diff(x2), w.diff(x1, 2)
+    w1w1 = w1 * w1
 
     def flow_residual(f: Poly, orientation: int) -> Poly:
-        # orientation +1: 2 f-flow; -1: reversed time direction.
+        # orientation +1: 2 f-flow; -1: reversed time direction.  w is
+        # factored out of every term that carries it, so each flow makes
+        # one large product by w.
         f1, f2, f11 = f.diff(x1), f.diff(x2), f.diff(x1, 2)
-        lhs = (f2 * w - f * w2) * w
-        rhs = (
-            f11 * w * w
-            - f * w11 * w
-            - (f1 * w1 * w).scale(2)
-            + (f * w1 * w1).scale(2)
+        inner = (
+            (f2 * w - f * w2).scale(2 * orientation)
+            - f11 * w
+            + f * w11
+            + (f1 * w1).scale(2)
         )
         nonlinear = (f * f * (v if orientation > 0 else u)).scale(8)
-        return lhs.scale(2 * orientation) - rhs - nonlinear
+        return w * inner - (f * w1w1).scale(2) - nonlinear
 
     per = {"q_flow": flow_residual(u, +1), "r_flow": flow_residual(v, -1)}
     return _finish(

@@ -44,7 +44,13 @@ class Partition:
     def coerce(cls, value: "Partition | Iterable[int]") -> "Partition":
         if isinstance(value, Partition):
             return value
-        return cls(tuple(int(p) for p in value))
+        if isinstance(value, (str, bytes)):
+            raise TypeError(f"a partition is a sequence of integers, not {value!r}")
+        parts = tuple(value)
+        for p in parts:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise TypeError(f"partition parts must be integers, got {p!r}")
+        return cls(parts)
 
     @property
     def size(self) -> int:

@@ -11,15 +11,25 @@ ambient component count ``ncomp``; it is an error to combine polynomials with
 different ambient counts, while mixing variable families or components inside
 one ambient is fine.
 
+Products run on integers.  Each variable of the two factors gets a bit
+field, in canonical variable order; a monomial packs into one int, so
+multiplying monomials adds their ints, and each factor's coefficients become
+integer numerators over that factor's lcm denominator.  A field is
+``(max exponent of a + max exponent of b).bit_length()`` bits wide, and no
+exponent of the product exceeds that sum, so no field ever carries into the
+next: there is no exponent cap to check.  Each nonzero output term becomes
+one reduced ``Fraction`` over the product of the two denominators.
+
 The one Schur recurrence (``schur_table``), which ``schur`` builds its
 tables on, lives here as well.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import IntEnum
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Mapping, NamedTuple, Union
 
 
@@ -62,30 +72,25 @@ def exact_fraction(value: RationalLike | str) -> Fraction:
     return Fraction(value) if isinstance(value, str) else _as_fraction(value)
 
 
-def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[tuple[VarId, int]] = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _json_int(value: object) -> int:
+    # int(2.7) would silently read 2, and True is an int to Python
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _pack(
+    terms: Mapping[Monomial, Fraction], shift: Mapping[VarId, int]
+) -> tuple[list[tuple[int, int]], int]:
+    """(packed monomial, integer numerator) pairs over the lcm denominator."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    packed = []
+    for mono, c in terms.items():
+        key = 0
+        for v, e in mono:
+            key += e << shift[v]
+        packed.append((key, c.numerator * (den // c.denominator)))
+    return packed, den
 
 
 def _term_sort_key(mono: Monomial):
@@ -222,22 +227,44 @@ class Poly:
         a, b = self.terms, other.terms
         if not a or not b:
             return Poly.zero(self.ncomp)
-        if len(a) < len(b):
-            a, b = b, a
+        # Variable k owns bits [k * width, (k + 1) * width), which no product
+        # exponent overflows (module docstring); fields follow the canonical
+        # variable order, so unpacking from bit 0 up yields sorted monomials.
+        seen: set[VarId] = set()
+        bound = 0  # largest exponent of a plus largest exponent of b
+        for terms in (a, b):
+            top = 0
+            for mono in terms:
+                for v, e in mono:
+                    seen.add(v)
+                    if e > top:
+                        top = e
+            bound += top
+        width = bound.bit_length()
+        variables = sorted(seen)
+        shift = {v: k * width for k, v in enumerate(variables)}
+        pa, da = _pack(a, shift)
+        pb, db = _pack(b, shift)
+        if len(pa) < len(pb):
+            pa, pb = pb, pa
+        acc: defaultdict[int, int] = defaultdict(int)
+        for kb, nb in pb:
+            for ka, na in pa:
+                acc[ka + kb] += na * nb
+        den = da * db
+        mask = (1 << width) - 1
         out: dict[Monomial, Fraction] = {}
-        for mb, cb in b.items():
-            for ma, ca in a.items():
-                m = _merge_monomials(ma, mb)
-                c = ca * cb
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[m] = acc
-                    else:
-                        del out[m]
+        for key, n in acc.items():
+            if n:
+                mono = []
+                k = 0
+                while key:
+                    e = key & mask
+                    if e:
+                        mono.append((variables[k], e))
+                    key >>= width
+                    k += 1
+                out[tuple(mono)] = Fraction(n, den)
         return Poly._raw(out, self.ncomp)
 
     def __rmul__(self, other: RationalLike) -> "Poly":
@@ -353,18 +380,18 @@ class Poly:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Poly":
-        ncomp = int(obj.get("ncomp", 1))
+        ncomp = _json_int(obj.get("ncomp", 1))
         out: dict[Monomial, Fraction] = {}
         for term in obj["terms"]:
             coeff = exact_fraction(term["coeff"])
             pairs = []
             for fam, component, index, exponent in term["monomial"]:
-                v = VarId(Family[fam], int(component), int(index))
+                v = VarId(Family[fam], _json_int(component), _json_int(index))
                 if v.index < 1 or not 1 <= v.component <= ncomp:
                     raise ValueError(f"invalid variable {v} for ambient ncomp={ncomp}")
-                if int(exponent) < 1:
+                if _json_int(exponent) < 1:
                     raise ValueError("exponents must be >= 1")
-                pairs.append((v, int(exponent)))
+                pairs.append((v, exponent))
             mono = tuple(sorted(pairs))
             if len(set(v for v, _ in mono)) != len(mono):
                 raise ValueError("repeated variable in monomial")

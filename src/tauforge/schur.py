@@ -36,6 +36,8 @@ class ShiftVector:
             return cls()
         if isinstance(value, ShiftVector):
             return value
+        if isinstance(value, (str, bytes)):
+            raise TypeError(f"a shift vector is a sequence of rationals, not {value!r}")
         return cls(tuple(exact_fraction(x) for x in value))
 
     @classmethod

@@ -33,7 +33,7 @@ from tauforge import (
     xvar,
     yvar,
 )
-from tauforge.polycore import relabel_vars
+from tauforge.polycore import Monomial, relabel_vars
 
 
 def eval_poly(p: Poly, values: Mapping[VarId, Fraction]) -> Fraction:
@@ -107,6 +107,45 @@ def miwa_by_operator(p: Poly, family: Family, component: int, sign: int) -> list
             prev = total.get(e)
             total[e] = q if prev is None else prev + q
     return [total.get(-k, Poly.zero(p.ncomp)) for k in range(max(p.weighted_degree(), 0) + 1)]
+
+
+def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
+    out: list[tuple[VarId, int]] = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def poly_mul_by_merge(p: Poly, q: Poly) -> Poly:
+    """p * q by merging every pair of sorted monomial tuples and accumulating
+    ``Fraction`` products in a dict; no packed integers anywhere."""
+    if p.ncomp != q.ncomp:
+        raise ValueError(f"ambient component count mismatch: {p.ncomp} vs {q.ncomp}")
+    out: dict[Monomial, Fraction] = {}
+    for mq, cq in q.terms.items():
+        for mp, cp in p.terms.items():
+            m = _merge_monomials(mp, mq)
+            out[m] = out.get(m, Fraction(0)) + cp * cq
+    return Poly(out, p.ncomp)
 
 
 @cache
@@ -373,3 +412,22 @@ def akns_by_args(m1: int, m2: int, b1, b2, c1, c2, big_k: int, p: int) -> Poly:
         for u in range(1, big_k - p + 1)
     ]
     return det_by_permutations(rows).scale(b1**p * b2 ** (big_k - p))
+
+
+def akns_flow_residuals(collection: TauCollection, base: Sequence[int]) -> dict[str, Poly]:
+    """``akns_pde_check``'s ``per_param`` from the unfactored pair: for each
+    flow, 2o (f2 w - f w2) w - (f11 w w - f w11 w - 2 f1 w1 w + 2 f w1 w1)
+    - 8 f f g, one factor at a time (13 products per flow)."""
+    p, k = base
+    w = collection.get((p, k))
+    u, v = -collection.get((p + 1, k - 1)), collection.get((p - 1, k + 1))
+    x1, x2 = VarId(Family.X, 1, 1), VarId(Family.X, 1, 2)
+    w1, w2, w11 = w.diff(x1), w.diff(x2), w.diff(x1, 2)
+
+    def residual(f: Poly, g: Poly, orientation: int) -> Poly:
+        f1, f2, f11 = f.diff(x1), f.diff(x2), f.diff(x1, 2)
+        lhs = (f2 * w - f * w2) * w
+        rhs = f11 * w * w - f * w11 * w - (f1 * w1 * w).scale(2) + (f * w1 * w1).scale(2)
+        return lhs.scale(2 * orientation) - rhs - (f * f * g).scale(8)
+
+    return {"q_flow": residual(u, v, +1), "r_flow": residual(v, u, -1)}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import miwa_by_operator, random_shifts_for, residue_by_convolution
+from oracles import akns_flow_residuals, miwa_by_operator, random_shifts_for, residue_by_convolution
 from tauforge import (
     Family,
     HSpec,
@@ -268,6 +268,36 @@ def test_akns_pde_fails_on_perturbation():
     entries[(1, 1)] = entries[(1, 1)] + xvar(1) ** 2
     bad = TauCollection(total=2, ncomp=2, entries=entries)
     assert not akns_pde_check(bad, (1, 1)).passed
+
+
+def test_akns_residuals_match_the_unfactored_reference():
+    rng = random.Random(10)
+
+    def rational():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+    checked = 0
+    for m1, m2 in [(3, 3), (4, 3), (4, 4), (5, 4), (5, 5)]:
+        coll = akns_collection(m1, m2, rational(), rational(),
+                               [rational() for _ in range(m1)], [rational() for _ in range(m2)])
+        entries = dict(coll.entries)
+        label = sorted(entries)[len(entries) // 2]
+        entries[label] = entries[label] + xvar(1) ** 2 * xvar(2) * rational()
+        perturbed = TauCollection(coll.total, 2, entries)
+        for c, control in [(coll, False), (perturbed, True)]:
+            verdicts = []
+            for p in range(1, c.total):
+                base = (p, c.total - p)
+                if not c.get(base).terms:
+                    continue
+                r = akns_pde_check(c, base)
+                want = akns_flow_residuals(c, base)
+                assert r.per_param == want, (m1, m2, base, control)
+                assert r.obstruction == (want["q_flow"] if want["q_flow"].terms else want["r_flow"])
+                verdicts.append(r.passed)
+            assert all(verdicts) != control, (m1, m2, control)
+            checked += len(verdicts)
+    assert checked == 32
 
 
 def test_akns_pde_validation():

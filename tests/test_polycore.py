@@ -1,11 +1,18 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import difference_series, eval_poly, miwa_by_operator, residue_by_convolution
+from oracles import (
+    difference_series,
+    eval_poly,
+    miwa_by_operator,
+    poly_mul_by_merge,
+    residue_by_convolution,
+)
 from tauforge import Family, Poly, VarId, tvar, xvar, yvar
 from tauforge.polycore import relabel_vars, shift_vars
 
@@ -14,7 +21,8 @@ t_vars = st.builds(VarId, st.just(Family.T), st.just(1), st.integers(1, 4))
 
 
 @st.composite
-def polys(draw, ncomp=1, families=(Family.T,), max_index=4, max_terms=4, max_exp=3):
+def polys(draw, ncomp=1, families=(Family.T,), max_index=4, max_terms=4, max_exp=3,
+          exponents=None):
     terms: dict = {}
     for _ in range(draw(st.integers(0, max_terms))):
         mono_vars: dict[VarId, int] = {}
@@ -24,7 +32,7 @@ def polys(draw, ncomp=1, families=(Family.T,), max_index=4, max_terms=4, max_exp
                 draw(st.integers(1, ncomp)),
                 draw(st.integers(1, max_index)),
             )
-            mono_vars[v] = draw(st.integers(1, max_exp))
+            mono_vars[v] = draw(st.integers(1, max_exp) if exponents is None else exponents)
         mono = tuple(sorted(mono_vars.items()))
         terms[mono] = terms.get(mono, Fraction(0)) + draw(rationals)
     return Poly(terms, ncomp)
@@ -104,6 +112,64 @@ def test_scalar_ops(p, c):
     assert c * p == p * c
     assert p + c == p + Poly.const(c)
     assert (c - p) == -(p - c)
+
+
+# exponents next to a power of two, up to 2^40, so that a sum of two lands on
+# the top bit of a packed field
+carry_exponents = st.one_of(
+    st.integers(1, 3),
+    st.builds(lambda k, d: 2**k + d, st.integers(1, 40), st.sampled_from([-1, 0, 1])),
+)
+
+
+@st.composite
+def poly_pairs(draw):
+    kw = dict(ncomp=draw(st.integers(1, 3)), families=tuple(Family), max_index=3,
+              max_terms=5, exponents=carry_exponents)
+    return draw(polys(**kw)), draw(polys(**kw))
+
+
+def assert_product_matches_merge(p, q):
+    got = p * q
+    want = poly_mul_by_merge(p, q)
+    assert got.ncomp == want.ncomp
+    assert got.terms == want.terms
+    for mono, c in got.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        assert list(mono) == sorted(mono) and all(e >= 1 for _, e in mono)
+
+
+@given(poly_pairs())
+def test_product_matches_the_merge_reference(pair):
+    assert_product_matches_merge(*pair)
+
+
+def test_product_edge_cases_match_the_merge_reference():
+    def power(v, e, ncomp=2):
+        return Poly({((v, e),): Fraction(1)}, ncomp)
+
+    t1, t2 = VarId(Family.T, 1, 1), VarId(Family.T, 2, 1)
+    x, y = VarId(Family.X, 1, 2), VarId(Family.Y, 2, 3)
+    pairs = [(tvar(1), tvar(1)), (tvar(1) * tvar(2), tvar(1) + tvar(2))]
+    for k in range(1, 41):
+        e = 2**k - 1
+        field = power(t1, e) * power(t2, e) + power(x, 1)
+        pairs += [(field, power(t1, 1) + power(t2, 1)), (field, field),
+                  (power(y, 2**k), power(y, 2**k) + power(t2, e))]
+    # a coefficient that cancels completely, mixed denominators, a zero factor
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a, b = xvar(1).scale(half) + yvar(2).scale(third), xvar(1).scale(half) - yvar(2).scale(third)
+    pairs += [(tvar(1) + tvar(2), tvar(1) - tvar(2)), (a, b),
+              (a + Poly.const(Fraction(5, 6)), b.scale(Fraction(6, 7))), (a, Poly.zero())]
+    for p, q in pairs:
+        assert_product_matches_merge(p, q)
+    assert (tvar(1) + tvar(2)) * (tvar(1) - tvar(2)) == tvar(1) ** 2 - tvar(2) ** 2
+    assert (a * b).terms == {((VarId(Family.X, 1, 1), 2),): Fraction(1, 4),
+                             ((VarId(Family.Y, 1, 2), 2),): Fraction(-1, 9)}
+    for mul in (Poly.__mul__, poly_mul_by_merge):
+        with pytest.raises(ValueError):
+            mul(tvar(1, ncomp=1), tvar(1, ncomp=2))
 
 
 @given(polys(max_terms=3))

@@ -120,6 +120,32 @@ def test_library_boundary_rejects_floats():
     assert tau_kp((1,), [["-1/3"]]) == tau_kp((1,), [[Fraction(-1, 3)]])
 
 
+def test_library_boundary_rejects_strings_and_inexact_integers():
+    def monomial(component, index, exponent):
+        return {"ncomp": 2, "terms": [{"coeff": "1", "monomial": [["T", component, index, exponent]]}]}
+
+    calls = [
+        lambda: ShiftVector.coerce("12"),  # was read digit by digit as (1, 2)
+        lambda: tau_kp((2,), ["3"]),
+        lambda: Partition.coerce("32"),  # was (3, 2)
+        lambda: tau_kp("21"),
+        lambda: Partition.coerce([2.5, 1]),  # was truncated to (2, 1)
+        lambda: Partition.coerce([True]),  # was (1,)
+        lambda: Poly.from_json_obj(monomial(1, 1, 2.7)),  # float fields were truncated
+        lambda: Poly.from_json_obj(monomial(1, 2.7, 1)),
+        lambda: Poly.from_json_obj(monomial(1.5, 1, 1)),
+        lambda: Poly.from_json_obj(monomial(1, 1, True)),
+        lambda: Poly.from_json_obj({"ncomp": 2.0, "terms": []}),
+    ]
+    for i, call in enumerate(calls):
+        with pytest.raises(TypeError):
+            call()
+            pytest.fail(f"call {i} was accepted")
+    assert Partition.coerce([3, 2]) == Partition((3, 2))
+    assert ShiftVector.coerce(["1/2", 3]) == ShiftVector((Fraction(1, 2), Fraction(3)))
+    assert Poly.from_json_obj(monomial(2, 3, 2)) == tvar(3, 2, 2) ** 2
+
+
 def test_tau_kp_frozen_values():
     assert tau_kp(()) == 1
     assert tau_kp((1,)) == tvar(1)
