@@ -12,8 +12,6 @@ exterior-algebra oracle (fock).
 from .fock import (
     BasisVector,
     GeneratorVector,
-    WedgeVector,
-    alpha_action,
     generator_from_hspec,
     generators_from_partition,
     generators_from_profile,
@@ -92,12 +90,10 @@ __all__ = [
     "VSequence",
     "VarId",
     "VerificationReport",
-    "WedgeVector",
     "akns_collection",
     "akns_pde_check",
     "akns_tau",
     "all_partitions",
-    "alpha_action",
     "apply_D",
     "canonicalize_shifts",
     "charge_vectors",

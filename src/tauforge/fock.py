@@ -17,9 +17,13 @@ bosonize with, e_i^(a) being Maya position i - 1 of species a at charge m_a.
 The oracle never builds a determinant, which keeps it independent of the
 constructors it certifies.
 
-Basis vectors are ordered component-ascending, index-descending; the target
-monomial for charge (m_1, ..., m_s) is e_{m_1}^(1), ..., e_1^(1),
-e_{m_2}^(2), ..., e_1^(s), which is already sorted in that order.
+A wedge monomial is one int: with W the largest generator index, e_i^(a)
+of s components is bit (s - a) * W + i - 1, so a higher bit is an earlier
+factor in the order e_W^(1), .., e_1^(1), e_W^(2), .., e_1^(s) of the
+target monomials.  Entries at index <= 0 collide with the vacuum and are
+skipped.  Appending e_i^(a) is psi-insertion: it dies on a set bit, and
+otherwise moves past the (mask & (bit - 1)).bit_count() factors that sort
+after it, each flipping the sign.
 """
 
 from __future__ import annotations
@@ -36,10 +40,6 @@ from .tau import ChargeVector, HSpec, KdVProfile, kp_specs_from_partition
 class BasisVector(NamedTuple):
     component: int
     index: int
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (self.component, -self.index)
 
 
 class GeneratorVector:
@@ -141,120 +141,49 @@ def oracle_tau(fs: Sequence[GeneratorVector], charge: Sequence[int]) -> Poly:
     return wedge_tau(wedge_from_generators(fs, s), label)
 
 
-# -- wedge vectors ----------------------------------------------------------------
+# -- the wedge -------------------------------------------------------------------
 
 
-class WedgeVector:
-    """Finite rational combination of wedge monomials over a filled vacuum.
+def wedge_from_generators(fs: Sequence[GeneratorVector], ncomp: int) -> dict[fermion.State, Fraction]:
+    """f_1 ^ ... ^ f_m over the vacuum at t = 0: the Plucker coordinates of the fs.
 
-    A monomial is a tuple of excited factors, each with index > floor, kept
-    sorted in the canonical order; inserting an unsorted term tracks the
-    permutation sign, kills repeats, and drops factors at or below the floor
-    (those collide with a vacuum factor).
+    Each monomial is an int key (module docstring); appending a factor is a
+    psi-insertion.  The keys are decoded once, into ``fermion`` states.
     """
-
-    __slots__ = ("coeffs", "floor", "ncomp")
-
-    def __init__(
-        self,
-        coeffs: Mapping[tuple[BasisVector, ...], RationalLike] | None = None,
-        floor: int = 0,
-        ncomp: int = 1,
-    ):
-        self.floor = floor
-        self.ncomp = ncomp
-        self.coeffs: dict[tuple[BasisVector, ...], Fraction] = {}
-        if coeffs:
-            for mono, c in coeffs.items():
-                cf = exact_fraction(c)
-                if cf:
-                    self.coeffs[tuple(mono)] = cf
-
-    def add_term(self, factors: Sequence[BasisVector], weight: RationalLike) -> None:
-        """Insert weight * (factors wedge), normalizing order and sign."""
-        weight = exact_fraction(weight)
-        if not weight:
-            return
-        fs = [BasisVector(int(b[0]), int(b[1])) for b in factors]
-        for bv in fs:
-            if bv.index <= self.floor:
-                return  # collides with a vacuum factor
-        keys = [bv.sort_key for bv in fs]
-        if len(set(keys)) != len(keys):
-            return  # repeated factor
-        inversions = sum(k > later for i, k in enumerate(keys) for later in keys[i + 1:])
-        mono = tuple(sorted(fs, key=lambda bv: bv.sort_key))
-        c = self.coeffs.get(mono, Fraction(0)) + (weight if inversions % 2 == 0 else -weight)
-        if c:
-            self.coeffs[mono] = c
-        else:
-            self.coeffs.pop(mono, None)
-
-    def coeff(self, factors: Sequence[BasisVector]) -> Fraction:
-        mono = tuple(sorted((BasisVector(int(b[0]), int(b[1])) for b in factors),
-                            key=lambda bv: bv.sort_key))
-        return self.coeffs.get(mono, Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WedgeVector):
-            return NotImplemented
-        return (
-            self.floor == other.floor
-            and self.ncomp == other.ncomp
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-def alpha_action(w: WedgeVector, component: int, i: int) -> WedgeVector:
-    """Derivation action of the mode alpha_i^(a): e_l^(a) -> e_{l-i}^(a).
-
-    Acting on the implicit vacuum always produces a repeated factor, so only
-    the excited factors contribute.  Requires i >= 1.
-    """
-    if i < 1:
-        raise ValueError("only lowering modes (i >= 1) are modeled")
-    out = WedgeVector(floor=w.floor, ncomp=w.ncomp)
-    for mono, c in w.coeffs.items():
-        for pos, bv in enumerate(mono):
-            if bv.component != component:
-                continue
-            moved = list(mono)
-            moved[pos] = BasisVector(bv.component, bv.index - i)
-            out.add_term(moved, c)
-    return out
-
-
-def wedge_from_generators(fs: Sequence[GeneratorVector], ncomp: int, floor: int = 0) -> WedgeVector:
-    """f_1 ^ ... ^ f_m over the vacuum at t = 0: the Plucker coordinates of the fs."""
-    w = WedgeVector({(): 1}, floor=floor, ncomp=ncomp)
+    width = max((bv.index for g in fs for bv in g.entries), default=0)
+    wedge: dict[int, Fraction] = {0: Fraction(1)}
     for g in fs:
-        nxt = WedgeVector(floor=floor, ncomp=ncomp)
+        nxt: dict[int, Fraction] = {}
         for bv, b in g.entries.items():
-            for mono, acc in w.coeffs.items():
-                nxt.add_term(mono + (bv,), acc * b)
-        w = nxt
-    return w
+            if bv.index < 1:
+                continue  # collides with a vacuum factor
+            bit = 1 << ((ncomp - bv.component) * width + bv.index - 1)
+            after = bit - 1  # the factors that sort after this one
+            for mask, acc in wedge.items():
+                if mask & bit:
+                    continue
+                c = acc * b
+                key = mask | bit
+                nxt[key] = nxt.get(key, 0) + (-c if (mask & after).bit_count() & 1 else c)
+        wedge = {mask: c for mask, c in nxt.items() if c}
+    positions = range(width - 1, -1, -1)
+    return {
+        tuple(
+            tuple(p for p in positions if (mask >> ((ncomp - a) * width + p)) & 1)
+            for a in range(1, ncomp + 1)
+        ): c
+        for mask, c in wedge.items()
+    }
 
 
-def wedge_tau(w: WedgeVector, charge: Sequence[int]) -> Poly:
-    """The boson image of w at ``charge``: sum_S xi_S prod_a s_{lambda(S_a)}(t^(a)).
+def wedge_tau(states: Mapping[fermion.State, Fraction], charge: Sequence[int]) -> Poly:
+    """The boson image of a wedge at ``charge``: sum_S xi_S prod_a s_{lambda(S_a)}(t^(a)).
 
-    Only monomials with charge_a - floor factors of each component a count.
-    Factor e_i^(a) is Maya position i - 1 of species a, so the vacuum fills
-    every position below the floor, as ``fermion`` expects.
+    Only the states with charge_a positions in each species a count.
     """
-    counts = tuple(c - w.floor for c in charge)
-    states: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    for mono, c in w.coeffs.items():
-        state = tuple(
-            tuple(bv.index - 1 for bv in mono if bv.component == a)
-            for a in range(1, len(charge) + 1)
-        )
-        if tuple(map(len, state)) == counts:
-            states[state] = c
-    return fermion.boson_image(states, tuple(charge), w.ncomp)
+    label = tuple(charge)
+    sector = {s: c for s, c in states.items() if tuple(map(len, s)) == label}
+    return fermion.boson_image(sector, label, len(label))
 
 
 # -- bridges from column specs to generators ------------------------------------

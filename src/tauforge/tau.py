@@ -52,8 +52,8 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
     memo: dict[tuple[int, int], Poly] = {}
 
     def expand(i: int, cols: int) -> Poly:
-        if i == m:
-            return Poly.const(1, ncomp)
+        if i == m - 1:
+            return rows[i][cols.bit_length() - 1]  # the one column left
         key = (i, cols)
         hit = memo.get(key)
         if hit is not None:

@@ -33,6 +33,7 @@ from tauforge import (
     xvar,
     yvar,
 )
+from tauforge.fermion import State
 from tauforge.polycore import Monomial, relabel_vars
 
 
@@ -351,6 +352,30 @@ def oracle_by_permutations(fs: Sequence[GeneratorVector], charge: Sequence[int])
 
     descend(0, 0, 1, Poly.const(1, s))
     return total
+
+
+def alpha_action(states: Mapping[State, Fraction], component: int, i: int) -> dict[State, Fraction]:
+    """Derivation action of the mode alpha_i^(a) on a state vector: e_l^(a) -> e_{l-i}^(a).
+
+    Each occupied position p of species a moves to p - i.  The move dies
+    below position 0 (a vacuum factor) or on an occupied position, and its
+    sign is the parity of the occupied positions strictly between p - i and
+    p, which it passes.  Requires i >= 1.
+    """
+    if i < 1:
+        raise ValueError("only lowering modes (i >= 1) are modeled")
+    out: dict[State, Fraction] = {}
+    for state, c in states.items():
+        maya = state[component - 1]
+        for p in maya:
+            q = p - i
+            if q < 0 or q in maya:
+                continue
+            passed = sum(q < r < p for r in maya)
+            moved = tuple(sorted((q if r == p else r for r in maya), reverse=True))
+            key = (*state[:component - 1], moved, *state[component:])
+            out[key] = out.get(key, 0) + (-c if passed & 1 else c)
+    return {s: c for s, c in out.items() if c}
 
 
 def random_fraction(rng: random.Random, span: int = 4, max_den: int = 4) -> Fraction:

@@ -24,7 +24,6 @@ from tauforge import (
     ShiftVector,
     TauCollection,
     VarId,
-    WedgeVector,
     akns_collection,
     akns_tau,
     apply_D,
@@ -108,7 +107,6 @@ def test_library_boundary_rejects_floats():
         lambda: akns_tau(2, 2, 1, 0.5, None, None, 2, 1),
         lambda: GeneratorVector({BasisVector(1, 1): 0.5}),
         lambda: GeneratorVector.basis(1, 1).scale(0.5),
-        lambda: WedgeVector().add_term((BasisVector(1, 1),), 0.5),
         lambda: Poly.from_json_obj({"terms": [{"coeff": 0.1, "monomial": []}]}),
     ]
     for i, call in enumerate(calls):
