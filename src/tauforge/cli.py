@@ -448,11 +448,19 @@ def _verify_kp(args) -> int:
     return finish_verify(args, reports)
 
 
+def _check_depths(args, with_hirota: bool) -> None:
+    if with_hirota and args.j_max < 0:
+        raise UsageError("--j-max must be >= 0")
+    if args.d_max < 1:
+        raise UsageError("--d-max must be >= 1")
+
+
 def _verify_nkdv(args) -> int:
     if args.partition is None or args.n is None:
         raise UsageError("verify --what nkdv needs --partition and --n")
     if args.n < 2:
         raise UsageError("--n must be >= 2")
+    _check_depths(args, with_hirota=True)
     p = parse_partition(args.partition)
     guard_degree(p.size)
     shift_sets: list[dict[int, list[Fraction]] | None]
@@ -491,6 +499,7 @@ def _verify_mnkdv(args, with_hirota: bool) -> int:
         raise UsageError(f"verify --what {args.what} needs --profile")
     profile = parse_profile_obj(load_json_file(args.profile))
     guard_degree(profile_degree_bound(profile))
+    _check_depths(args, with_hirota)
     coll = tau_mnkdv_collection(profile)
     reports = [
         reduction_check(coll.entries[label], profile.n_parts, j_max=args.d_max)

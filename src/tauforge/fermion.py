@@ -24,12 +24,12 @@ Plucker coordinates of its generators through it.
 
 The expansion, B and the bosonization run on integer numerators over one
 common denominator each; only the coefficients they return are fractions.
-Only the character rows the expansion reads are kept between calls, so the
-cache grows with the size of the inputs and not with the size of B, whose
-shapes reach twice the size of tau: a bosonization builds its rows in a
-table of its own and drops it on return.  The kept rows sit in a dict whose
-values are never mutated; a race only computes an entry twice, so it needs
-no lock.
+Only the character rows that the expansion and ``boson_image`` read are kept
+between calls: the oracle's shapes are no larger than the tau they
+reproduce, so the cache grows with the size of the inputs.  The shapes of B
+reach twice the size of tau, so ``bosonize`` builds its rows in a table of
+its own and drops it on return.  The kept rows sit in a dict whose values
+are never mutated; a race only computes an entry twice, so it needs no lock.
 """
 
 from __future__ import annotations
@@ -262,11 +262,11 @@ def expand(
 def boson_image(vector: Mapping[State, Fraction], charges: Label, ncomp: int) -> Poly:
     """sum_S c_S prod_b s_{lambda(S_b)}(t^(b)) for a state vector {S: c_S}.
 
-    Every state has species charges ``charges``; the rows are built in a
-    table of their own, as in ``bosonize``.
+    Every state has species charges ``charges``; the rows are read from and
+    kept in the module table.
     """
     d = lcm(*(c.denominator for c in vector.values()))
-    terms, den = expand(vector, charges, Family.T, {})
+    terms, den = expand(vector, charges, Family.T, _CHARACTERS)
     out: dict[Monomial, int] = {}
     for s, c in vector.items():
         n = c.numerator * (d // c.denominator)

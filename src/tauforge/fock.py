@@ -32,9 +32,9 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from . import fermion
-from .polycore import Poly, RationalLike, exact_fraction
+from .polycore import Poly, RationalLike, exact_fraction, int_tuple
 from .schur import schur_constants
-from .tau import ChargeVector, HSpec, KdVProfile, kp_specs_from_partition
+from .tau import HSpec, KdVProfile, kp_specs_from_partition
 
 
 class BasisVector(NamedTuple):
@@ -126,7 +126,7 @@ def oracle_tau(fs: Sequence[GeneratorVector], charge: Sequence[int]) -> Poly:
     Evolution commutes with the wedge, so f_1 ^ ... ^ f_m is expanded at
     t = 0 and its Plucker coordinates are bosonized by ``wedge_tau``.
     """
-    label: ChargeVector = tuple(int(x) for x in charge)
+    label = int_tuple(charge)
     s = len(label)
     m = len(fs)
     if any(x < 0 for x in label):

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from . import fermion
-from .polycore import Family, Poly, VarId
+from .polycore import Family, Poly, VarId, int_tuple
 from .tau import ChargeVector, TauCollection, apply_D
 
 
@@ -148,8 +148,8 @@ def _mkp_check(
 ) -> VerificationReport:
     """``hirota_mkp_check`` on fock = fermion.fock_states(collection.entries, s)."""
     s = collection.ncomp
-    mv = tuple(int(x) for x in m)
-    qv = tuple(int(x) for x in q)
+    mv = int_tuple(m)
+    qv = int_tuple(q)
     if len(mv) != s or len(qv) != s:
         raise ValueError("label arity must match the collection")
     if sum(mv) != collection.total + 1:
@@ -259,7 +259,7 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
     """
     if collection.ncomp != 2:
         raise ValueError("the AKNS check needs a two-component label lattice")
-    base_label = tuple(int(x) for x in base)
+    base_label = int_tuple(base)
     if len(base_label) != 2:
         raise ValueError("base label must have two parts")
     w = collection.get(base_label)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from .polycore import int_tuple
 from .schur import ShiftLike, ShiftVector, schur_constant
 
 #: Guard for the periodic-partition enumerator.
@@ -42,15 +43,7 @@ class Partition:
 
     @classmethod
     def coerce(cls, value: "Partition | Iterable[int]") -> "Partition":
-        if isinstance(value, Partition):
-            return value
-        if isinstance(value, (str, bytes)):
-            raise TypeError(f"a partition is a sequence of integers, not {value!r}")
-        parts = tuple(value)
-        for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise TypeError(f"partition parts must be integers, got {p!r}")
-        return cls(parts)
+        return value if isinstance(value, Partition) else cls(int_tuple(value))
 
     @property
     def size(self) -> int:

@@ -30,7 +30,7 @@ from collections import defaultdict
 from enum import IntEnum
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 
 class Family(IntEnum):
@@ -77,6 +77,14 @@ def _json_int(value: object) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def int_tuple(value: Iterable[int]) -> tuple[int, ...]:
+    """A partition or a charge label as a tuple of integers; a string, or a float or bool
+    part, raises ``TypeError``."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"expected a sequence of integers, got {value!r}")
+    return tuple(map(_json_int, value))
 
 
 def _pack(

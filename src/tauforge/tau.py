@@ -19,6 +19,15 @@ h_j, D h_j, ..., D^{k_j} h_j under D = sum_a d/dt_{n_a}^(a), with k_j just
 large enough to exhaust the column (k_j = max_a ceil(M_j^(a)/n_a) - 1 over
 components with b != 0).
 
+Every entry is read off one table b_a * [s_0, ..., s_{M_a - 1}](t^(a) + c_a)
+per column and component, zero at a negative index:
+
+    d^p/dt_1^(a) D^i h_j = b_a * s_{M_a - i*n_a - p}(t^(a) + c_a).
+
+Proof: ds_M/dt_n = s_{M-n} for constant c, so D^i lowers each M_a by i*n_a;
+then d/dt_1^(a) kills every other component and lowers M_a by one per order.
+``tau_kp`` is the one-component case, with column degrees l_j + m - j + 1.
+
 The AKNS constructor is the two-component (1,1)-reduced family written in
 the half-difference variables x_i = (t_i^(1) - t_i^(2))/2: a K x K
 determinant whose top p rows are s_{M_1 - u - v + 1}(x + c^(1)) and whose
@@ -33,8 +42,8 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, expected_shift_lengths, is_n_periodic
-from .polycore import Family, Poly, RationalLike, VarId, exact_fraction, relabel_vars
-from .schur import ShiftLike, ShiftVector, schur_shifted
+from .polycore import Family, Poly, RationalLike, VarId, exact_fraction, int_tuple, relabel_vars
+from .schur import ShiftLike, ShiftVector, schur_shifted_table
 
 ChargeVector = tuple[int, ...]
 
@@ -90,30 +99,15 @@ def tau_kp(
     """
     p = Partition.coerce(partition)
     m = len(p)
-    if m == 0:
-        return Poly.const(1)
-    lengths = expected_shift_lengths(p)
-    columns: list[ShiftVector] = []
-    if shifts is None:
-        columns = [ShiftVector()] * m
-    else:
-        if len(shifts) > m:
-            raise ValueError(f"expected at most {m} shift vectors, got {len(shifts)}")
-        for j in range(m):
-            cv = ShiftVector.coerce(shifts[j]) if j < len(shifts) else ShiftVector()
-            if len(cv) > lengths[j]:
-                raise ValueError(
-                    f"column {j + 1} shift vector longer than {lengths[j]} entries"
-                )
-            columns.append(cv)
-    rows = [
-        [
-            schur_shifted(p.parts[j] + (i + 1) - (j + 1), columns[j])
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    return det_poly(rows)
+    shifts = [] if shifts is None else shifts
+    if len(shifts) > m:
+        raise ValueError(f"expected at most {m} shift vectors, got {len(shifts)}")
+    columns = [ShiftVector.coerce(shifts[j] if j < len(shifts) else None) for j in range(m)]
+    for j, length in enumerate(expected_shift_lengths(p)):
+        if len(columns[j]) > length:
+            raise ValueError(f"column {j + 1} shift vector longer than {length} entries")
+    tables = [(schur_shifted_table(p.parts[j] + m - j - 1, columns[j]),) for j in range(m)]
+    return _block_det(tables, (m,), 1)
 
 
 # -- column specifications for multicomponent constructors ---------------------
@@ -153,18 +147,6 @@ class HSpec:
     @property
     def ncomp(self) -> int:
         return len(self.terms)
-
-    def generating_poly(self, ncomp: int) -> Poly:
-        """h(t) = sum_a b_a * s_{M_a}(t^(a) + c_a)."""
-        if self.ncomp != ncomp:
-            raise ValueError(f"spec has {self.ncomp} components, ambient wants {ncomp}")
-        total = Poly.zero(ncomp)
-        for a, term in enumerate(self.terms, start=1):
-            if term.coeff:
-                total = total + schur_shifted(
-                    term.degree, term.shift, component=a, ncomp=ncomp
-                ).scale(term.coeff)
-        return total
 
 
 def compute_kj(spec: HSpec, n_parts: Sequence[int]) -> int:
@@ -262,28 +244,56 @@ class TauCollection:
         }
 
 
+# A determinant column: per component a, the table b_a * [s_0, ..., s_{M_a - 1}]
+# (t^(a) + c_a) of a generating function h = sum_a b_a * s_{M_a}(t^(a) + c_a),
+# empty when b_a = 0.  D^i h has the same table cut to its first M_a - i*n_a
+# entries.
+Column = tuple[Sequence[Poly], ...]
+
+
+def _block_det(columns: Sequence[Column], label: ChargeVector, ncomp: int) -> Poly:
+    """The charge-labelled determinant of the columns (module docstring).
+
+    Row (a, p), for p = m_a, ..., 1, reads entry M_a - p of every column's
+    table a, or zero when p > M_a.  Zero off the polyhedron; 1 without rows.
+    """
+    if any(x < 0 for x in label):
+        return Poly.zero(ncomp)
+    zero = Poly.zero(ncomp)
+    rows = [
+        [col[a][-p] if p <= len(col[a]) else zero for col in columns]
+        for a, m_a in enumerate(label)
+        for p in range(m_a, 0, -1)
+    ]
+    return det_poly(rows) if rows else Poly.const(1, ncomp)
+
+
+def _collection(columns: Sequence[Column], total: int, ncomp: int) -> TauCollection:
+    """Every nonzero entry on the level ``total``, all read from one set of columns."""
+    entries: dict[ChargeVector, Poly] = {}
+    for label in charge_vectors(total, ncomp):
+        poly = _block_det(columns, label, ncomp)
+        if poly.terms:
+            entries[label] = poly
+    return TauCollection(total=total, ncomp=ncomp, entries=entries)
+
+
 # -- multicomponent KP ---------------------------------------------------------
 
 
-def _block_rows(
-    columns: Sequence[Poly], charge: ChargeVector, ncomp: int
-) -> list[list[Poly]]:
-    """Rows of the charge-labelled determinant: per component a, the orders
-    m_a, m_a - 1, ..., 1 of d/dt_1^(a) applied to every column."""
-    rows: list[list[Poly]] = []
-    for a in range(1, ncomp + 1):
-        m_a = charge[a - 1]
-        if m_a == 0:
-            continue
-        v = VarId(Family.T, a, 1)
-        ders: list[list[Poly]] = []  # ders[p-1][col] = d^p col
-        prev = list(columns)
-        for _ in range(m_a):
-            prev = [q.diff(v) for q in prev]
-            ders.append(prev)
-        for p in range(m_a, 0, -1):
-            rows.append(ders[p - 1])
-    return rows
+def _spec_column(spec: HSpec) -> Column:
+    return tuple(
+        [s.scale(t.coeff) for s in schur_shifted_table(t.degree - 1, t.shift, a, spec.ncomp)]
+        if t.coeff else []
+        for a, t in enumerate(spec.terms, start=1)
+    )
+
+
+def _mkp_columns(specs: Sequence[HSpec], ncomp: int) -> list[Column]:
+    for spec in specs:
+        if spec.ncomp != ncomp:
+            raise ValueError("all specs must agree with the charge arity")
+    return [_spec_column(spec) for spec in specs]
 
 
 def tau_mkp_entry(specs: Sequence[HSpec], charge: Sequence[int]) -> Poly:
@@ -292,20 +302,11 @@ def tau_mkp_entry(specs: Sequence[HSpec], charge: Sequence[int]) -> Poly:
     The label must sum to the number of columns; labels with a negative part
     are outside the polyhedron and give zero.
     """
-    label = tuple(int(x) for x in charge)
-    ncomp = len(label)
-    m = len(specs)
-    for spec in specs:
-        if spec.ncomp != ncomp:
-            raise ValueError("all specs must agree with the charge arity")
-    if sum(label) != m:
-        raise ValueError(f"charge {label} must sum to the column count {m}")
-    if any(x < 0 for x in label):
-        return Poly.zero(ncomp)
-    if m == 0:
-        return Poly.const(1, ncomp)
-    columns = [spec.generating_poly(ncomp) for spec in specs]
-    return det_poly(_block_rows(columns, label, ncomp))
+    label = int_tuple(charge)
+    columns = _mkp_columns(specs, len(label))
+    if sum(label) != len(specs):
+        raise ValueError(f"charge {label} must sum to the column count {len(specs)}")
+    return _block_det(columns, label, len(label))
 
 
 def tau_mkp_collection(specs: Sequence[HSpec], ncomp: int | None = None) -> TauCollection:
@@ -316,13 +317,7 @@ def tau_mkp_collection(specs: Sequence[HSpec], ncomp: int | None = None) -> TauC
         s = ncomp
     else:
         raise ValueError("empty spec list needs an explicit component count")
-    m = len(specs)
-    entries: dict[ChargeVector, Poly] = {}
-    for label in charge_vectors(m, s):
-        poly = tau_mkp_entry(specs, label)
-        if poly.terms:
-            entries[label] = poly
-    return TauCollection(total=m, ncomp=s, entries=entries)
+    return _collection(_mkp_columns(specs, s), len(specs), s)
 
 
 # -- n-KdV ----------------------------------------------------------------------
@@ -398,42 +393,30 @@ class KdVProfile:
         return self.r + sum(self.k_values())
 
 
-def mnkdv_columns(profile: KdVProfile) -> list[Poly]:
-    """Column polynomials h_j, D h_j, ..., D^{k_j} h_j for every spec."""
-    cols: list[Poly] = []
+def _mnkdv_columns(profile: KdVProfile) -> list[Column]:
+    """The towers h_j, D h_j, ..., D^{k_j} h_j for every spec."""
+    cols: list[Column] = []
     for spec, k in zip(profile.specs, profile.k_values()):
-        h = spec.generating_poly(profile.ncomp)
-        tower = h
-        cols.append(tower)
-        for _ in range(k):
-            tower = apply_D(tower, 1, profile.n_parts)
-            cols.append(tower)
+        h = _spec_column(spec)
+        cols += [
+            tuple(t[:max(len(t) - i * n, 0)] for t, n in zip(h, profile.n_parts))
+            for i in range(k + 1)
+        ]
     return cols
 
 
 def tau_mnkdv_entry(profile: KdVProfile, charge: Sequence[int]) -> Poly:
     """One charge-labelled entry of the reduced collection."""
-    label = tuple(int(x) for x in charge)
+    label = int_tuple(charge)
     if len(label) != profile.ncomp:
         raise ValueError("charge arity must match the profile")
-    m = profile.total_charge
-    if sum(label) != m:
-        raise ValueError(f"charge {label} must sum to {m}")
-    if any(x < 0 for x in label):
-        return Poly.zero(profile.ncomp)
-    if m == 0:
-        return Poly.const(1, profile.ncomp)
-    columns = mnkdv_columns(profile)
-    return det_poly(_block_rows(columns, label, profile.ncomp))
+    if sum(label) != profile.total_charge:
+        raise ValueError(f"charge {label} must sum to {profile.total_charge}")
+    return _block_det(_mnkdv_columns(profile), label, profile.ncomp)
 
 
 def tau_mnkdv_collection(profile: KdVProfile) -> TauCollection:
-    entries: dict[ChargeVector, Poly] = {}
-    for label in charge_vectors(profile.total_charge, profile.ncomp):
-        poly = tau_mnkdv_entry(profile, label)
-        if poly.terms:
-            entries[label] = poly
-    return TauCollection(total=profile.total_charge, ncomp=profile.ncomp, entries=entries)
+    return _collection(_mnkdv_columns(profile), profile.total_charge, profile.ncomp)
 
 
 # -- bridges ---------------------------------------------------------------------
@@ -503,7 +486,7 @@ def _akns_entries(
             return VarId(Family.X, 1, v.index), sign
 
         if count and sign not in tables:
-            tables[sign] = [relabel_vars(schur_shifted(k, shift), to_x) for k in range(m)]
+            tables[sign] = [relabel_vars(s, to_x) for s in schur_shifted_table(m - 1, shift)]
         return [
             [tables[sign][k] if k >= 0 else Poly.zero(1) for k in range(m - u, m - u - big_k, -1)]
             for u in range(1, count + 1)

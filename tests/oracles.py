@@ -21,11 +21,14 @@ from tauforge import (
     BasisVector,
     Family,
     GeneratorVector,
+    HSpec,
+    KdVProfile,
     Partition,
     Poly,
     ShiftVector,
     TauCollection,
     VarId,
+    apply_D,
     elementary_schur,
     expected_shift_lengths,
     schur_shifted,
@@ -456,3 +459,53 @@ def akns_flow_residuals(collection: TauCollection, base: Sequence[int]) -> dict[
         return lhs.scale(2 * orientation) - rhs - (f * f * g).scale(8)
 
     return {"q_flow": residual(u, v, +1), "r_flow": residual(v, u, -1)}
+
+
+# -- the derivative-tower construction -------------------------------------------
+
+
+def generating_poly(spec: HSpec, ncomp: int) -> Poly:
+    """h(t) = sum_a b_a * s_{M_a}(t^(a) + c_a), each s_M by the recurrence at t_i + c_i."""
+    if spec.ncomp != ncomp:
+        raise ValueError(f"spec has {spec.ncomp} components, ambient wants {ncomp}")
+    total = Poly.zero(ncomp)
+    for a, term in enumerate(spec.terms, start=1):
+        args = [
+            tvar(i, a, ncomp) + Poly.const(term.shift.get(i), ncomp)
+            for i in range(1, term.degree + 1)
+        ]
+        total = total + schur_of_args(term.degree, args)[term.degree].scale(term.coeff)
+    return total
+
+
+def d_tower(h: Poly, k: int, n_parts: Sequence[int]) -> list[Poly]:
+    """h, D h, ..., D^k h, applying D = sum_a d/dt_{n_a}^(a) once per level."""
+    out = [h]
+    for _ in range(k):
+        out.append(apply_D(out[-1], 1, n_parts))
+    return out
+
+
+def block_rows(columns: Sequence[Poly], charge: Sequence[int]) -> list[list[Poly]]:
+    """Per component a, the orders m_a, ..., 1 of d/dt_1^(a) applied to every column."""
+    return [
+        [col.diff(VarId(Family.T, a, 1), p) for col in columns]
+        for a, m_a in enumerate(charge, start=1)
+        for p in range(m_a, 0, -1)
+    ]
+
+
+def tau_by_derivatives(columns: Sequence[Poly], charge: Sequence[int], ncomp: int) -> Poly:
+    """The charge-labelled determinant of differentiated column polynomials."""
+    if any(x < 0 for x in charge):
+        return Poly.zero(ncomp)
+    rows = block_rows(columns, charge)
+    return det_by_permutations(rows) if rows else Poly.const(1, ncomp)
+
+
+def mnkdv_columns_by_derivatives(profile: KdVProfile) -> list[Poly]:
+    return [
+        col
+        for spec, k in zip(profile.specs, profile.k_values())
+        for col in d_tower(generating_poly(spec, profile.ncomp), k, profile.n_parts)
+    ]

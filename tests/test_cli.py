@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -358,6 +359,88 @@ def test_verify_requires_needed_arguments(capsys):
     assert rc == 2 and "--partition" in err
     rc, _, err = run(capsys, "verify", "--what", "akns", "--m1", "2", "--m2", "2", "--k", "1")
     assert rc == 2 and "K >= 2" in err
+
+
+@pytest.mark.parametrize("what, source", [("nkdv", None), ("mnkdv", PROFILE_11)])
+def test_verify_rejects_negative_j_max(capsys, tmp_path, what, source):
+    # --j-max -1 ran only the reduction checks and still reported success
+    if source is None:
+        args = ["--partition", "2,1", "--n", "2"]
+    else:
+        args = ["--profile", write_json(tmp_path, "profile.json", source)]
+    rc, out, err = run(capsys, "verify", "--what", what, *args, "--j-max", "-1")
+    assert rc == 2 and out == ""
+    assert err == "error: --j-max must be >= 0\n"
+
+
+@pytest.mark.parametrize("what", ["nkdv", "reduction"])
+def test_verify_names_the_d_max_flag(capsys, tmp_path, what):
+    if what == "nkdv":
+        args = ["--partition", "2,1", "--n", "2"]
+    else:
+        args = ["--profile", write_json(tmp_path, "profile.json", PROFILE_11)]
+    rc, out, err = run(capsys, "verify", "--what", what, *args, "--d-max", "0")
+    assert rc == 2 and out == ""
+    assert err == "error: --d-max must be >= 1\n"
+
+
+# sha256 of the --json stdout of each construction on fixed inputs, recorded
+# before the constructors were moved onto shifted Schur tables: a change to
+# any of these bytes must be deliberate.
+PINNED_JSON = {
+    "tau-kp": (
+        ["--partition", "3,1,1", "--shifts", "@kp_shifts"],
+        "1c876ed983800353a307a63384f714c05f1a4d4e1ab19f31e9b86cc738d49a46",
+    ),
+    "tau-nkdv": (
+        ["--partition", "3,2,1", "--n", "2", "--shifts", "@nkdv_shifts"],
+        "a6ac43d5d1b67401d48f6cee77b3690bf045ff2fd6ea810e647cb93751e6ff57",
+    ),
+    "tau-mkp": (
+        ["--specs", "@specs"],
+        "b6d7ca40c7f6b67a17898e0d27c2175ab700771b61493460bfc723ed5d887900",
+    ),
+    "tau-mkp --charge": (
+        ["--specs", "@specs", "--charge", "1,1,1"],
+        "67fc2204d4988be71c72d482b331b799af64d87ad589b906295c004d3be83f37",
+    ),
+    "tau-mnkdv": (
+        ["--profile", "@profile"],
+        "d93007d34923a5da6046d4d7ac5a739d4793eeb03a2ced61542650d081041273",
+    ),
+    "akns": (
+        ["--m1", "3", "--m2", "2", "--b1", "2", "--c1", "1/2,-1", "--c2", "0,3"],
+        "a89a619f72948613c5c6e9c8e92246665f1f99912427f46d55b75a4949855338",
+    ),
+}
+PINNED_INPUTS = {
+    "kp_shifts": {"1": ["1/2", -1, 2], "2": [3], "3": ["-2/3"]},
+    "nkdv_shifts": {"0": [1, "1/2", 3], "1": ["-1/3", 2]},
+    "specs": {
+        "specs": [
+            [{"degree": 3, "shift": ["1/2", -1]}, {"degree": 2, "coeff": -2}, {"degree": 1, "coeff": 0}],
+            [{"degree": 2, "coeff": 3}, None, {"degree": 3, "shift": [1]}],
+            [{"degree": 1}, {"degree": 3, "coeff": "2/3", "shift": [0, 2]}, {"degree": 2}],
+        ]
+    },
+    "profile": {
+        "n_parts": [3, 2],
+        "specs": [
+            [{"degree": 5, "shift": [1, 0, 2]}, {"degree": 3, "coeff": 2}],
+            [{"degree": 2}, {"degree": 1, "coeff": "1/2"}],
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_JSON))
+def test_construction_json_bytes_are_pinned(capsys, tmp_path, name):
+    args, digest = PINNED_JSON[name]
+    files = {key: write_json(tmp_path, key + ".json", obj) for key, obj in PINNED_INPUTS.items()}
+    argv = [name.split()[0]] + [files[a[1:]] if a.startswith("@") else a for a in args]
+    rc, out, err = run(capsys, *argv, "--json")
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- oracle comparison -------------------------------------------------------------

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from oracles import (
     akns_by_args,
     det_by_permutations,
+    generating_poly,
+    mnkdv_columns_by_derivatives,
     nkdv_by_row_shifts,
     random_fraction,
     random_shifts_for,
+    tau_by_derivatives,
 )
 from tauforge import (
     BasisVector,
@@ -25,6 +28,7 @@ from tauforge import (
     TauCollection,
     VarId,
     akns_collection,
+    akns_pde_check,
     akns_tau,
     apply_D,
     charge_vectors,
@@ -33,7 +37,10 @@ from tauforge import (
     elementary_schur,
     enumerate_n_periodic,
     expected_shift_lengths,
+    generator_from_hspec,
+    hirota_mkp_check,
     kp_specs_from_partition,
+    oracle_tau,
     schur_shifted,
     solve_shifts,
     tau_kp,
@@ -180,6 +187,8 @@ def test_tau_kp_shift_validation():
         tau_kp((2, 1), [[1, 2, 3, 4], []])  # column 1 takes at most 3 entries
     with pytest.raises(ValueError):
         tau_kp((1,), [[1], [2]])  # more shift vectors than columns
+    with pytest.raises(ValueError):
+        tau_kp((), [[1]])  # the empty partition has no column; was 1
     # shorter vectors are zero-padded
     assert tau_kp((2, 1), [[], []]) == tau_kp((2, 1))
     assert tau_kp((2, 1), None) == tau_kp((2, 1))
@@ -215,14 +224,15 @@ def test_hspec_validation():
 
 
 def test_generating_poly():
+    # the reference column of the derivative-tower construction
     spec = HSpec.make([(2, 1, None), (1, Fraction(1, 2), None)])
-    h = spec.generating_poly(2)
+    h = generating_poly(spec, 2)
     expected = elementary_schur(2, 1, 2) + elementary_schur(1, 2, 2).scale(
         Fraction(1, 2)
     )
     assert h == expected
     with pytest.raises(ValueError):
-        spec.generating_poly(3)
+        generating_poly(spec, 3)
 
 
 def test_tau_mkp_entry_small():
@@ -257,6 +267,29 @@ def test_tau_mkp_collection_drops_zero_entries():
     assert coll.labels() == [(2, 0)]
     assert coll.get((1, 1)) == 0
     assert coll.get((0, 2)) == 0
+
+
+def test_charge_labels_reject_floats_strings_and_bools():
+    spec = HSpec.make([(2, 1, None), (2, 1, None)])
+    coll = tau_mkp_collection([spec, HSpec.make([(1, 1, None), (3, 2, None)])])
+    profile = KdVProfile((2, 1), (HSpec.make([(3, 1, None), (2, 1, None)]),))
+    akns = akns_collection(2, 2, 1, 1, None, None)
+    calls = [
+        lambda: tau_mkp_entry([spec], (0.9, 1.1)),  # was read as (0, 1)
+        lambda: tau_mkp_entry([spec], "01"),  # was read digit by digit
+        lambda: tau_mkp_entry([spec], (True, False)),
+        lambda: tau_mnkdv_entry(profile, (1.0, 1)),
+        lambda: oracle_tau([generator_from_hspec(spec, 2)], (1.0, 0)),
+        lambda: hirota_mkp_check(coll, (2.9, 1), (1, 0)),  # reported PASS at m=[2, 1]
+        lambda: hirota_mkp_check(coll, (2, 1), (1, False)),
+        lambda: akns_pde_check(akns, (1.0, 1)),
+    ]
+    for i, call in enumerate(calls):
+        with pytest.raises(TypeError):
+            call()
+            pytest.fail(f"call {i} was accepted")
+    assert tau_mkp_entry([spec], [1, 0]) == tau_mkp_entry([spec], (1, 0)) == tvar(1, 1, 2)
+    assert hirota_mkp_check(coll, [2, 1], [1, 0]).passed
 
 
 def test_tau_collection_validation():
@@ -391,12 +424,75 @@ def test_apply_D_on_schur():
 def test_apply_D_iterates_like_higher_modes_on_columns():
     # on column generating functions, applying D_1 p times equals D_p
     spec = HSpec.make([(6, 1, [Fraction(1, 2)]), (4, Fraction(-2), None)])
-    h = spec.generating_poly(2)
+    h = generating_poly(spec, 2)
     n_parts = (2, 1)
     iterated = h
     for p in range(1, 4):
         iterated = apply_D(iterated, 1, n_parts)
         assert iterated == apply_D(h, p, n_parts), p
+
+
+def _random_spec(rng: random.Random, ncomp: int, max_degree: int) -> HSpec:
+    comps = [
+        (
+            rng.randint(1, max_degree),
+            rng.choice([0, 1, random_fraction(rng)]),
+            [random_fraction(rng) for _ in range(rng.randint(0, 3))],
+        )
+        for _ in range(ncomp)
+    ]
+    if not any(coeff for _, coeff, _ in comps):
+        comps[0] = (comps[0][0], Fraction(2, 3), comps[0][2])
+    return HSpec.make(comps)
+
+
+def _assert_matches_derivatives(coll, entry, columns, ncomp, case):
+    for label in charge_vectors(coll.total, ncomp):
+        want = tau_by_derivatives(columns, label, ncomp)
+        assert coll.get(label) == want == entry(label), (case, label)
+    if ncomp > 1:
+        assert entry((coll.total + 1, -1) + (0,) * (ncomp - 2)) == 0
+
+
+def test_block_constructors_match_the_derivative_towers():
+    # every entry is read off a shifted Schur table; the reference builds the
+    # columns h_j, their D-towers and the t_1-derivatives of each
+    rng = random.Random(41)
+    for parts in [(1,), (4,), (2, 1), (3, 1, 1), (2, 2, 1), (4, 2)]:
+        shifts = random_shifts_for(rng, parts)
+        columns = [generating_poly(spec, 1) for spec in kp_specs_from_partition(parts, shifts)]
+        assert tau_kp(parts, shifts) == tau_by_derivatives(columns, (len(parts),), 1), parts
+    for case in range(24):
+        ncomp, r = 1 + case % 3, case % 4  # 1-3 components, 0-3 columns
+        specs = [_random_spec(rng, ncomp, 4) for _ in range(r)]
+        columns = [generating_poly(spec, ncomp) for spec in specs]
+        coll = tau_mkp_collection(specs, ncomp)
+        _assert_matches_derivatives(
+            coll, lambda label: tau_mkp_entry(specs, label), columns, ncomp, specs
+        )
+    fixed = [
+        # n_1 = 3 > M_1 = 2: component 1 runs out of its tower first
+        KdVProfile((3, 1), (HSpec.make([(2, 1, [1]), (3, Fraction(-1, 2), [0, 2])]),)),
+        # degree-1 terms and a zero coefficient
+        KdVProfile((2, 2, 1), (HSpec.make([(1, 1, None), (3, 0, [1]), (1, 2, [3])]),)),
+        KdVProfile((2, 1), ()),
+    ]
+    randomized = []
+    while len(randomized) < 18:
+        ncomp = 1 + len(randomized) % 3
+        n_parts = tuple(sorted((rng.randint(1, 4) for _ in range(ncomp)), reverse=True))
+        r = rng.randint(0, min(2, sum(n_parts) - 1))
+        profile = KdVProfile(n_parts, tuple(_random_spec(rng, ncomp, 5) for _ in range(r)))
+        if profile.total_charge <= 5:
+            randomized.append(profile)
+    for profile in fixed + randomized:
+        _assert_matches_derivatives(
+            tau_mnkdv_collection(profile),
+            lambda label: tau_mnkdv_entry(profile, label),
+            mnkdv_columns_by_derivatives(profile),
+            profile.ncomp,
+            profile,
+        )
 
 
 def test_kdv_profile_validation():
