@@ -39,7 +39,9 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .fock import generator_from_hspec, generators_from_partition, oracle_tau
+from .fock import (
+    generator_from_hspec, generators_from_partition, oracle_tau, wedge_from_generators, wedge_tau,
+)
 from .hirota import (
     VerificationReport,
     akns_pde_check,
@@ -59,6 +61,7 @@ from .tau import (
     charge_vectors,
     tau_kp,
     tau_mkp_collection,
+    tau_mkp_entries,
     tau_mkp_entry,
     tau_mnkdv_collection,
     tau_mnkdv_entry,
@@ -588,13 +591,14 @@ def _compare_mkp_case(case) -> list[tuple[str, bool]]:
         ):
             raise UsageError("\"charges\" must be an array of integer arrays")
         charges = [tuple(ch) for ch in raw_charges]
-    gens = [generator_from_hspec(spec, ncomp) for spec in specs]
+    # one set of column tables and one wedge for every charge, each checked as oracle_tau would
+    wedge = wedge_from_generators([generator_from_hspec(spec, ncomp) for spec in specs], ncomp)
     out = []
-    for charge in charges:
-        det = tau_mkp_entry(specs, charge)
-        orc = oracle_tau(gens, charge)
+    for charge, det in zip(charges, tau_mkp_entries(specs, charges)):
+        if any(x < 0 for x in charge):
+            raise UsageError(f"charge {charge} has negative parts")
         label = ",".join(str(x) for x in charge)
-        out.append((f"kind=mkp charge=({label})", det == orc))
+        out.append((f"kind=mkp charge=({label})", det == wedge_tau(wedge, charge)))
     return out
 
 

@@ -286,14 +286,13 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
         # factored out of every term that carries it, so each flow makes
         # one large product by w.
         f1, f2, f11 = f.diff(x1), f.diff(x2), f.diff(x1, 2)
-        inner = (
-            (f2 * w - f * w2).scale(2 * orientation)
-            - f11 * w
-            + f * w11
-            + (f1 * w1).scale(2)
+        inner = Poly.sum_of_products(
+            [(2 * orientation, f2, w), (-2 * orientation, f, w2), (-1, f11, w), (1, f, w11),
+             (2, f1, w1)],
+            w.ncomp,
         )
-        nonlinear = (f * f * (v if orientation > 0 else u)).scale(8)
-        return w * inner - (f * w1w1).scale(2) - nonlinear
+        g = v if orientation > 0 else u
+        return Poly.sum_of_products([(1, w, inner), (-2, f, w1w1), (-8, f * f, g)], w.ncomp)
 
     per = {"q_flow": flow_residual(u, +1), "r_flow": flow_residual(v, -1)}
     return _finish(

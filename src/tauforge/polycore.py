@@ -11,14 +11,16 @@ ambient component count ``ncomp``; it is an error to combine polynomials with
 different ambient counts, while mixing variable families or components inside
 one ambient is fine.
 
-Products run on integers.  Each variable of the two factors gets a bit
-field, in canonical variable order; a monomial packs into one int, so
-multiplying monomials adds their ints, and each factor's coefficients become
-integer numerators over that factor's lcm denominator.  A field is
-``(max exponent of a + max exponent of b).bit_length()`` bits wide, and no
-exponent of the product exceeds that sum, so no field ever carries into the
-next: there is no exponent cap to check.  Each nonzero output term becomes
-one reduced ``Fraction`` over the product of the two denominators.
+Every product runs through one kernel, ``Poly.sum_of_products``, which
+returns sum_k c_k * a_k * b_k on integers; ``a * b`` is its one-pair case.
+Each variable gets a bit field, in canonical variable order, so a monomial
+packs into one int and multiplying monomials adds their ints.  A field is
+``max_k(max exponent of a_k + max exponent of b_k).bit_length()`` bits wide,
+and no product exponent exceeds that sum, so no field ever carries into the
+next: there is no exponent cap to check.  Each distinct factor is packed
+once, as integer numerators over its lcm denominator d; every pair adds into
+one integer accumulator over the lcm of the c_k.denominator * d(a_k) * d(b_k),
+and each nonzero output term becomes one reduced ``Fraction``.
 
 The one Schur recurrence (``schur_table``), which ``schur`` builds its
 tables on, lives here as well.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from enum import IntEnum
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 
@@ -99,6 +101,11 @@ def _pack(
             key += e << shift[v]
         packed.append((key, c.numerator * (den // c.denominator)))
     return packed, den
+
+
+def _check_ambient(ncomp: int, other: "Poly") -> None:
+    if other.ncomp != ncomp:
+        raise ValueError(f"ambient component count mismatch: {ncomp} vs {other.ncomp}")
 
 
 def _term_sort_key(mono: Monomial):
@@ -174,12 +181,6 @@ class Poly:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def _check_ambient(self, other: "Poly") -> None:
-        if self.ncomp != other.ncomp:
-            raise ValueError(
-                f"ambient component count mismatch: {self.ncomp} vs {other.ncomp}"
-            )
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly | RationalLike") -> "Poly":
@@ -187,7 +188,7 @@ class Poly:
             other = Poly.const(other, self.ncomp)
         elif not isinstance(other, Poly):
             return NotImplemented
-        self._check_ambient(other)
+        _check_ambient(self.ncomp, other)
         if not other.terms:
             return self
         if not self.terms:
@@ -231,35 +232,43 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_ambient(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return Poly.zero(self.ncomp)
-        # Variable k owns bits [k * width, (k + 1) * width), which no product
-        # exponent overflows (module docstring); fields follow the canonical
+        return Poly.sum_of_products([(1, self, other)], self.ncomp)
+
+    @staticmethod
+    def sum_of_products(triples: Iterable[tuple[RationalLike, Poly, Poly]], ncomp: int) -> Poly:
+        """sum_k c_k * a_k * b_k over (c_k, a_k, b_k) in ``triples`` (module docstring)."""
+        pairs = []
+        for c, a, b in triples:
+            _check_ambient(ncomp, a)
+            _check_ambient(ncomp, b)
+            c = _as_fraction(c)
+            if c and a.terms and b.terms:
+                pairs.append((c, a, b))
+        if not pairs:
+            return Poly.zero(ncomp)
+        # Factors are keyed by identity, so one Poly in several pairs is packed
+        # once.  Variable k owns bits [k * width, (k + 1) * width) in canonical
         # variable order, so unpacking from bit 0 up yields sorted monomials.
-        seen: set[VarId] = set()
-        bound = 0  # largest exponent of a plus largest exponent of b
-        for terms in (a, b):
-            top = 0
-            for mono in terms:
-                for v, e in mono:
-                    seen.add(v)
-                    if e > top:
-                        top = e
-            bound += top
-        width = bound.bit_length()
-        variables = sorted(seen)
+        factors = {id(f): f for _, a, b in pairs for f in (a, b)}
+        tops = {key: max((e for mono in f.terms for _, e in mono), default=0)
+                for key, f in factors.items()}
+        width = max(tops[id(a)] + tops[id(b)] for _, a, b in pairs).bit_length()
+        variables = sorted({v for f in factors.values() for mono in f.terms for v, _ in mono})
         shift = {v: k * width for k, v in enumerate(variables)}
-        pa, da = _pack(a, shift)
-        pb, db = _pack(b, shift)
-        if len(pa) < len(pb):
-            pa, pb = pb, pa
+        packed = {key: _pack(f.terms, shift) for key, f in factors.items()}
+        den = lcm(*[c.denominator * packed[id(a)][1] * packed[id(b)][1] for c, a, b in pairs])
         acc: defaultdict[int, int] = defaultdict(int)
-        for kb, nb in pb:
-            for ka, na in pa:
-                acc[ka + kb] += na * nb
-        den = da * db
+        for c, a, b in pairs:
+            pa, da = packed[id(a)]
+            pb, db = packed[id(b)]
+            if len(pa) < len(pb):
+                pa, pb = pb, pa
+            weight = c.numerator * (den // (c.denominator * da * db))
+            if weight != 1:
+                pb = [(kb, nb * weight) for kb, nb in pb]
+            for kb, nb in pb:
+                for ka, na in pa:
+                    acc[ka + kb] += na * nb
         mask = (1 << width) - 1
         out: dict[Monomial, Fraction] = {}
         for key, n in acc.items():
@@ -273,7 +282,7 @@ class Poly:
                     key >>= width
                     k += 1
                 out[tuple(mono)] = Fraction(n, den)
-        return Poly._raw(out, self.ncomp)
+        return Poly._raw(out, ncomp)
 
     def __rmul__(self, other: RationalLike) -> "Poly":
         return self.scale(other)
@@ -308,20 +317,9 @@ class Poly:
                     c = coeff
                     for k in range(order):
                         c *= e - k
-                    rest = e - order
-                    if rest:
-                        m2 = mono[:i] + ((w, rest),) + mono[i + 1 :]
-                    else:
-                        m2 = mono[:i] + mono[i + 1 :]
-                    acc = out.get(m2)
-                    if acc is None:
-                        out[m2] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            out[m2] = acc
-                        else:
-                            del out[m2]
+                    # lowering one exponent keeps distinct monomials distinct
+                    rest = ((w, e - order),) if e > order else ()
+                    out[mono[:i] + rest + mono[i + 1 :]] = c
                 break
         return Poly._raw(out, self.ncomp)
 
@@ -433,22 +431,9 @@ def shift_vars(p: Poly, shifts: Mapping[VarId, RationalLike]) -> Poly:
         return p
     total = Poly.zero(p.ncomp)
     for mono, coeff in p.terms.items():
-        fixed: list[tuple[VarId, int]] = []
-        expand: list[tuple[VarId, int, Fraction]] = []
+        term = Poly.const(coeff, p.ncomp)
         for v, e in mono:
-            c = effective.get(v)
-            if c is None:
-                fixed.append((v, e))
-            else:
-                expand.append((v, e, c))
-        term = Poly._raw({tuple(fixed): coeff}, p.ncomp)
-        for v, e, c in expand:
-            binomial: dict[Monomial, Fraction] = {}
-            for k in range(e + 1):
-                co = comb(e, k) * c ** (e - k)
-                if co:
-                    binomial[((v, k),) if k else ONE_MONOMIAL] = co
-            term = term * Poly._raw(binomial, p.ncomp)
+            term = term * (Poly._raw({((v, 1),): Fraction(1)}, p.ncomp) + effective.get(v, 0)) ** e
         total = total + term
     return total
 

@@ -7,8 +7,8 @@ generating-function route is kept independent in the tests as a cross-check.
 
 A ShiftVector is a finite tuple of rational constants c = (c_1, c_2, ...);
 entries beyond the stored length read as zero.  ``schur_shifted_table``
-evaluates s_0(t + c), ..., s_M(t + c) through the convolution
-s_j(t + c) = sum_i s_{j-i}(c) s_i(t), and
+evaluates s_L(t + c), ..., s_M(t + c) through the convolution
+s_j(t + c) = sum_i s_{j-i}(c) s_i(t), one sum of products per entry, and
 ``solve_shifts`` inverts that triangular relation: given b_0..b_M with
 b_M != 0 it finds the unique c with sum_i b_i s_i(t) = b_M s_M(t + c).
 """
@@ -94,21 +94,25 @@ def schur_constant(j: int, c: ShiftLike) -> Fraction:
     return schur_constants(j, c)[j]
 
 
-def schur_shifted_table(upto: int, c: ShiftLike, component: int = 1, ncomp: int = 1) -> list[Poly]:
-    """[s_0(t + c), ..., s_upto(t + c)], each by s_k(t + c) = sum_{i=0}^{k} s_{k-i}(c) * s_i(t)."""
+def schur_shifted_table(
+    upto: int, c: ShiftLike, component: int = 1, ncomp: int = 1, lowest: int = 0
+) -> list[Poly]:
+    """[s_lowest(t + c), ..., s_upto(t + c)], each by
+    s_k(t + c) = sum_{i=0}^{k} s_{k-i}(c) * s_i(t)."""
     consts = schur_constants(upto, c)
     s = [elementary_schur(i, component, ncomp) for i in range(upto + 1)]
+    one = Poly.const(1, ncomp)
     return [
-        sum((s[i].scale(consts[k - i]) for i in range(k + 1) if consts[k - i]), Poly.zero(ncomp))
-        for k in range(upto + 1)
+        Poly.sum_of_products([(consts[k - i], s[i], one) for i in range(k + 1)], ncomp)
+        for k in range(lowest, upto + 1)
     ]
 
 
 def schur_shifted(j: int, c: ShiftLike, component: int = 1, ncomp: int = 1) -> Poly:
-    """s_j(t + c), the last entry of ``schur_shifted_table``; zero for j < 0."""
+    """s_j(t + c), the one entry of ``schur_shifted_table`` from j to j; zero for j < 0."""
     if j < 0:
         return Poly.zero(ncomp)
-    return schur_shifted_table(j, c, component, ncomp)[j]
+    return schur_shifted_table(j, c, component, ncomp, lowest=j)[0]
 
 
 def solve_shifts(b: Sequence[RationalLike]) -> ShiftVector:

@@ -29,9 +29,14 @@ then d/dt_1^(a) kills every other component and lowers M_a by one per order.
 ``tau_kp`` is the one-component case, with column degrees l_j + m - j + 1.
 
 The AKNS constructor is the two-component (1,1)-reduced family written in
-the half-difference variables x_i = (t_i^(1) - t_i^(2))/2: a K x K
-determinant whose top p rows are s_{M_1 - u - v + 1}(x + c^(1)) and whose
-remaining rows are s_{M_2 - u - v + 1}(-x + c^(2)).
+the half-difference variables x_i = (t_i^(1) - t_i^(2))/2: b_1^p b_2^(K-p)
+times the K x K determinant whose rows u = 1..p are s_{M_1-u-v+1}(x + c^(1))
+and whose rows u = 1..K-p are s_{M_2-u-v+1}(-x + c^(2)).  Its columns are the
+towers h, D h, ..., D^{K-1} h of h = b_1 s_{M_1}(x + c^(1)) + b_2 s_{M_2}(-x +
+c^(2)) under n = (1, 1), and tau^(p, K-p) is their entry at label (p, K-p)
+times (-1)^{C(p,2) + C(K-p,2)}.  Proof: block row (a, r) of column v reads
+b_a s_{M_a-r-v+1}, AKNS row u = r, but each block lists r from m_a down to 1;
+reversing blocks of p and K - p rows is a permutation of that parity.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, expected_shift_lengths, is_n_periodic
 from .polycore import Family, Poly, RationalLike, VarId, exact_fraction, int_tuple, relabel_vars
@@ -67,20 +72,17 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        total = Poly.zero(ncomp)
+        triples = []
         sign = 1
         rest = cols
         while rest:
             low = rest & -rest
-            j = low.bit_length() - 1
-            entry = rows[i][j]
+            entry = rows[i][low.bit_length() - 1]
             if entry.terms:
-                sub = expand(i + 1, cols & ~low)
-                if sub.terms:
-                    total = total + (entry * sub).scale(sign)
+                triples.append((sign, entry, expand(i + 1, cols & ~low)))
             sign = -sign
             rest ^= low
-        memo[key] = total
+        memo[key] = total = Poly.sum_of_products(triples, ncomp)
         return total
 
     return expand(0, full)
@@ -106,7 +108,11 @@ def tau_kp(
     for j, length in enumerate(expected_shift_lengths(p)):
         if len(columns[j]) > length:
             raise ValueError(f"column {j + 1} shift vector longer than {length} entries")
-    tables = [(schur_shifted_table(p.parts[j] + m - j - 1, columns[j]),) for j in range(m)]
+    # _block_det reads a table from its end, and column j only its last m entries
+    tables = [
+        (schur_shifted_table(part + m - j - 1, columns[j], lowest=max(part - j, 0)),)
+        for j, part in enumerate(p.parts)
+    ]
     return _block_det(tables, (m,), 1)
 
 
@@ -169,9 +175,11 @@ def compute_kj(spec: HSpec, n_parts: Sequence[int]) -> int:
 
 
 def apply_D(p: Poly, j: int, n_parts: Sequence[int]) -> Poly:
-    """D_j p = sum_a dp/dt_{j * n_a}^(a)."""
+    """D_j p = sum_a dp/dt_{j * n_a}^(a), with one order n_a per component of p."""
     if j < 1:
         raise ValueError("D_j requires j >= 1")
+    if len(n_parts) != p.ncomp:
+        raise ValueError("n_parts length must match the polynomial's component count")
     total = Poly.zero(p.ncomp)
     for a, n_a in enumerate(n_parts, start=1):
         total = total + p.diff(VarId(Family.T, a, j * n_a))
@@ -268,14 +276,10 @@ def _block_det(columns: Sequence[Column], label: ChargeVector, ncomp: int) -> Po
     return det_poly(rows) if rows else Poly.const(1, ncomp)
 
 
-def _collection(columns: Sequence[Column], total: int, ncomp: int) -> TauCollection:
-    """Every nonzero entry on the level ``total``, all read from one set of columns."""
-    entries: dict[ChargeVector, Poly] = {}
-    for label in charge_vectors(total, ncomp):
-        poly = _block_det(columns, label, ncomp)
-        if poly.terms:
-            entries[label] = poly
-    return TauCollection(total=total, ncomp=ncomp, entries=entries)
+def _collection(total: int, ncomp: int, entry: Callable[[ChargeVector], Poly]) -> TauCollection:
+    """Every nonzero ``entry(label)`` on the level ``total``."""
+    pairs = ((label, entry(label)) for label in charge_vectors(total, ncomp))
+    return TauCollection(total, ncomp, {label: poly for label, poly in pairs if poly.terms})
 
 
 # -- multicomponent KP ---------------------------------------------------------
@@ -289,11 +293,16 @@ def _spec_column(spec: HSpec) -> Column:
     )
 
 
-def _mkp_columns(specs: Sequence[HSpec], ncomp: int) -> list[Column]:
-    for spec in specs:
-        if spec.ncomp != ncomp:
+def tau_mkp_entries(specs: Sequence[HSpec], charges: Iterable[Sequence[int]]) -> Iterator[Poly]:
+    """``tau_mkp_entry`` for each charge in turn, all read off one set of
+    column tables; each charge is checked when its entry is reached."""
+    columns = [_spec_column(spec) for spec in specs]
+    for label in map(int_tuple, charges):
+        if any(spec.ncomp != len(label) for spec in specs):
             raise ValueError("all specs must agree with the charge arity")
-    return [_spec_column(spec) for spec in specs]
+        if sum(label) != len(specs):
+            raise ValueError(f"charge {label} must sum to the column count {len(specs)}")
+        yield _block_det(columns, label, len(label))
 
 
 def tau_mkp_entry(specs: Sequence[HSpec], charge: Sequence[int]) -> Poly:
@@ -302,11 +311,7 @@ def tau_mkp_entry(specs: Sequence[HSpec], charge: Sequence[int]) -> Poly:
     The label must sum to the number of columns; labels with a negative part
     are outside the polyhedron and give zero.
     """
-    label = int_tuple(charge)
-    columns = _mkp_columns(specs, len(label))
-    if sum(label) != len(specs):
-        raise ValueError(f"charge {label} must sum to the column count {len(specs)}")
-    return _block_det(columns, label, len(label))
+    return next(tau_mkp_entries(specs, [charge]))
 
 
 def tau_mkp_collection(specs: Sequence[HSpec], ncomp: int | None = None) -> TauCollection:
@@ -317,7 +322,8 @@ def tau_mkp_collection(specs: Sequence[HSpec], ncomp: int | None = None) -> TauC
         s = ncomp
     else:
         raise ValueError("empty spec list needs an explicit component count")
-    return _collection(_mkp_columns(specs, s), len(specs), s)
+    labels = list(charge_vectors(len(specs), s))
+    return _collection(len(specs), s, dict(zip(labels, tau_mkp_entries(specs, labels))).get)
 
 
 # -- n-KdV ----------------------------------------------------------------------
@@ -393,16 +399,18 @@ class KdVProfile:
         return self.r + sum(self.k_values())
 
 
+def _tower(h: Column, n_parts: Sequence[int], k: int) -> list[Column]:
+    """h, D h, ..., D^k h: D^i cuts each table a to its first M_a - i*n_a entries."""
+    return [tuple(t[:max(len(t) - i * n, 0)] for t, n in zip(h, n_parts)) for i in range(k + 1)]
+
+
 def _mnkdv_columns(profile: KdVProfile) -> list[Column]:
     """The towers h_j, D h_j, ..., D^{k_j} h_j for every spec."""
-    cols: list[Column] = []
-    for spec, k in zip(profile.specs, profile.k_values()):
-        h = _spec_column(spec)
-        cols += [
-            tuple(t[:max(len(t) - i * n, 0)] for t, n in zip(h, profile.n_parts))
-            for i in range(k + 1)
-        ]
-    return cols
+    return [
+        col
+        for spec, k in zip(profile.specs, profile.k_values())
+        for col in _tower(_spec_column(spec), profile.n_parts, k)
+    ]
 
 
 def tau_mnkdv_entry(profile: KdVProfile, charge: Sequence[int]) -> Poly:
@@ -416,7 +424,8 @@ def tau_mnkdv_entry(profile: KdVProfile, charge: Sequence[int]) -> Poly:
 
 
 def tau_mnkdv_collection(profile: KdVProfile) -> TauCollection:
-    return _collection(_mnkdv_columns(profile), profile.total_charge, profile.ncomp)
+    columns, s = _mnkdv_columns(profile), profile.ncomp
+    return _collection(profile.total_charge, s, lambda label: _block_det(columns, label, s))
 
 
 # -- bridges ---------------------------------------------------------------------
@@ -458,46 +467,36 @@ def akns_tau(
     b1^p * b2^(K-p) times the K x K determinant whose first p rows are
     s_{m1 - u - v + 1}(x + c1) (u = 1..p) and whose last K - p rows are
     s_{m2 - u - v + 1}(-x + c2) (u = 1..K-p).  Zero whenever
-    K > max(m1, m2); the label part p must lie in 0..K.
+    K > max(m1, m2) and whenever p lies outside 0..K.
     """
-    return next(_akns_entries(m1, m2, b1, b2, c1, c2, big_k, (p,)))[1]
+    return _akns_entry(_akns_columns(m1, m2, b1, b2, c1, c2, big_k), (p, big_k - p))
 
 
-def _akns_entries(
+def _akns_columns(
     m1: int, m2: int, b1: RationalLike, b2: RationalLike, c1: ShiftLike, c2: ShiftLike,
-    big_k: int, ps: Iterable[int],
-) -> Iterator[tuple[int, Poly]]:
-    """(p, tau^(p, K-p)) for each p in ``ps``, sharing the two x-tables."""
+    big_k: int,
+) -> list[Column]:
+    """The K towers of h = b1 s_{m1}(x + c1) + b2 s_{m2}(-x + c2) under n = (1, 1)."""
     if m1 < 1 or m2 < 1:
         raise ValueError("degrees must be >= 1")
     if big_k < 1:
         raise ValueError("K must be >= 1")
-    cv1 = ShiftVector.coerce(c1)
-    cv2 = ShiftVector.coerce(c2)
-    b1f = exact_fraction(b1)
-    b2f = exact_fraction(b2)
-    tables: dict[int, list[Poly]] = {}
+    shifts = ShiftVector.coerce(c1), ShiftVector.coerce(c2)
+    coeffs = exact_fraction(b1), exact_fraction(b2)
+    # table a: b_a * s_k(t + c_a) at t_i = sign_a * x_i, for k = 0..m_a - 1
+    h = tuple(
+        [relabel_vars(s, lambda v: (VarId(Family.X, 1, v.index), sign)).scale(b)
+         for s in schur_shifted_table(m - 1, c)] if b else []
+        for m, b, c, sign in zip((m1, m2), coeffs, shifts, (1, -1))
+    )
+    return _tower(h, (1, 1), big_k - 1)
 
-    def rows(m: int, shift: ShiftVector, sign: int, count: int) -> list[list[Poly]]:
-        # Rows u = 1..count, columns v = 1..K of s_{m-u-v+1}(sign * x + c), from
-        # s_k(t + c) with t_i -> sign * x_i.  Each side's table is built on the
-        # first p that has rows on that side, and never for zero rows.
-        def to_x(v: VarId) -> tuple[VarId, int]:
-            return VarId(Family.X, 1, v.index), sign
 
-        if count and sign not in tables:
-            tables[sign] = [relabel_vars(s, to_x) for s in schur_shifted_table(m - 1, shift)]
-        return [
-            [tables[sign][k] if k >= 0 else Poly.zero(1) for k in range(m - u, m - u - big_k, -1)]
-            for u in range(1, count + 1)
-        ]
-
-    for p in ps:
-        if not 0 <= p <= big_k or (p > 0 and not b1f) or (p < big_k and not b2f):
-            yield p, Poly.zero(1)
-            continue
-        det = det_poly(rows(m1, cv1, +1, p) + rows(m2, cv2, -1, big_k - p))
-        yield p, det.scale(b1f**p * b2f ** (big_k - p))
+def _akns_entry(columns: Sequence[Column], label: ChargeVector) -> Poly:
+    """tau^(p, q) off the towers, times (-1)^{C(p,2) + C(q,2)} (module docstring)."""
+    p, q = label
+    det = _block_det(columns, label, 1)
+    return -det if (p * (p - 1) + q * (q - 1)) // 2 % 2 else det
 
 
 def akns_collection(
@@ -512,8 +511,5 @@ def akns_collection(
     """All nonzero tau^(p, K-p); ``big_k`` defaults to max(m1, m2), the only
     size for which the family solves the AKNS system."""
     K = max(m1, m2) if big_k is None else big_k
-    entries: dict[ChargeVector, Poly] = {}
-    for p, poly in _akns_entries(m1, m2, b1, b2, c1, c2, K, range(K + 1)):
-        if poly.terms:
-            entries[(p, K - p)] = poly
-    return TauCollection(total=K, ncomp=2, entries=entries)
+    columns = _akns_columns(m1, m2, b1, b2, c1, c2, K)
+    return _collection(K, 2, lambda label: _akns_entry(columns, label))

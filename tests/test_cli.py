@@ -431,16 +431,65 @@ PINNED_INPUTS = {
         ],
     },
 }
+PINNED_INPUTS["case"] = [
+    {
+        "kind": "mkp",
+        "specs": PINNED_INPUTS["specs"]["specs"],
+        "charges": [[1, 1, 1], [3, 0, 0], [0, 1, 2], [2, 1, 0]],
+    },
+    {"kind": "kp", "partition": [3, 1], "shifts": {"1": ["1/2", -1], "2": [3]}},
+]
+
+
+def _pinned_run(capsys, tmp_path, name, args):
+    files = {key: write_json(tmp_path, key + ".json", obj) for key, obj in PINNED_INPUTS.items()}
+    argv = [name.split()[0]] + [files[a[1:]] if a.startswith("@") else a for a in args]
+    rc, out, err = run(capsys, *argv, "--json")
+    return rc, hashlib.sha256(out.encode()).hexdigest(), err
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_JSON))
 def test_construction_json_bytes_are_pinned(capsys, tmp_path, name):
     args, digest = PINNED_JSON[name]
-    files = {key: write_json(tmp_path, key + ".json", obj) for key, obj in PINNED_INPUTS.items()}
-    argv = [name.split()[0]] + [files[a[1:]] if a.startswith("@") else a for a in args]
-    rc, out, err = run(capsys, *argv, "--json")
-    assert rc == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _pinned_run(capsys, tmp_path, name, args) == (0, digest, "")
+
+
+# The same for the checks and the oracle comparison, with their exit codes,
+# recorded before every construction and check moved onto one
+# sum-of-products kernel.
+PINNED_CHECK_JSON = {
+    "verify akns": (
+        ["--what", "akns", "--m1", "3", "--m2", "2", "--b1", "2", "--c1", "1/2,-1", "--c2", "0,3"],
+        0,
+        "85c4b2cf808173398348947e7a1c06a0613a122dd514c738ff2753663b5278bd",
+    ),
+    "verify akns --k": (
+        ["--what", "akns", "--m1", "3", "--m2", "3", "--k", "2"],
+        1,
+        "6ec8c0f0a19d77538a9c298894ac4b61a4f97d239eb3e93e53f746e2c4688b05",
+    ),
+    "verify mkp": (
+        ["--what", "mkp", "--specs", "@specs"],
+        0,
+        "59707747c20d0b4f91462d1b4c2c4c8a2163e7d8fd9c91e5858f0b4e90010189",
+    ),
+    "verify mnkdv": (
+        ["--what", "mnkdv", "--profile", "@profile", "--j-max", "2"],
+        0,
+        "d338eeeba8a0a5438f497685ea342aa6cf18c2375059886cb07ece94def27585",
+    ),
+    "oracle-compare": (
+        ["--case", "@case"],
+        0,
+        "1708ac749dd15f83bd7131ef0bb204ac31bf84994afaeb81f53da16bbc3e8ad2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECK_JSON))
+def test_check_json_bytes_are_pinned(capsys, tmp_path, name):
+    args, code, digest = PINNED_CHECK_JSON[name]
+    assert _pinned_run(capsys, tmp_path, name, args) == (code, digest, "")
 
 
 # -- oracle comparison -------------------------------------------------------------
@@ -478,6 +527,24 @@ def test_oracle_compare_charges_must_be_integer_arrays(capsys, tmp_path, charges
     rc, out, err = run(capsys, "oracle-compare", "--case", case)
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "charges" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "charges, message",
+    [
+        ([[1, 1], [2, 0, 0]], "all specs must agree with the charge arity"),
+        ([[1, 1], [2, 1]], "charge (2, 1) must sum to the column count 2"),
+        ([[1, 1], [3, -1]], "charge (3, -1) has negative parts"),
+    ],
+)
+def test_oracle_compare_rejects_charges_off_the_level(capsys, tmp_path, charges, message):
+    case = write_json(
+        tmp_path,
+        "case.json",
+        {"kind": "mkp", "specs": TWO_COMPONENT_SPECS["specs"], "charges": charges},
+    )
+    rc, out, err = run(capsys, "oracle-compare", "--case", case)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("partition", [[2.5, "1"], [True, True], [2, None]])

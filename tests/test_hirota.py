@@ -204,6 +204,16 @@ def test_reduction_check_fails_on_unreduced_tau():
     assert not r.per_param["j=2"].terms
 
 
+def test_reduction_check_needs_one_order_per_component():
+    # with one order for two components, D_j read only component 1 and t_1^(2)
+    # passed as (1,)-reduced; with both orders it fails
+    with pytest.raises(ValueError, match="n_parts"):
+        reduction_check(tvar(1, 2, 2), (1,), 2)
+    with pytest.raises(ValueError, match="n_parts"):
+        reduction_check(tvar(1), (1, 1), 2)
+    assert not reduction_check(tvar(1, 2, 2), (1, 1), 2).passed
+
+
 def test_reduction_obstruction_is_the_first_nonzero_residual():
     r = reduction_check(tau_kp((1, 1)), (2,), j_max=3)
     assert r.obstruction == r.per_param["j=1"]

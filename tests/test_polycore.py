@@ -172,6 +172,56 @@ def test_product_edge_cases_match_the_merge_reference():
             mul(tvar(1, ncomp=1), tvar(1, ncomp=2))
 
 
+@st.composite
+def product_sums(draw):
+    """(ncomp, triples) over a small pool of factors, so one Poly object serves
+    several triples and both sides of one; the pool holds a constant, and
+    half the cases end with a triple that cancels an earlier one."""
+    ncomp = draw(st.integers(1, 3))
+    kw = dict(ncomp=ncomp, families=tuple(Family), max_index=3, max_terms=4,
+              exponents=carry_exponents)
+    pool = draw(st.lists(polys(**kw), min_size=1, max_size=4))
+    pool.append(Poly.const(draw(rationals), ncomp))
+    picks = st.integers(0, len(pool) - 1)
+    coeffs = st.one_of(st.just(0), st.integers(-3, 3), rationals)
+    triples = [(c, pool[i], pool[j])
+               for c, i, j in draw(st.lists(st.tuples(coeffs, picks, picks), max_size=6))]
+    if triples and draw(st.booleans()):
+        c, a, b = draw(st.sampled_from(triples))
+        triples.append((-c, b, a))
+    return ncomp, triples
+
+
+@given(product_sums())
+def test_sum_of_products_matches_the_merge_reference(case):
+    ncomp, triples = case
+    want = Poly.zero(ncomp)
+    for c, a, b in triples:
+        want = want + poly_mul_by_merge(a, b).scale(c)
+    got = Poly.sum_of_products(triples, ncomp)
+    assert got.ncomp == ncomp and got.terms == want.terms
+    for mono, c in got.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        assert list(mono) == sorted(mono) and all(e >= 1 for _, e in mono)
+
+
+def test_sum_of_products_edge_cases():
+    a = xvar(1).scale(Fraction(1, 2)) + yvar(2).scale(Fraction(1, 3))
+    b = xvar(1).scale(Fraction(2, 5)) - Poly.const(Fraction(3, 7))
+    # complete cancellation, with one object on both sides of a pair
+    assert Poly.sum_of_products([(Fraction(2, 3), a, b), (Fraction(-2, 3), b, a)], 1) == 0
+    assert Poly.sum_of_products([(1, a, a), (-1, a, a)], 1) == 0
+    assert Poly.sum_of_products([], 2) == Poly.zero(2)
+    got = Poly.sum_of_products([(3, a, b), (Fraction(1, 4), a, a), (0, b, b)], 1)
+    assert got == poly_mul_by_merge(a, b).scale(3) + poly_mul_by_merge(a, a).scale(Fraction(1, 4))
+    # every factor must share the ambient, zero coefficient or not
+    for triples in ([(1, tvar(1, ncomp=2), tvar(1, ncomp=2))],
+                    [(1, tvar(1), tvar(1)), (0, tvar(1), tvar(1, ncomp=2))]):
+        with pytest.raises(ValueError, match="ambient"):
+            Poly.sum_of_products(triples, 1)
+
+
 @given(polys(max_terms=3))
 def test_pow_matches_repeated_product(p):
     assert p**0 == 1

@@ -86,6 +86,23 @@ def test_det_matches_permutation_expansion(rows):
     assert det_poly(rows) == det_by_permutations(rows)
 
 
+def test_det_matches_permutations_on_seeded_matrices_with_zero_and_constant_entries():
+    rng = random.Random(41)
+    for ncomp in (1, 2, 3):
+        pool = [Poly.zero(ncomp), Poly.const(random_fraction(rng) or 1, ncomp)]
+        for _ in range(4):
+            term = Poly.const(random_fraction(rng), ncomp)
+            for _ in range(rng.randint(1, 3)):
+                v = tvar(rng.randint(1, 3), rng.randint(1, ncomp), ncomp)
+                term = term + (v ** rng.randint(1, 3)).scale(random_fraction(rng))
+            pool.append(term)
+        for n in range(1, 6):
+            for _ in range(3):
+                # entries drawn from a small pool, so one Poly object sits in several cells
+                rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+                assert det_poly(rows) == det_by_permutations(rows), (ncomp, n)
+
+
 def test_det_validation():
     with pytest.raises(ValueError):
         det_poly([])
@@ -594,15 +611,27 @@ def test_akns_matches_argument_table_reference():
     for m1 in range(1, 6):
         for m2 in range(1, 6):
             b1, b2 = (Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for _ in range(2))
+            # one side switched off: its rows vanish, so only p = 0 or p = K survives
+            if (m1 + m2) % 4 == 0:
+                b1 = Fraction(0)
+            elif (m1 + m2) % 4 == 1:
+                b2 = Fraction(0)
             c1 = [random_fraction(rng) for _ in range(m1)]
             c2 = [random_fraction(rng) for _ in range(m2)]
-            big_k = max(m1, m2)
-            coll = akns_collection(m1, m2, b1, b2, c1, c2)
-            for p in range(big_k + 1):
-                want = akns_by_args(m1, m2, b1, b2, c1, c2, big_k, p)
-                assert akns_tau(m1, m2, b1, b2, c1, c2, big_k, p) == want, (m1, m2, p)
-                # the collection builds each x-table once and must agree entry by entry
-                assert coll.get((p, big_k - p)) == want, (m1, m2, p)
+            # K = 1, the default max(m1, m2), and one past it, where every entry
+            # vanishes (up to K = 5: the reference sums K! permutations)
+            for big_k in sorted({1, max(m1, m2), min(max(m1, m2) + 1, 5)}):
+                coll = akns_collection(m1, m2, b1, b2, c1, c2, big_k)
+                for p in range(-1, big_k + 2):
+                    if 0 <= p <= big_k:
+                        want = akns_by_args(m1, m2, b1, b2, c1, c2, big_k, p)
+                        # the collection reads every entry off one set of towers
+                        got = coll.entries.get((p, big_k - p), Poly.zero())
+                        assert got == want, (m1, m2, big_k, p)
+                    else:
+                        want = Poly.zero()
+                    got = akns_tau(m1, m2, b1, b2, c1, c2, big_k, p)
+                    assert got == want, (m1, m2, big_k, p)
 
 
 def test_akns_collection_default_k():
