@@ -31,7 +31,6 @@ from .partitions import (
     Partition,
     VSequence,
     all_partitions,
-    canonicalize_shifts,
     enumerate_n_periodic,
     expected_shift_lengths,
     free_parameter_count,
@@ -48,6 +47,7 @@ from .polycore import (
 )
 from .schur import (
     ShiftVector,
+    canonicalize_shifts,
     elementary_schur,
     schur_constant,
     schur_constants,

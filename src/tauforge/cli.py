@@ -51,7 +51,7 @@ from .hirota import (
 )
 from .partitions import Partition, enumerate_n_periodic, expected_shift_lengths
 from .polycore import Poly
-from .schur import ShiftVector, elementary_schur
+from .schur import elementary_schur
 from .tau import (
     HSpec,
     KdVProfile,

@@ -36,13 +36,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from math import factorial, lcm, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .partitions import partitions_of
-from .polycore import Family, Monomial, Poly, VarId
+from .polycore import Family, Monomial, Poly
+from .schur import _monomial
 
 PartitionKey = tuple[int, ...]
 Maya = tuple[int, ...]  # occupied positions above the floor, decreasing
@@ -99,21 +100,6 @@ def _row(lam: PartitionKey, top: int, table: RowTable) -> dict[PartitionKey, int
 def characters(lam: PartitionKey) -> Mapping[PartitionKey, int]:
     """The nonzero chi^lambda_nu over nu of size |lambda|; ``lam`` is decreasing."""
     return MappingProxyType(_row(lam, sum(lam), _CHARACTERS))
-
-
-@cache
-def _power(family: Family, component: int, k: int, mult: int) -> tuple[VarId, int]:
-    return (VarId(family, component, k), mult)
-
-
-def _monomial(nu: PartitionKey, family: Family, component: int) -> tuple[Monomial, int]:
-    """t^nu in ``component`` of ``family``, with prod_k m_k(nu)!."""
-    mono, weight = [], 1
-    for k in sorted(set(nu)):
-        mult = nu.count(k)
-        mono.append(_power(family, component, k, mult))
-        weight *= factorial(mult)
-    return tuple(mono), weight
 
 
 def schur_expansion(tau: Poly, species: int) -> dict[tuple[PartitionKey, ...], Fraction]:

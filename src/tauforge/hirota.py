@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from . import fermion
-from .polycore import Family, Poly, VarId, int_tuple
+from .polycore import Family, Poly, VarId, _json_int, int_tuple
 from .tau import ChargeVector, TauCollection, apply_D
 
 
@@ -115,7 +115,7 @@ def hirota_kp_check(tau: Poly, j: int = 0, n: int = 1) -> VerificationReport:
     Raises ``ValueError`` if tau has a variable other than a t-variable of
     component 1.
     """
-    if j < 0 or n < 1:
+    if _json_int(j) < 0 or _json_int(n) < 1:
         raise ValueError("need j >= 0 and n >= 1")
     t0 = time.perf_counter()
     fock = fermion.fock_states({(0,): tau}, 1)
@@ -156,10 +156,10 @@ def _mkp_check(
         raise ValueError(f"m must sum to {collection.total + 1}")
     if sum(qv) != collection.total - 1:
         raise ValueError(f"q must sum to {collection.total - 1}")
-    parts = tuple(n_parts) if n_parts is not None else (1,) * s
+    parts = int_tuple(n_parts) if n_parts is not None else (1,) * s
     if len(parts) != s:
         raise ValueError("n_parts length must match the collection")
-    if j < 0:
+    if _json_int(j) < 0:
         raise ValueError("need j >= 0")
     t0 = time.perf_counter()
     terms = [(sign, a, ml, ql, j * parts[a])
@@ -220,7 +220,7 @@ def verify_mkp_collection(
     reports: list[VerificationReport] = []
     ms = _offset_labels(collection, +1)
     qs = _offset_labels(collection, -1)
-    for j in j_values:
+    for j in int_tuple(j_values):
         for mv in ms:
             for qv in qs:
                 if next(_pair_terms(collection, mv, qv), None) is None:
@@ -236,8 +236,9 @@ def reduction_check(
 
     The obstruction is the residual of the first j with a nonzero one.
     """
-    if j_max < 1:
+    if _json_int(j_max) < 1:
         raise ValueError("j_max must be >= 1")
+    n_parts = int_tuple(n_parts)
     t0 = time.perf_counter()
     per = {f"j={j}": apply_D(p, j, n_parts) for j in range(1, j_max + 1)}
     return _finish(

@@ -1,4 +1,4 @@
-"""Partitions, their index sequences, periodicity, and shift canonicalization.
+"""Partitions, their index sequences and periodicity.
 
 A partition lambda = (l_1 >= ... >= l_m > 0) determines the strictly
 decreasing sequence V = (l_1, l_2 - 1, ..., l_m - m + 1, -m, -m - 1, ...):
@@ -6,21 +6,16 @@ a finite head followed by every integer <= -m.  lambda is n-periodic when
 V - n is contained in V; because the tail is closed under subtraction it is
 enough to check the head elements.
 
-``canonicalize_shifts`` removes the gauge freedom of the shift vectors
-attached to a Grassmann cell: for each column j and each later row i the
-entry at position d = l_j - j - l_i + i is overwritten by
--s_d(c_1, ..., c_{d-1}, 0), which forces s_d(c) = 0.  The remaining free
-entries number exactly |lambda|.
+``expected_shift_lengths`` and ``constrained_indices`` give the shape of the
+shift vectors of a Grassmann cell, which ``schur.canonicalize_shifts`` fills.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .polycore import int_tuple
-from .schur import ShiftLike, ShiftVector, schur_constant
 
 #: Guard for the periodic-partition enumerator.
 MAX_ENUMERATION_SIZE = 30
@@ -140,37 +135,6 @@ def constrained_indices(partition: Partition | Iterable[int]) -> list[tuple[int,
         )
         out.append(tuple(ds))
     return out
-
-
-def canonicalize_shifts(
-    partition: Partition | Iterable[int], shifts: Sequence[ShiftLike]
-) -> list[ShiftVector]:
-    """Overwrite the constrained entries of each column's shift vector.
-
-    Entry positions follow ``constrained_indices``; each constrained entry
-    c_d becomes -s_d(c_1, ..., c_{d-1}, 0), which zeroes s_d of the column
-    vector.  Applied in increasing d order so earlier overwrites feed later
-    ones.  Every column vector must have exactly its expected length.
-    """
-    p = Partition.coerce(partition)
-    m = len(p)
-    if len(shifts) != m:
-        raise ValueError(f"expected {m} shift vectors, got {len(shifts)}")
-    lengths = expected_shift_lengths(p)
-    result: list[ShiftVector] = []
-    for j in range(1, m + 1):
-        cv = ShiftVector.coerce(shifts[j - 1])
-        if len(cv) != lengths[j - 1]:
-            raise ValueError(
-                f"column {j} shift vector must have length {lengths[j - 1]}, "
-                f"got {len(cv)}"
-            )
-        entries = list(cv.entries)
-        for d in constrained_indices(p)[j - 1]:
-            prefix = tuple(entries[: d - 1]) + (Fraction(0),)
-            entries[d - 1] = -schur_constant(d, ShiftVector(prefix))
-        result.append(ShiftVector(tuple(entries)))
-    return result
 
 
 def free_parameter_count(partition: Partition | Iterable[int]) -> int:

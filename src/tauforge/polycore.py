@@ -21,9 +21,6 @@ next: there is no exponent cap to check.  Each distinct factor is packed
 once, as integer numerators over its lcm denominator d; every pair adds into
 one integer accumulator over the lcm of the c_k.denominator * d(a_k) * d(b_k),
 and each nonzero output term becomes one reduced ``Fraction``.
-
-The one Schur recurrence (``schur_table``), which ``schur`` builds its
-tables on, lives here as well.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from collections import defaultdict
 from enum import IntEnum
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 
 class Family(IntEnum):
@@ -338,9 +335,6 @@ class Poly:
             return -1
         return max(sum(v.index * e for v, e in m) for m in self.terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
     # -- rendering ----------------------------------------------------------
 
     def _var_text(self, v: VarId) -> str:
@@ -436,56 +430,3 @@ def shift_vars(p: Poly, shifts: Mapping[VarId, RationalLike]) -> Poly:
             term = term * (Poly._raw({((v, 1),): Fraction(1)}, p.ncomp) + effective.get(v, 0)) ** e
         total = total + term
     return total
-
-
-def relabel_vars(p: Poly, fn: Callable[[VarId], tuple[VarId, RationalLike]]) -> Poly:
-    """Map each variable v to scale * v' (a signed/scaled renaming).
-
-    ``fn`` returns the replacement variable and the scalar multiplier; a
-    monomial v^e becomes scale^e * v'^e.  Distinct variables must stay
-    distinct (no merging), which holds for all uses here (family renames and
-    component folding with sign flips).
-    """
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        pairs: list[tuple[VarId, int]] = []
-        c = coeff
-        for v, e in mono:
-            w, scale = fn(v)
-            c *= _as_fraction(scale) ** e
-            pairs.append((w, e))
-        if not c:
-            continue
-        mono2 = tuple(sorted(pairs))
-        if len(set(v for v, _ in mono2)) != len(mono2):
-            raise ValueError("relabeling collapsed distinct variables")
-        acc = out.get(mono2)
-        if acc is None:
-            out[mono2] = c
-        else:
-            acc = acc + c
-            if acc:
-                out[mono2] = acc
-            else:
-                del out[mono2]
-    return Poly._raw(out, p.ncomp)
-
-
-# -- Schur recurrence ------------------------------------------------------------
-
-
-def schur_table(table: list, upto: int, arg: Callable[[int], object]) -> list:
-    """Extend ``table`` = [s_0(g), s_1(g), ...] in place through s_upto(g).
-
-    s_n(g) is the z^n coefficient of exp(sum_i g_i z^i), computed by the
-    recurrence n * s_n = sum_{i=1}^{n} i * g_i * s_{n-i}; ``arg(i)`` returns
-    g_i as a ``Poly`` or a ``Fraction`` matching ``table[0]``.
-    """
-    for n in range(len(table), upto + 1):
-        acc = table[0] * 0
-        for i in range(1, n + 1):
-            g = arg(i)
-            if g:
-                acc = acc + g * table[n - i] * i
-        table.append(acc * Fraction(1, n))
-    return table

@@ -1,26 +1,44 @@
 """Elementary Schur polynomials s_j and their shifted/constant variants.
 
-s_j is defined by exp(sum_{i>=1} t_i z^i) = sum_{j>=0} s_j(t) z^j and computed
-through the recurrence j*s_j = sum_{i=1}^{j} i * t_i * s_{j-i} of
-``polycore.schur_table``, with s_0 = 1 and s_j = 0 for j < 0.  The
-generating-function route is kept independent in the tests as a cross-check.
+s_j is defined by exp(sum_{i>=1} t_i z^i) = sum_{j>=0} s_j(t) z^j, with
+s_j = 0 for j < 0.  A ShiftVector is a finite tuple of rational constants
+c = (c_1, c_2, ...); entries beyond the stored length read as zero.  Every
+shifted polynomial has a closed form over partitions nu, with m_j(nu) the
+number of parts equal to j and l(nu) the number of parts:
 
-A ShiftVector is a finite tuple of rational constants c = (c_1, c_2, ...);
-entries beyond the stored length read as zero.  ``schur_shifted_table``
-evaluates s_L(t + c), ..., s_M(t + c) through the convolution
-s_j(t + c) = sum_i s_{j-i}(c) s_i(t), one sum of products per entry, and
-``solve_shifts`` inverts that triangular relation: given b_0..b_M with
-b_M != 0 it finds the unique c with sum_i b_i s_i(t) = b_M s_M(t + c).
+    s_k(+-t + c) = sum_{|nu| <= k} s_{k-|nu|}(c) (+-1)^{l(nu)} t^nu / prod_j m_j(nu)!
+
+Proof: exp(sum_i (+-t_i + c_i) z^i) = exp(sum_i c_i z^i) prod_i exp(+-t_i z^i),
+and the product expands as sum_nu (+-1)^{l(nu)} t^nu z^{|nu|} / prod_j m_j(nu)!.
+So ``schur_shifted_table`` fills one dict per entry, term by term, with no
+polynomial product or sum; s_j(t) is the case c = 0.  The recurrence
+j*s_j = sum_{i=1}^{j} i * c_i * s_{j-i} runs only on constants, in
+``schur_constants``.
+
+``solve_shifts`` inverts s_j(t + c) = sum_i s_{j-i}(c) s_i(t): given b_0..b_M
+with b_M != 0 it finds the unique c with sum_i b_i s_i(t) = b_M s_M(t + c).
+``canonicalize_shifts`` removes the gauge freedom of the shift vectors
+attached to a Grassmann cell: for each column j and each later row i the
+entry at position d = l_j - j - l_i + i is overwritten by
+-s_d(c_1, ..., c_{d-1}, 0), which forces s_d(c) = 0.  The remaining free
+entries number exactly |lambda|.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import factorial
 from typing import Iterable, Sequence, Union
 
-from .polycore import Poly, RationalLike, exact_fraction, schur_table, tvar
+from .partitions import (
+    Partition,
+    constrained_indices,
+    expected_shift_lengths,
+    partitions_of,
+)
+from .polycore import Family, Monomial, Poly, RationalLike, VarId, exact_fraction
 
 ShiftLike = Union["ShiftVector", Sequence[RationalLike], None]
 
@@ -63,28 +81,77 @@ class ShiftVector:
         return all(not c for c in self.entries)
 
 
-# [s_0, s_1, ...] per (ncomp, component).  A table grows only under the
-# lock; lookups read without it, since a table only ever grows by appending
-# its next, finished entry.
-_SCHUR_CACHE: dict[tuple[int, int], list[Poly]] = {}
-_SCHUR_LOCK = threading.Lock()
+@cache
+def _power(family: Family, component: int, k: int, mult: int) -> tuple[VarId, int]:
+    return (VarId(family, component, k), mult)
+
+
+def _monomial(nu: tuple[int, ...], family: Family, component: int) -> tuple[Monomial, int]:
+    """t^nu in ``component`` of ``family``, with prod_k m_k(nu)!."""
+    mono, weight = [], 1
+    for k in sorted(set(nu)):
+        mult = nu.count(k)
+        mono.append(_power(family, component, k, mult))
+        weight *= factorial(mult)
+    return tuple(mono), weight
+
+
+# (t^nu, prod_j m_j(nu)!, l(nu)) for every partition nu of one size, keyed by
+# (size, family, component).  Values are never mutated, so a race only
+# computes an entry twice; it needs no lock.
+_MONOMIALS: dict[tuple[int, Family, int], tuple[tuple[Monomial, int, int], ...]] = {}
+
+
+def _monomials(size: int, family: Family, component: int) -> tuple[tuple[Monomial, int, int], ...]:
+    hit = _MONOMIALS.get((size, family, component))
+    if hit is None:
+        hit = tuple((*_monomial(nu, family, component), len(nu)) for nu in partitions_of(size))
+        hit = _MONOMIALS.setdefault((size, family, component), hit)
+    return hit
+
+
+def _shifted_table(
+    upto: int, c: ShiftLike, component: int = 1, ncomp: int = 1, lowest: int = 0,
+    coeff: RationalLike = 1, family: Family = Family.T, sign: int = 1,
+) -> list[Poly]:
+    """coeff * [s_lowest(sign*v + c), ..., s_upto(sign*v + c)] in the variables v
+    of ``family`` in ``component``, each entry by the closed form (module docstring)."""
+    if not 1 <= component <= ncomp:
+        raise ValueError(f"component {component} outside ambient range 1..{ncomp}")
+    b = exact_fraction(coeff)
+    consts = [b * s for s in schur_constants(upto, c)]
+    sizes = [_monomials(n, family, component) for n in range(upto + 1)]
+    table = []
+    for k in range(lowest, upto + 1):
+        terms: dict[Monomial, Fraction] = {}
+        for n in range(k + 1):
+            s = consts[k - n]
+            if s:
+                for mono, weight, length in sizes[n]:
+                    terms[mono] = (-s if sign < 0 and length & 1 else s) / weight
+        table.append(Poly._raw(terms, ncomp))
+    return table
 
 
 def elementary_schur(j: int, component: int = 1, ncomp: int = 1) -> Poly:
-    """s_j in the t-variables of one component; zero for j < 0."""
-    if j < 0:
-        return Poly.zero(ncomp)
-    table = _SCHUR_CACHE.get((ncomp, component))
-    if table is None or len(table) <= j:
-        with _SCHUR_LOCK:
-            table = _SCHUR_CACHE.setdefault((ncomp, component), [Poly.const(1, ncomp)])
-            schur_table(table, j, lambda i: tvar(i, component, ncomp))
-    return table[j]
+    """s_j in the t-variables of one component, the c = 0 case of the closed form;
+    zero for j < 0."""
+    return schur_shifted(j, None, component, ncomp)
 
 
 def schur_constants(upto: int, c: ShiftLike) -> list[Fraction]:
-    """[s_0(c), ..., s_upto(c)] for a constant argument vector."""
-    return schur_table([Fraction(1)], upto, ShiftVector.coerce(c).get)
+    """[s_0(c), ..., s_upto(c)] for a constant argument vector, by the recurrence
+    n * s_n = sum_{i=1}^{n} i * c_i * s_{n-i}."""
+    cv = ShiftVector.coerce(c)
+    table = [Fraction(1)]
+    for n in range(1, upto + 1):
+        acc = Fraction(0)
+        for i in range(1, min(n, len(cv)) + 1):
+            ci = cv.entries[i - 1]
+            if ci:
+                acc += i * ci * table[n - i]
+        table.append(acc / n)
+    return table
 
 
 def schur_constant(j: int, c: ShiftLike) -> Fraction:
@@ -97,22 +164,15 @@ def schur_constant(j: int, c: ShiftLike) -> Fraction:
 def schur_shifted_table(
     upto: int, c: ShiftLike, component: int = 1, ncomp: int = 1, lowest: int = 0
 ) -> list[Poly]:
-    """[s_lowest(t + c), ..., s_upto(t + c)], each by
-    s_k(t + c) = sum_{i=0}^{k} s_{k-i}(c) * s_i(t)."""
-    consts = schur_constants(upto, c)
-    s = [elementary_schur(i, component, ncomp) for i in range(upto + 1)]
-    one = Poly.const(1, ncomp)
-    return [
-        Poly.sum_of_products([(consts[k - i], s[i], one) for i in range(k + 1)], ncomp)
-        for k in range(lowest, upto + 1)
-    ]
+    """[s_lowest(t + c), ..., s_upto(t + c)], each entry by the closed form."""
+    return _shifted_table(upto, c, component, ncomp, lowest)
 
 
 def schur_shifted(j: int, c: ShiftLike, component: int = 1, ncomp: int = 1) -> Poly:
     """s_j(t + c), the one entry of ``schur_shifted_table`` from j to j; zero for j < 0."""
     if j < 0:
         return Poly.zero(ncomp)
-    return schur_shifted_table(j, c, component, ncomp, lowest=j)[0]
+    return _shifted_table(j, c, component, ncomp, lowest=j)[0]
 
 
 def solve_shifts(b: Sequence[RationalLike]) -> ShiftVector:
@@ -137,3 +197,34 @@ def solve_shifts(b: Sequence[RationalLike]) -> ShiftVector:
             acc += i * c[i - 1] * g[k - i]
         c.append(g[k] - acc / k)
     return ShiftVector(tuple(c))
+
+
+def canonicalize_shifts(
+    partition: Partition | Iterable[int], shifts: Sequence[ShiftLike]
+) -> list[ShiftVector]:
+    """Overwrite the constrained entries of each column's shift vector.
+
+    Entry positions follow ``constrained_indices``; each constrained entry
+    c_d becomes -s_d(c_1, ..., c_{d-1}, 0), which zeroes s_d of the column
+    vector.  Applied in increasing d order so earlier overwrites feed later
+    ones.  Every column vector must have exactly its expected length.
+    """
+    p = Partition.coerce(partition)
+    m = len(p)
+    if len(shifts) != m:
+        raise ValueError(f"expected {m} shift vectors, got {len(shifts)}")
+    lengths = expected_shift_lengths(p)
+    result: list[ShiftVector] = []
+    for j in range(1, m + 1):
+        cv = ShiftVector.coerce(shifts[j - 1])
+        if len(cv) != lengths[j - 1]:
+            raise ValueError(
+                f"column {j} shift vector must have length {lengths[j - 1]}, "
+                f"got {len(cv)}"
+            )
+        entries = list(cv.entries)
+        for d in constrained_indices(p)[j - 1]:
+            prefix = tuple(entries[: d - 1]) + (Fraction(0),)
+            entries[d - 1] = -schur_constant(d, ShiftVector(prefix))
+        result.append(ShiftVector(tuple(entries)))
+    return result

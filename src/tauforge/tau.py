@@ -47,8 +47,8 @@ from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, expected_shift_lengths, is_n_periodic
-from .polycore import Family, Poly, RationalLike, VarId, exact_fraction, int_tuple, relabel_vars
-from .schur import ShiftLike, ShiftVector, schur_shifted_table
+from .polycore import Family, Poly, RationalLike, VarId, _json_int, exact_fraction, int_tuple
+from .schur import ShiftLike, ShiftVector, _shifted_table, schur_shifted_table
 
 ChargeVector = tuple[int, ...]
 
@@ -128,7 +128,7 @@ class HTerm:
     shift: ShiftVector = field(default_factory=ShiftVector)
 
     def __post_init__(self):
-        if self.degree < 1:
+        if _json_int(self.degree) < 1:
             raise ValueError("degree must be >= 1")
         object.__setattr__(self, "coeff", exact_fraction(self.coeff))
         object.__setattr__(self, "shift", ShiftVector.coerce(self.shift))
@@ -160,6 +160,7 @@ def compute_kj(spec: HSpec, n_parts: Sequence[int]) -> int:
 
     Components with zero coefficient do not count.
     """
+    n_parts = int_tuple(n_parts)
     if len(n_parts) != spec.ncomp:
         raise ValueError("n_parts length must match the spec's component count")
     best: int | None = None
@@ -176,8 +177,9 @@ def compute_kj(spec: HSpec, n_parts: Sequence[int]) -> int:
 
 def apply_D(p: Poly, j: int, n_parts: Sequence[int]) -> Poly:
     """D_j p = sum_a dp/dt_{j * n_a}^(a), with one order n_a per component of p."""
-    if j < 1:
+    if _json_int(j) < 1:
         raise ValueError("D_j requires j >= 1")
+    n_parts = int_tuple(n_parts)
     if len(n_parts) != p.ncomp:
         raise ValueError("n_parts length must match the polynomial's component count")
     total = Poly.zero(p.ncomp)
@@ -287,8 +289,7 @@ def _collection(total: int, ncomp: int, entry: Callable[[ChargeVector], Poly]) -
 
 def _spec_column(spec: HSpec) -> Column:
     return tuple(
-        [s.scale(t.coeff) for s in schur_shifted_table(t.degree - 1, t.shift, a, spec.ncomp)]
-        if t.coeff else []
+        _shifted_table(t.degree - 1, t.shift, a, spec.ncomp, coeff=t.coeff) if t.coeff else []
         for a, t in enumerate(spec.terms, start=1)
     )
 
@@ -369,6 +370,7 @@ class KdVProfile:
     specs: tuple[HSpec, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_parts", int_tuple(self.n_parts))
         if not self.n_parts:
             raise ValueError("need at least one reduction order")
         if any(n < 1 for n in self.n_parts):
@@ -483,10 +485,9 @@ def _akns_columns(
         raise ValueError("K must be >= 1")
     shifts = ShiftVector.coerce(c1), ShiftVector.coerce(c2)
     coeffs = exact_fraction(b1), exact_fraction(b2)
-    # table a: b_a * s_k(t + c_a) at t_i = sign_a * x_i, for k = 0..m_a - 1
+    # table a: b_a * s_k(sign_a * x + c_a), for k = 0..m_a - 1
     h = tuple(
-        [relabel_vars(s, lambda v: (VarId(Family.X, 1, v.index), sign)).scale(b)
-         for s in schur_shifted_table(m - 1, c)] if b else []
+        _shifted_table(m - 1, c, coeff=b, family=Family.X, sign=sign) if b else []
         for m, b, c, sign in zip((m1, m2), coeffs, shifts, (1, -1))
     )
     return _tower(h, (1, 1), big_k - 1)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import factorial, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from tauforge import (
     BasisVector,
@@ -31,13 +31,14 @@ from tauforge import (
     apply_D,
     elementary_schur,
     expected_shift_lengths,
+    schur_constants,
     schur_shifted,
     tvar,
     xvar,
     yvar,
 )
 from tauforge.fermion import State
-from tauforge.polycore import Monomial, relabel_vars
+from tauforge.polycore import Monomial
 
 
 def eval_poly(p: Poly, values: Mapping[VarId, Fraction]) -> Fraction:
@@ -49,6 +50,39 @@ def eval_poly(p: Poly, values: Mapping[VarId, Fraction]) -> Fraction:
             term *= Fraction(values[v]) ** e
         total += term
     return total
+
+
+def relabel_vars(p: Poly, fn: Callable[[VarId], tuple[VarId, int | Fraction]]) -> Poly:
+    """Map each variable v to scale * v' (a signed/scaled renaming).
+
+    ``fn`` returns the replacement variable and the scalar multiplier; a
+    monomial v^e becomes scale^e * v'^e.  Distinct variables must stay
+    distinct (no merging), which holds for all uses here (family renames and
+    component folding with sign flips).
+    """
+    out: dict[Monomial, Fraction] = {}
+    for mono, coeff in p.terms.items():
+        pairs: list[tuple[VarId, int]] = []
+        c = coeff
+        for v, e in mono:
+            w, scale = fn(v)
+            c *= Fraction(scale) ** e
+            pairs.append((w, e))
+        if not c:
+            continue
+        mono2 = tuple(sorted(pairs))
+        if len(set(v for v, _ in mono2)) != len(mono2):
+            raise ValueError("relabeling collapsed distinct variables")
+        acc = out.get(mono2)
+        if acc is None:
+            out[mono2] = c
+        else:
+            acc = acc + c
+            if acc:
+                out[mono2] = acc
+            else:
+                del out[mono2]
+    return Poly._raw(out, p.ncomp)
 
 
 def schur_by_series(upto: int, component: int = 1, ncomp: int = 1) -> list[Poly]:
@@ -418,6 +452,25 @@ def schur_of_args(upto: int, args: Sequence[Poly]) -> list[Poly]:
             acc = acc + (args[i - 1] * out[n - i]).scale(i)
         out.append(acc.scale(Fraction(1, n)))
     return out
+
+
+def shifted_table_by_convolution(
+    upto: int, c, component: int = 1, ncomp: int = 1, lowest: int = 0, coeff=1,
+    family: Family = Family.T, sign: int = 1,
+) -> list[Poly]:
+    """coeff * [s_lowest(sign*v + c), ..., s_upto(sign*v + c)] in the variables v of
+    ``family``: the convolution s_k(t + c) = sum_i s_{k-i}(c) s_i(t) over the Poly
+    recurrence, then the renaming t_i -> sign * v_i and a scale by coeff."""
+    consts = schur_constants(upto, c)
+    s = schur_of_args(upto, [tvar(i, component, ncomp) for i in range(1, upto + 2)])
+    one = Poly.const(1, ncomp)
+    return [
+        relabel_vars(
+            Poly.sum_of_products([(consts[k - i], s[i], one) for i in range(k + 1)], ncomp),
+            lambda v: (v._replace(family=family), sign),
+        ).scale(coeff)
+        for k in range(lowest, upto + 1)
+    ]
 
 
 def akns_by_args(m1: int, m2: int, b1, b2, c1, c2, big_k: int, p: int) -> Poly:

@@ -454,6 +454,29 @@ def test_construction_json_bytes_are_pinned(capsys, tmp_path, name):
     assert _pinned_run(capsys, tmp_path, name, args) == (0, digest, "")
 
 
+# sha256 of `schur j --component 2` in text and --json, recorded before the
+# Schur tables moved onto their closed form over partitions.
+PINNED_SCHUR = {
+    0: ("4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "5e3037dc0f902d9ecb34e6d9249c614b917dfe485c756e61a01d14ffa3a9c2f5"),
+    1: ("1069676f0d3c91ccea1bd405173844a67e5d4b947cc79a0f13e4c6c5ef929e2f",
+        "44c23831b05472a1446ffda6ecfdfc6b497995d5032bbdbd8c5304599c5af1fc"),
+    7: ("ddc0f5a7fe265e5ae7e7f54425886b0c45cf8b5a76b59550478ad200cd79499c",
+        "66bfc8e18f41434bcedfa0d572e9ba267ab5e5ffd3a4a74c726777e58dd63308"),
+    12: ("58b788a0611d49f7ed8bef80f4e1756b003d31eedbd76871a0096562895dac58",
+         "4806888be90a034572864a6772e0ed466ebdb4d0b7af38f210b1a2845afaea29"),
+    20: ("59fcf1f875ba93a59fe90a568ad3416871f93b66c677b9ae936596ae0a20ecbd",
+         "c91fae45353cafe477b82f2ec540a0f15890e5534f844c6cc9f0196b9e62828f"),
+}
+
+
+@pytest.mark.parametrize("j", sorted(PINNED_SCHUR))
+def test_schur_bytes_are_pinned(capsys, j):
+    for extra, digest in zip(([], ["--json"]), PINNED_SCHUR[j]):
+        rc, out, err = run(capsys, "schur", str(j), "--component", "2", *extra)
+        assert (rc, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, ""), extra
+
+
 # The same for the checks and the oracle comparison, with their exit codes,
 # recorded before every construction and check moved onto one
 # sum-of-products kernel.

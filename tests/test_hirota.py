@@ -3,15 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import akns_flow_residuals, miwa_by_operator, random_shifts_for, residue_by_convolution
+from oracles import (
+    akns_flow_residuals,
+    miwa_by_operator,
+    random_shifts_for,
+    relabel_vars,
+    residue_by_convolution,
+)
 from tauforge import (
     Family,
     HSpec,
+    HTerm,
+    KdVProfile,
     Partition,
     Poly,
     TauCollection,
     akns_collection,
     akns_pde_check,
+    apply_D,
+    compute_kj,
     elementary_schur,
     hirota_kp_check,
     hirota_mkp_check,
@@ -25,7 +35,6 @@ from tauforge import (
     xvar,
     yvar,
 )
-from tauforge.polycore import relabel_vars
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -320,3 +329,32 @@ def test_akns_pde_validation():
     one_comp = TauCollection(total=1, ncomp=1, entries={(1,): tvar(1)})
     with pytest.raises(ValueError):
         akns_pde_check(one_comp, (1,))
+
+
+def test_non_integer_orders_raise_type_error():
+    # t_{2.5} does not exist, so an order of 2.5 must not read as a vacuous PASS,
+    # and True must not read as 1.
+    tau = tau_kp((3,))
+    spec = HSpec.make([(2, 1, None), (1, 1, None)])
+    collection = tau_mkp_collection([spec])
+    calls = [
+        lambda: reduction_check(tau, (2.5,), 1),
+        lambda: reduction_check(tau, (2,), 1.0),
+        lambda: apply_D(tau, True, (2,)),
+        lambda: apply_D(tau, 1, (Fraction(2),)),
+        lambda: compute_kj(spec, (1, 1.5)),
+        lambda: HTerm(2.5, 1),
+        lambda: HTerm(True, 1),
+        lambda: KdVProfile((2.0,), ()),
+        lambda: hirota_kp_check(tau, True),
+        lambda: hirota_kp_check(tau, 0, 1.0),
+        lambda: hirota_mkp_check(collection, (2, 0), (0, 0), j=0.0),
+        lambda: hirota_mkp_check(collection, (2, 0), (0, 0), n_parts=(1, 1.0)),
+        lambda: verify_mkp_collection(collection, n_parts=(True, 1)),
+        lambda: verify_mkp_collection(collection, j_values=(0, 0.5)),
+    ]
+    for i, call in enumerate(calls):
+        with pytest.raises(TypeError, match="integer"):
+            call()
+            pytest.fail(f"call {i} accepted a non-integer order")
+    assert not reduction_check(tau, (2,), 1).passed

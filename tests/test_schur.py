@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import eval_poly, random_fraction, schur_by_series
+from oracles import (
+    eval_poly,
+    random_fraction,
+    schur_by_series,
+    schur_of_args,
+    shifted_table_by_convolution,
+)
 from tauforge import (
     Family,
     Poly,
@@ -22,6 +28,7 @@ from tauforge import (
 )
 from tauforge import schur
 from tauforge.polycore import shift_vars
+from tauforge.schur import _shifted_table, schur_shifted_table
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -95,17 +102,70 @@ def test_shifted_with_zero_shift():
         assert schur_shifted(j, []) == elementary_schur(j)
 
 
+# Shift vectors for the differential tests: empty, all zero, short, and one
+# longer than any table reads.
+CLOSED_FORM_SHIFTS = (
+    (),
+    (0, 0, 0),
+    (Fraction(1, 2), -1, 0, 3),
+    tuple(random_fraction(random.Random(5)) for _ in range(17)),
+)
+
+
+@pytest.mark.parametrize("component,ncomp", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)])
+def test_closed_form_tables_match_convolution(component, ncomp):
+    # Entry k of a table does not depend on where the table stops, so one
+    # reference through s_14 covers every window: each upto from lowest 0,
+    # and each lowest up to 14.  The component only renames variables, so
+    # every shift vector runs in two ambients and the long one in all.
+    full = (component, ncomp) in ((1, 1), (2, 3))
+    for c in CLOSED_FORM_SHIFTS if full else CLOSED_FORM_SHIFTS[-1:]:
+        ref = shifted_table_by_convolution(14, c, component, ncomp)
+        windows = [(upto, 0) for upto in range(15)] + [(14, lowest) for lowest in range(15)]
+        for upto, lowest in windows:
+            got = schur_shifted_table(upto, c, component, ncomp, lowest)
+            assert got == ref[lowest:upto + 1], (c, upto, lowest)
+
+
+@pytest.mark.parametrize(
+    "family,sign",
+    [(Family.T, 1), (Family.X, 1), (Family.X, -1), (Family.Y, -1)],
+    ids=["t", "x", "-x", "-y"],
+)
+def test_scaled_signed_tables_match_relabelled_convolution(family, sign):
+    for c in CLOSED_FORM_SHIFTS:
+        for coeff in (1, Fraction(-2, 3), -3, 0):
+            ref = shifted_table_by_convolution(12, c, 1, 1, 0, coeff, family, sign)
+            assert _shifted_table(12, c, 1, 1, 0, coeff, family, sign) == ref, (c, coeff)
+    ref = shifted_table_by_convolution(9, CLOSED_FORM_SHIFTS[2], 2, 3, 4, Fraction(5, 2), family, sign)
+    assert _shifted_table(9, CLOSED_FORM_SHIFTS[2], 2, 3, 4, Fraction(5, 2), family, sign) == ref
+
+
+def test_elementary_schur_matches_polynomial_recurrence():
+    for component, ncomp in ((1, 1), (2, 3)):
+        ref = schur_of_args(16, [tvar(i, component, ncomp) for i in range(1, 17)])
+        for j in range(17):
+            assert elementary_schur(j, component, ncomp) == ref[j], (component, j)
+
+
+def test_table_rejects_component_outside_ambient():
+    # s_0 reads no variable, yet component 3 of 2 is still an error
+    for upto in (0, 2):
+        with pytest.raises(ValueError):
+            schur_shifted_table(upto, None, 3, 2)
+
+
 def test_concurrent_growth_keeps_tables_ordered():
-    # Four threads grow the same cold table at a 1 us switch interval; a
-    # lost or duplicated append leaves an entry at the wrong order.  The key
-    # ncomp=5 is used by no other test, so the table starts cold.
-    ncomp, k = 5, 18
-    schur._SCHUR_CACHE.pop((ncomp, 1), None)
-    errors = []
+    # Four threads build s_k from a cold monomial cache at a 1 us switch
+    # interval; a torn or half-built cache entry would show up as a result
+    # that differs from the serial one.
+    k, ncomp = 18, 2
+    schur._MONOMIALS.clear()
+    results, errors = [], []
 
     def grow():
         try:
-            elementary_schur(k, 1, ncomp)
+            results.append(schur_shifted_table(k, [1, Fraction(-1, 2)], 2, ncomp))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -121,9 +181,10 @@ def test_concurrent_growth_keeps_tables_ordered():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    table = schur._SCHUR_CACHE[(ncomp, 1)]
-    assert len(table) == k + 1
-    assert [p.weighted_degree() for p in table] == list(range(k + 1))
+    serial = schur_shifted_table(k, [1, Fraction(-1, 2)], 2, ncomp)
+    assert [p.weighted_degree() for p in serial] == list(range(k + 1))
+    assert len(results) == 4
+    assert all(table == serial for table in results)
 
 
 def test_shift_vector_access():
