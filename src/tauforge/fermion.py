@@ -24,12 +24,19 @@ Plucker coordinates of its generators through it.
 
 The expansion, B and the bosonization run on integer numerators over one
 common denominator each; only the coefficients they return are fractions.
-Only the character rows that the expansion and ``boson_image`` read are kept
-between calls: the oracle's shapes are no larger than the tau they
-reproduce, so the cache grows with the size of the inputs.  The shapes of B
-reach twice the size of tau, so ``bosonize`` builds its rows in a table of
-its own and drops it on return.  The kept rows sit in a dict whose values
-are never mutated; a race only computes an entry twice, so it needs no lock.
+Two tables outlive a call, in dicts whose values are never mutated, so a
+race only computes an entry twice and needs no lock:
+
+- the character rows that ``schur_expansion`` and ``boson_image`` read; the
+  oracle's shapes are no larger than the tau they reproduce;
+- the term list of each s_lambda that ``expand`` reads,
+  [(t^nu, chi^lambda_nu |lambda|! / prod_k m_k(nu)!)], keyed by (lambda,
+  family, component): per size n, family and component at most p(n) shapes
+  of at most p(n) terms, a size that one failing check's row table already
+  reaches at its peak.
+
+The shapes of B reach twice the size of tau, so ``bosonize`` builds the rows
+behind a missing term list in a table that it drops on return.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial, lcm, prod
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .partitions import partitions_of
 from .polycore import Family, Monomial, Poly
@@ -55,7 +62,11 @@ Term = tuple[int, int, Label, Label, int]
 # chi^lambda_nu over nu with parts <= top, keyed by (lambda, top)
 RowTable = dict[tuple[PartitionKey, int], dict[PartitionKey, int]]
 
+# the term list of one s_lambda (module docstring)
+Expansion = tuple[tuple[Monomial, int], ...]
+
 _CHARACTERS: RowTable = {}
+_EXPANSIONS: dict[tuple[PartitionKey, Family, int], Expansion] = {}
 
 
 def _row(lam: PartitionKey, top: int, table: RowTable) -> dict[PartitionKey, int]:
@@ -208,34 +219,47 @@ def _shape(maya: Maya, charge: int) -> PartitionKey:
 
 
 def _times(
-    left: list[tuple[Monomial, int]], right: list[tuple[Monomial, int]]
+    left: Sequence[tuple[Monomial, int]], right: Sequence[tuple[Monomial, int]]
 ) -> list[tuple[Monomial, int]]:
     return [(ml + mr, cl * cr) for ml, cl in left for mr, cr in right]
 
 
+def _expansion(lam: PartitionKey, family: Family, component: int, table: RowTable) -> Expansion:
+    """s_lambda's kept term list; on a miss its rows are read from and left in ``table``."""
+    hit = _EXPANSIONS.get((lam, family, component))
+    if hit is None:
+        size = factorial(sum(lam))
+        terms = []
+        for nu, chi in _row(lam, sum(lam), table).items():
+            mono, weight = _monomial(nu, family, component)
+            terms.append((mono, chi * (size // weight)))
+        hit = _EXPANSIONS.setdefault((lam, family, component), tuple(terms))
+    return hit
+
+
 def expand(
     states: Iterable[State], charges: Label, family: Family, table: RowTable
-) -> tuple[dict[State, list[tuple[Monomial, int]]], int]:
+) -> tuple[dict[State, Sequence[tuple[Monomial, int]]], int]:
     """Each state as prod_b top_b! s_{lambda(S_b)} over (monomial, integer), and prod_b top_b!.
 
-    top_b is the largest size in species b; rows are read from and left in
-    ``table``.  Monomials sort by family, then component, so a product
+    top_b is the largest size in species b.  Each factor is the kept term
+    list of s_lambda (module docstring), rescaled by top_b!/|lambda|! unless
+    that is 1; only a missing list builds character rows, read from and left
+    in ``table``.  Monomials sort by family, then component, so a product
     monomial is the concatenation of its factors.
     """
     shapes = {s: [_shape(maya, c) for maya, c in zip(s, charges)] for s in states}
     tops = [max((sum(sh[k]) for sh in shapes.values()), default=0) for k in range(len(charges))]
-    factors: dict[tuple[PartitionKey, int], list[tuple[Monomial, int]]] = {}
-    monomials: dict[tuple[PartitionKey, int], tuple[Monomial, int]] = {}
+    factors: dict[tuple[PartitionKey, int], Sequence[tuple[Monomial, int]]] = {}
 
-    def factor(lam: PartitionKey, k: int) -> list[tuple[Monomial, int]]:
+    def factor(lam: PartitionKey, k: int) -> Sequence[tuple[Monomial, int]]:
         hit = factors.get((lam, k))
         if hit is None:
-            hit = factors[lam, k] = []
-            for nu, chi in _row(lam, sum(lam), table).items():
-                mono = monomials.get((nu, k))
-                if mono is None:
-                    mono = monomials[nu, k] = _monomial(nu, family, k + 1)
-                hit.append((mono[0], chi * (factorial(tops[k]) // mono[1])))
+            hit = _expansion(lam, family, k + 1, table)
+            scale = factorial(tops[k]) // factorial(sum(lam))
+            if scale != 1:
+                hit = [(mono, c * scale) for mono, c in hit]
+            factors[lam, k] = hit
         return hit
 
     out = {
@@ -248,8 +272,8 @@ def expand(
 def boson_image(vector: Mapping[State, Fraction], charges: Label, ncomp: int) -> Poly:
     """sum_S c_S prod_b s_{lambda(S_b)}(t^(b)) for a state vector {S: c_S}.
 
-    Every state has species charges ``charges``; the rows are read from and
-    kept in the module table.
+    Every state has species charges ``charges``; the term lists, and the rows
+    behind a missing one, are read from and kept in the module tables.
     """
     d = lcm(*(c.denominator for c in vector.values()))
     terms, den = expand(vector, charges, Family.T, _CHARACTERS)
@@ -266,8 +290,10 @@ def bosonize(b: StateMatrix, denominator: int, m: Label, q: Label, ncomp: int) -
     """(1/d) sum B_AB prod_s s_{lambda(A_s)}(t^(s)) s_{lambda(B_s)}(y^(s)), grouped by A.
 
     A has species charges ``m`` and B has ``q``; both sides are ``expand``ed
-    in one table of rows, so each product monomial is the concatenation
-    t^(1), .., t^(s), y^(1), .., y^(s) of its factors.
+    from the kept term lists, and the rows behind missing ones go into one
+    table that both sides share and that is dropped on return.  Each
+    product monomial is the concatenation t^(1), .., t^(s), y^(1), ..,
+    y^(s) of its factors.
     """
     table: RowTable = {}
     terms_t, den_t = expand(b, m, Family.T, table)

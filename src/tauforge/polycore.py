@@ -413,20 +413,3 @@ def yvar(index: int, component: int = 1, ncomp: int = 1) -> Poly:
 
 def xvar(index: int, component: int = 1, ncomp: int = 1) -> Poly:
     return Poly.var(VarId(Family.X, component, index), ncomp)
-
-
-# -- substitutions -----------------------------------------------------------
-
-
-def shift_vars(p: Poly, shifts: Mapping[VarId, RationalLike]) -> Poly:
-    """Substitute v -> v + c for every (v, c) in ``shifts``."""
-    effective = {v: _as_fraction(c) for v, c in shifts.items() if _as_fraction(c)}
-    if not effective or not p.terms:
-        return p
-    total = Poly.zero(p.ncomp)
-    for mono, coeff in p.terms.items():
-        term = Poly.const(coeff, p.ncomp)
-        for v, e in mono:
-            term = term * (Poly._raw({((v, 1),): Fraction(1)}, p.ncomp) + effective.get(v, 0)) ** e
-        total = total + term
-    return total

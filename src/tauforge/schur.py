@@ -127,8 +127,12 @@ def _shifted_table(
         for n in range(k + 1):
             s = consts[k - n]
             if s:
+                quotients: dict[int, Fraction] = {}  # s / weight, one per distinct weight
                 for mono, weight, length in sizes[n]:
-                    terms[mono] = (-s if sign < 0 and length & 1 else s) / weight
+                    q = quotients.get(weight)
+                    if q is None:
+                        q = quotients[weight] = s / weight
+                    terms[mono] = -q if sign < 0 and length & 1 else q
         table.append(Poly._raw(terms, ncomp))
     return table
 

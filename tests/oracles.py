@@ -52,6 +52,21 @@ def eval_poly(p: Poly, values: Mapping[VarId, Fraction]) -> Fraction:
     return total
 
 
+def shift_vars(p: Poly, shifts: Mapping[VarId, Fraction]) -> Poly:
+    """Substitute v -> v + c for every (v, c) in ``shifts``, one power of a
+    binomial at a time."""
+    effective = {v: Fraction(c) for v, c in shifts.items() if c}
+    if not effective or not p.terms:
+        return p
+    total = Poly.zero(p.ncomp)
+    for mono, coeff in p.terms.items():
+        term = Poly.const(coeff, p.ncomp)
+        for v, e in mono:
+            term = term * (Poly.var(v, p.ncomp) + effective.get(v, 0)) ** e
+        total = total + term
+    return total
+
+
 def relabel_vars(p: Poly, fn: Callable[[VarId], tuple[VarId, int | Fraction]]) -> Poly:
     """Map each variable v to scale * v' (a signed/scaled renaming).
 

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import random_fraction, random_shifts_for, schur_by_series
+from oracles import random_fraction, random_shifts_for, schur_by_series, shift_vars
 from tauforge import (
     Family,
     HSpec,
@@ -44,7 +44,6 @@ from tauforge import (
     verify_mkp_collection,
     xvar,
 )
-from tauforge.polycore import shift_vars
 
 
 def _verdict(name: str, budget_s: float, failures: list, t0: float) -> None:

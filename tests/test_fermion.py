@@ -194,13 +194,58 @@ def test_a_failing_check_keeps_no_characters_beyond_the_input():
     assert max(sum(lam) for lam, _ in fermion._CHARACTERS) == 6
 
 
+def _top_t_weight(obstruction) -> int:
+    return max(
+        sum(v.index * e for v, e in mono if v.family == Family.T) for mono in obstruction.terms
+    )
+
+
+def test_a_failing_check_keeps_term_lists_no_larger_than_its_obstruction():
+    tau = tau_kp((3, 2, 1)) + (tvar(1) ** 4 * tvar(2)).scale(Fraction(3, 2))
+    fermion._EXPANSIONS.clear()
+    report = hirota_kp_check(tau)
+    assert _top_t_weight(report.obstruction) == 11
+    assert max(sum(lam) for lam, family, _ in fermion._EXPANSIONS if family == Family.T) == 11
+    assert max(sum(lam) for lam, _, _ in fermion._EXPANSIONS) <= 11
+
+
+def test_a_repeated_failing_check_keeps_no_new_term_list():
+    tau = tau_kp((3, 2, 1)) + (tvar(1) ** 4 * tvar(2)).scale(Fraction(3, 2))
+    fermion._EXPANSIONS.clear()
+    first = hirota_kp_check(tau)
+    kept = dict(fermion._EXPANSIONS)
+    second = hirota_kp_check(tau)
+    assert not first.passed
+    assert second.obstruction == first.obstruction
+    assert fermion._EXPANSIONS.keys() == kept.keys()
+    assert all(fermion._EXPANSIONS[key] is terms for key, terms in kept.items())
+
+
+def test_cold_and_warm_term_lists_give_the_residue_reference():
+    kp = tau_nkdv((4, 2), 3) + (tvar(1) ** 4 * tvar(2)).scale(Fraction(-2, 3))
+    kp_expected = kp_residue_obstructions(kp, [0])[0]
+    rng = random.Random(12)
+    mkp = _perturbed(tau_mkp_collection(_columns(rng, 2, 2, 2)), rng)
+    mkp_expected = [
+        mkp_residue_obstruction(mkp, r.params["m"], r.params["q"], r.params["j"], (1, 1))
+        for r in verify_mkp_collection(mkp)
+    ]
+    assert kp_expected.terms and any(p.terms for p in mkp_expected)
+    fermion._EXPANSIONS.clear()
+    fermion._CHARACTERS.clear()
+    for _ in ("cold", "warm"):
+        assert hirota_kp_check(kp).obstruction == kp_expected
+        assert [r.obstruction for r in verify_mkp_collection(mkp)] == mkp_expected
+
+
 def test_concurrent_cold_caches_give_the_same_obstruction():
-    # Four threads fill the emptied character cache at a 1 us switch
-    # interval; every obstruction must equal the reference one.
+    # Four threads fill the emptied character and term-list caches at a 1 us
+    # switch interval; every obstruction must equal the reference one.
     tau = tau_nkdv((3, 2, 1), 2) + (tvar(1) ** 4 * tvar(2)).scale(Fraction(3, 2))
     expected = kp_residue_obstructions(tau, [0])[0]
     assert expected.terms
     fermion._CHARACTERS.clear()
+    fermion._EXPANSIONS.clear()
     results, errors = [], []
 
     def check():

@@ -13,9 +13,9 @@ from oracles import (
     poly_mul_by_merge,
     relabel_vars,
     residue_by_convolution,
+    shift_vars,
 )
 from tauforge import Family, Poly, VarId, tvar, xvar, yvar
-from tauforge.polycore import shift_vars
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 t_vars = st.builds(VarId, st.just(Family.T), st.just(1), st.integers(1, 4))

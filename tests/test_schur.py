@@ -13,6 +13,7 @@ from oracles import (
     schur_by_series,
     schur_of_args,
     shifted_table_by_convolution,
+    shift_vars,
 )
 from tauforge import (
     Family,
@@ -27,7 +28,6 @@ from tauforge import (
     tvar,
 )
 from tauforge import schur
-from tauforge.polycore import shift_vars
 from tauforge.schur import _shifted_table, schur_shifted_table
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
