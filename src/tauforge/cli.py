@@ -27,6 +27,11 @@ File formats (all JSON, rationals as integers or strings like "-3/4"):
 
 The environment variable TAUFORGE_MAX_DEGREE (default 64) caps the weighted
 degree of any requested construction; exceeding it is an input error.
+
+The argument parser is built once per process, on the first ``main`` call,
+and every later call reuses it: building the nine subcommands costs about as
+much as a small construction.  Parsing only reads the parser and returns a
+fresh namespace, so the shared parser is safe to reuse, from any thread.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .fock import (
@@ -643,7 +649,9 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process (module docstring); callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="tauforge",
         description="Construct and verify polynomial tau-functions exactly.",

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tauforge import HSpec, Poly, elementary_schur, tau_kp, tau_mkp_entry
-from tauforge.cli import main
+from tauforge.cli import build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -513,6 +514,55 @@ PINNED_CHECK_JSON = {
 def test_check_json_bytes_are_pinned(capsys, tmp_path, name):
     args, code, digest = PINNED_CHECK_JSON[name]
     assert _pinned_run(capsys, tmp_path, name, args) == (code, digest, "")
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    # The same process runs a construction, a rejected argv and the
+    # construction again: the rejection exits 2 as before, the repeat prints
+    # the same bytes, and no call builds a second parser.
+    main(["schur", "0"])
+    capsys.readouterr()
+    built = build_parser.cache_info().misses
+    args, digest = PINNED_JSON["akns"]
+    first = _pinned_run(capsys, tmp_path, "akns", args)
+    with pytest.raises(SystemExit) as exc:
+        main(["akns", "--m1", "x", "--m2", "2"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert _pinned_run(capsys, tmp_path, "akns", args) == first == (0, digest, "")
+    assert build_parser.cache_info().misses == built == 1
+
+
+def test_shared_parser_is_safe_across_threads():
+    argvs = [
+        ["akns", "--m1", "3", "--m2", "2", "--p", "1", "--json"],
+        ["verify", "--what", "kp", "--partition", "2,1", "--trials", "3"],
+        ["tau-mkp", "--specs", "s.json", "--charge", "2,0"],
+        ["list-periodic", "--n", "2", "--max-size", "6"],
+    ]
+    parser = build_parser()
+    expected = [vars(parser.parse_args(argv)) for argv in argvs]
+    results: list[list[tuple]] = [[] for _ in range(4)]
+
+    def work(k):
+        for _ in range(50):
+            for argv in argvs[k:] + argvs[:k]:
+                results[k].append((argv, vars(parser.parse_args(argv))))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == 50 * len(argvs)
+        assert all(ns == expected[argvs.index(argv)] for argv, ns in got)
 
 
 # -- oracle comparison -------------------------------------------------------------
