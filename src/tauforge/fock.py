@@ -29,6 +29,7 @@ after it, each flipping the sign.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from . import fermion
@@ -111,14 +112,6 @@ class GeneratorVector:
         }
         return GeneratorVector(moved, self.ncomp)
 
-    def max_positive_index(self) -> int | None:
-        """Largest index >= 1 present, or None when the vector dies on the vacuum."""
-        positive = [bv.index for bv in self.entries if bv.index >= 1]
-        return max(positive) if positive else None
-
-    def wedges_to_zero_against_vacuum(self) -> bool:
-        return self.max_positive_index() is None
-
 
 def oracle_tau(fs: Sequence[GeneratorVector], charge: Sequence[int]) -> Poly:
     """Coefficient of the charge's target wedge monomial in f_1(t) ^ ... ^ f_m(t).
@@ -148,21 +141,28 @@ def wedge_from_generators(fs: Sequence[GeneratorVector], ncomp: int) -> dict[fer
     """f_1 ^ ... ^ f_m over the vacuum at t = 0: the Plucker coordinates of the fs.
 
     Each monomial is an int key (module docstring); appending a factor is a
-    psi-insertion.  The keys are decoded once, into ``fermion`` states.
+    psi-insertion.  Each generator's entries are integer numerators over its
+    lcm denominator, so the wedge runs on integers over the product of those
+    denominators, and each key is decoded once, into a ``fermion`` state with
+    one ``Fraction``.
     """
     width = max((bv.index for g in fs for bv in g.entries), default=0)
-    wedge: dict[int, Fraction] = {0: Fraction(1)}
+    wedge: dict[int, int] = {0: 1}
+    den = 1
     for g in fs:
-        nxt: dict[int, Fraction] = {}
+        d = lcm(*[b.denominator for b in g.entries.values()])
+        den *= d
+        nxt: dict[int, int] = {}
         for bv, b in g.entries.items():
             if bv.index < 1:
                 continue  # collides with a vacuum factor
+            nb = b.numerator * (d // b.denominator)
             bit = 1 << ((ncomp - bv.component) * width + bv.index - 1)
             after = bit - 1  # the factors that sort after this one
             for mask, acc in wedge.items():
                 if mask & bit:
                     continue
-                c = acc * b
+                c = acc * nb
                 key = mask | bit
                 nxt[key] = nxt.get(key, 0) + (-c if (mask & after).bit_count() & 1 else c)
         wedge = {mask: c for mask, c in nxt.items() if c}
@@ -171,7 +171,7 @@ def wedge_from_generators(fs: Sequence[GeneratorVector], ncomp: int) -> dict[fer
         tuple(
             tuple(p for p in positions if (mask >> ((ncomp - a) * width + p)) & 1)
             for a in range(1, ncomp + 1)
-        ): c
+        ): Fraction(c, den)
         for mask, c in wedge.items()
     }
 

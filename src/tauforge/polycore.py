@@ -11,16 +11,19 @@ ambient component count ``ncomp``; it is an error to combine polynomials with
 different ambient counts, while mixing variable families or components inside
 one ambient is fine.
 
-Every product runs through one kernel, ``Poly.sum_of_products``, which
-returns sum_k c_k * a_k * b_k on integers; ``a * b`` is its one-pair case.
-Each variable gets a bit field, in canonical variable order, so a monomial
-packs into one int and multiplying monomials adds their ints.  A field is
-``max_k(max exponent of a_k + max exponent of b_k).bit_length()`` bits wide,
-and no product exponent exceeds that sum, so no field ever carries into the
-next: there is no exponent cap to check.  Each distinct factor is packed
-once, as integer numerators over its lcm denominator d; every pair adds into
-one integer accumulator over the lcm of the c_k.denominator * d(a_k) * d(b_k),
-and each nonzero output term becomes one reduced ``Fraction``.
+Every product runs through one packed kernel, ``packed_sum``, which returns
+sum_k w_k * a_k * b_k on integers: ``Poly.sum_of_products`` and
+``tau.det_poly`` both call it, and ``a * b`` is the one-pair case of the
+first.  A ``Packing`` gives each variable a bit field, in canonical variable
+order, so a monomial packs into one int and multiplying monomials adds their
+ints.  Its caller names a bound ``top`` on every exponent the products can
+reach, and each field is ``top.bit_length()`` bits wide, so no field ever
+carries into the next: there is no exponent cap to check.
+``sum_of_products`` takes ``top`` = max_k(max exponent of a_k + max exponent
+of b_k), since a product's exponent is the sum of its factors' exponents;
+``det_poly`` takes the sum over rows of the largest exponent in each row.
+Coefficients are packed as integer numerators over a common denominator, and
+only the final sum becomes ``Fraction``s, one reduced ``Fraction`` per term.
 """
 
 from __future__ import annotations
@@ -84,20 +87,6 @@ def int_tuple(value: Iterable[int]) -> tuple[int, ...]:
     if isinstance(value, (str, bytes)):
         raise TypeError(f"expected a sequence of integers, got {value!r}")
     return tuple(map(_json_int, value))
-
-
-def _pack(
-    terms: Mapping[Monomial, Fraction], shift: Mapping[VarId, int]
-) -> tuple[list[tuple[int, int]], int]:
-    """(packed monomial, integer numerator) pairs over the lcm denominator."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    packed = []
-    for mono, c in terms.items():
-        key = 0
-        for v, e in mono:
-            key += e << shift[v]
-        packed.append((key, c.numerator * (den // c.denominator)))
-    return packed, den
 
 
 def _check_ambient(ncomp: int, other: "Poly") -> None:
@@ -233,7 +222,7 @@ class Poly:
 
     @staticmethod
     def sum_of_products(triples: Iterable[tuple[RationalLike, Poly, Poly]], ncomp: int) -> Poly:
-        """sum_k c_k * a_k * b_k over (c_k, a_k, b_k) in ``triples`` (module docstring)."""
+        """sum_k c_k * a_k * b_k over (c_k, a_k, b_k) in ``triples``, in one ``packed_sum``."""
         pairs = []
         for c, a, b in triples:
             _check_ambient(ncomp, a)
@@ -244,42 +233,18 @@ class Poly:
         if not pairs:
             return Poly.zero(ncomp)
         # Factors are keyed by identity, so one Poly in several pairs is packed
-        # once.  Variable k owns bits [k * width, (k + 1) * width) in canonical
-        # variable order, so unpacking from bit 0 up yields sorted monomials.
+        # once, as numerators over its own lcm denominator.
         factors = {id(f): f for _, a, b in pairs for f in (a, b)}
-        tops = {key: max((e for mono in f.terms for _, e in mono), default=0)
-                for key, f in factors.items()}
-        width = max(tops[id(a)] + tops[id(b)] for _, a, b in pairs).bit_length()
-        variables = sorted({v for f in factors.values() for mono in f.terms for v, _ in mono})
-        shift = {v: k * width for k, v in enumerate(variables)}
-        packed = {key: _pack(f.terms, shift) for key, f in factors.items()}
-        den = lcm(*[c.denominator * packed[id(a)][1] * packed[id(b)][1] for c, a, b in pairs])
-        acc: defaultdict[int, int] = defaultdict(int)
-        for c, a, b in pairs:
-            pa, da = packed[id(a)]
-            pb, db = packed[id(b)]
-            if len(pa) < len(pb):
-                pa, pb = pb, pa
-            weight = c.numerator * (den // (c.denominator * da * db))
-            if weight != 1:
-                pb = [(kb, nb * weight) for kb, nb in pb]
-            for kb, nb in pb:
-                for ka, na in pa:
-                    acc[ka + kb] += na * nb
-        mask = (1 << width) - 1
-        out: dict[Monomial, Fraction] = {}
-        for key, n in acc.items():
-            if n:
-                mono = []
-                k = 0
-                while key:
-                    e = key & mask
-                    if e:
-                        mono.append((variables[k], e))
-                    key >>= width
-                    k += 1
-                out[tuple(mono)] = Fraction(n, den)
-        return Poly._raw(out, ncomp)
+        tops = {key: f.max_exponent() for key, f in factors.items()}
+        layout = Packing(factors.values(), max(tops[id(a)] + tops[id(b)] for _, a, b in pairs))
+        dens = {key: lcm(*[c.denominator for c in f.terms.values()]) for key, f in factors.items()}
+        packed = {key: layout.pack(f, dens[key]) for key, f in factors.items()}
+        scales = [c.denominator * dens[id(a)] * dens[id(b)] for c, a, b in pairs]
+        den = lcm(*scales)
+        return layout.unpack(packed_sum(
+            (c.numerator * (den // scale), packed[id(a)], packed[id(b)])
+            for (c, a, b), scale in zip(pairs, scales)
+        ), den, ncomp)
 
     def __rmul__(self, other: RationalLike) -> "Poly":
         return self.scale(other)
@@ -329,11 +294,9 @@ class Poly:
                 seen.add(v)
         return seen
 
-    def weighted_degree(self) -> int:
-        """Max over monomials of sum(index * exponent); -1 for the zero poly."""
-        if not self.terms:
-            return -1
-        return max(sum(v.index * e for v, e in m) for m in self.terms)
+    def max_exponent(self) -> int:
+        """The largest exponent of any variable in any term; 0 without variables."""
+        return max((e for mono in self.terms for _, e in mono), default=0)
 
     # -- rendering ----------------------------------------------------------
 
@@ -398,6 +361,70 @@ class Poly:
             acc = out.get(mono)
             out[mono] = coeff if acc is None else acc + coeff
         return cls(out, ncomp)
+
+
+# -- the packed kernel ---------------------------------------------------------
+
+Packed = list[tuple[int, int]]  # (packed monomial, integer numerator) per nonzero term
+
+
+class Packing:
+    """One bit layout for the monomials of some polynomials (module docstring).
+
+    Variable k of the sorted variables owns bits [k * width, (k + 1) * width),
+    so unpacking from bit 0 up yields canonical monomials.  ``top`` must bound
+    every exponent of every packed product the layout will decode.
+    """
+
+    __slots__ = ("variables", "width", "shift")
+
+    def __init__(self, polys: Iterable[Poly], top: int):
+        self.variables = sorted({v for p in polys for mono in p.terms for v, _ in mono})
+        self.width = top.bit_length()
+        self.shift = {v: k * self.width for k, v in enumerate(self.variables)}
+
+    def pack(self, p: Poly, den: int) -> Packed:
+        """p's terms as numerators over ``den``, a multiple of every denominator of p."""
+        shift = self.shift
+        out = []
+        for mono, c in p.terms.items():
+            key = 0
+            for v, e in mono:
+                key += e << shift[v]
+            out.append((key, c.numerator * (den // c.denominator)))
+        return out
+
+    def unpack(self, packed: Packed, den: int, ncomp: int) -> Poly:
+        """The Poly whose terms are the packed numerators over ``den``."""
+        width, variables = self.width, self.variables
+        mask = (1 << width) - 1
+        out: dict[Monomial, Fraction] = {}
+        for key, n in packed:
+            mono = []
+            k = 0
+            while key:
+                e = key & mask
+                if e:
+                    mono.append((variables[k], e))
+                key >>= width
+                k += 1
+            out[tuple(mono)] = Fraction(n, den)
+        return Poly._raw(out, ncomp)
+
+
+def packed_sum(triples: Iterable[tuple[int, Packed, Packed]]) -> Packed:
+    """sum_k w_k * a_k * b_k over integer weights and packed factors of one
+    ``Packing``: the one product loop in the package.  Only nonzero terms stay."""
+    acc: defaultdict[int, int] = defaultdict(int)
+    for w, pa, pb in triples:
+        if len(pa) < len(pb):
+            pa, pb = pb, pa
+        if w != 1:
+            pb = [(kb, nb * w) for kb, nb in pb]
+        for kb, nb in pb:
+            for ka, na in pa:
+                acc[ka + kb] += na * nb
+    return [(key, n) for key, n in acc.items() if n]
 
 
 # -- convenience constructors ------------------------------------------------

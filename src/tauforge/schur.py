@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence, Union
 
 from .partitions import (
@@ -145,17 +145,25 @@ def elementary_schur(j: int, component: int = 1, ncomp: int = 1) -> Poly:
 
 def schur_constants(upto: int, c: ShiftLike) -> list[Fraction]:
     """[s_0(c), ..., s_upto(c)] for a constant argument vector, by the recurrence
-    n * s_n = sum_{i=1}^{n} i * c_i * s_{n-i}."""
+    n * s_n = sum_{i=1}^{n} i * c_i * s_{n-i}.
+
+    It runs on v_n = upto! d^n s_n(c), with d the lcm of the denominators of c,
+    as n * v_n = sum_i i * d^i c_i * v_{n-i}.  Each v_n is an integer: n! divides
+    upto!, and n! d^n s_n(c) = sum over partitions nu of n of
+    n!/prod_j m_j(nu)! * prod_j (d^j c_j)^{m_j(nu)} is one.
+    """
     cv = ShiftVector.coerce(c)
-    table = [Fraction(1)]
+    d = lcm(*[x.denominator for x in cv.entries])
+    weights = [
+        (i, i * x.numerator * (d // x.denominator) * d ** (i - 1))
+        for i, x in enumerate(cv.entries[:upto], start=1)
+        if x
+    ]
+    top = factorial(max(upto, 0))
+    v = [top]
     for n in range(1, upto + 1):
-        acc = Fraction(0)
-        for i in range(1, min(n, len(cv)) + 1):
-            ci = cv.entries[i - 1]
-            if ci:
-                acc += i * ci * table[n - i]
-        table.append(acc / n)
-    return table
+        v.append(sum(w * v[n - i] for i, w in weights if i <= n) // n)
+    return [Fraction(x, top * d**n) for n, x in enumerate(v)]
 
 
 def schur_constant(j: int, c: ShiftLike) -> Fraction:

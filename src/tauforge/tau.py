@@ -44,17 +44,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, expected_shift_lengths, is_n_periodic
-from .polycore import Family, Poly, RationalLike, VarId, _json_int, exact_fraction, int_tuple
+from .polycore import (
+    Family, Packed, Packing, Poly, RationalLike, VarId, _json_int, exact_fraction, int_tuple,
+    packed_sum,
+)
 from .schur import ShiftLike, ShiftVector, _shifted_table, schur_shifted_table
 
 ChargeVector = tuple[int, ...]
 
 
 def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square Poly matrix by memoized Laplace expansion."""
+    """Determinant of a square Poly matrix by memoized Laplace expansion.
+
+    Each distinct entry is packed once (``polycore.Packing``) as integer
+    numerators over D, the lcm of every entry's denominators, so the minor on
+    rows i..m-1 is packed numerators over D^(m-i).  The memo keeps each minor
+    packed, and only the determinant is decoded.  The fields are as wide as
+    the sum over rows of the largest exponent in the row: every monomial of a
+    minor is a product of one entry monomial from each of its rows, so none of
+    its exponents exceeds that sum, and no field carries into the next.
+    """
     m = len(rows)
     if m == 0:
         raise ValueError("determinant of an empty matrix needs an ambient; use const 1")
@@ -62,12 +75,21 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
     for row in rows:
         if len(row) != m:
             raise ValueError("matrix must be square")
+        for entry in row:
+            if entry.ncomp != ncomp:
+                raise ValueError(f"ambient component count mismatch: {ncomp} vs {entry.ncomp}")
+    distinct = {id(p): p for row in rows for p in row if p.terms}
+    tops = {key: p.max_exponent() for key, p in distinct.items()}
+    layout = Packing(distinct.values(), sum(max(tops.get(id(p), 0) for p in row) for row in rows))
+    den = lcm(*[c.denominator for p in distinct.values() for c in p.terms.values()])
+    packed = {key: layout.pack(p, den) for key, p in distinct.items()}
+    cells = [[packed.get(id(p)) for p in row] for row in rows]  # None at a zero entry
     full = (1 << m) - 1
-    memo: dict[tuple[int, int], Poly] = {}
+    memo: dict[tuple[int, int], Packed] = {}
 
-    def expand(i: int, cols: int) -> Poly:
+    def expand(i: int, cols: int) -> Packed:
         if i == m - 1:
-            return rows[i][cols.bit_length() - 1]  # the one column left
+            return cells[i][cols.bit_length() - 1] or []  # the one column left
         key = (i, cols)
         hit = memo.get(key)
         if hit is not None:
@@ -77,15 +99,17 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
         rest = cols
         while rest:
             low = rest & -rest
-            entry = rows[i][low.bit_length() - 1]
-            if entry.terms:
-                triples.append((sign, entry, expand(i + 1, cols & ~low)))
+            entry = cells[i][low.bit_length() - 1]
+            if entry:
+                minor = expand(i + 1, cols & ~low)
+                if minor:
+                    triples.append((sign, entry, minor))
             sign = -sign
             rest ^= low
-        memo[key] = total = Poly.sum_of_products(triples, ncomp)
+        memo[key] = total = packed_sum(triples)
         return total
 
-    return expand(0, full)
+    return layout.unpack(expand(0, full), den**m, ncomp)
 
 
 # -- single-component KP -------------------------------------------------------
@@ -208,15 +232,20 @@ class TauCollection:
 
     ``total`` is the common charge sum; zero entries are omitted and read
     back as the zero polynomial.  ``ncomp`` is the label arity; every entry
-    shares one polynomial ambient (``ambient``), which for AKNS collections
-    is 1, since their entries are polynomials in x alone.
+    shares one polynomial ambient, ``ambient``, which for AKNS collections
+    is 1, since their entries are polynomials in x alone.  When it is not
+    given, it is that of the entries, or the label arity without entries.
     """
 
     total: int
     ncomp: int
     entries: dict[ChargeVector, Poly]
+    ambient: int | None = None
 
     def __post_init__(self):
+        if self.ambient is None:
+            first = next(iter(self.entries.values()), None)
+            self.ambient = self.ncomp if first is None else first.ncomp
         for label, poly in self.entries.items():
             if len(label) != self.ncomp:
                 raise ValueError(f"label {label} has wrong arity")
@@ -226,12 +255,6 @@ class TauCollection:
                 raise ValueError("store only nonzero entries")
             if poly.ncomp != self.ambient:
                 raise ValueError(f"entry {label} has ambient {poly.ncomp}, not {self.ambient}")
-
-    @property
-    def ambient(self) -> int:
-        """The ``ncomp`` of every entry; the label arity for an empty collection."""
-        first = next(iter(self.entries.values()), None)
-        return self.ncomp if first is None else first.ncomp
 
     def get(self, label: Sequence[int]) -> Poly:
         key = tuple(label)
@@ -278,10 +301,12 @@ def _block_det(columns: Sequence[Column], label: ChargeVector, ncomp: int) -> Po
     return det_poly(rows) if rows else Poly.const(1, ncomp)
 
 
-def _collection(total: int, ncomp: int, entry: Callable[[ChargeVector], Poly]) -> TauCollection:
+def _collection(total: int, ncomp: int, entry: Callable[[ChargeVector], Poly],
+                ambient: int | None = None) -> TauCollection:
     """Every nonzero ``entry(label)`` on the level ``total``."""
     pairs = ((label, entry(label)) for label in charge_vectors(total, ncomp))
-    return TauCollection(total, ncomp, {label: poly for label, poly in pairs if poly.terms})
+    entries = {label: poly for label, poly in pairs if poly.terms}
+    return TauCollection(total, ncomp, entries, ambient)
 
 
 # -- multicomponent KP ---------------------------------------------------------
@@ -513,4 +538,4 @@ def akns_collection(
     size for which the family solves the AKNS system."""
     K = max(m1, m2) if big_k is None else big_k
     columns = _akns_columns(m1, m2, b1, b2, c1, c2, K)
-    return _collection(K, 2, lambda label: _akns_entry(columns, label))
+    return _collection(K, 2, lambda label: _akns_entry(columns, label), ambient=1)

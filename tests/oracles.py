@@ -159,7 +159,7 @@ def miwa_by_operator(p: Poly, family: Family, component: int, sign: int) -> list
         for e, q in layer.items():
             prev = total.get(e)
             total[e] = q if prev is None else prev + q
-    return [total.get(-k, Poly.zero(p.ncomp)) for k in range(max(p.weighted_degree(), 0) + 1)]
+    return [total.get(-k, Poly.zero(p.ncomp)) for k in range(max(weighted_degree(p), 0) + 1)]
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
@@ -347,6 +347,85 @@ def det_by_permutations(rows: Sequence[Sequence[Poly]]) -> Poly:
                 break
         total = total + (prod if inversions % 2 == 0 else -prod)
     return total
+
+
+def sum_of_products_by_factors(triples, ncomp: int) -> Poly:
+    """sum_k c_k * a_k * b_k as ``Poly.sum_of_products`` computed it before the
+    packed kernel was shared: each factor packed on its own layout, each call
+    decoded into ``Fraction``s."""
+    pairs = []
+    for c, a, b in triples:
+        for f in (a, b):
+            if f.ncomp != ncomp:
+                raise ValueError(f"ambient component count mismatch: {ncomp} vs {f.ncomp}")
+        c = Fraction(c)
+        if c and a.terms and b.terms:
+            pairs.append((c, a, b))
+    if not pairs:
+        return Poly.zero(ncomp)
+    factors = {id(f): f for _, a, b in pairs for f in (a, b)}
+    tops = {key: max((e for mono in f.terms for _, e in mono), default=0)
+            for key, f in factors.items()}
+    width = max(tops[id(a)] + tops[id(b)] for _, a, b in pairs).bit_length()
+    variables = sorted({v for f in factors.values() for mono in f.terms for v, _ in mono})
+    offsets = {v: k * width for k, v in enumerate(variables)}
+    packed = {key: _pack([f], offsets) for key, f in factors.items()}
+    den = lcm(*[c.denominator * packed[id(a)][0] * packed[id(b)][0] for c, a, b in pairs])
+    acc: dict[int, int] = {}
+    for c, a, b in pairs:
+        (da, (pa,)), (db, (pb,)) = packed[id(a)], packed[id(b)]
+        weight = c.numerator * (den // (c.denominator * da * db))
+        for kb, nb in pb.items():
+            for ka, na in pa.items():
+                acc[ka + kb] = acc.get(ka + kb, 0) + weight * na * nb
+    mask = (1 << width) - 1
+    out: dict[Monomial, Fraction] = {}
+    for key, n in acc.items():
+        if n:
+            mono = []
+            for k, v in enumerate(variables):
+                e = (key >> (k * width)) & mask
+                if e:
+                    mono.append((v, e))
+            out[tuple(mono)] = Fraction(n, den)
+    return Poly(out, ncomp)
+
+
+def det_by_decoded_minors(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """The determinant as ``det_poly`` computed it before its minors stayed
+    packed: memoized Laplace expansion, every minor a decoded ``Poly`` and one
+    ``sum_of_products_by_factors`` call."""
+    m = len(rows)
+    ncomp = rows[0][0].ncomp
+    memo: dict[tuple[int, int], Poly] = {}
+
+    def expand(i: int, cols: int) -> Poly:
+        if i == m - 1:
+            return rows[i][cols.bit_length() - 1]
+        if (i, cols) not in memo:
+            triples = []
+            sign = 1
+            for c in range(m):
+                if cols >> c & 1:
+                    if rows[i][c].terms:
+                        triples.append((sign, rows[i][c], expand(i + 1, cols & ~(1 << c))))
+                    sign = -sign
+            memo[i, cols] = sum_of_products_by_factors(triples, ncomp)
+        return memo[i, cols]
+
+    return expand(0, (1 << m) - 1)
+
+
+def weighted_degree(p: Poly) -> int:
+    """Max over monomials of sum(index * exponent); -1 for the zero poly."""
+    if not p.terms:
+        return -1
+    return max(sum(v.index * e for v, e in m) for m in p.terms)
+
+
+def wedges_to_zero_against_vacuum(g: GeneratorVector) -> bool:
+    """True when every entry of g has index <= 0, so g dies on the vacuum."""
+    return all(bv.index < 1 for bv in g.entries)
 
 
 def evolve(g: GeneratorVector) -> dict[BasisVector, Poly]:

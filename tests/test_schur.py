@@ -14,6 +14,7 @@ from oracles import (
     schur_of_args,
     shifted_table_by_convolution,
     shift_vars,
+    weighted_degree,
 )
 from tauforge import (
     Family,
@@ -85,6 +86,9 @@ def test_constants_agree_with_evaluation(cs, j):
     for v in p.variables():
         values[v] = cs[v.index - 1] if v.index <= len(cs) else Fraction(0)
     assert schur_constant(j, cs) == eval_poly(p, values)
+    table = schur_constants(j, cs)
+    assert table == [eval_poly(elementary_schur(k), values) for k in range(j + 1)]
+    assert all(type(c) is Fraction for c in table)
 
 
 @given(st.lists(rationals, min_size=1, max_size=6), st.integers(0, 7))
@@ -182,7 +186,7 @@ def test_concurrent_growth_keeps_tables_ordered():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     serial = schur_shifted_table(k, [1, Fraction(-1, 2)], 2, ncomp)
-    assert [p.weighted_degree() for p in serial] == list(range(k + 1))
+    assert [weighted_degree(p) for p in serial] == list(range(k + 1))
     assert len(results) == 4
     assert all(table == serial for table in results)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     akns_by_args,
+    det_by_decoded_minors,
     det_by_permutations,
     generating_poly,
     mnkdv_columns_by_derivatives,
@@ -101,6 +103,68 @@ def test_det_matches_permutations_on_seeded_matrices_with_zero_and_constant_entr
                 # entries drawn from a small pool, so one Poly object sits in several cells
                 rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
                 assert det_poly(rows) == det_by_permutations(rows), (ncomp, n)
+
+
+@st.composite
+def packed_matrices(draw):
+    """Square matrices over a small pool of entries in the T, Y and X families
+    of several components, with zero entries and rational coefficients; one
+    Poly object often sits in several cells."""
+    ncomp = draw(st.integers(1, 3))
+    variables = st.builds(VarId, st.sampled_from(list(Family)), st.integers(1, ncomp),
+                          st.integers(1, 3))
+    pool = [Poly.zero(ncomp), Poly.const(draw(rationals.filter(bool)), ncomp)]
+    for _ in range(draw(st.integers(1, 4))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            mono = draw(st.dictionaries(variables, st.integers(1, 3), max_size=2))
+            terms[tuple(sorted(mono.items()))] = draw(rationals)
+        pool.append(Poly(terms, ncomp))
+    n = draw(st.integers(1, 5))
+    picks = st.integers(0, len(pool) - 1)
+    return [[pool[draw(picks)] for _ in range(n)] for _ in range(n)]
+
+
+@given(packed_matrices())
+def test_det_matches_the_decoded_minor_reference(rows):
+    got = det_poly(rows)
+    assert got == det_by_decoded_minors(rows)
+    if len(rows) <= 4:
+        assert got == det_by_permutations(rows)
+    for mono, c in got.terms.items():
+        assert type(c) is Fraction and c != 0 and gcd(c.numerator, c.denominator) == 1
+        assert list(mono) == sorted(mono) and all(e >= 1 for _, e in mono)
+
+
+@given(st.integers(1, 40), st.data())
+def test_det_at_the_field_width_edge(k, data):
+    # The rows' largest exponents sum to 2^k, the bound det_poly sizes its
+    # fields by, and one monomial of the determinant reaches it: a field of
+    # one bit less would carry.
+    n = data.draw(st.integers(1, min(4, 2**k)))
+    cuts = sorted(data.draw(st.lists(st.integers(1, 2**k - 1), min_size=n - 1, max_size=n - 1,
+                                     unique=True)))
+    tops = [b - a for a, b in zip([0] + cuts, cuts + [2**k])]
+    v = VarId(Family.T, 2, 1)
+    perm = data.draw(st.permutations(range(n)))
+    rows = []
+    for i, top in enumerate(tops):
+        row = []
+        for j in range(n):
+            below = data.draw(st.integers(0, top - 1))
+            other = VarId(data.draw(st.sampled_from(list(Family))), 1, data.draw(st.integers(1, 2)))
+            terms = {((other, data.draw(st.integers(1, top))),): data.draw(rationals)}
+            if below:
+                terms[((v, below),)] = data.draw(rationals)
+            if j == perm[i]:
+                terms[((v, top),)] = data.draw(rationals.filter(bool))
+            row.append(Poly(terms, 2))
+        rows.append(row)
+    got = det_poly(rows)
+    assert got == det_by_decoded_minors(rows)
+    assert ((v, 2**k),) in got.terms
+    if n <= 3:
+        assert got == det_by_permutations(rows)
 
 
 def test_det_validation():
@@ -331,6 +395,9 @@ def test_collection_entries_share_one_ambient():
     assert akns.ambient == 1 and akns.get((2, 0)).ncomp == 1
     empty = TauCollection(1, 2, {})
     assert empty.ambient == 2 and empty.get((1, 0)) == Poly.zero(2)
+    # an AKNS collection without a nonzero entry still reads zeros in x alone
+    none = akns_collection(1, 1, 1, 1, None, None, big_k=2)
+    assert not none.entries and none.ambient == 1 and none.get((1, 1)) == Poly.zero(1)
 
 
 def test_kp_bridge_degrees():
