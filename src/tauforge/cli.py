@@ -25,6 +25,15 @@ File formats (all JSON, rationals as integers or strings like "-3/4"):
                     {"kind": "mkp", "specs": [column, ...], "charges": [[2, 0]]}
                     (charges defaults to the whole polyhedron level).
 
+Each kind of input has one loader, called by every subcommand that reads
+that kind: ``load_partition`` (--partition and the shift sets of --shifts,
+for tau-kp, tau-nkdv and verify's kp and nkdv), ``load_specs`` (a specs file
+or an oracle case's specs), ``load_profile``, ``akns_params`` and
+``compare_case`` (one oracle case).  A loader parses its input, checks the
+weighted degree it asks for against the cap, and raises the one-line
+diagnostic; ``main`` prints a ``ValueError`` from the library the same way.
+Results leave through ``emit_poly``, ``emit_collection`` and ``report``.
+
 The environment variable TAUFORGE_MAX_DEGREE (default 64) caps the weighted
 degree of any requested construction; exceeding it is an input error.
 
@@ -43,7 +52,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .fock import (
     generator_from_hspec, generators_from_partition, oracle_tau, wedge_from_generators, wedge_tau,
@@ -56,7 +65,7 @@ from .hirota import (
     verify_mkp_collection,
 )
 from .partitions import Partition, enumerate_n_periodic, expected_shift_lengths
-from .polycore import Poly
+from .polycore import Poly, exact_fraction
 from .schur import elementary_schur
 from .tau import (
     HSpec,
@@ -81,24 +90,20 @@ class UsageError(Exception):
     """Invalid input; the message becomes the one-line diagnostic."""
 
 
-# -- input parsing ---------------------------------------------------------------
-
-
-def max_degree_cap() -> int:
-    raw = os.environ.get("TAUFORGE_MAX_DEGREE")
-    if raw is None:
-        return DEFAULT_MAX_DEGREE
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"TAUFORGE_MAX_DEGREE must be an integer, got {raw!r}")
-    if cap < 0:
-        raise UsageError("TAUFORGE_MAX_DEGREE must be >= 0")
-    return cap
+# -- input loaders ---------------------------------------------------------------
 
 
 def guard_degree(bound: int) -> None:
-    cap = max_degree_cap()
+    """Reject a construction of weighted degree ``bound`` above TAUFORGE_MAX_DEGREE."""
+    raw = os.environ.get("TAUFORGE_MAX_DEGREE")
+    cap = DEFAULT_MAX_DEGREE
+    if raw is not None:
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise UsageError(f"TAUFORGE_MAX_DEGREE must be an integer, got {raw!r}")
+        if cap < 0:
+            raise UsageError("TAUFORGE_MAX_DEGREE must be >= 0")
     if bound > cap:
         raise UsageError(
             f"weighted degree {bound} exceeds the cap {cap};"
@@ -106,19 +111,18 @@ def guard_degree(bound: int) -> None:
         )
 
 
+def _is_int(value) -> bool:
+    # True is an int to Python, but not to a JSON input
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise UsageError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise UsageError(f"floats are not exact; write {value!r} as a string fraction")
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"not a rational: {value!r}")
-    raise UsageError(f"not a rational: {value!r}")
+    try:
+        return exact_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UsageError(f"not a rational: {value!r}")
 
 
 def parse_rational_csv(text: str) -> list[Fraction]:
@@ -137,10 +141,7 @@ def parse_partition(text: str) -> Partition:
         parts = tuple(int(piece) for piece in body.split(","))
     except ValueError:
         raise UsageError(f"not a partition: {text!r}")
-    try:
-        return Partition(parts)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return Partition(parts)
 
 
 def parse_charge(text: str) -> tuple[int, ...]:
@@ -148,6 +149,11 @@ def parse_charge(text: str) -> tuple[int, ...]:
         return tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise UsageError(f"not a charge vector: {text!r}")
+
+
+def check_n(n: int) -> None:
+    if n < 2:
+        raise UsageError("--n must be >= 2")
 
 
 def load_json_file(path: str):
@@ -168,11 +174,13 @@ def parse_shift_entries(value) -> list[Fraction]:
     return [parse_rational(x) for x in value]
 
 
-def load_shift_map(raw, low: int, high: int, what: str) -> dict[int, list[Fraction]]:
-    """Shift-file object -> {label: entries}, labels restricted to low..high."""
+def shift_table(raw, p: Partition, n: int | None = None):
+    """A shift-file object as the shift vectors of columns 1..len(p), in a list,
+    or with ``n`` as {residue class 0..n-1: entries}."""
+    low, high, what = (1, len(p), "column") if n is None else (0, n - 1, "residue class")
     if not isinstance(raw, dict):
         raise UsageError(f"{what} shift file must be a JSON object")
-    out: dict[int, list[Fraction]] = {}
+    table: dict[int, list[Fraction]] = {}
     for key, value in raw.items():
         try:
             label = int(key)
@@ -180,22 +188,35 @@ def load_shift_map(raw, low: int, high: int, what: str) -> dict[int, list[Fracti
             raise UsageError(f"{what} label must be an integer, got {key!r}")
         if not low <= label <= high:
             raise UsageError(f"{what} label {label} outside {low}..{high}")
-        out[label] = parse_shift_entries(value)
-    return out
+        table[label] = parse_shift_entries(value)
+    return table if n is not None else [table.get(j, []) for j in range(1, high + 1)]
 
 
-def column_shifts_from_arg(arg: str | None, m: int) -> list[list[Fraction]] | None:
-    """--shifts for tau-kp: None/'zero', or a file keyed by column 1..m."""
-    if arg is None or arg == "zero":
-        return None
-    table = load_shift_map(load_json_file(arg), 1, m, "column")
-    return [table.get(j, []) for j in range(1, m + 1)]
+def random_shift_vector(rng: random.Random, length: int) -> list[Fraction]:
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)]
 
 
-def class_shifts_from_arg(arg: str | None, n: int) -> dict[int, list[Fraction]] | None:
-    if arg is None or arg == "zero":
-        return None
-    return load_shift_map(load_json_file(arg), 0, n - 1, "residue class")
+def load_partition(args, n: int | None = None) -> tuple[Partition, list]:
+    """--partition within the degree cap, and the shift sets of --shifts to build
+    it with: [None] for none or "zero", one seeded draw per trial for verify's
+    "random", else the shift file's ``shift_table`` (by residue class mod ``n``
+    if given, after --n is checked)."""
+    p = parse_partition(args.partition)
+    if n is not None:
+        check_n(n)
+    guard_degree(p.size)
+    if args.shifts is None or args.shifts == "zero":
+        return p, [None]
+    if args.shifts == "random" and args.command == "verify":
+        rng = random.Random(args.seed)
+        lengths = expected_shift_lengths(p)
+        width = max(lengths, default=0)
+        return p, [
+            [random_shift_vector(rng, length) for length in lengths] if n is None
+            else {k: random_shift_vector(rng, width) for k in range(n)}
+            for _ in range(args.trials)
+        ]
+    return p, [shift_table(load_json_file(args.shifts), p, n)]
 
 
 def parse_one_spec(column) -> HSpec:
@@ -212,15 +233,12 @@ def parse_one_spec(column) -> HSpec:
         if unknown:
             raise UsageError(f"unknown spec term fields: {sorted(unknown)}")
         degree = item.get("degree", 1)
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+        if not _is_int(degree) or degree < 1:
             raise UsageError(f"degree must be a positive integer, got {degree!r}")
         coeff = parse_rational(item.get("coeff", 1))
         shift = parse_shift_entries(item.get("shift", []))
         triples.append((degree, coeff, shift))
-    try:
-        return HSpec.make(triples)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return HSpec.make(triples)
 
 
 def parse_specs_obj(data) -> list[HSpec]:
@@ -239,52 +257,104 @@ def parse_specs_obj(data) -> list[HSpec]:
     if any(spec.ncomp != ncomp for spec in specs):
         raise UsageError("all spec columns must list the same number of components")
     if declared is not None:
-        if not isinstance(declared, int) or isinstance(declared, bool):
+        if not _is_int(declared):
             raise UsageError(f"ncomp must be an integer, got {declared!r}")
         if declared != ncomp:
             raise UsageError(f"declared ncomp {declared} does not match columns ({ncomp})")
     return specs
 
 
-def parse_profile_obj(data) -> KdVProfile:
+def _top_degree(spec: HSpec) -> int:
+    return max(term.degree for term in spec.terms if term.coeff)
+
+
+def load_specs(data) -> list[HSpec]:
+    """A specs file's object, or an oracle case's "specs", within the degree cap."""
+    specs = parse_specs_obj(data)
+    guard_degree(sum(map(_top_degree, specs)))
+    return specs
+
+
+def load_profile(data) -> KdVProfile:
+    """A profile file's object within the degree cap; column j reaches weighted
+    degree (k_j + 1) times its top degree."""
     if not isinstance(data, dict):
         raise UsageError("profile file must be a JSON object")
     raw_parts = data.get("n_parts")
     if not isinstance(raw_parts, list) or not raw_parts:
         raise UsageError("profile needs a non-empty \"n_parts\" array")
-    if not all(isinstance(n, int) and not isinstance(n, bool) for n in raw_parts):
+    if not all(map(_is_int, raw_parts)):
         raise UsageError("n_parts entries must be integers")
-    raw_specs = data.get("specs")
-    if raw_specs is None:
+    if data.get("specs") is None:
         raise UsageError("profile needs a \"specs\" array")
-    specs = parse_specs_obj(raw_specs)
-    try:
-        return KdVProfile(tuple(raw_parts), tuple(specs))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    profile = KdVProfile(tuple(raw_parts), tuple(parse_specs_obj(data["specs"])))
+    guard_degree(sum(
+        (k + 1) * _top_degree(spec) for spec, k in zip(profile.specs, profile.k_values())
+    ))
+    return profile
 
 
-def spec_degree_bound(specs: Sequence[HSpec]) -> int:
-    return sum(
-        max(term.degree for term in spec.terms if term.coeff) for spec in specs
+def akns_params(args) -> tuple:
+    """--m1, --m2, --k (default max(m1, m2)), --b1, --b2, --c1 and --c2 within the
+    degree cap, as the arguments (m1, m2, b1, b2, c1, c2, K) that ``akns_collection``
+    and ``akns_tau`` take."""
+    if args.m1 < 1 or args.m2 < 1:
+        raise UsageError("--m1 and --m2 must be >= 1")
+    big_k = args.k if args.k is not None else max(args.m1, args.m2)
+    if big_k < 1:
+        raise UsageError("--k must be >= 1")
+    guard_degree(big_k * max(args.m1, args.m2))
+    return (
+        args.m1, args.m2, parse_rational(args.b1), parse_rational(args.b2),
+        parse_rational_csv(args.c1), parse_rational_csv(args.c2), big_k,
     )
 
 
-def profile_degree_bound(profile: KdVProfile) -> int:
-    return sum(
-        (k + 1) * max(term.degree for term in spec.terms if term.coeff)
-        for spec, k in zip(profile.specs, profile.k_values())
-    )
-
-
-def random_shift_vector(rng: random.Random, length: int) -> list[Fraction]:
-    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)]
+def compare_case(case) -> list[tuple[str, bool]]:
+    """One oracle case, loaded within the degree cap: (description, determinant
+    equals oracle) for its partition, or for each of its charges."""
+    if not isinstance(case, dict):
+        raise UsageError("each case must be a JSON object")
+    kind = case.get("kind")
+    if kind == "kp":
+        raw = case.get("partition")
+        if not isinstance(raw, list) or not all(map(_is_int, raw)):
+            raise UsageError("kp case needs a \"partition\" array of integers")
+        p = Partition(tuple(raw))
+        guard_degree(p.size)
+        shifts = case.get("shifts", "zero")
+        shifts = None if shifts == "zero" else shift_table(shifts, p)
+        det = tau_kp(p, shifts)
+        orc = oracle_tau(generators_from_partition(p, shifts), (len(p),))
+        return [(f"kind=kp partition={p}", det == orc)]
+    if kind != "mkp":
+        raise UsageError(f"case kind must be \"kp\" or \"mkp\", got {kind!r}")
+    specs = load_specs(case.get("specs"))
+    ncomp = specs[0].ncomp
+    raw_charges = case.get("charges")
+    if raw_charges is None:
+        charges = list(charge_vectors(len(specs), ncomp))
+    elif isinstance(raw_charges, list) and all(
+        isinstance(ch, list) and all(map(_is_int, ch)) for ch in raw_charges
+    ):
+        charges = [tuple(ch) for ch in raw_charges]
+    else:
+        raise UsageError("\"charges\" must be an array of integer arrays")
+    # one set of column tables and one wedge for every charge, each checked as oracle_tau would
+    wedge = wedge_from_generators([generator_from_hspec(spec, ncomp) for spec in specs], ncomp)
+    out = []
+    for charge, det in zip(charges, tau_mkp_entries(specs, charges)):
+        if any(x < 0 for x in charge):
+            raise UsageError(f"charge {charge} has negative parts")
+        label = ",".join(str(x) for x in charge)
+        out.append((f"kind=mkp charge=({label})", det == wedge_tau(wedge, charge)))
+    return out
 
 
 # -- output ----------------------------------------------------------------------
 
 
-def emit(args, lines: list[str], obj) -> None:
+def emit(args, lines: Iterable[str], obj) -> None:
     if args.json:
         print(json.dumps(obj, sort_keys=True, indent=2))
     else:
@@ -292,33 +362,40 @@ def emit(args, lines: list[str], obj) -> None:
             print(line)
 
 
-def poly_payload(p: Poly) -> dict:
-    return {"text": str(p), "poly": p.to_json_obj()}
+def emit_poly(args, p: Poly) -> int:
+    text = str(p)
+    emit(args, [text], {"text": text, "poly": p.to_json_obj()})
+    return 0
 
 
-def collection_lines(coll: TauCollection) -> list[str]:
-    return [
+def emit_collection(args, coll: TauCollection) -> int:
+    lines = (
         f"tau[{','.join(str(x) for x in label)}] = {coll.entries[label]}"
         for label in coll.labels()
-    ]
+    )
+    emit(args, lines, coll.to_json_obj())
+    return 0
 
 
-def finish_verify(args, reports: list[VerificationReport]) -> int:
-    if not reports:
-        raise UsageError("no checks were run; nothing was verified")
-    ok = all(r.passed for r in reports)
-    lines = [str(r) for r in reports]
-    failed = sum(1 for r in reports if not r.passed)
-    if ok:
-        lines.append(f"all {len(reports)} checks passed")
-    else:
-        lines.append(f"{failed} of {len(reports)} checks FAILED")
-    obj = {
-        "pass": ok,
-        "reports": [r.to_json_obj(include_timing=args.timings) for r in reports],
-    }
-    emit(args, lines, obj)
-    return 0 if ok else 1
+#: The words of ``report``: what a row is, what a run does, the summary verb
+#: when every row passed and when some failed, and the JSON key of the rows.
+CHECKS = ("checks", "verified", "passed", "FAILED", "reports")
+COMPARISONS = ("comparisons", "compared", "match", "differ", "cases")
+
+
+def report(args, rows: list[tuple[str, bool, dict]], words: tuple[str, ...]) -> int:
+    """Each row's line and a summary, or {"pass": ..., key: [row objects]} as JSON;
+    exit code 0 when every row passed and 1 otherwise.  No rows is an input error."""
+    noun, done, passed, failed, key = words
+    if not rows:
+        raise UsageError(f"no {noun} were run; nothing was {done}")
+    bad = sum(1 for _, ok, _ in rows if not ok)
+    summary = (
+        f"{bad} of {len(rows)} {noun} {failed}" if bad else f"all {len(rows)} {noun} {passed}"
+    )
+    obj = {"pass": not bad, key: [row for _, _, row in rows]}
+    emit(args, [line for line, _, _ in rows] + [summary], obj)
+    return 1 if bad else 0
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -331,96 +408,47 @@ def cmd_schur(args) -> int:
         raise UsageError("--component must be >= 1")
     guard_degree(args.j)
     p = elementary_schur(args.j, component=args.component, ncomp=args.component)
-    emit(args, [str(p)], poly_payload(p))
-    return 0
+    return emit_poly(args, p)
 
 
 def cmd_tau_kp(args) -> int:
-    p = parse_partition(args.partition)
-    guard_degree(p.size)
-    shifts = column_shifts_from_arg(args.shifts, len(p))
-    tau = tau_kp(p, shifts)
-    emit(args, [str(tau)], poly_payload(tau))
-    return 0
+    p, [shifts] = load_partition(args)
+    return emit_poly(args, tau_kp(p, shifts))
 
 
 def cmd_tau_mkp(args) -> int:
-    specs = parse_specs_obj(load_json_file(args.specs))
-    guard_degree(spec_degree_bound(specs))
-    if args.charge is not None:
-        charge = parse_charge(args.charge)
-        tau = tau_mkp_entry(specs, charge)
-        emit(args, [str(tau)], poly_payload(tau))
-        return 0
-    coll = tau_mkp_collection(specs)
-    emit(args, collection_lines(coll), coll.to_json_obj())
-    return 0
+    specs = load_specs(load_json_file(args.specs))
+    if args.charge is None:
+        return emit_collection(args, tau_mkp_collection(specs))
+    return emit_poly(args, tau_mkp_entry(specs, parse_charge(args.charge)))
 
 
 def cmd_tau_nkdv(args) -> int:
-    p = parse_partition(args.partition)
-    if args.n < 2:
-        raise UsageError("--n must be >= 2")
-    guard_degree(p.size)
-    shifts = class_shifts_from_arg(args.shifts, args.n)
-    tau = tau_nkdv(p, args.n, shifts)
-    emit(args, [str(tau)], poly_payload(tau))
-    return 0
+    p, [shifts] = load_partition(args, args.n)
+    return emit_poly(args, tau_nkdv(p, args.n, shifts))
 
 
 def cmd_tau_mnkdv(args) -> int:
-    profile = parse_profile_obj(load_json_file(args.profile))
-    guard_degree(profile_degree_bound(profile))
-    if args.charge is not None:
-        charge = parse_charge(args.charge)
-        if len(charge) != profile.ncomp:
-            raise UsageError(f"charge must have {profile.ncomp} parts")
-        tau = tau_mnkdv_entry(profile, charge)
-        emit(args, [str(tau)], poly_payload(tau))
-        return 0
-    coll = tau_mnkdv_collection(profile)
-    emit(args, collection_lines(coll), coll.to_json_obj())
-    return 0
-
-
-def _akns_params(args) -> dict:
-    if args.m1 < 1 or args.m2 < 1:
-        raise UsageError("--m1 and --m2 must be >= 1")
-    big_k = args.k if args.k is not None else max(args.m1, args.m2)
-    if big_k < 1:
-        raise UsageError("--k must be >= 1")
-    guard_degree(big_k * max(args.m1, args.m2))
-    return {
-        "m1": args.m1,
-        "m2": args.m2,
-        "b1": parse_rational(args.b1),
-        "b2": parse_rational(args.b2),
-        "c1": parse_rational_csv(args.c1),
-        "c2": parse_rational_csv(args.c2),
-        "big_k": big_k,
-    }
+    profile = load_profile(load_json_file(args.profile))
+    if args.charge is None:
+        return emit_collection(args, tau_mnkdv_collection(profile))
+    charge = parse_charge(args.charge)
+    if len(charge) != profile.ncomp:
+        raise UsageError(f"charge must have {profile.ncomp} parts")
+    return emit_poly(args, tau_mnkdv_entry(profile, charge))
 
 
 def cmd_akns(args) -> int:
-    ps = _akns_params(args)
-    if args.p is not None:
-        if not 0 <= args.p <= ps["big_k"]:
-            raise UsageError(f"--p must lie in 0..{ps['big_k']}, got {args.p}")
-        tau = akns_tau(
-            ps["m1"], ps["m2"], ps["b1"], ps["b2"], ps["c1"], ps["c2"], ps["big_k"], args.p
-        )
-        emit(args, [str(tau)], poly_payload(tau))
-        return 0
-    coll = akns_collection(
-        ps["m1"], ps["m2"], ps["b1"], ps["b2"], ps["c1"], ps["c2"], ps["big_k"]
-    )
-    emit(args, collection_lines(coll), coll.to_json_obj())
-    return 0
+    params = akns_params(args)
+    if args.p is None:
+        return emit_collection(args, akns_collection(*params))
+    if not 0 <= args.p <= params[-1]:
+        raise UsageError(f"--p must lie in 0..{params[-1]}, got {args.p}")
+    return emit_poly(args, akns_tau(*params, args.p))
 
 
 def cmd_list_periodic(args) -> int:
-    if args.n < 2:
-        raise UsageError("--n must be >= 2")
+    check_n(args.n)
     if args.max_size < 0:
         raise UsageError("--max-size must be >= 0")
     guard_degree(args.max_size)
@@ -431,212 +459,98 @@ def cmd_list_periodic(args) -> int:
     return 0
 
 
-def _kp_shift_sets(args, p: Partition) -> list[list[list[Fraction]] | None]:
-    if args.shifts is None or args.shifts == "zero":
-        return [None]
-    if args.shifts == "random":
-        rng = random.Random(args.seed)
-        lengths = expected_shift_lengths(p)
-        return [
-            [random_shift_vector(rng, length) for length in lengths]
-            for _ in range(args.trials)
-        ]
-    return [column_shifts_from_arg(args.shifts, len(p))]
-
-
-def _verify_kp(args) -> int:
-    if args.partition is None:
-        raise UsageError("verify --what kp needs --partition")
-    p = parse_partition(args.partition)
-    guard_degree(p.size)
-    n = args.n if args.n is not None else 1
-    reports = []
-    for shifts in _kp_shift_sets(args, p):
-        tau = tau_kp(p, shifts)
-        reports.append(hirota_kp_check(tau, j=args.j, n=n))
-    return finish_verify(args, reports)
-
-
-def _check_depths(args, with_hirota: bool) -> None:
-    if with_hirota and args.j_max < 0:
+def _check_depths(args) -> None:
+    if args.what != "reduction" and args.j_max < 0:
         raise UsageError("--j-max must be >= 0")
     if args.d_max < 1:
         raise UsageError("--d-max must be >= 1")
 
 
-def _verify_nkdv(args) -> int:
-    if args.partition is None or args.n is None:
-        raise UsageError("verify --what nkdv needs --partition and --n")
-    if args.n < 2:
-        raise UsageError("--n must be >= 2")
-    _check_depths(args, with_hirota=True)
-    p = parse_partition(args.partition)
-    guard_degree(p.size)
-    shift_sets: list[dict[int, list[Fraction]] | None]
-    if args.shifts is None or args.shifts == "zero":
-        shift_sets = [None]
-    elif args.shifts == "random":
-        rng = random.Random(args.seed)
-        lengths = expected_shift_lengths(p)
-        width = max(lengths, default=0)
-        shift_sets = [
-            {k: random_shift_vector(rng, width) for k in range(args.n)}
-            for _ in range(args.trials)
-        ]
-    else:
-        shift_sets = [class_shifts_from_arg(args.shifts, args.n)]
+def _verify_kp(args) -> list[VerificationReport]:
+    p, shift_sets = load_partition(args)
+    n = args.n if args.n is not None else 1
+    return [hirota_kp_check(tau_kp(p, shifts), j=args.j, n=n) for shifts in shift_sets]
+
+
+def _verify_nkdv(args) -> list[VerificationReport]:
+    check_n(args.n)
+    _check_depths(args)
+    p, shift_sets = load_partition(args, args.n)
     reports = []
     for shifts in shift_sets:
         tau = tau_nkdv(p, args.n, shifts)
         reports.append(reduction_check(tau, (args.n,), j_max=args.d_max))
-        for j in range(args.j_max + 1):
-            reports.append(hirota_kp_check(tau, j=j, n=args.n))
-    return finish_verify(args, reports)
+        reports.extend(hirota_kp_check(tau, j=j, n=args.n) for j in range(args.j_max + 1))
+    return reports
 
 
-def _verify_mkp(args) -> int:
-    if args.specs is None:
-        raise UsageError("verify --what mkp needs --specs")
-    specs = parse_specs_obj(load_json_file(args.specs))
-    guard_degree(spec_degree_bound(specs))
-    coll = tau_mkp_collection(specs)
-    return finish_verify(args, verify_mkp_collection(coll))
+def _verify_mkp(args) -> list[VerificationReport]:
+    return verify_mkp_collection(tau_mkp_collection(load_specs(load_json_file(args.specs))))
 
 
-def _verify_mnkdv(args, with_hirota: bool) -> int:
-    if args.profile is None:
-        raise UsageError(f"verify --what {args.what} needs --profile")
-    profile = parse_profile_obj(load_json_file(args.profile))
-    guard_degree(profile_degree_bound(profile))
-    _check_depths(args, with_hirota)
+def _verify_mnkdv(args) -> list[VerificationReport]:
+    """--what mnkdv and reduction: every entry's reduction check, and for mnkdv the
+    multicomponent identities at j = 0..--j-max."""
+    profile = load_profile(load_json_file(args.profile))
+    _check_depths(args)
     coll = tau_mnkdv_collection(profile)
     reports = [
         reduction_check(coll.entries[label], profile.n_parts, j_max=args.d_max)
         for label in coll.labels()
     ]
-    if with_hirota:
+    if args.what == "mnkdv":
         reports.extend(
             verify_mkp_collection(
                 coll, n_parts=profile.n_parts, j_values=tuple(range(args.j_max + 1))
             )
         )
-    return finish_verify(args, reports)
+    return reports
 
 
-def _verify_akns(args) -> int:
-    if args.m1 is None or args.m2 is None:
-        raise UsageError("verify --what akns needs --m1 and --m2")
-    ps = _akns_params(args)
-    if ps["big_k"] < 2:
+def _verify_akns(args) -> list[VerificationReport]:
+    params = akns_params(args)
+    big_k = params[-1]
+    if big_k < 2:
         raise UsageError("the differential check needs K >= 2 (two lattice neighbors)")
-    coll = akns_collection(
-        ps["m1"], ps["m2"], ps["b1"], ps["b2"], ps["c1"], ps["c2"], ps["big_k"]
-    )
+    coll = akns_collection(*params)
     if args.base is not None:
         bases = [parse_charge(args.base)]
     else:
-        bases = [
-            (p, ps["big_k"] - p)
-            for p in range(1, ps["big_k"])
-            if coll.get((p, ps["big_k"] - p)).terms
-        ]
+        bases = [(p, big_k - p) for p in range(1, big_k) if coll.get((p, big_k - p)).terms]
         if not bases:
             raise UsageError("no interior base label with a nonzero tau")
-    reports = [akns_pde_check(coll, base) for base in bases]
-    return finish_verify(args, reports)
+    return [akns_pde_check(coll, base) for base in bases]
+
+
+#: verify --what: the flags each target needs, and the checks it runs.
+VERIFY = {
+    "kp": (("--partition",), _verify_kp),
+    "mkp": (("--specs",), _verify_mkp),
+    "nkdv": (("--partition", "--n"), _verify_nkdv),
+    "mnkdv": (("--profile",), _verify_mnkdv),
+    "akns": (("--m1", "--m2"), _verify_akns),
+    "reduction": (("--profile",), _verify_mnkdv),
+}
 
 
 def cmd_verify(args) -> int:
-    if args.what == "kp":
-        return _verify_kp(args)
-    if args.what == "nkdv":
-        return _verify_nkdv(args)
-    if args.what == "mkp":
-        return _verify_mkp(args)
-    if args.what == "mnkdv":
-        return _verify_mnkdv(args, with_hirota=True)
-    if args.what == "reduction":
-        return _verify_mnkdv(args, with_hirota=False)
-    if args.what == "akns":
-        return _verify_akns(args)
-    raise UsageError(f"unknown verification target {args.what!r}")
-
-
-def _compare_kp_case(case) -> list[tuple[str, bool]]:
-    raw = case.get("partition")
-    if not isinstance(raw, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in raw
-    ):
-        raise UsageError("kp case needs a \"partition\" array of integers")
-    try:
-        p = Partition.coerce(raw)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    guard_degree(p.size)
-    shifts = None
-    if "shifts" in case and case["shifts"] != "zero":
-        table = load_shift_map(case["shifts"], 1, len(p), "column")
-        shifts = [table.get(j, []) for j in range(1, len(p) + 1)]
-    det = tau_kp(p, shifts)
-    orc = oracle_tau(generators_from_partition(p, shifts), (len(p),))
-    return [(f"kind=kp partition={p}", det == orc)]
-
-
-def _compare_mkp_case(case) -> list[tuple[str, bool]]:
-    specs = parse_specs_obj(case.get("specs"))
-    guard_degree(spec_degree_bound(specs))
-    ncomp = specs[0].ncomp
-    raw_charges = case.get("charges")
-    if raw_charges is None:
-        charges = list(charge_vectors(len(specs), ncomp))
-    else:
-        if not isinstance(raw_charges, list) or not all(
-            isinstance(ch, list)
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in ch)
-            for ch in raw_charges
-        ):
-            raise UsageError("\"charges\" must be an array of integer arrays")
-        charges = [tuple(ch) for ch in raw_charges]
-    # one set of column tables and one wedge for every charge, each checked as oracle_tau would
-    wedge = wedge_from_generators([generator_from_hspec(spec, ncomp) for spec in specs], ncomp)
-    out = []
-    for charge, det in zip(charges, tau_mkp_entries(specs, charges)):
-        if any(x < 0 for x in charge):
-            raise UsageError(f"charge {charge} has negative parts")
-        label = ",".join(str(x) for x in charge)
-        out.append((f"kind=mkp charge=({label})", det == wedge_tau(wedge, charge)))
-    return out
+    flags, checks = VERIFY[args.what]
+    if any(getattr(args, flag[2:]) is None for flag in flags):
+        raise UsageError(f"verify --what {args.what} needs {' and '.join(flags)}")
+    rows = [
+        (str(r), r.passed, r.to_json_obj(include_timing=args.timings)) for r in checks(args)
+    ]
+    return report(args, rows, CHECKS)
 
 
 def cmd_oracle_compare(args) -> int:
     data = load_json_file(args.case)
-    cases = data if isinstance(data, list) else [data]
-    results: list[tuple[str, bool]] = []
-    for case in cases:
-        if not isinstance(case, dict):
-            raise UsageError("each case must be a JSON object")
-        kind = case.get("kind")
-        if kind == "kp":
-            results.extend(_compare_kp_case(case))
-        elif kind == "mkp":
-            results.extend(_compare_mkp_case(case))
-        else:
-            raise UsageError(f"case kind must be \"kp\" or \"mkp\", got {kind!r}")
-    if not results:
-        raise UsageError("no comparisons were run; nothing was compared")
-    ok = all(match for _, match in results)
-    lines = [("MATCH " if match else "MISMATCH ") + desc for desc, match in results]
-    lines.append(
-        f"all {len(results)} comparisons match"
-        if ok
-        else f"{sum(1 for _, m in results if not m)} of {len(results)} comparisons differ"
-    )
-    obj = {
-        "pass": ok,
-        "cases": [{"case": desc, "match": match} for desc, match in results],
-    }
-    emit(args, lines, obj)
-    return 0 if ok else 1
+    rows = [
+        (("MATCH " if match else "MISMATCH ") + desc, match, {"case": desc, "match": match})
+        for case in (data if isinstance(data, list) else [data])
+        for desc, match in compare_case(case)
+    ]
+    return report(args, rows, COMPARISONS)
 
 
 # -- parser ------------------------------------------------------------------------
@@ -705,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--what",
         required=True,
-        choices=["kp", "mkp", "nkdv", "mnkdv", "akns", "reduction"],
+        choices=list(VERIFY),
     )
     sp.add_argument("--partition", default=None)
     sp.add_argument("--n", type=int, default=None)

@@ -283,7 +283,7 @@ def boson_image(vector: Mapping[State, Fraction], charges: Label, ncomp: int) ->
         for mono, ct in terms[s]:
             out[mono] = out.get(mono, 0) + n * ct
     den *= d
-    return Poly({mono: Fraction(c, den) for mono, c in out.items() if c}, ncomp)
+    return Poly._raw({mono: Fraction(c, den) for mono, c in out.items() if c}, ncomp)
 
 
 def bosonize(b: StateMatrix, denominator: int, m: Label, q: Label, ncomp: int) -> Poly:
@@ -310,7 +310,7 @@ def bosonize(b: StateMatrix, denominator: int, m: Label, q: Label, ncomp: int) -
                 mono = mt + my
                 out[mono] = out.get(mono, 0) + ct * cy
     den = denominator * den_t * den_y
-    return Poly({mono: Fraction(c, den) for mono, c in out.items() if c}, ncomp)
+    return Poly._raw({mono: Fraction(c, den) for mono, c in out.items() if c}, ncomp)
 
 
 def obstruction(

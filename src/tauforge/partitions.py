@@ -23,14 +23,17 @@ MAX_ENUMERATION_SIZE = 30
 
 @dataclass(frozen=True)
 class Partition:
-    """Weakly decreasing tuple of positive parts; () is the empty partition."""
+    """Weakly decreasing tuple of positive parts; () is the empty partition.
+
+    A part that is not an integer, a bool or a float say, raises ``TypeError``."""
 
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "parts", int_tuple(self.parts))
         last = None
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
             if last is not None and p > last:
                 raise ValueError("parts must be weakly decreasing")
@@ -38,7 +41,7 @@ class Partition:
 
     @classmethod
     def coerce(cls, value: "Partition | Iterable[int]") -> "Partition":
-        return value if isinstance(value, Partition) else cls(int_tuple(value))
+        return value if isinstance(value, Partition) else cls(value)
 
     @property
     def size(self) -> int:

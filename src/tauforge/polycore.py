@@ -11,8 +11,8 @@ ambient component count ``ncomp``; it is an error to combine polynomials with
 different ambient counts, while mixing variable families or components inside
 one ambient is fine.
 
-Every product runs through one packed kernel, ``packed_sum``, which returns
-sum_k w_k * a_k * b_k on integers: ``Poly.sum_of_products`` and
+Every ``Poly`` product runs through one packed kernel, ``packed_sum``, which
+returns sum_k w_k * a_k * b_k on integers: ``Poly.sum_of_products`` and
 ``tau.det_poly`` both call it, and ``a * b`` is the one-pair case of the
 first.  A ``Packing`` gives each variable a bit field, in canonical variable
 order, so a monomial packs into one int and multiplying monomials adds their
@@ -63,14 +63,15 @@ ONE_MONOMIAL: Monomial = ()
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def exact_fraction(value: RationalLike | str) -> Fraction:
     """An int, a Fraction or a string such as "1/2" as a Fraction; anything else,
-    a float above all, raises ``TypeError`` (0.1 is not 1/10 in binary)."""
+    a float above all, raises ``TypeError`` (0.1 is not 1/10 in binary), and so
+    does a bool."""
     return Fraction(value) if isinstance(value, str) else _as_fraction(value)
 
 
@@ -158,7 +159,7 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self.ncomp == other.ncomp and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             c = _as_fraction(other)
             if not c:
                 return not self.terms
@@ -414,7 +415,7 @@ class Packing:
 
 def packed_sum(triples: Iterable[tuple[int, Packed, Packed]]) -> Packed:
     """sum_k w_k * a_k * b_k over integer weights and packed factors of one
-    ``Packing``: the one product loop in the package.  Only nonzero terms stay."""
+    ``Packing``: the one loop under every ``Poly`` product.  Only nonzero terms stay."""
     acc: defaultdict[int, int] = defaultdict(int)
     for w, pa, pb in triples:
         if len(pa) < len(pb):

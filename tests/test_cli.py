@@ -661,6 +661,188 @@ def test_closed_stdout_pipe_exits_141_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+# -- every diagnostic, word for word ------------------------------------------------
+
+# One input per distinct error line that the input loaders raise, with its
+# exact stderr.  A non-string argv item is written, as JSON (or as raw bytes),
+# to a file in the working directory and passed by its name; a leading
+# "TAUFORGE_MAX_DEGREE=..." item sets the degree cap.  Where an input is
+# invalid in several ways, the line pins which error is reported first.
+SPECS_22 = {"specs": [[{"degree": 2}, {"degree": 1}], [{"degree": 1}, {"degree": 2}]]}
+ONE_SPEC = [[{"degree": 2}]]
+DIAGNOSTICS = {
+    "cap-not-integer": (["TAUFORGE_MAX_DEGREE=lots", "schur", "1"],
+                        "TAUFORGE_MAX_DEGREE must be an integer, got 'lots'"),
+    "cap-negative": (["TAUFORGE_MAX_DEGREE=-1", "schur", "1"], "TAUFORGE_MAX_DEGREE must be >= 0"),
+    "cap-partition": (["TAUFORGE_MAX_DEGREE=2", "tau-kp", "--partition", "2,1"],
+                      "weighted degree 3 exceeds the cap 2; raise TAUFORGE_MAX_DEGREE to allow it"),
+    "cap-specs": (["TAUFORGE_MAX_DEGREE=3", "tau-mkp", "--specs", SPECS_22],
+                  "weighted degree 4 exceeds the cap 3; raise TAUFORGE_MAX_DEGREE to allow it"),
+    "cap-profile": (["TAUFORGE_MAX_DEGREE=5", "tau-mnkdv", "--profile",
+                     {"n_parts": [2], "specs": [[{"degree": 3}]]}],
+                    "weighted degree 6 exceeds the cap 5; raise TAUFORGE_MAX_DEGREE to allow it"),
+    "cap-akns": (["TAUFORGE_MAX_DEGREE=3", "akns", "--m1", "2", "--m2", "2"],
+                 "weighted degree 4 exceeds the cap 3; raise TAUFORGE_MAX_DEGREE to allow it"),
+    "partition-zero-part": (["tau-kp", "--partition", "2,0"], "parts must be positive integers, got 0"),
+    "partition-increasing": (["tau-kp", "--partition", "1,2"], "parts must be weakly decreasing"),
+    "partition-not-integers": (["tau-kp", "--partition", "2,x"], "not a partition: '2,x'"),
+    "partition-not-periodic": (["tau-nkdv", "--partition", "2,2", "--n", "2"],
+                               "partition (2,2) is not 2-periodic"),
+    "tau-nkdv-partition-before-n": (["tau-nkdv", "--partition", "1,2", "--n", "1"],
+                                    "parts must be weakly decreasing"),
+    "tau-nkdv-n-before-cap": (["TAUFORGE_MAX_DEGREE=2", "tau-nkdv", "--partition", "3,2,1",
+                               "--n", "1"], "--n must be >= 2"),
+    "profile-checked-before-cap": (["TAUFORGE_MAX_DEGREE=1", "tau-mnkdv", "--profile",
+                                    {"n_parts": [1], "specs": [[{"degree": 3}]]}],
+                                   "need fewer columns than the total reduction order"),
+    "file-missing": (["tau-kp", "--partition", "2,1", "--shifts", "absent.json"],
+                     "cannot read absent.json: [Errno 2] No such file or directory: 'absent.json'"),
+    "file-not-json": (["tau-kp", "--partition", "2,1", "--shifts", b"{not json"],
+                      "input4.json is not valid JSON: Expecting property name enclosed in"
+                      " double quotes: line 1 column 2 (char 1)"),
+    "shifts-not-object": (["tau-kp", "--partition", "2,1", "--shifts", []],
+                          "column shift file must be a JSON object"),
+    "shifts-label-not-integer": (["tau-kp", "--partition", "2,1", "--shifts", {"x": [1]}],
+                                 "column label must be an integer, got 'x'"),
+    "shifts-label-outside": (["tau-kp", "--partition", "2,1", "--shifts", {"3": [1]}],
+                             "column label 3 outside 1..2"),
+    "shifts-class-outside": (["tau-nkdv", "--partition", "2,1", "--n", "2", "--shifts", {"2": [1]}],
+                             "residue class label 2 outside 0..1"),
+    "shifts-value-not-array": (["tau-kp", "--partition", "2,1", "--shifts", {"1": 5}],
+                               'shift value must be an array or "zero", got 5'),
+    "shifts-too-long": (["tau-kp", "--partition", "2,1", "--shifts", {"2": [1, 2, 3]}],
+                        "column 2 shift vector longer than 1 entries"),
+    "rational-float": (["tau-kp", "--partition", "2,1", "--shifts", {"1": [1.5]}],
+                       "floats are not exact; write 1.5 as a string fraction"),
+    "rational-bool": (["tau-kp", "--partition", "2,1", "--shifts", {"1": [True]}],
+                      "not a rational: True"),
+    "rational-zero-denominator": (["tau-kp", "--partition", "2,1", "--shifts", {"1": ["1/0"]}],
+                                  "not a rational: '1/0'"),
+    "rational-null": (["tau-kp", "--partition", "2,1", "--shifts", {"1": [None]}],
+                      "not a rational: None"),
+    "charge-not-integers": (["tau-mkp", "--specs", SPECS_22, "--charge", "x"],
+                            "not a charge vector: 'x'"),
+    "charge-wrong-sum": (["tau-mkp", "--specs", SPECS_22, "--charge", "3,0"],
+                         "charge (3, 0) must sum to the column count 2"),
+    "charge-wrong-arity": (["tau-mnkdv", "--profile", PROFILE_11, "--charge", "1,1,1"],
+                           "charge must have 2 parts"),
+    "spec-column-empty": (["tau-mkp", "--specs", {"specs": [[]]}],
+                          "each spec column must be a non-empty array of term objects"),
+    "spec-term-not-object": (["tau-mkp", "--specs", {"specs": [[5]]}],
+                             "spec term must be an object or null, got 5"),
+    "spec-term-unknown-field": (["tau-mkp", "--specs", {"specs": [[{"degre": 2}]]}],
+                                "unknown spec term fields: ['degre']"),
+    "spec-degree-bool": (["tau-mkp", "--specs", {"specs": [[{"degree": True}]]}],
+                         "degree must be a positive integer, got True"),
+    "spec-all-zero": (["tau-mkp", "--specs", {"specs": [[{"degree": 2, "coeff": 0}]]}],
+                      "at least one component coefficient must be nonzero"),
+    "specs-missing": (["tau-mkp", "--specs", {"ncomp": 1}], 'specs file needs a "specs" array'),
+    "specs-empty": (["tau-mkp", "--specs", {"specs": []}],
+                    "specs must be a non-empty array of columns"),
+    "specs-ragged": (["tau-mkp", "--specs", {"specs": [[{"degree": 1}], [{"degree": 1}, None]]}],
+                     "all spec columns must list the same number of components"),
+    "specs-ncomp-bool": (["tau-mkp", "--specs", {"specs": ONE_SPEC, "ncomp": True}],
+                         "ncomp must be an integer, got True"),
+    "specs-ncomp-mismatch": (["tau-mkp", "--specs", {"specs": ONE_SPEC, "ncomp": 2}],
+                             "declared ncomp 2 does not match columns (1)"),
+    "profile-not-object": (["tau-mnkdv", "--profile", []], "profile file must be a JSON object"),
+    "profile-no-n-parts": (["tau-mnkdv", "--profile", {"specs": ONE_SPEC}],
+                           'profile needs a non-empty "n_parts" array'),
+    "profile-float-n-parts": (["tau-mnkdv", "--profile", {"n_parts": [2.0], "specs": ONE_SPEC}],
+                              "n_parts entries must be integers"),
+    "profile-no-specs": (["tau-mnkdv", "--profile", {"n_parts": [2]}],
+                         'profile needs a "specs" array'),
+    "profile-orders-increasing": (["tau-mnkdv", "--profile",
+                                   {"n_parts": [1, 2], "specs": [[None, {"degree": 1}]]}],
+                                  "reduction orders must be weakly decreasing"),
+    "profile-order-zero": (["tau-mnkdv", "--profile", {"n_parts": [0], "specs": ONE_SPEC}],
+                           "reduction orders must be >= 1"),
+    "profile-arity": (["tau-mnkdv", "--profile", {"n_parts": [2, 1], "specs": ONE_SPEC}],
+                      "spec component count must match n_parts"),
+    "profile-too-many-columns": (["tau-mnkdv", "--profile", {"n_parts": [1], "specs": ONE_SPEC}],
+                                 "need fewer columns than the total reduction order"),
+    "akns-orders": (["akns", "--m1", "0", "--m2", "2"], "--m1 and --m2 must be >= 1"),
+    "akns-k": (["akns", "--m1", "2", "--m2", "2", "--k", "0"], "--k must be >= 1"),
+    "akns-p": (["akns", "--m1", "2", "--m2", "2", "--p", "3"], "--p must lie in 0..2, got 3"),
+    "akns-b1": (["akns", "--m1", "2", "--m2", "2", "--b1", "x"], "not a rational: 'x'"),
+    "akns-c1-empty-entry": (["akns", "--m1", "2", "--m2", "2", "--c1", "1,,2"], "not a rational: ''"),
+    "schur-index": (["schur", "--", "-1"], "the index must be >= 0"),
+    "schur-component": (["schur", "1", "--component", "0"], "--component must be >= 1"),
+    "list-periodic-size": (["list-periodic", "--n", "2", "--max-size", "-1"],
+                           "--max-size must be >= 0"),
+    "list-periodic-n": (["list-periodic", "--n", "1", "--max-size", "3"], "--n must be >= 2"),
+    "verify-kp-needs": (["verify", "--what", "kp"], "verify --what kp needs --partition"),
+    "verify-nkdv-needs": (["verify", "--what", "nkdv", "--partition", "2,1"],
+                          "verify --what nkdv needs --partition and --n"),
+    "verify-mkp-needs": (["verify", "--what", "mkp"], "verify --what mkp needs --specs"),
+    "verify-mnkdv-needs": (["verify", "--what", "mnkdv"], "verify --what mnkdv needs --profile"),
+    "verify-reduction-needs": (["verify", "--what", "reduction"],
+                               "verify --what reduction needs --profile"),
+    "verify-akns-needs": (["verify", "--what", "akns", "--m1", "2"],
+                          "verify --what akns needs --m1 and --m2"),
+    "verify-nkdv-n-before-j-max": (["verify", "--what", "nkdv", "--partition", "2,1", "--n", "1",
+                                    "--j-max", "-1"], "--n must be >= 2"),
+    "verify-nkdv-j-max-before-partition": (["verify", "--what", "nkdv", "--partition", "1,2",
+                                            "--n", "2", "--j-max", "-1"], "--j-max must be >= 0"),
+    "verify-nkdv-d-max": (["verify", "--what", "nkdv", "--partition", "2,1", "--n", "2",
+                           "--d-max", "0"], "--d-max must be >= 1"),
+    "verify-mnkdv-profile-before-j-max": (["verify", "--what", "mnkdv", "--profile",
+                                           {"n_parts": [2.0], "specs": ONE_SPEC}, "--j-max", "-1"],
+                                          "n_parts entries must be integers"),
+    "verify-akns-k": (["verify", "--what", "akns", "--m1", "2", "--m2", "2", "--k", "1"],
+                      "the differential check needs K >= 2 (two lattice neighbors)"),
+    "verify-akns-b1-before-k": (["verify", "--what", "akns", "--m1", "2", "--m2", "2", "--k", "1",
+                                 "--b1", "x"], "not a rational: 'x'"),
+    "verify-akns-no-base": (["verify", "--what", "akns", "--m1", "1", "--m2", "1", "--k", "2"],
+                            "no interior base label with a nonzero tau"),
+    "verify-akns-base": (["verify", "--what", "akns", "--m1", "2", "--m2", "2", "--base", "x"],
+                         "not a charge vector: 'x'"),
+    "verify-no-checks": (["verify", "--what", "kp", "--partition", "2,1", "--shifts", "random",
+                          "--trials", "0"], "no checks were run; nothing was verified"),
+    "oracle-partition-string": (["oracle-compare", "--case", {"kind": "kp", "partition": "21"}],
+                                'kp case needs a "partition" array of integers'),
+    "oracle-partition-zero-part": (["oracle-compare", "--case", {"kind": "kp", "partition": [2, 0]}],
+                                   "parts must be positive integers, got 0"),
+    "oracle-shifts-null": (["oracle-compare", "--case",
+                            {"kind": "kp", "partition": [2, 1], "shifts": None}],
+                           "column shift file must be a JSON object"),
+    "oracle-shifts-label": (["oracle-compare", "--case",
+                             {"kind": "kp", "partition": [2, 1], "shifts": {"3": [1]}}],
+                            "column label 3 outside 1..2"),
+    "oracle-case-not-object": (["oracle-compare", "--case", [5]], "each case must be a JSON object"),
+    "oracle-kind": (["oracle-compare", "--case", {"kind": "akns"}],
+                    "case kind must be \"kp\" or \"mkp\", got 'akns'"),
+    "oracle-charges": (["oracle-compare", "--case",
+                        {"kind": "mkp", "specs": SPECS_22["specs"], "charges": [[None, 2]]}],
+                       '"charges" must be an array of integer arrays'),
+    "oracle-charge-negative": (["oracle-compare", "--case",
+                                {"kind": "mkp", "specs": SPECS_22["specs"], "charges": [[3, -1]]}],
+                               "charge (3, -1) has negative parts"),
+    "oracle-no-comparisons": (["oracle-compare", "--case", []],
+                              "no comparisons were run; nothing was compared"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSTICS))
+def test_every_diagnostic_is_pinned(capsys, tmp_path, monkeypatch, name):
+    argv, message = DIAGNOSTICS[name]
+    monkeypatch.chdir(tmp_path)
+    if argv[0].startswith("TAUFORGE_MAX_DEGREE="):
+        monkeypatch.setenv("TAUFORGE_MAX_DEGREE", argv[0].split("=", 1)[1])
+        argv = argv[1:]
+    words = []
+    for i, item in enumerate(argv):
+        if not isinstance(item, str):
+            path = tmp_path / f"input{i}.json"
+            if isinstance(item, bytes):
+                path.write_bytes(item)
+            else:
+                path.write_text(json.dumps(item), encoding="utf-8")
+            item = path.name
+        words.append(item)
+    assert run(capsys, *words) == (2, "", f"error: {message}\n")
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     rc, _, err = run(capsys, "tau-mkp", "--specs", str(tmp_path / "absent.json"))
     assert rc == 2 and "cannot read" in err

@@ -32,6 +32,8 @@ def test_partition_validation():
         Partition((2, 0))
     with pytest.raises(ValueError):
         Partition((2, -1))
+    with pytest.raises(TypeError):
+        Partition((True, True))  # was accepted and printed as (True,True)
     assert Partition(()).size == 0
     assert Partition((3, 1)).size == 4
     assert str(Partition((2, 1))) == "(2,1)"

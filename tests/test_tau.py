@@ -54,6 +54,7 @@ from tauforge import (
     tvar,
     xvar,
 )
+from tauforge.polycore import exact_fraction
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -222,6 +223,11 @@ def test_library_boundary_rejects_strings_and_inexact_integers():
         lambda: Poly.from_json_obj(monomial(1.5, 1, 1)),
         lambda: Poly.from_json_obj(monomial(1, 1, True)),
         lambda: Poly.from_json_obj({"ncomp": 2.0, "terms": []}),
+        lambda: exact_fraction(True),  # was 1
+        lambda: HTerm(2, True),  # its coeff was 1
+        lambda: tau_kp((1,), [[True]]),  # was 1 + t1
+        lambda: Poly.const(False),
+        lambda: tvar(1) + True,
     ]
     for i, call in enumerate(calls):
         with pytest.raises(TypeError):
@@ -230,6 +236,9 @@ def test_library_boundary_rejects_strings_and_inexact_integers():
     assert Partition.coerce([3, 2]) == Partition((3, 2))
     assert ShiftVector.coerce(["1/2", 3]) == ShiftVector((Fraction(1, 2), Fraction(3)))
     assert Poly.from_json_obj(monomial(2, 3, 2)) == tvar(3, 2, 2) ** 2
+    # comparing with a bool answers False rather than raising
+    assert (Poly.const(1) == True) is False and (Poly.const(1) == 1) is True  # noqa: E712
+    assert (Poly.zero() == False) is False and (Poly.zero() == 0) is True  # noqa: E712
 
 
 def test_tau_kp_frozen_values():
