@@ -469,6 +469,10 @@ def _check_depths(args) -> None:
 def _verify_kp(args) -> list[VerificationReport]:
     p, shift_sets = load_partition(args)
     n = args.n if args.n is not None else 1
+    if n < 1:
+        raise UsageError("--n must be >= 1")
+    if args.j < 0:
+        raise UsageError("--j must be >= 0")
     return [hirota_kp_check(tau_kp(p, shifts), j=args.j, n=n) for shifts in shift_sets]
 
 

@@ -33,7 +33,7 @@ from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from . import fermion
-from .polycore import Poly, RationalLike, exact_fraction, int_tuple
+from .polycore import Poly, RationalLike, _json_int, exact_fraction, int_tuple
 from .schur import schur_constants
 from .tau import HSpec, KdVProfile, kp_specs_from_partition
 
@@ -59,7 +59,7 @@ class GeneratorVector:
         for bv, c in entries.items():
             cf = exact_fraction(c)
             if cf:
-                key = BasisVector(int(bv[0]), int(bv[1]))
+                key = BasisVector(*int_tuple(bv))
                 if key.component < 1:
                     raise ValueError("components are 1-indexed")
                 clean[key] = clean.get(key, Fraction(0)) + cf
@@ -102,9 +102,10 @@ class GeneratorVector:
 
         Entries may land at index <= 0; they are kept (see class docstring).
         """
+        n_parts = int_tuple(n_parts)
         if len(n_parts) != self.ncomp:
             raise ValueError("n_parts length must match the ambient count")
-        if power < 0:
+        if _json_int(power) < 0:
             raise ValueError("shift power must be >= 0")
         moved = {
             BasisVector(bv.component, bv.index - power * n_parts[bv.component - 1]): c

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import fermion
 from .polycore import Family, Poly, VarId, _json_int, int_tuple
@@ -112,65 +112,58 @@ def _first_nonzero(residuals: Iterable[Poly], ncomp: int) -> Poly:
 def hirota_kp_check(tau: Poly, j: int = 0, n: int = 1) -> VerificationReport:
     """Residue identity for a single-component tau; z^{jn} selects the reduction.
 
+    It is the one-species sector m = (1,), q = (-1,) of the entries {(0,): tau}.
     Raises ``ValueError`` if tau has a variable other than a t-variable of
     component 1.
     """
     if _json_int(j) < 0 or _json_int(n) < 1:
         raise ValueError("need j >= 0 and n >= 1")
     t0 = time.perf_counter()
-    fock = fermion.fock_states({(0,): tau}, 1)
-    obstruction = fermion.obstruction(*fock, [(1, 0, (0,), (0,), j * n)], (1,), (-1,), tau.ncomp)
+    entries = {(0,): tau}
+    fock = fermion.fock_states(entries, 1)
+    obstruction = _sector(entries, fock, (1,), (-1,), j, (n,), tau.ncomp)
     return _finish("kp-residue", {"j": j, "n": n}, obstruction, t0)
 
 
-def _pair_terms(
-    collection: TauCollection, mv: ChargeVector, qv: ChargeVector
-) -> Iterator[tuple[int, int, ChargeVector, ChargeVector]]:
-    """(sign, a, m - e_a, q + e_a) for every component a (0-based) whose term
-    of the multicomponent identity references two nonzero entries."""
-    prefix = 0  # running parity of m_1 + .. + m_{a-1} + q_1 + .. + q_{a-1}
-    for a in range(collection.ncomp):
-        sign = -1 if prefix & 1 else 1
-        prefix += mv[a] + qv[a]
+def _sector(entries: Mapping[ChargeVector, Poly], fock: tuple[dict, int], mv: ChargeVector,
+            qv: ChargeVector, j: int, parts: ChargeVector, ambient: int) -> Poly:
+    """The obstruction of the (m, q) sector at j, with fock = fermion.fock_states(entries, s).
+
+    Component a (0-based) adds the term (sign, a, m - e_a, q + e_a, j * n_a)
+    when both labels are entries; its Klein sign is the parity of
+    m_1 + .. + m_{a-1} + q_1 + .. + q_{a-1}.
+    """
+    terms = []
+    prefix = 0
+    for a in range(len(mv)):
         m_shift = mv[:a] + (mv[a] - 1,) + mv[a + 1:]
         q_shift = qv[:a] + (qv[a] + 1,) + qv[a + 1:]
-        if m_shift in collection.entries and q_shift in collection.entries:
-            yield sign, a, m_shift, q_shift
+        if m_shift in entries and q_shift in entries:
+            terms.append((-1 if prefix & 1 else 1, a, m_shift, q_shift, j * parts[a]))
+        prefix += mv[a] + qv[a]
+    return fermion.obstruction(*fock, terms, mv, qv, ambient)
 
 
-def _mkp_check(
-    collection: TauCollection,
-    fock: tuple[dict, int],
-    m: Sequence[int],
-    q: Sequence[int],
-    j: int,
-    n_parts: Sequence[int] | None,
-) -> VerificationReport:
-    """``hirota_mkp_check`` on fock = fermion.fock_states(collection.entries, s)."""
-    s = collection.ncomp
-    mv = int_tuple(m)
-    qv = int_tuple(q)
-    if len(mv) != s or len(qv) != s:
-        raise ValueError("label arity must match the collection")
-    if sum(mv) != collection.total + 1:
-        raise ValueError(f"m must sum to {collection.total + 1}")
-    if sum(qv) != collection.total - 1:
-        raise ValueError(f"q must sum to {collection.total - 1}")
-    parts = int_tuple(n_parts) if n_parts is not None else (1,) * s
-    if len(parts) != s:
+def _mkp_reports(
+    collection: TauCollection, pairs: Iterable[tuple[ChargeVector, ChargeVector]],
+    n_parts: Sequence[int] | None, j_values: Sequence[int],
+) -> list[VerificationReport]:
+    """One report per j and (m, q) pair, every entry expanded once."""
+    parts = int_tuple(n_parts) if n_parts is not None else (1,) * collection.ncomp
+    if len(parts) != collection.ncomp:
         raise ValueError("n_parts length must match the collection")
-    if _json_int(j) < 0:
+    js = int_tuple(j_values)
+    if any(j < 0 for j in js):
         raise ValueError("need j >= 0")
-    t0 = time.perf_counter()
-    terms = [(sign, a, ml, ql, j * parts[a])
-             for sign, a, ml, ql in _pair_terms(collection, mv, qv)]
-    obstruction = fermion.obstruction(*fock, terms, mv, qv, collection.ambient)
-    return _finish(
-        "mkp-residue",
-        {"m": list(mv), "q": list(qv), "j": j, "n_parts": list(parts)},
-        obstruction,
-        t0,
-    )
+    fock = fermion.fock_states(collection.entries, collection.ncomp)
+    reports = []
+    for j in js:
+        for mv, qv in pairs:
+            t0 = time.perf_counter()
+            obstruction = _sector(collection.entries, fock, mv, qv, j, parts, collection.ambient)
+            params = {"m": list(mv), "q": list(qv), "j": j, "n_parts": list(parts)}
+            reports.append(_finish("mkp-residue", params, obstruction, t0))
+    return reports
 
 
 def hirota_mkp_check(
@@ -189,20 +182,16 @@ def hirota_mkp_check(
     component 1..s.  Every entry is expanded on each call; to check many
     pairs, ``verify_mkp_collection`` expands them once.
     """
-    fock = fermion.fock_states(collection.entries, collection.ncomp)
-    return _mkp_check(collection, fock, m, q, j, n_parts)
-
-
-def _offset_labels(collection: TauCollection, delta: int) -> list[ChargeVector]:
-    """Labels l' with sum = total + delta lying one unit from a nonzero label."""
-    out: set[ChargeVector] = set()
-    for label in collection.entries:
-        for a in range(collection.ncomp):
-            moved = list(label)
-            moved[a] += delta
-            if moved[a] >= 0:
-                out.add(tuple(moved))
-    return sorted(out)
+    s = collection.ncomp
+    mv = int_tuple(m)
+    qv = int_tuple(q)
+    if len(mv) != s or len(qv) != s:
+        raise ValueError("label arity must match the collection")
+    if sum(mv) != collection.total + 1:
+        raise ValueError(f"m must sum to {collection.total + 1}")
+    if sum(qv) != collection.total - 1:
+        raise ValueError(f"q must sum to {collection.total - 1}")
+    return _mkp_reports(collection, [(mv, qv)], n_parts, (j,))[0]
 
 
 def verify_mkp_collection(
@@ -212,21 +201,18 @@ def verify_mkp_collection(
 ) -> list[VerificationReport]:
     """Run the residue identity over every label pair touching the collection.
 
-    Pairs whose every term references a zero entry hold trivially and are
-    skipped.  Each entry is expanded once, for every pair and j; entries are
-    checked as in ``hirota_mkp_check``.
+    The pairs are (l + e_a, r - e_a) for nonzero entries l, r and each a with
+    r_a >= 1, in sorted order: exactly the pairs with a term whose two
+    labels are both entries.  The others hold trivially and are skipped.
+    Each entry is expanded once, for every pair and j; entries are checked
+    as in ``hirota_mkp_check``.
     """
-    fock = fermion.fock_states(collection.entries, collection.ncomp)
-    reports: list[VerificationReport] = []
-    ms = _offset_labels(collection, +1)
-    qs = _offset_labels(collection, -1)
-    for j in int_tuple(j_values):
-        for mv in ms:
-            for qv in qs:
-                if next(_pair_terms(collection, mv, qv), None) is None:
-                    continue
-                reports.append(_mkp_check(collection, fock, mv, qv, j, n_parts))
-    return reports
+    labels = collection.entries
+    pairs = sorted({
+        (left[:a] + (left[a] + 1,) + left[a + 1:], right[:a] + (right[a] - 1,) + right[a + 1:])
+        for left in labels for right in labels for a in range(collection.ncomp) if right[a] >= 1
+    })
+    return _mkp_reports(collection, pairs, n_parts, j_values)
 
 
 def reduction_check(
@@ -268,14 +254,8 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
         raise ValueError(f"base entry {base_label} is zero")
     t0 = time.perf_counter()
 
-    def neighbor(da: int, db: int) -> Poly:
-        lab = (base_label[0] + da, base_label[1] + db)
-        if lab[0] < 0 or lab[1] < 0:
-            return Poly.zero(w.ncomp)
-        return collection.get(lab)
-
-    u = -neighbor(+1, -1)
-    v = neighbor(-1, +1)
+    u = -collection.get((base_label[0] + 1, base_label[1] - 1))
+    v = collection.get((base_label[0] - 1, base_label[1] + 1))
     x1 = VarId(Family.X, 1, 1)
     x2 = VarId(Family.X, 1, 2)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .polycore import int_tuple
+from .polycore import _json_int, int_tuple
 
 #: Guard for the periodic-partition enumerator.
 MAX_ENUMERATION_SIZE = 30
@@ -83,7 +83,7 @@ def v_sequence(partition: Partition | Iterable[int]) -> VSequence:
 
 def is_n_periodic(partition: Partition | Iterable[int], n: int) -> bool:
     """True when V - n is contained in V (head check suffices)."""
-    if n < 2:
+    if _json_int(n) < 2:
         raise ValueError("periodicity requires n >= 2")
     vs = v_sequence(partition)
     return all((h - n) in vs for h in vs.head)
@@ -111,6 +111,8 @@ def all_partitions(max_size: int) -> Iterator[Partition]:
 
 def enumerate_n_periodic(n: int, max_size: int) -> list[Partition]:
     """All n-periodic partitions with |lambda| <= max_size, sorted by (size, parts)."""
+    if _json_int(n) < 2:
+        raise ValueError("periodicity requires n >= 2")
     if max_size > MAX_ENUMERATION_SIZE:
         raise ValueError(
             f"max_size {max_size} exceeds the enumeration guard {MAX_ENUMERATION_SIZE}"

@@ -15,13 +15,16 @@ polynomial product or sum; s_j(t) is the case c = 0.  The recurrence
 j*s_j = sum_{i=1}^{j} i * c_i * s_{j-i} runs only on constants, in
 ``schur_constants``.
 
-``solve_shifts`` inverts s_j(t + c) = sum_i s_{j-i}(c) s_i(t): given b_0..b_M
-with b_M != 0 it finds the unique c with sum_i b_i s_i(t) = b_M s_M(t + c).
+``solve_shifts`` and ``canonicalize_shifts`` share one rule, ``_hit``: since
+s_d(c) = c_d + s_d(c_1, ..., c_{d-1}, 0), setting c_d to the target minus
+s_d(c_1, ..., c_{d-1}, 0), read from ``schur_constant``, makes s_d(c) hit the
+target.  ``solve_shifts`` inverts s_j(t + c) = sum_i s_{j-i}(c) s_i(t): given
+b_0..b_M with b_M != 0 it finds the unique c with sum_i b_i s_i(t) =
+b_M s_M(t + c) by hitting s_d(c) = b_{M-d}/b_M for d = 1..M in turn.
 ``canonicalize_shifts`` removes the gauge freedom of the shift vectors
-attached to a Grassmann cell: for each column j and each later row i the
-entry at position d = l_j - j - l_i + i is overwritten by
--s_d(c_1, ..., c_{d-1}, 0), which forces s_d(c) = 0.  The remaining free
-entries number exactly |lambda|.
+attached to a Grassmann cell: for each column j and each later row i it hits
+s_d(c) = 0 at d = l_j - j - l_i + i.  The remaining free entries number
+exactly |lambda|.
 """
 
 from __future__ import annotations
@@ -187,13 +190,16 @@ def schur_shifted(j: int, c: ShiftLike, component: int = 1, ncomp: int = 1) -> P
     return _shifted_table(j, c, component, ncomp, lowest=j)[0]
 
 
+def _hit(entries: list[Fraction], d: int, target: Fraction) -> None:
+    """Set c_d so that s_d(c) = target: s_d(c) = c_d + s_d(c_1, ..., c_{d-1}, 0)."""
+    entries[d - 1] = target - schur_constant(d, entries[: d - 1])
+
+
 def solve_shifts(b: Sequence[RationalLike]) -> ShiftVector:
     """Find c with sum_{i=0}^{M} b_i s_i(t) = b_M s_M(t + c).
 
     ``b`` lists b_0..b_M and b_M must be nonzero.  The relation forces
-    s_k(c) = b_{M-k}/b_M for k = 0..M, which the Schur recurrence solves
-    triangularly: c_k = g_k - (1/k) * sum_{i<k} i * c_i * g_{k-i} with
-    g_k = b_{M-k}/b_M.
+    s_d(c) = b_{M-d}/b_M for d = 0..M, hit one d at a time in increasing order.
     """
     bs = [exact_fraction(x) for x in b]
     if not bs:
@@ -201,13 +207,9 @@ def solve_shifts(b: Sequence[RationalLike]) -> ShiftVector:
     M = len(bs) - 1
     if not bs[M]:
         raise ValueError("leading coefficient b_M must be nonzero")
-    g = [bs[M - k] / bs[M] for k in range(M + 1)]
-    c: list[Fraction] = []
-    for k in range(1, M + 1):
-        acc = Fraction(0)
-        for i in range(1, k):
-            acc += i * c[i - 1] * g[k - i]
-        c.append(g[k] - acc / k)
+    c = [Fraction(0)] * M
+    for d in range(1, M + 1):
+        _hit(c, d, bs[M - d] / bs[M])
     return ShiftVector(tuple(c))
 
 
@@ -217,9 +219,9 @@ def canonicalize_shifts(
     """Overwrite the constrained entries of each column's shift vector.
 
     Entry positions follow ``constrained_indices``; each constrained entry
-    c_d becomes -s_d(c_1, ..., c_{d-1}, 0), which zeroes s_d of the column
-    vector.  Applied in increasing d order so earlier overwrites feed later
-    ones.  Every column vector must have exactly its expected length.
+    c_d is set so that s_d of the column vector is zero.  Applied in
+    increasing d order so earlier overwrites feed later ones.  Every column
+    vector must have exactly its expected length.
     """
     p = Partition.coerce(partition)
     m = len(p)
@@ -236,7 +238,6 @@ def canonicalize_shifts(
             )
         entries = list(cv.entries)
         for d in constrained_indices(p)[j - 1]:
-            prefix = tuple(entries[: d - 1]) + (Fraction(0),)
-            entries[d - 1] = -schur_constant(d, ShiftVector(prefix))
+            _hit(entries, d, Fraction(0))
         result.append(ShiftVector(tuple(entries)))
     return result

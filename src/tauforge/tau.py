@@ -19,13 +19,15 @@ h_j, D h_j, ..., D^{k_j} h_j under D = sum_a d/dt_{n_a}^(a), with k_j just
 large enough to exhaust the column (k_j = max_a ceil(M_j^(a)/n_a) - 1 over
 components with b != 0).
 
-Every entry is read off one table b_a * [s_0, ..., s_{M_a - 1}](t^(a) + c_a)
+Every entry is read off one table b_a * [s_L, ..., s_{M_a - 1}](t^(a) + c_a)
 per column and component, zero at a negative index:
 
     d^p/dt_1^(a) D^i h_j = b_a * s_{M_a - i*n_a - p}(t^(a) + c_a).
 
 Proof: ds_M/dt_n = s_{M-n} for constant c, so D^i lowers each M_a by i*n_a;
 then d/dt_1^(a) kills every other component and lowers M_a by one per order.
+With k the column's largest i and r the most rows a block can have, no entry
+reads below L = max(M_a - k*n_a - r, 0), so each table starts there.
 ``tau_kp`` is the one-component case, with column degrees l_j + m - j + 1.
 
 The AKNS constructor is the two-component (1,1)-reduced family written in
@@ -52,7 +54,7 @@ from .polycore import (
     Family, Packed, Packing, Poly, RationalLike, VarId, _json_int, exact_fraction, int_tuple,
     packed_sum,
 )
-from .schur import ShiftLike, ShiftVector, _shifted_table, schur_shifted_table
+from .schur import ShiftLike, ShiftVector, _shifted_table
 
 ChargeVector = tuple[int, ...]
 
@@ -124,20 +126,8 @@ def tau_kp(
     zero-padded) but not longer; ``None`` means all zero.
     """
     p = Partition.coerce(partition)
-    m = len(p)
-    shifts = [] if shifts is None else shifts
-    if len(shifts) > m:
-        raise ValueError(f"expected at most {m} shift vectors, got {len(shifts)}")
-    columns = [ShiftVector.coerce(shifts[j] if j < len(shifts) else None) for j in range(m)]
-    for j, length in enumerate(expected_shift_lengths(p)):
-        if len(columns[j]) > length:
-            raise ValueError(f"column {j + 1} shift vector longer than {length} entries")
-    # _block_det reads a table from its end, and column j only its last m entries
-    tables = [
-        (schur_shifted_table(part + m - j - 1, columns[j], lowest=max(part - j, 0)),)
-        for j, part in enumerate(p.parts)
-    ]
-    return _block_det(tables, (m,), 1)
+    columns = [_spec_column(spec, len(p)) for spec in kp_specs_from_partition(p, shifts)]
+    return _block_det(columns, (len(p),), 1)
 
 
 # -- column specifications for multicomponent constructors ---------------------
@@ -277,10 +267,10 @@ class TauCollection:
         }
 
 
-# A determinant column: per component a, the table b_a * [s_0, ..., s_{M_a - 1}]
+# A determinant column: per component a, the table b_a * [s_L, ..., s_{M_a - 1}]
 # (t^(a) + c_a) of a generating function h = sum_a b_a * s_{M_a}(t^(a) + c_a),
-# empty when b_a = 0.  D^i h has the same table cut to its first M_a - i*n_a
-# entries.
+# empty when b_a = 0, from the lowest entry L that a row reads.  D^i h has the
+# same table without its last i*n_a entries.
 Column = tuple[Sequence[Poly], ...]
 
 
@@ -288,7 +278,8 @@ def _block_det(columns: Sequence[Column], label: ChargeVector, ncomp: int) -> Po
     """The charge-labelled determinant of the columns (module docstring).
 
     Row (a, p), for p = m_a, ..., 1, reads entry M_a - p of every column's
-    table a, or zero when p > M_a.  Zero off the polyhedron; 1 without rows.
+    table a, counted from its end, or zero when the table is shorter.  Zero
+    off the polyhedron; 1 without rows.
     """
     if any(x < 0 for x in label):
         return Poly.zero(ncomp)
@@ -312,17 +303,22 @@ def _collection(total: int, ncomp: int, entry: Callable[[ChargeVector], Poly],
 # -- multicomponent KP ---------------------------------------------------------
 
 
-def _spec_column(spec: HSpec) -> Column:
+def _spec_column(spec: HSpec, rows: int, n_parts: Sequence[int] | None = None,
+                 k: int = 0) -> Column:
+    """The column of h, cut to the window its tower h, .., D^k h reads in a
+    determinant of ``rows`` rows per block: table a starts at
+    s_{max(M_a - k*n_a - rows, 0)}, the lowest entry any row can read."""
     return tuple(
-        _shifted_table(t.degree - 1, t.shift, a, spec.ncomp, coeff=t.coeff) if t.coeff else []
-        for a, t in enumerate(spec.terms, start=1)
+        _shifted_table(t.degree - 1, t.shift, a, spec.ncomp, coeff=t.coeff,
+                       lowest=max(t.degree - k * n - rows, 0)) if t.coeff else []
+        for a, (t, n) in enumerate(zip(spec.terms, n_parts or (1,) * spec.ncomp), start=1)
     )
 
 
 def tau_mkp_entries(specs: Sequence[HSpec], charges: Iterable[Sequence[int]]) -> Iterator[Poly]:
     """``tau_mkp_entry`` for each charge in turn, all read off one set of
     column tables; each charge is checked when its entry is reached."""
-    columns = [_spec_column(spec) for spec in specs]
+    columns = [_spec_column(spec, len(specs)) for spec in specs]
     for label in map(int_tuple, charges):
         if any(spec.ncomp != len(label) for spec in specs):
             raise ValueError("all specs must agree with the charge arity")
@@ -348,8 +344,10 @@ def tau_mkp_collection(specs: Sequence[HSpec], ncomp: int | None = None) -> TauC
         s = ncomp
     else:
         raise ValueError("empty spec list needs an explicit component count")
-    labels = list(charge_vectors(len(specs), s))
-    return _collection(len(specs), s, dict(zip(labels, tau_mkp_entries(specs, labels))).get)
+    if any(spec.ncomp != s for spec in specs):
+        raise ValueError("all specs must agree with the charge arity")
+    columns = [_spec_column(spec, len(specs)) for spec in specs]
+    return _collection(len(specs), s, lambda label: _block_det(columns, label, s))
 
 
 # -- n-KdV ----------------------------------------------------------------------
@@ -373,7 +371,7 @@ def tau_nkdv(
     classes: dict[int, ShiftVector] = {}
     if shifts_by_class:
         for key, value in shifts_by_class.items():
-            k = int(key)
+            k = _json_int(key)
             if not 0 <= k < n:
                 raise ValueError(f"residue class {k} outside 0..{n - 1}")
             classes[k] = ShiftVector.coerce(value)
@@ -427,16 +425,17 @@ class KdVProfile:
 
 
 def _tower(h: Column, n_parts: Sequence[int], k: int) -> list[Column]:
-    """h, D h, ..., D^k h: D^i cuts each table a to its first M_a - i*n_a entries."""
+    """h, D h, ..., D^k h: D^i drops the last i*n_a entries of each table a."""
     return [tuple(t[:max(len(t) - i * n, 0)] for t, n in zip(h, n_parts)) for i in range(k + 1)]
 
 
 def _mnkdv_columns(profile: KdVProfile) -> list[Column]:
     """The towers h_j, D h_j, ..., D^{k_j} h_j for every spec."""
+    rows, n_parts = profile.total_charge, profile.n_parts
     return [
         col
         for spec, k in zip(profile.specs, profile.k_values())
-        for col in _tower(_spec_column(spec), profile.n_parts, k)
+        for col in _tower(_spec_column(spec, rows, n_parts, k), n_parts, k)
     ]
 
 
@@ -465,15 +464,21 @@ def kp_specs_from_partition(
 
     Column j carries degree l_j + m - j + 1 with unit coefficient; the
     column's d/dt_1 tower of orders m..1 then reproduces exactly the
-    KP determinant entries s_{l_j + i - j}(t + c_j).
+    KP determinant entries s_{l_j + i - j}(t + c_j).  The shifts are read as
+    in ``tau_kp``: missing columns and entries are zero, extra ones raise.
     """
     p = Partition.coerce(partition)
     m = len(p)
-    out: list[HSpec] = []
-    for j in range(1, m + 1):
-        cv = ShiftVector.coerce(shifts[j - 1]) if shifts is not None else ShiftVector()
-        out.append(HSpec.make([(p.parts[j - 1] + m - j + 1, 1, cv)]))
-    return out
+    shifts = [] if shifts is None else shifts
+    if len(shifts) > m:
+        raise ValueError(f"expected at most {m} shift vectors, got {len(shifts)}")
+    specs = [HSpec.make([(part + m - j, 1, shifts[j] if j < len(shifts) else None)])
+             for j, part in enumerate(p.parts)]
+    for j, spec in enumerate(specs, start=1):
+        degree, shift = spec.terms[0].degree, spec.terms[0].shift
+        if len(shift) >= degree:
+            raise ValueError(f"column {j} shift vector longer than {degree - 1} entries")
+    return specs
 
 
 # -- AKNS -------------------------------------------------------------------------

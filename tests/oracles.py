@@ -39,6 +39,8 @@ from tauforge import (
 )
 from tauforge.fermion import State
 from tauforge.polycore import Monomial
+from tauforge.schur import schur_shifted_table
+from tauforge.tau import _block_det
 
 
 def eval_poly(p: Poly, values: Mapping[VarId, Fraction]) -> Fraction:
@@ -656,3 +658,62 @@ def mnkdv_columns_by_derivatives(profile: KdVProfile) -> list[Poly]:
         for spec, k in zip(profile.specs, profile.k_values())
         for col in d_tower(generating_poly(spec, profile.ncomp), k, profile.n_parts)
     ]
+
+
+# -- earlier paths, kept as differential references -------------------------------
+
+
+def solve_shifts_triangular(b: Sequence[Fraction]) -> ShiftVector:
+    """The triangular solve of s_k(c) = g_k = b_{M-k}/b_M, as first written:
+    c_k = g_k - (1/k) * sum_{i<k} i * c_i * g_{k-i}, in Fraction arithmetic."""
+    bs = [Fraction(x) for x in b]
+    big_m = len(bs) - 1
+    g = [bs[big_m - k] / bs[big_m] for k in range(big_m + 1)]
+    c: list[Fraction] = []
+    for k in range(1, big_m + 1):
+        acc = sum((i * c[i - 1] * g[k - i] for i in range(1, k)), Fraction(0))
+        c.append(g[k] - acc / k)
+    return ShiftVector(tuple(c))
+
+
+def mkp_pairs_by_offset_scan(
+    collection: TauCollection, j_values: Sequence[int] = (0,)
+) -> list[tuple[list[int], list[int], int]]:
+    """(m, q, j) of every pair the first ``verify_mkp_collection`` checked, in its
+    order: every label one unit above a nonzero label against every label one
+    unit below one, both sorted, kept when some component a has m - e_a and
+    q + e_a both nonzero."""
+
+    def offset(delta: int) -> list[tuple[int, ...]]:
+        out = set()
+        for label in collection.entries:
+            for a in range(collection.ncomp):
+                moved = list(label)
+                moved[a] += delta
+                if moved[a] >= 0:
+                    out.add(tuple(moved))
+        return sorted(out)
+
+    def touches(m: tuple[int, ...], q: tuple[int, ...]) -> bool:
+        return any(
+            m[:a] + (m[a] - 1,) + m[a + 1:] in collection.entries
+            and q[:a] + (q[a] + 1,) + q[a + 1:] in collection.entries
+            for a in range(collection.ncomp)
+        )
+
+    ms, qs = offset(+1), offset(-1)
+    return [(list(m), list(q), j) for j in j_values for m in ms for q in qs if touches(m, q)]
+
+
+def tau_kp_by_windowed_tables(partition, shifts=None) -> Poly:
+    """tau_kp as first windowed: column j's table s_L..s_{l_j + m - j}(t + c_j)
+    with L = max(l_j - j + 1, 0), built by ``schur_shifted_table``."""
+    p = Partition.coerce(partition)
+    m = len(p)
+    shifts = [] if shifts is None else shifts
+    columns = [ShiftVector.coerce(shifts[j] if j < len(shifts) else None) for j in range(m)]
+    tables = [
+        (schur_shifted_table(part + m - j - 1, columns[j], lowest=max(part - j, 0)),)
+        for j, part in enumerate(p.parts)
+    ]
+    return _block_det(tables, (m,), 1)

@@ -797,6 +797,10 @@ DIAGNOSTICS = {
                             "no interior base label with a nonzero tau"),
     "verify-akns-base": (["verify", "--what", "akns", "--m1", "2", "--m2", "2", "--base", "x"],
                          "not a charge vector: 'x'"),
+    "verify-kp-n": (["verify", "--what", "kp", "--partition", "2,1", "--n", "0"],
+                    "--n must be >= 1"),
+    "verify-kp-j": (["verify", "--what", "kp", "--partition", "2,1", "--j", "-1"],
+                    "--j must be >= 0"),
     "verify-no-checks": (["verify", "--what", "kp", "--partition", "2,1", "--shifts", "random",
                           "--trials", "0"], "no checks were run; nothing was verified"),
     "oracle-partition-string": (["oracle-compare", "--case", {"kind": "kp", "partition": "21"}],

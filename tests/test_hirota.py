@@ -6,6 +6,8 @@ import pytest
 from oracles import (
     akns_flow_residuals,
     miwa_by_operator,
+    mkp_pairs_by_offset_scan,
+    random_fraction,
     random_shifts_for,
     relabel_vars,
     residue_by_convolution,
@@ -29,6 +31,7 @@ from tauforge import (
     reduction_check,
     tau_kp,
     tau_mkp_collection,
+    tau_mnkdv_collection,
     tau_nkdv,
     tvar,
     verify_mkp_collection,
@@ -179,6 +182,27 @@ def test_verify_mkp_collection_catches_corruption():
     bad = TauCollection(total=coll.total, ncomp=coll.ncomp, entries=entries)
     reports = verify_mkp_collection(bad)
     assert sum(1 for r in reports if not r.passed) == 3
+
+
+def test_verify_mkp_collection_visits_the_offset_scan_pairs():
+    # the pairs built from the entries, against the |ms| x |qs| scan they replaced
+    rng = random.Random(3)
+
+    def spec(*degrees):
+        return HSpec.make([(d, random_fraction(rng) or 1, [random_fraction(rng) for _ in range(d)])
+                           for d in degrees])
+
+    collections = [
+        two_component_collection(),
+        tau_mkp_collection([spec(2, 1, 2), spec(1, 2, 2)]),
+        TauCollection(3, 3, {(3, 0, 0): tvar(1, 1, 3), (0, 1, 2): tvar(2, 2, 3)}),
+        tau_mnkdv_collection(KdVProfile((3, 2), (spec(6, 2),))),
+    ]
+    for coll in collections:
+        assert any(0 in label for label in coll.entries)  # an entry with a zero part
+        reports = verify_mkp_collection(coll, j_values=(0, 1))
+        got = [(r.params["m"], r.params["q"], r.params["j"]) for r in reports]
+        assert got and got == mkp_pairs_by_offset_scan(coll, (0, 1))
 
 
 def test_mkp_check_takes_t_variables_of_components_1_to_s_only():

@@ -14,6 +14,7 @@ from oracles import (
     schur_of_args,
     shifted_table_by_convolution,
     shift_vars,
+    solve_shifts_triangular,
     weighted_degree,
 )
 from tauforge import (
@@ -229,6 +230,15 @@ def test_solve_shifts_roundtrip_random():
             consts = schur_constants(big_m, cv)
             for k in range(big_m + 1):
                 assert consts[k] == b[big_m - k] / b[big_m]
+
+
+def test_solve_shifts_matches_the_triangular_solve():
+    # the Schur-constant rule against the Fraction recurrence it replaced
+    rng = random.Random(2)
+    for big_m in range(9):
+        for _ in range(6):
+            b = [random_fraction(rng) for _ in range(big_m)] + [random_fraction(rng) or Fraction(1)]
+            assert solve_shifts(b) == solve_shifts_triangular(b)
 
 
 def test_solve_shifts_matches_polynomial_identity():

@@ -16,6 +16,7 @@ from oracles import (
     random_fraction,
     random_shifts_for,
     tau_by_derivatives,
+    tau_kp_by_windowed_tables,
 )
 from tauforge import (
     BasisVector,
@@ -30,6 +31,7 @@ from tauforge import (
     TauCollection,
     VarId,
     akns_collection,
+    all_partitions,
     akns_pde_check,
     akns_tau,
     apply_D,
@@ -40,7 +42,9 @@ from tauforge import (
     enumerate_n_periodic,
     expected_shift_lengths,
     generator_from_hspec,
+    generators_from_partition,
     hirota_mkp_check,
+    is_n_periodic,
     kp_specs_from_partition,
     oracle_tau,
     schur_shifted,
@@ -55,6 +59,7 @@ from tauforge import (
     xvar,
 )
 from tauforge.polycore import exact_fraction
+from tauforge.tau import _spec_column
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -228,6 +233,17 @@ def test_library_boundary_rejects_strings_and_inexact_integers():
         lambda: tau_kp((1,), [[True]]),  # was 1 + t1
         lambda: Poly.const(False),
         lambda: tvar(1) + True,
+        lambda: GeneratorVector({(1, 2.7): 1}),  # read e_2, and oracle_tau answered t1
+        lambda: GeneratorVector({(True, 2): 1}),  # read component 1
+        lambda: GeneratorVector.basis(1, 2).lambda_shift((1.5,)),  # moved e_2 by 1
+        lambda: GeneratorVector.basis(1, 2).lambda_shift((1,), 1.5),  # power was truncated
+        lambda: tau_nkdv((2, 1), 2, {0.9: [5]}),  # read class 0
+        lambda: tau_nkdv((2, 1), 2, {False: [5]}),
+        lambda: tau_nkdv((2, 1), 2.0),
+        lambda: is_n_periodic((2, 1), 2.0),
+        lambda: is_n_periodic((2, 1), 2.5),  # answered False
+        lambda: enumerate_n_periodic(2.0, 3),
+        lambda: enumerate_n_periodic(2.0, -1),  # answered []
     ]
     for i, call in enumerate(calls):
         with pytest.raises(TypeError):
@@ -247,6 +263,34 @@ def test_tau_kp_frozen_values():
     assert tau_kp((2, 1)) == cube_tau()
     for k in range(1, 6):
         assert tau_kp((k,)) == elementary_schur(k)
+
+
+def test_tau_kp_matches_the_windowed_tables():
+    # the spec-column path against the per-column windows tau_kp built before
+    rng = random.Random(4)
+    for p in all_partitions(6):
+        shifts = random_shifts_for(rng, p)
+        assert tau_kp(p, shifts) == tau_kp_by_windowed_tables(p, shifts)
+        assert tau_kp(p, shifts[:1]) == tau_kp_by_windowed_tables(p, shifts[:1])
+
+
+def test_reduced_tables_start_at_the_lowest_entry_a_row_reads():
+    # n = (3, 2): degrees (3, 2) give k = 0 and one row, so tables [s_2] and [s_1];
+    # degrees (6, 2) give k = 1 and two rows, so s_1.. and s_0..
+    rng = random.Random(5)
+    for degrees, lowest in [((3, 2), (2, 1)), ((6, 2), (1, 0))]:
+        spec = HSpec.make([(d, random_fraction(rng) or 1, [random_fraction(rng) for _ in range(d)])
+                           for d in degrees])
+        profile = KdVProfile((3, 2), (spec,))
+        column = _spec_column(spec, profile.total_charge, profile.n_parts, profile.k_values()[0])
+        for a, (table, term, low) in enumerate(zip(column, spec.terms, lowest), start=1):
+            assert len(table) == term.degree - low
+            assert table[0] == schur_shifted(low, term.shift, a, 2).scale(term.coeff)
+        coll = tau_mnkdv_collection(profile)
+        reference = mnkdv_columns_by_derivatives(profile)
+        assert coll.entries
+        for label in charge_vectors(profile.total_charge, 2):
+            assert coll.get(label) == tau_by_derivatives(reference, label, 2)
 
 
 def test_tau_kp_hook_partition():
@@ -423,6 +467,15 @@ def test_kp_bridge_reproduces_tau_kp():
         shifts = random_shifts_for(rng, p)
         specs = kp_specs_from_partition(p, shifts)
         assert tau_mkp_entry(specs, (len(p),)) == tau_kp(p, shifts), parts
+
+
+def test_kp_bridge_reads_shifts_as_tau_kp_does():
+    # a missing column was an IndexError here, while tau_kp read it as zero
+    assert kp_specs_from_partition((2, 1), [[1]]) == kp_specs_from_partition((2, 1), [[1], []])
+    assert oracle_tau(generators_from_partition((2, 1), [[1]]), (2,)) == tau_kp((2, 1), [[1]])
+    for bad in ([[1], [], []], [[1, 2, 3, 4]]):
+        with pytest.raises(ValueError):
+            kp_specs_from_partition((2, 1), bad)
 
 
 # -- n-KdV ---------------------------------------------------------------------------
