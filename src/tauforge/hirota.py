@@ -49,9 +49,24 @@ neighbors u = -tau^(p+1, K-p-1) and v = tau^(p-1, K-p+1), the coupled system
 which is the standard AKNS pair i q_T = -q_XX/2 - q^2 r,
 i r_T = +r_XX/2 + r^2 q after X = 2 x_1, T = -4 i x_2 (chain rule:
 d/dX = (1/2) d/dx_1, d/dT = (i/4) d/dx_2; the i's cancel, leaving rational
-coefficients).  Clearing w^3 turns the pair into the two polynomial
-obstructions computed below; the derivation was done by hand and verified
-on three independent determinant families before being frozen here.
+coefficients).  Clearing w^3 turns the flow of f = u (g = v, o = +1) or
+f = v (g = u, o = -1) into the polynomial obstruction
+
+    R_f = 2o (f_2 w - f w_2) w - (f_11 w^2 - f w_11 w - 2 f_1 w_1 w + 2 f w_1^2) - 8 f^2 g,
+
+subscripts naming x-derivatives.  With the Hirota derivative
+D_x (a.b) = a_x b - a b_x it is R_f = w P_f + f Q, where
+
+    P_f = (2o D_x2 - D_x1^2)(f.w) = 2o (f_2 w - f w_2) - (f_11 w - 2 f_1 w_1 + f w_11),
+    Q   = D_x1^2 (w.w) - 8 u v    = 2 w w_11 - 2 w_1^2 - 8 u v:
+
+expanding, w P_f + f Q carries -f w_11 w + 2 f w w_11 = f w_11 w and
+8 f u v = 8 f^2 g, which is R_f term for term.  P_f and Q are the AKNS
+pair in Hirota's bilinear form and vanish on the families constructed
+here, so a passing check forms no product of three entries.  They are a
+sufficient test, never the verdict: where they do not vanish, R_f is
+formed in full and decides (a common factor of every entry keeps q and r
+but not P_f and Q).
 """
 
 from __future__ import annotations
@@ -260,20 +275,20 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
     x2 = VarId(Family.X, 1, 2)
 
     w1, w2, w11 = w.diff(x1), w.diff(x2), w.diff(x1, 2)
-    w1w1 = w1 * w1
+    # Q = D_x1^2 (w.w) - 8uv, the same for both flows.
+    bilinear_q = Poly.sum_of_products([(2, w, w11), (-2, w1, w1), (-8, u, v)], w.ncomp)
 
     def flow_residual(f: Poly, orientation: int) -> Poly:
-        # orientation +1: 2 f-flow; -1: reversed time direction.  w is
-        # factored out of every term that carries it, so each flow makes
-        # one large product by w.
+        # R_f = w P_f + f Q (module docstring); orientation o = -1 reverses
+        # the time direction.  sum_of_products drops zero factors, so where
+        # P_f and Q vanish no product of three entries is formed.
         f1, f2, f11 = f.diff(x1), f.diff(x2), f.diff(x1, 2)
-        inner = Poly.sum_of_products(
-            [(2 * orientation, f2, w), (-2 * orientation, f, w2), (-1, f11, w), (1, f, w11),
-             (2, f1, w1)],
+        bilinear_p = Poly.sum_of_products(
+            [(2 * orientation, f2, w), (-2 * orientation, f, w2), (-1, f11, w), (2, f1, w1),
+             (-1, f, w11)],
             w.ncomp,
         )
-        g = v if orientation > 0 else u
-        return Poly.sum_of_products([(1, w, inner), (-2, f, w1w1), (-8, f * f, g)], w.ncomp)
+        return Poly.sum_of_products([(1, w, bilinear_p), (1, f, bilinear_q)], w.ncomp)
 
     per = {"q_flow": flow_residual(u, +1), "r_flow": flow_residual(v, -1)}
     return _finish(

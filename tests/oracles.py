@@ -610,6 +610,24 @@ def akns_flow_residuals(collection: TauCollection, base: Sequence[int]) -> dict[
     return {"q_flow": residual(u, v, +1), "r_flow": residual(v, u, -1)}
 
 
+def akns_bilinear_forms(collection: TauCollection, base: Sequence[int]) -> tuple[Poly, Poly, Poly]:
+    """P_u, P_v and Q of the AKNS residual R_f = w P_f + f Q, one factor at a
+    time: P_f = (2o D_x2 - D_x1^2)(f.w) with o = +1 for f = u and -1 for
+    f = v, and Q = D_x1^2 (w.w) - 8 u v, where D is the Hirota derivative."""
+    p, k = base
+    w = collection.get((p, k))
+    u, v = -collection.get((p + 1, k - 1)), collection.get((p - 1, k + 1))
+    x1, x2 = VarId(Family.X, 1, 1), VarId(Family.X, 1, 2)
+    w1, w2, w11 = w.diff(x1), w.diff(x2), w.diff(x1, 2)
+
+    def bilinear_p(f: Poly, orientation: int) -> Poly:
+        f1, f2, f11 = f.diff(x1), f.diff(x2), f.diff(x1, 2)
+        return (f2 * w - f * w2).scale(2 * orientation) - (f11 * w - (f1 * w1).scale(2) + f * w11)
+
+    q = (w * w11).scale(2) - (w1 * w1).scale(2) - (u * v).scale(8)
+    return bilinear_p(u, +1), bilinear_p(v, -1), q
+
+
 # -- the derivative-tower construction -------------------------------------------
 
 

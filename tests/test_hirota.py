@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    akns_bilinear_forms,
     akns_flow_residuals,
     miwa_by_operator,
     mkp_pairs_by_offset_scan,
@@ -341,6 +342,115 @@ def test_akns_residuals_match_the_unfactored_reference():
             assert all(verdicts) != control, (m1, m2, control)
             checked += len(verdicts)
     assert checked == 32
+
+
+def _seeded_akns(rng: random.Random, m1: int, m2: int) -> TauCollection:
+    def rational():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+    return akns_collection(m1, m2, rational(), rational(),
+                           [rational() for _ in range(m1)], [rational() for _ in range(m2)])
+
+
+def _akns_bases(collection: TauCollection) -> list[tuple[int, int]]:
+    """Every base p = 0..K whose entry is nonzero, edges included."""
+    k = collection.total
+    return [(p, k - p) for p in range(k + 1) if collection.get((p, k - p)).terms]
+
+
+def test_akns_edge_bases_match_the_unfactored_reference():
+    # At p = 0 and p = K one neighbour is off the lattice and reads as zero.
+    rng = random.Random(19)
+    checked = 0
+    for m1, m2 in [(3, 3), (4, 3), (4, 4), (5, 4), (5, 5)]:
+        coll = _seeded_akns(rng, m1, m2)
+        k = coll.total
+        entries = dict(coll.entries)
+        for label in [(0, k), (k, 0)]:
+            if label in entries:
+                entries[label] = entries[label] + xvar(1) ** 2 * xvar(2) * rng.randint(1, 9)
+        perturbed = TauCollection(k, 2, entries)
+        for c, control in [(coll, False), (perturbed, True)]:
+            for base in [(0, k), (k, 0)]:
+                if not c.get(base).terms:
+                    continue
+                r = akns_pde_check(c, base)
+                want = akns_flow_residuals(c, base)
+                assert r.per_param == want, (m1, m2, base, control)
+                assert r.obstruction == (want["q_flow"] if want["q_flow"].terms else want["r_flow"])
+                assert r.passed != control, (m1, m2, base, control)
+                checked += 1
+    assert checked == 16
+
+
+def test_akns_bilinear_forms_vanish_on_every_true_base():
+    # akns_pde_check skips its two products per flow exactly when P_f and Q
+    # vanish; a collection where they did not would still be checked
+    # correctly, only slowly, so this is the one test that sees it.
+    rng = random.Random(19)
+    interior = edge = 0
+    for m1 in range(1, 6):
+        for m2 in range(1, 6):
+            for coll in [akns_collection(m1, m2, 1, 1, None, None), _seeded_akns(rng, m1, m2)]:
+                for base in _akns_bases(coll):
+                    p_u, p_v, q = akns_bilinear_forms(coll, base)
+                    assert not (p_u.terms or p_v.terms or q.terms), (m1, m2, base)
+                    if 0 < base[0] < coll.total:
+                        interior += 1
+                    else:
+                        edge += 1
+    assert (interior, edge) == (100, 60)
+
+
+def test_akns_residuals_split_into_bilinear_forms():
+    # R_f = w P_f + f Q, checked against the unfactored pair where P_f and Q
+    # do not vanish.
+    rng = random.Random(20)
+    nonzero = checked = 0
+    for m1, m2 in [(2, 2), (3, 3), (4, 3), (4, 4)]:
+        coll = _seeded_akns(rng, m1, m2)
+        bump = xvar(1) * xvar(2) ** 2
+        perturbed = TauCollection(coll.total, 2, {
+            label: e + bump * (m1 - label[0]) for label, e in coll.entries.items()
+        })
+        for base in _akns_bases(perturbed):
+            p, k = base
+            w = perturbed.get(base)
+            u, v = -perturbed.get((p + 1, k - 1)), perturbed.get((p - 1, k + 1))
+            p_u, p_v, q = akns_bilinear_forms(perturbed, base)
+            want = akns_flow_residuals(perturbed, base)
+            assert want["q_flow"] == w * p_u + u * q, (m1, m2, base)
+            assert want["r_flow"] == w * p_v + v * q, (m1, m2, base)
+            nonzero += bool(p_u.terms and p_v.terms and q.terms)
+            checked += 1
+    assert (nonzero, checked) == (8, 16)
+
+
+def test_akns_gauge_control_passes_through_the_fallback():
+    # Multiplying every entry by g leaves q = u/w and r = v/w unchanged, so
+    # R_f becomes g^3 R_f = 0 while P_f and Q no longer vanish (Q becomes
+    # g^2 Q + w^2 D_x1^2 (g.g)): the pass must come from the full residual.
+    g = 1 + xvar(1) - xvar(2)
+    rng = random.Random(21)
+    checked = 0
+    for m1, m2 in [(2, 2), (3, 2), (3, 3), (4, 4)]:
+        coll = _seeded_akns(rng, m1, m2)
+        gauged = TauCollection(coll.total, 2, {label: g * e for label, e in coll.entries.items()})
+        entries = dict(gauged.entries)
+        label = sorted(entries)[len(entries) // 2]
+        entries[label] = entries[label] + xvar(1) ** 3
+        perturbed = TauCollection(coll.total, 2, entries)
+        for c, control in [(gauged, False), (perturbed, True)]:
+            verdicts = {}
+            for base in _akns_bases(c):
+                assert akns_bilinear_forms(c, base)[2].terms, (m1, m2, base, control)
+                r = akns_pde_check(c, base)
+                assert r.per_param == akns_flow_residuals(c, base), (m1, m2, base, control)
+                verdicts[base] = r.passed
+                checked += 1
+            assert all(verdicts.values()) != control, (m1, m2, control)
+            assert verdicts[label] != control, (m1, m2, label)
+    assert checked == 30
 
 
 def test_akns_pde_validation():
