@@ -54,9 +54,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from .fock import (
-    generator_from_hspec, generators_from_partition, oracle_tau, wedge_from_generators, wedge_tau,
-)
+from .fock import generator_from_hspec, wedge_from_generators, wedge_tau
 from .hirota import (
     VerificationReport,
     akns_pde_check,
@@ -74,6 +72,7 @@ from .tau import (
     akns_collection,
     akns_tau,
     charge_vectors,
+    kp_specs_from_partition,
     tau_kp,
     tau_mkp_collection,
     tau_mkp_entries,
@@ -323,31 +322,31 @@ def compare_case(case) -> list[tuple[str, bool]]:
         p = Partition(tuple(raw))
         guard_degree(p.size)
         shifts = case.get("shifts", "zero")
-        shifts = None if shifts == "zero" else shift_table(shifts, p)
-        det = tau_kp(p, shifts)
-        orc = oracle_tau(generators_from_partition(p, shifts), (len(p),))
-        return [(f"kind=kp partition={p}", det == orc)]
-    if kind != "mkp":
-        raise UsageError(f"case kind must be \"kp\" or \"mkp\", got {kind!r}")
-    specs = load_specs(case.get("specs"))
-    ncomp = specs[0].ncomp
-    raw_charges = case.get("charges")
-    if raw_charges is None:
-        charges = list(charge_vectors(len(specs), ncomp))
-    elif isinstance(raw_charges, list) and all(
-        isinstance(ch, list) and all(map(_is_int, ch)) for ch in raw_charges
-    ):
-        charges = [tuple(ch) for ch in raw_charges]
+        specs = kp_specs_from_partition(p, None if shifts == "zero" else shift_table(shifts, p))
+        ncomp, charges, names = 1, [(len(p),)], [f"kind=kp partition={p}"]
+    elif kind == "mkp":
+        specs = load_specs(case.get("specs"))
+        ncomp = specs[0].ncomp
+        raw_charges = case.get("charges")
+        if raw_charges is None:
+            charges = list(charge_vectors(len(specs), ncomp))
+        elif isinstance(raw_charges, list) and all(
+            isinstance(ch, list) and all(map(_is_int, ch)) for ch in raw_charges
+        ):
+            charges = [tuple(ch) for ch in raw_charges]
+        else:
+            raise UsageError("\"charges\" must be an array of integer arrays")
+        names = [f"kind=mkp charge=({','.join(map(str, ch))})" for ch in charges]
     else:
-        raise UsageError("\"charges\" must be an array of integer arrays")
-    # one set of column tables and one wedge for every charge, each checked as oracle_tau would
+        raise UsageError(f"case kind must be \"kp\" or \"mkp\", got {kind!r}")
+    # a kp case is the one-component mkp case at charge (m,); one set of column
+    # tables and one wedge serve every charge, each checked as oracle_tau would
     wedge = wedge_from_generators([generator_from_hspec(spec, ncomp) for spec in specs], ncomp)
     out = []
-    for charge, det in zip(charges, tau_mkp_entries(specs, charges)):
+    for name, charge, det in zip(names, charges, tau_mkp_entries(specs, charges)):
         if any(x < 0 for x in charge):
             raise UsageError(f"charge {charge} has negative parts")
-        label = ",".join(str(x) for x in charge)
-        out.append((f"kind=mkp charge=({label})", det == wedge_tau(wedge, charge)))
+        out.append((name, det == wedge_tau(wedge, charge)))
     return out
 
 

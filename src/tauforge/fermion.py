@@ -19,24 +19,26 @@ element B; for polynomial tau-functions it is a finite sum:
 A nonempty B is bosonized species by species: a state S at charge c becomes
 s_lambda with lambda_i = S_i + i - c, and
 [t^nu] s_lambda = chi^lambda_nu / prod_k m_k(nu)!.  ``boson_image`` is the
-same map on one side, for a state vector; ``fock``'s oracle sends the
-Plucker coordinates of its generators through it.
+same map against the vacuum at charge 0, whose image is s_empty = 1, so a
+state vector {S: c_S} bosonizes as the matrix {S: {vacuum: c_S}}; ``fock``'s
+oracle sends the Plucker coordinates of its generators through it.
 
 The expansion, B and the bosonization run on integer numerators over one
 common denominator each; only the coefficients they return are fractions.
 Two tables outlive a call, in dicts whose values are never mutated, so a
 race only computes an entry twice and needs no lock:
 
-- the character rows that ``schur_expansion`` and ``boson_image`` read; the
-  oracle's shapes are no larger than the tau they reproduce;
+- the character rows that ``schur_expansion`` reads through ``characters``,
+  no larger than the entries it expands;
 - the term list of each s_lambda that ``expand`` reads,
   [(t^nu, chi^lambda_nu |lambda|! / prod_k m_k(nu)!)], keyed by (lambda,
   family, component): per size n, family and component at most p(n) shapes
   of at most p(n) terms, a size that one failing check's row table already
   reaches at its peak.
 
-The shapes of B reach twice the size of tau, so ``bosonize`` builds the rows
-behind a missing term list in a table that it drops on return.
+The shapes of B reach twice the size of tau, so ``bosonize``, and with it
+``boson_image``, builds the rows behind a missing term list in a table that
+it drops on return.
 """
 
 from __future__ import annotations
@@ -270,20 +272,12 @@ def expand(
 
 
 def boson_image(vector: Mapping[State, Fraction], charges: Label, ncomp: int) -> Poly:
-    """sum_S c_S prod_b s_{lambda(S_b)}(t^(b)) for a state vector {S: c_S}.
-
-    Every state has species charges ``charges``; the term lists, and the rows
-    behind a missing one, are read from and kept in the module tables.
-    """
+    """sum_S c_S prod_b s_{lambda(S_b)}(t^(b)) for {S: c_S} at species charges ``charges``:
+    ``bosonize`` of {S: {vacuum: c_S}} against the vacuum at charge 0 (module docstring)."""
     d = lcm(*(c.denominator for c in vector.values()))
-    terms, den = expand(vector, charges, Family.T, _CHARACTERS)
-    out: dict[Monomial, int] = {}
-    for s, c in vector.items():
-        n = c.numerator * (d // c.denominator)
-        for mono, ct in terms[s]:
-            out[mono] = out.get(mono, 0) + n * ct
-    den *= d
-    return Poly._raw({mono: Fraction(c, den) for mono, c in out.items() if c}, ncomp)
+    vacuum = ((),) * len(charges)
+    b = {s: {vacuum: c.numerator * (d // c.denominator)} for s, c in vector.items()}
+    return bosonize(b, d, charges, (0,) * len(charges), ncomp)
 
 
 def bosonize(b: StateMatrix, denominator: int, m: Label, q: Label, ncomp: int) -> Poly:
@@ -312,15 +306,3 @@ def bosonize(b: StateMatrix, denominator: int, m: Label, q: Label, ncomp: int) -
     den = denominator * den_t * den_y
     return Poly._raw({mono: Fraction(c, den) for mono, c in out.items() if c}, ncomp)
 
-
-def obstruction(
-    states: Mapping[Label, list[tuple[State, int]]],
-    denominator: int,
-    terms: Iterable[Term],
-    m: Label,
-    q: Label,
-    ncomp: int,
-) -> Poly:
-    """The obstruction polynomial of the (m, q) sector: B, bosonized if nonzero."""
-    b = sato_b(states, terms)
-    return bosonize(b, denominator**2, m, q, ncomp) if b else Poly.zero(ncomp)

@@ -156,7 +156,9 @@ def _sector(entries: Mapping[ChargeVector, Poly], fock: tuple[dict, int], mv: Ch
         if m_shift in entries and q_shift in entries:
             terms.append((-1 if prefix & 1 else 1, a, m_shift, q_shift, j * parts[a]))
         prefix += mv[a] + qv[a]
-    return fermion.obstruction(*fock, terms, mv, qv, ambient)
+    states, den = fock
+    b = fermion.sato_b(states, terms)
+    return fermion.bosonize(b, den**2, mv, qv, ambient) if b else Poly.zero(ambient)
 
 
 def _mkp_reports(
@@ -280,14 +282,12 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
 
     def flow_residual(f: Poly, orientation: int) -> Poly:
         # R_f = w P_f + f Q (module docstring); orientation o = -1 reverses
-        # the time direction.  sum_of_products drops zero factors, so where
+        # the time direction.  P_f's five terms share the factors w and f, so it
+        # takes three products.  sum_of_products drops zero factors, so where
         # P_f and Q vanish no product of three entries is formed.
         f1, f2, f11 = f.diff(x1), f.diff(x2), f.diff(x1, 2)
-        bilinear_p = Poly.sum_of_products(
-            [(2 * orientation, f2, w), (-2 * orientation, f, w2), (-1, f11, w), (2, f1, w1),
-             (-1, f, w11)],
-            w.ncomp,
-        )
+        by_w, by_f = f2.scale(2 * orientation) - f11, -w2.scale(2 * orientation) - w11
+        bilinear_p = Poly.sum_of_products([(1, by_w, w), (1, f, by_f), (2, f1, w1)], w.ncomp)
         return Poly.sum_of_products([(1, w, bilinear_p), (1, f, bilinear_q)], w.ncomp)
 
     per = {"q_flow": flow_residual(u, +1), "r_flow": flow_residual(v, -1)}

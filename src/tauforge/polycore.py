@@ -140,9 +140,11 @@ class Poly:
 
     @classmethod
     def var(cls, v: VarId, ncomp: int = 1) -> "Poly":
-        if v.index < 1:
+        if not isinstance(v.family, Family):
+            raise TypeError(f"expected a Family member, got {v.family!r}")
+        if _json_int(v.index) < 1:
             raise ValueError(f"variable index must be >= 1, got {v.index}")
-        if not 1 <= v.component <= ncomp:
+        if not 1 <= _json_int(v.component) <= ncomp:
             raise ValueError(
                 f"component {v.component} outside ambient range 1..{ncomp}"
             )
@@ -251,7 +253,7 @@ class Poly:
         return self.scale(other)
 
     def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int) or exponent < 0:
+        if _json_int(exponent) < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Poly.const(1, self.ncomp)
         base = self

@@ -126,8 +126,7 @@ def tau_kp(
     zero-padded) but not longer; ``None`` means all zero.
     """
     p = Partition.coerce(partition)
-    columns = [_spec_column(spec, len(p)) for spec in kp_specs_from_partition(p, shifts)]
-    return _block_det(columns, (len(p),), 1)
+    return tau_mkp_entry(kp_specs_from_partition(p, shifts), (len(p),))
 
 
 # -- column specifications for multicomponent constructors ---------------------

@@ -30,6 +30,7 @@ from tauforge import (
     VarId,
     apply_D,
     elementary_schur,
+    fermion,
     expected_shift_lengths,
     schur_constants,
     schur_shifted,
@@ -735,3 +736,20 @@ def tau_kp_by_windowed_tables(partition, shifts=None) -> Poly:
         for j, part in enumerate(p.parts)
     ]
     return _block_det(tables, (m,), 1)
+
+
+def boson_image_by_state_loop(
+    vector: Mapping[State, Fraction], charges: Sequence[int], ncomp: int
+) -> Poly:
+    """``fermion.boson_image`` as first written, beside ``bosonize``: expand the
+    states once and accumulate c_S times each state's term list, one state at a
+    time, with the character rows in a table of its own."""
+    d = lcm(*(c.denominator for c in vector.values()))
+    terms, den = fermion.expand(vector, tuple(charges), Family.T, {})
+    out: dict[Monomial, int] = {}
+    for s, c in vector.items():
+        n = c.numerator * (d // c.denominator)
+        for mono, ct in terms[s]:
+            out[mono] = out.get(mono, 0) + n * ct
+    den *= d
+    return Poly({mono: Fraction(c, den) for mono, c in out.items()}, ncomp)

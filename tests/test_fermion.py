@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import factorial
 
 from oracles import (
+    boson_image_by_state_loop,
     kp_residue_obstructions,
     mkp_residue_obstruction,
     random_fraction,
@@ -21,13 +22,17 @@ from tauforge import (
     TauCollection,
     all_partitions,
     fermion,
+    generator_from_hspec,
     hirota_kp_check,
+    oracle_tau,
     tau_kp,
     tau_mkp_collection,
+    tau_mkp_entry,
     tau_mnkdv_collection,
     tau_nkdv,
     tvar,
     verify_mkp_collection,
+    wedge_from_generators,
 )
 from tauforge.partitions import partitions_of
 
@@ -81,6 +86,50 @@ def test_schur_expansion_recovers_the_coefficients():
     xi = {lam.parts: _nonzero_fraction(rng) for lam in all_partitions(5)}
     tau = fermion.boson_image({_state(lam): c for lam, c in xi.items()}, (0,), 1)
     assert fermion.schur_expansion(tau, 1) == {(lam,): c for lam, c in xi.items()}
+
+
+# -- the boson image against the state loop it replaced ----------------------------
+
+
+def _wedge_sectors(rng: random.Random, ncomp: int, ncol: int, degree: int):
+    """The charge sectors of a seeded wedge; some generators are lowered by one
+    or two places, so that their bottom entries sit at index <= 0."""
+    gens = []
+    for spec in _columns(rng, ncomp, ncol, degree):
+        power = rng.choice((0, 0, 1, 2))
+        gens.append(generator_from_hspec(spec, ncomp).lambda_shift((1,) * ncomp, power))
+    sectors: dict[tuple[int, ...], dict] = {}
+    for state, c in wedge_from_generators(gens, ncomp).items():
+        sectors.setdefault(tuple(map(len, state)), {})[state] = c
+    return sectors
+
+
+def test_boson_image_equals_the_state_loop_on_every_wedge_sector():
+    rng = random.Random(20)
+    cases = [(1, 3, 4), (1, 4, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 2)]
+    images = 0
+    for ncomp, ncol, degree in cases:
+        for _ in range(3):
+            for label, vector in _wedge_sectors(rng, ncomp, ncol, degree).items():
+                got = fermion.boson_image(vector, label, ncomp)
+                assert got == boson_image_by_state_loop(vector, label, ncomp), (ncomp, label)
+                images += bool(got.terms)
+    # the Jacobi-Trudi shapes: s_lambda as one state at charge 0
+    for lam in all_partitions(8):
+        vector = {_state(lam.parts): Fraction(1)}
+        assert fermion.boson_image(vector, (0,), 1) == boson_image_by_state_loop(vector, (0,), 1)
+    assert images > 40  # the comparison is not vacuous
+
+
+def test_the_oracle_keeps_no_character_rows():
+    # the oracle bosonizes with rows of its own; only the Schur expansion keeps rows
+    specs = _columns(random.Random(21), 2, 3, 3)
+    fermion._CHARACTERS.clear()
+    fermion._EXPANSIONS.clear()
+    tau = oracle_tau([generator_from_hspec(spec, 2) for spec in specs], (2, 1))
+    assert tau.terms and tau == tau_mkp_entry(specs, (2, 1))
+    assert fermion._EXPANSIONS
+    assert not fermion._CHARACTERS
 
 
 # -- obstructions against the residue reference ------------------------------------

@@ -233,6 +233,11 @@ def test_pow_matches_repeated_product(p):
     assert p**3 == p * p * p
 
 
+def test_negative_exponent_is_a_value_error():
+    with pytest.raises(ValueError):
+        tvar(1) ** -1
+
+
 # -- calculus ---------------------------------------------------------------------
 
 

@@ -244,6 +244,11 @@ def test_library_boundary_rejects_strings_and_inexact_integers():
         lambda: is_n_periodic((2, 1), 2.5),  # answered False
         lambda: enumerate_n_periodic(2.0, 3),
         lambda: enumerate_n_periodic(2.0, -1),  # answered []
+        lambda: tvar(2.0),  # printed t2.0, and its JSON did not read back
+        lambda: tvar(1, True),  # read component 1
+        lambda: Poly.var(VarId(2, 1, 1)),  # its str raised AttributeError
+        lambda: tvar(1) ** True,  # was t1
+        lambda: tvar(1) ** 2.0,  # raised ValueError
     ]
     for i, call in enumerate(calls):
         with pytest.raises(TypeError):
