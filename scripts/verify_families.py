@@ -26,6 +26,7 @@ from tauforge import (
     tau_kp,
     tau_mnkdv_collection,
     tau_nkdv,
+    verify_kp,
     verify_mkp_collection,
 )
 
@@ -64,7 +65,7 @@ def sweep_nkdv(args: argparse.Namespace) -> list[str]:
 
             def run():
                 reports = [reduction_check(tau, (n,), j_max=3)]
-                reports += [hirota_kp_check(tau, j, n) for j in range(args.j_max + 1)]
+                reports += verify_kp(tau, n, range(args.j_max + 1))
                 return reports
 
             reports, ms = timed(run)

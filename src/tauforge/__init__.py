@@ -25,6 +25,7 @@ from .hirota import (
     hirota_kp_check,
     hirota_mkp_check,
     reduction_check,
+    verify_kp,
     verify_mkp_collection,
 )
 from .partitions import (
@@ -124,6 +125,7 @@ __all__ = [
     "tau_nkdv",
     "tvar",
     "v_sequence",
+    "verify_kp",
     "verify_mkp_collection",
     "wedge_from_generators",
     "wedge_tau",

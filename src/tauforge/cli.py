@@ -60,6 +60,7 @@ from .hirota import (
     akns_pde_check,
     hirota_kp_check,
     reduction_check,
+    verify_kp,
     verify_mkp_collection,
 )
 from .partitions import Partition, enumerate_n_periodic, expected_shift_lengths
@@ -483,7 +484,7 @@ def _verify_nkdv(args) -> list[VerificationReport]:
     for shifts in shift_sets:
         tau = tau_nkdv(p, args.n, shifts)
         reports.append(reduction_check(tau, (args.n,), j_max=args.d_max))
-        reports.extend(hirota_kp_check(tau, j=j, n=args.n) for j in range(args.j_max + 1))
+        reports.extend(verify_kp(tau, args.n, range(args.j_max + 1)))
     return reports
 
 

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fermion
 from .polycore import Family, Poly, VarId, _json_int, int_tuple
@@ -125,19 +125,21 @@ def _first_nonzero(residuals: Iterable[Poly], ncomp: int) -> Poly:
 
 
 def hirota_kp_check(tau: Poly, j: int = 0, n: int = 1) -> VerificationReport:
-    """Residue identity for a single-component tau; z^{jn} selects the reduction.
+    """The single-component residue identity at one j: ``verify_kp(tau, n, (j,))[0]``."""
+    return verify_kp(tau, n, (j,))[0]
 
-    It is the one-species sector m = (1,), q = (-1,) of the entries {(0,): tau}.
-    Raises ``ValueError`` if tau has a variable other than a t-variable of
-    component 1.
-    """
-    if _json_int(j) < 0 or _json_int(n) < 1:
+
+def verify_kp(tau: Poly, n: int = 1, j_values: Sequence[int] = (0,)) -> list[VerificationReport]:
+    """Residue identity for a single-component tau at each j, z^{jn} selecting the
+    reduction, with tau expanded once: the sector m = (1,), q = (-1,) of the
+    collection {(0,): tau}.  Raises ``ValueError`` if tau has a variable other
+    than a t-variable of component 1."""
+    js = int_tuple(j_values)
+    if any(j < 0 for j in js) or _json_int(n) < 1:
         raise ValueError("need j >= 0 and n >= 1")
-    t0 = time.perf_counter()
-    entries = {(0,): tau}
-    fock = fermion.fock_states(entries, 1)
-    obstruction = _sector(entries, fock, (1,), (-1,), j, (n,), tau.ncomp)
-    return _finish("kp-residue", {"j": j, "n": n}, obstruction, t0)
+    collection = TauCollection(0, 1, {(0,): tau} if tau.terms else {}, tau.ncomp)
+    return _mkp_reports(collection, [((1,), (-1,))], (n,), js, "kp-residue",
+                        lambda mv, qv, j, parts: {"j": j, "n": n})
 
 
 def _sector(entries: Mapping[ChargeVector, Poly], fock: tuple[dict, int], mv: ChargeVector,
@@ -161,25 +163,32 @@ def _sector(entries: Mapping[ChargeVector, Poly], fock: tuple[dict, int], mv: Ch
     return fermion.bosonize(b, den**2, mv, qv, ambient) if b else Poly.zero(ambient)
 
 
+def _mkp_params(mv: ChargeVector, qv: ChargeVector, j: int, parts: ChargeVector) -> dict:
+    return {"m": list(mv), "q": list(qv), "j": j, "n_parts": list(parts)}
+
+
 def _mkp_reports(
-    collection: TauCollection, pairs: Iterable[tuple[ChargeVector, ChargeVector]],
-    n_parts: Sequence[int] | None, j_values: Sequence[int],
+    collection: TauCollection, pairs: Sequence[tuple[ChargeVector, ChargeVector]],
+    n_parts: Sequence[int] | None, j_values: Sequence[int], identity: str,
+    params_of: Callable[[ChargeVector, ChargeVector, int, ChargeVector], dict],
 ) -> list[VerificationReport]:
-    """One report per j and (m, q) pair, every entry expanded once."""
+    """One report per j and (m, q) pair, every entry expanded once, with params
+    ``params_of(m, q, j, n_parts)``.  A report's time runs from the end of the one
+    before, so the first also counts the expansion."""
     parts = int_tuple(n_parts) if n_parts is not None else (1,) * collection.ncomp
     if len(parts) != collection.ncomp:
         raise ValueError("n_parts length must match the collection")
     js = int_tuple(j_values)
     if any(j < 0 for j in js):
         raise ValueError("need j >= 0")
+    t0 = time.perf_counter()
     fock = fermion.fock_states(collection.entries, collection.ncomp)
     reports = []
     for j in js:
         for mv, qv in pairs:
-            t0 = time.perf_counter()
             obstruction = _sector(collection.entries, fock, mv, qv, j, parts, collection.ambient)
-            params = {"m": list(mv), "q": list(qv), "j": j, "n_parts": list(parts)}
-            reports.append(_finish("mkp-residue", params, obstruction, t0))
+            reports.append(_finish(identity, params_of(mv, qv, j, parts), obstruction, t0))
+            t0 = time.perf_counter()
     return reports
 
 
@@ -208,7 +217,7 @@ def hirota_mkp_check(
         raise ValueError(f"m must sum to {collection.total + 1}")
     if sum(qv) != collection.total - 1:
         raise ValueError(f"q must sum to {collection.total - 1}")
-    return _mkp_reports(collection, [(mv, qv)], n_parts, (j,))[0]
+    return _mkp_reports(collection, [(mv, qv)], n_parts, (j,), "mkp-residue", _mkp_params)[0]
 
 
 def verify_mkp_collection(
@@ -229,7 +238,7 @@ def verify_mkp_collection(
         (left[:a] + (left[a] + 1,) + left[a + 1:], right[:a] + (right[a] - 1,) + right[a + 1:])
         for left in labels for right in labels for a in range(collection.ncomp) if right[a] >= 1
     })
-    return _mkp_reports(collection, pairs, n_parts, j_values)
+    return _mkp_reports(collection, pairs, n_parts, j_values, "mkp-residue", _mkp_params)
 
 
 def reduction_check(
@@ -244,13 +253,8 @@ def reduction_check(
     n_parts = int_tuple(n_parts)
     t0 = time.perf_counter()
     per = {f"j={j}": apply_D(p, j, n_parts) for j in range(1, j_max + 1)}
-    return _finish(
-        "reduction-derivative",
-        {"n_parts": list(n_parts), "j_max": j_max},
-        _first_nonzero(per.values(), p.ncomp),
-        t0,
-        per_param=per,
-    )
+    return _finish("reduction-derivative", {"n_parts": list(n_parts), "j_max": j_max},
+                   _first_nonzero(per.values(), p.ncomp), t0, per_param=per)
 
 
 def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> VerificationReport:
@@ -291,10 +295,5 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
         return Poly.sum_of_products([(1, w, bilinear_p), (1, f, bilinear_q)], w.ncomp)
 
     per = {"q_flow": flow_residual(u, +1), "r_flow": flow_residual(v, -1)}
-    return _finish(
-        "akns-pde",
-        {"base": list(base_label)},
-        _first_nonzero(per.values(), w.ncomp),
-        t0,
-        per_param=per,
-    )
+    return _finish("akns-pde", {"base": list(base_label)}, _first_nonzero(per.values(), w.ncomp),
+                   t0, per_param=per)

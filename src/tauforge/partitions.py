@@ -67,12 +67,6 @@ class VSequence:
     def __contains__(self, v: int) -> bool:
         return v <= self.tail_start or v in self.head
 
-    def truncated(self, lowest: int) -> list[int]:
-        """All members >= lowest, in decreasing order (test helper)."""
-        out = [h for h in self.head if h >= lowest]
-        out.extend(range(self.tail_start, lowest - 1, -1))
-        return out
-
 
 def v_sequence(partition: Partition | Iterable[int]) -> VSequence:
     p = Partition.coerce(partition)

@@ -109,13 +109,14 @@ class Poly:
     __slots__ = ("terms", "ncomp")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, ncomp: int = 1):
-        if ncomp < 1:
+        # the one check of an ambient count: zero, const and var construct through here
+        if _json_int(ncomp) < 1:
             raise ValueError("ambient component count must be >= 1")
+        self.ncomp = ncomp
         if terms:
             self.terms = {m: c for m, c in terms.items() if c}
         else:
             self.terms = {}
-        self.ncomp = ncomp
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, Fraction], ncomp: int) -> "Poly":
@@ -127,16 +128,11 @@ class Poly:
 
     @classmethod
     def zero(cls, ncomp: int = 1) -> "Poly":
-        if ncomp < 1:
-            raise ValueError("ambient component count must be >= 1")
-        return cls._raw({}, ncomp)
+        return cls(None, ncomp)
 
     @classmethod
     def const(cls, value: RationalLike, ncomp: int = 1) -> "Poly":
-        if ncomp < 1:
-            raise ValueError("ambient component count must be >= 1")
-        c = _as_fraction(value)
-        return cls._raw({ONE_MONOMIAL: c} if c else {}, ncomp)
+        return cls({ONE_MONOMIAL: _as_fraction(value)}, ncomp)
 
     @classmethod
     def var(cls, v: VarId, ncomp: int = 1) -> "Poly":
@@ -148,7 +144,7 @@ class Poly:
             raise ValueError(
                 f"component {v.component} outside ambient range 1..{ncomp}"
             )
-        return cls._raw({((v, 1),): Fraction(1)}, ncomp)
+        return cls({((v, 1),): Fraction(1)}, ncomp)
 
     # -- predicates ---------------------------------------------------------
 

@@ -30,6 +30,17 @@ With k the column's largest i and r the most rows a block can have, no entry
 reads below L = max(M_a - k*n_a - r, 0), so each table starts there.
 ``tau_kp`` is the one-component case, with column degrees l_j + m - j + 1.
 
+``tau_nkdv`` is the reduced case n_parts = (n,) whose towers are the KP
+columns of lambda.  Its degrees M_j = l_j + m - j + 1 are the positive members
+of V + m, so n-periodicity (V - n in V) splits them into chains M, M - n, ...,
+>= 1, each under a top M with M + n not a degree.  One unit spec per top, with
+the shift c of class (M - m) mod n cut to M - 1 entries, has D^i h =
+s_{M-i*n}(t + c): the KP column of degree M - i*n, which has M's class and
+reads no entry past c_{M-1}.  The chains end in distinct classes in 2..n
+(M_m = l_m + 1 >= 2), so there are fewer than n tops.  The towers list the KP
+columns chain by chain, so tau_nkdv is the reduced entry at (m,) times the sign
+of their sort into descending degree: the parity of the pairs in ascending order.
+
 The AKNS constructor is the two-component (1,1)-reduced family written in
 the half-difference variables x_i = (t_i^(1) - t_i^(2))/2: b_1^p b_2^(K-p)
 times the K x K determinant whose rows u = 1..p are s_{M_1-u-v+1}(x + c^(1))
@@ -49,7 +60,7 @@ from itertools import combinations_with_replacement
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .partitions import Partition, expected_shift_lengths, is_n_periodic
+from .partitions import Partition, is_n_periodic
 from .polycore import (
     Family, Packed, Packing, Poly, RationalLike, VarId, _json_int, exact_fraction, int_tuple,
     packed_sum,
@@ -349,38 +360,6 @@ def tau_mkp_collection(specs: Sequence[HSpec], ncomp: int | None = None) -> TauC
     return _collection(len(specs), s, lambda label: _block_det(columns, label, s))
 
 
-# -- n-KdV ----------------------------------------------------------------------
-
-
-def tau_nkdv(
-    partition: Partition | Iterable[int],
-    n: int,
-    shifts_by_class: Mapping[int, ShiftLike] | None = None,
-) -> Poly:
-    """n-KdV tau-function for an n-periodic partition.
-
-    The transpose of ``tau_kp``'s matrix: column j uses the shift vector of
-    the residue class (l_j - j + 1) mod n, truncated to the l_j + m - j
-    entries its Schur polynomials read; missing classes read as zero shifts.
-    Raises for non-periodic input.
-    """
-    p = Partition.coerce(partition)
-    if not is_n_periodic(p, n):
-        raise ValueError(f"partition {p} is not {n}-periodic")
-    classes: dict[int, ShiftVector] = {}
-    if shifts_by_class:
-        for key, value in shifts_by_class.items():
-            k = _json_int(key)
-            if not 0 <= k < n:
-                raise ValueError(f"residue class {k} outside 0..{n - 1}")
-            classes[k] = ShiftVector.coerce(value)
-    columns = [
-        classes.get((p.parts[j] - j) % n, ShiftVector()).entries[:length]
-        for j, length in enumerate(expected_shift_lengths(p))
-    ]
-    return tau_kp(p, columns)
-
-
 # -- (n_1, ..., n_s)-KdV ---------------------------------------------------------
 
 
@@ -451,6 +430,34 @@ def tau_mnkdv_entry(profile: KdVProfile, charge: Sequence[int]) -> Poly:
 def tau_mnkdv_collection(profile: KdVProfile) -> TauCollection:
     columns, s = _mnkdv_columns(profile), profile.ncomp
     return _collection(profile.total_charge, s, lambda label: _block_det(columns, label, s))
+
+
+def tau_nkdv(
+    partition: Partition | Iterable[int],
+    n: int,
+    shifts_by_class: Mapping[int, ShiftLike] | None = None,
+) -> Poly:
+    """n-KdV tau-function for an n-periodic partition: the signed reduced entry of
+    its chain tops (module docstring).  Missing classes read as zero shifts;
+    raises for non-periodic input."""
+    p = Partition.coerce(partition)
+    if not is_n_periodic(p, n):
+        raise ValueError(f"partition {p} is not {n}-periodic")
+    classes: dict[int, ShiftVector] = {}
+    for k, value in (shifts_by_class or {}).items():
+        if not 0 <= _json_int(k) < n:
+            raise ValueError(f"residue class {k} outside 0..{n - 1}")
+        classes[k] = ShiftVector.coerce(value)
+    m = len(p)
+    degrees = [part + m - j for j, part in enumerate(p.parts)]
+    tops = [d for d in degrees if d + n not in degrees]
+    specs = tuple(
+        HSpec.make([(d, 1, classes.get((d - m) % n, ShiftVector()).entries[:d - 1])])
+        for d in tops
+    )
+    tower = [d for top in tops for d in range(top, 0, -n)]
+    tau = tau_mnkdv_entry(KdVProfile((n,), specs), (m,))
+    return -tau if sum(a < b for i, a in enumerate(tower) for b in tower[i + 1:]) % 2 else tau
 
 
 # -- bridges ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tauforge import HSpec, Poly, elementary_schur, tau_kp, tau_mkp_entry
+from tauforge import HSpec, Poly, elementary_schur, fermion, tau_kp, tau_mkp_entry
 from tauforge.cli import build_parser, main
 
 
@@ -276,6 +276,23 @@ def test_verify_nkdv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("PASS reduction-derivative")
     assert lines[-1] == "all 3 checks passed"  # reduction + hirota j=0,1
+
+
+def test_verify_nkdv_expands_each_tau_once(capsys, monkeypatch):
+    # every j of one shift set reads one Schur expansion of its tau
+    calls = []
+    expand = fermion.fock_states
+    monkeypatch.setattr(fermion, "fock_states", lambda *a: calls.append(1) or expand(*a))
+    rc, out, _ = run(
+        capsys, "verify", "--what", "nkdv", "--partition", "3,2,1", "--n", "2",
+        "--shifts", "random", "--j-max", "2", "--trials", "2",
+    )
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert [line.split()[1] for line in lines[:4]] == ["reduction-derivative"] + ["kp-residue"] * 3
+    assert [line.split()[2] for line in lines[1:4]] == ["j=0", "j=1", "j=2"]
+    assert lines[-1] == "all 8 checks passed"
+    assert len(calls) == 2  # one per shift set; one per j would be 6
 
 
 def test_verify_mkp(capsys, tmp_path):

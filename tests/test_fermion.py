@@ -31,6 +31,7 @@ from tauforge import (
     tau_mnkdv_collection,
     tau_nkdv,
     tvar,
+    verify_kp,
     verify_mkp_collection,
     wedge_from_generators,
 )
@@ -166,6 +167,10 @@ def test_kp_obstruction_matches_the_residue_reference():
                 report = hirota_kp_check(tau, j, n)
                 assert report.obstruction == reference[j * n], (str(tau), j, n)
                 failing += not report.passed
+        for n in ns:
+            listed = verify_kp(tau, n, range(3))
+            assert [r.obstruction for r in listed] == [reference[j * n] for j in range(3)]
+            assert [r.params for r in listed] == [{"j": j, "n": n} for j in range(3)]
     assert failing > 300  # the comparison is not vacuous
 
 

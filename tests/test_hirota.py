@@ -35,6 +35,7 @@ from tauforge import (
     tau_mnkdv_collection,
     tau_nkdv,
     tvar,
+    verify_kp,
     verify_mkp_collection,
     xvar,
     yvar,
@@ -71,6 +72,16 @@ def test_kp_residue_validation():
         hirota_kp_check(tvar(1), j=-1)
     with pytest.raises(ValueError):
         hirota_kp_check(tvar(1), n=0)
+
+
+def test_verify_kp_reads_its_j_values_once():
+    # a one-shot iterable still gives one report per j
+    tau = tau_nkdv((3, 2, 1), 2)
+    reports = verify_kp(tau, 2, iter(range(3)))
+    assert [r.params for r in reports] == [{"j": j, "n": 2} for j in range(3)]
+    assert all(r.passed for r in reports)
+    with pytest.raises(ValueError, match="need j >= 0 and n >= 1"):
+        verify_kp(tau, 2, iter([0, -1]))
 
 
 def test_kp_residue_takes_t_variables_of_component_1_only():

@@ -126,6 +126,10 @@ API_SIGNATURES = {
     ),
     "tvar": "(index: 'int', component: 'int' = 1, ncomp: 'int' = 1) -> 'Poly'",
     "v_sequence": "(partition: 'Partition | Iterable[int]') -> 'VSequence'",
+    "verify_kp": (
+        "(tau: 'Poly', n: 'int' = 1, j_values: 'Sequence[int]' = (0,)) "
+        "-> 'list[VerificationReport]'"
+    ),
     "verify_mkp_collection": (
         "(collection: 'TauCollection', n_parts: 'Sequence[int] | None' = None, "
         "j_values: 'Sequence[int]' = (0,)) -> 'list[VerificationReport]'"

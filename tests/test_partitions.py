@@ -19,6 +19,12 @@ from tauforge import (
 )
 from tauforge.partitions import MAX_ENUMERATION_SIZE, constrained_indices, partitions_of
 
+
+def truncated(vs, lowest: int) -> list[int]:
+    """All members of the V sequence ``vs`` that are >= lowest, in decreasing order."""
+    return [h for h in vs.head if h >= lowest] + list(range(vs.tail_start, lowest - 1, -1))
+
+
 small_partitions = st.builds(
     lambda parts: Partition(tuple(sorted(parts, reverse=True))),
     st.lists(st.integers(1, 5), min_size=0, max_size=5),
@@ -46,7 +52,7 @@ def test_v_sequence_small():
     assert vs.tail_start == -2
     assert 2 in vs and 0 in vs and -2 in vs and -100 in vs
     assert 1 not in vs and -1 not in vs and 3 not in vs
-    assert vs.truncated(-3) == [2, 0, -2, -3]
+    assert truncated(vs, -3) == [2, 0, -2, -3]
 
 
 def test_v_sequence_empty():
@@ -62,7 +68,7 @@ def test_periodicity_matches_window_check(p, n):
     # back into V under subtraction of n
     vs = v_sequence(p)
     floor = vs.tail_start - n
-    window = vs.truncated(floor)
+    window = truncated(vs, floor)
     direct = all((v - n) in vs for v in window if v - n >= floor - n)
     assert is_n_periodic(p, n) == direct
 

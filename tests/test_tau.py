@@ -249,6 +249,11 @@ def test_library_boundary_rejects_strings_and_inexact_integers():
         lambda: Poly.var(VarId(2, 1, 1)),  # its str raised AttributeError
         lambda: tvar(1) ** True,  # was t1
         lambda: tvar(1) ** 2.0,  # raised ValueError
+        lambda: tvar(1, 1, 2.0),  # its JSON wrote "ncomp": 2.0, which did not read back
+        lambda: Poly.zero(1.5),
+        lambda: Poly.const(1, True),
+        lambda: tvar(1, 1, True) + tvar(1),  # was 2*t1
+        lambda: Poly({}, 2.0),
     ]
     for i, call in enumerate(calls):
         with pytest.raises(TypeError):
@@ -524,10 +529,11 @@ def test_tau_nkdv_is_transposed_kp_with_class_shifts():
 
 
 def test_tau_nkdv_matches_row_shift_reference():
-    # every 2- and 3-periodic partition up to size 8, with class vectors
-    # longer than any column of the determinant reads
+    # every n-periodic partition up to size 8 for n = 2..5, with class vectors
+    # longer than any column of the determinant reads; size 8 keeps the
+    # permutation-sum reference near a second
     rng = random.Random(23)
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         for p in enumerate_n_periodic(n, 8):
             width = max(expected_shift_lengths(p), default=0) + 2
             classes = {k: [random_fraction(rng) for _ in range(width)] for k in range(n)}
