@@ -62,10 +62,6 @@ class ShiftVector:
             raise TypeError(f"a shift vector is a sequence of rationals, not {value!r}")
         return cls(tuple(exact_fraction(x) for x in value))
 
-    @classmethod
-    def zero(cls, length: int = 0) -> "ShiftVector":
-        return cls((Fraction(0),) * length)
-
     def get(self, i: int) -> Fraction:
         """1-based entry c_i; zero beyond the stored length."""
         if i < 1:
@@ -79,9 +75,6 @@ class ShiftVector:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.entries)
 
 
 @cache
@@ -113,7 +106,7 @@ def _monomials(size: int, family: Family, component: int) -> tuple[tuple[Monomia
     return hit
 
 
-def _shifted_table(
+def schur_shifted_table(
     upto: int, c: ShiftLike, component: int = 1, ncomp: int = 1, lowest: int = 0,
     coeff: RationalLike = 1, family: Family = Family.T, sign: int = 1,
 ) -> list[Poly]:
@@ -176,18 +169,11 @@ def schur_constant(j: int, c: ShiftLike) -> Fraction:
     return schur_constants(j, c)[j]
 
 
-def schur_shifted_table(
-    upto: int, c: ShiftLike, component: int = 1, ncomp: int = 1, lowest: int = 0
-) -> list[Poly]:
-    """[s_lowest(t + c), ..., s_upto(t + c)], each entry by the closed form."""
-    return _shifted_table(upto, c, component, ncomp, lowest)
-
-
 def schur_shifted(j: int, c: ShiftLike, component: int = 1, ncomp: int = 1) -> Poly:
     """s_j(t + c), the one entry of ``schur_shifted_table`` from j to j; zero for j < 0."""
     if j < 0:
         return Poly.zero(ncomp)
-    return _shifted_table(j, c, component, ncomp, lowest=j)[0]
+    return schur_shifted_table(j, c, component, ncomp, lowest=j)[0]
 
 
 def _hit(entries: list[Fraction], d: int, target: Fraction) -> None:

@@ -65,7 +65,7 @@ from .polycore import (
     Family, Packed, Packing, Poly, RationalLike, VarId, _json_int, exact_fraction, int_tuple,
     packed_sum,
 )
-from .schur import ShiftLike, ShiftVector, _shifted_table
+from .schur import ShiftLike, ShiftVector, schur_shifted_table
 
 ChargeVector = tuple[int, ...]
 
@@ -182,21 +182,15 @@ class HSpec:
 def compute_kj(spec: HSpec, n_parts: Sequence[int]) -> int:
     """Largest shift power before the column dies: max ceil(M_a/n_a) - 1.
 
-    Components with zero coefficient do not count.
+    Components with zero coefficient do not count; HSpec refuses a spec with
+    none left.
     """
     n_parts = int_tuple(n_parts)
     if len(n_parts) != spec.ncomp:
         raise ValueError("n_parts length must match the spec's component count")
-    best: int | None = None
-    for term, n_a in zip(spec.terms, n_parts):
-        if n_a < 1:
-            raise ValueError("reduction orders must be >= 1")
-        if term.coeff:
-            k = -(-term.degree // n_a) - 1
-            best = k if best is None else max(best, k)
-    if best is None:
-        raise ValueError("all component coefficients vanish")
-    return best
+    if min(n_parts) < 1:
+        raise ValueError("reduction orders must be >= 1")
+    return max(-(-t.degree // n_a) - 1 for t, n_a in zip(spec.terms, n_parts) if t.coeff)
 
 
 def apply_D(p: Poly, j: int, n_parts: Sequence[int]) -> Poly:
@@ -319,8 +313,8 @@ def _spec_column(spec: HSpec, rows: int, n_parts: Sequence[int] | None = None,
     determinant of ``rows`` rows per block: table a starts at
     s_{max(M_a - k*n_a - rows, 0)}, the lowest entry any row can read."""
     return tuple(
-        _shifted_table(t.degree - 1, t.shift, a, spec.ncomp, coeff=t.coeff,
-                       lowest=max(t.degree - k * n - rows, 0)) if t.coeff else []
+        schur_shifted_table(t.degree - 1, t.shift, a, spec.ncomp, coeff=t.coeff,
+                            lowest=max(t.degree - k * n - rows, 0)) if t.coeff else []
         for a, (t, n) in enumerate(zip(spec.terms, n_parts or (1,) * spec.ncomp), start=1)
     )
 
@@ -523,7 +517,7 @@ def _akns_columns(
     coeffs = exact_fraction(b1), exact_fraction(b2)
     # table a: b_a * s_k(sign_a * x + c_a), for k = 0..m_a - 1
     h = tuple(
-        _shifted_table(m - 1, c, coeff=b, family=Family.X, sign=sign) if b else []
+        schur_shifted_table(m - 1, c, coeff=b, family=Family.X, sign=sign) if b else []
         for m, b, c, sign in zip((m1, m2), coeffs, shifts, (1, -1))
     )
     return _tower(h, (1, 1), big_k - 1)

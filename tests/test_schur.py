@@ -30,7 +30,7 @@ from tauforge import (
     tvar,
 )
 from tauforge import schur
-from tauforge.schur import _shifted_table, schur_shifted_table
+from tauforge.schur import schur_shifted_table
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -141,9 +141,9 @@ def test_scaled_signed_tables_match_relabelled_convolution(family, sign):
     for c in CLOSED_FORM_SHIFTS:
         for coeff in (1, Fraction(-2, 3), -3, 0):
             ref = shifted_table_by_convolution(12, c, 1, 1, 0, coeff, family, sign)
-            assert _shifted_table(12, c, 1, 1, 0, coeff, family, sign) == ref, (c, coeff)
+            assert schur_shifted_table(12, c, 1, 1, 0, coeff, family, sign) == ref, (c, coeff)
     ref = shifted_table_by_convolution(9, CLOSED_FORM_SHIFTS[2], 2, 3, 4, Fraction(5, 2), family, sign)
-    assert _shifted_table(9, CLOSED_FORM_SHIFTS[2], 2, 3, 4, Fraction(5, 2), family, sign) == ref
+    assert schur_shifted_table(9, CLOSED_FORM_SHIFTS[2], 2, 3, 4, Fraction(5, 2), family, sign) == ref
 
 
 def test_elementary_schur_matches_polynomial_recurrence():
@@ -200,8 +200,6 @@ def test_shift_vector_access():
     with pytest.raises(IndexError):
         cv.get(0)
     assert ShiftVector.coerce(cv) is cv
-    assert ShiftVector.zero(3) == ShiftVector((Fraction(0),) * 3)
-    assert ShiftVector.zero(3).is_zero()
 
 
 def test_solve_shifts_frozen_example():

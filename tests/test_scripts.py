@@ -7,44 +7,58 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(argv, **env):
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def test_end_to_end_scripts_succeed():
     # each run takes about 0.3 s; the summary line carries a timing, so only
-    # its shape is fixed
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # its shape is fixed.  The crosscheck prints one line per comparison and
+    # the sweep one per family member: 12 kp, 9 nkdv, 7 mnkdv and 4 akns.
     runs = [
         (["scripts/oracle_crosscheck.py", "--trials", "10", "--seed", "2"],
+         r"MATCH +kind=(kp partition|mkp charge)=\(.*\)", 38,
          r"all 38 comparisons match in \d+\.\d s"),
         (["scripts/verify_families.py", "--max-size", "4", "--seed", "3", "--trials", "1",
           "--j-max", "1"],
+         r"ok   (kp|nkdv|mnkdv|akns) .* \[\d+ checks\] \(\d+\.\d ms\)", 32,
          r"all families verified in \d+\.\d s"),
     ]
-    for argv, summary in runs:
-        proc = subprocess.run(
-            [sys.executable, *argv],
-            cwd=ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+    for argv, member, count, summary in runs:
+        proc = run_script(argv)
         assert proc.returncode == 0, (argv, proc.stderr)
-        assert re.fullmatch(summary, proc.stdout.splitlines()[-1]), (argv, proc.stdout[-300:])
+        *lines, last = proc.stdout.splitlines()
+        assert len(lines) == count and all(re.fullmatch(member, line) for line in lines), argv
+        assert re.fullmatch(summary, last), (argv, proc.stdout[-300:])
+
+
+def test_crosscheck_refusals_exit_2_with_one_line():
+    # no trials compares nothing, which is no success; a drawn case above the
+    # degree cap (here the partition (4, 4, 2, 1) of the second trial) is
+    # refused as oracle-compare refuses it, not with a traceback
+    runs = [
+        (["--trials", "0"], {}, "error: no comparisons were run; nothing was compared"),
+        (["--trials", "10", "--seed", "2"], {"TAUFORGE_MAX_DEGREE": "3"},
+         "error: weighted degree 11 exceeds the cap 3; raise TAUFORGE_MAX_DEGREE to allow it"),
+    ]
+    for argv, env, message in runs:
+        proc = run_script(["scripts/oracle_crosscheck.py", *argv], **env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n"), argv
 
 
 def test_cli_fingerprint_is_deterministic():
     # one line per argv, and the same lines from a second run: files are named
     # by their contents and no line carries a temporary path or a timing
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     outputs = []
     for _ in range(2):
-        proc = subprocess.run(
-            [sys.executable, "scripts/cli_fingerprint.py", "--seed", "5", "--count", "60"],
-            cwd=ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_script(["scripts/cli_fingerprint.py", "--seed", "5", "--count", "60"])
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 60
