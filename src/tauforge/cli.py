@@ -35,7 +35,9 @@ diagnostic; ``main`` prints a ``ValueError`` from the library the same way.
 Results leave through ``emit_poly``, ``emit_collection`` and ``report``.
 
 The environment variable TAUFORGE_MAX_DEGREE (default 64) caps the weighted
-degree of any requested construction; exceeding it is an input error.
+degree of any requested construction; exceeding it is an input error.  It
+caps degree, not work: under the default cap one oracle comparison of the KP
+case (30,10,1), of weighted degree 41, took 38 s on a 2-core machine.
 
 The argument parser is built once per process, on the first ``main`` call,
 and every later call reuses it: building the nine subcommands costs about as

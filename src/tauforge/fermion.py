@@ -16,15 +16,31 @@ element B; for polynomial tau-functions it is a finite sum:
    (-1)^{#occupied > i} and psi*_k removes k with sign (-1)^{#occupied > k}.
 3. The identity holds exactly when B is empty.
 
+A state is one int under a layout that ``fock_states`` builds per call.
+Species b owns the bit field [off_b, off_b + w_b): Maya position p is bit
+off_b + p - floor_b, and w_b = max(l_b + mu(b)_1) - floor_b over the
+states, so the field ends just above the highest occupied position; a
+species whose every state is empty at one charge has w_b = 0.  psi*_k
+clears the bit of position k and psi_i sets that of i, and either sign is
+the parity of (state & the bits above it in the field).bit_count(), the
+occupied positions above; positions below the floor are occupied in every
+state and never counted.  The inserted position i = k - j n_a lies at or
+below the removed k, so it stays inside the field as long as j n_a >= 0.
+
 A nonempty B is bosonized species by species: a state S at charge c becomes
 s_lambda with lambda_i = S_i + i - c, and
-[t^nu] s_lambda = chi^lambda_nu / prod_k m_k(nu)!.  ``boson_image`` is the
-same map against the vacuum at charge 0, whose image is s_empty = 1, so a
-state vector {S: c_S} bosonizes as the matrix {S: {vacuum: c_S}}; ``fock``'s
-oracle sends the Plucker coordinates of its generators through it.
+[t^nu] s_lambda = chi^lambda_nu / prod_k m_k(nu)!.  Each distinct state is
+decoded from its bits once, each monomial of a call gets an integer id,
+and the sums run on those ids; only the nonzero terms of the result are
+built as monomials.  ``boson_image`` is the same map against the vacuum at
+charge 0, whose image is s_empty = 1, so a state vector {S: c_S}, given as
+Maya sets, is encoded in one layout with the vacuum and bosonizes as the
+matrix {S: {vacuum: c_S}}; ``fock``'s oracle sends the Plucker coordinates
+of its generators through it.
 
 The expansion, B and the bosonization run on integer numerators over one
-common denominator each; only the coefficients they return are fractions.
+common denominator each; only the coefficients they return are fractions,
+one per distinct numerator of a call.
 Two tables outlive a call, in dicts whose values are never mutated, so a
 race only computes an entry twice and needs no lock:
 
@@ -45,20 +61,19 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
 from math import factorial, lcm, prod
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .partitions import partitions_of
 from .polycore import Family, Monomial, Poly
 from .schur import _monomial
 
 PartitionKey = tuple[int, ...]
-Maya = tuple[int, ...]  # occupied positions above the floor, decreasing
+Maya = tuple[int, ...]  # the occupied positions >= charge - len, decreasing
 Label = tuple[int, ...]  # one charge per species
 State = tuple[Maya, ...]  # one Maya set per species
-StateMatrix = dict[State, dict[State, int]]
+StateMatrix = dict[int, dict[int, int]]  # B over states encoded in a layout
 # (sign, species index a, label of the psi side, label of the psi* side, shift)
 Term = tuple[int, int, Label, Label, int]
 # chi^lambda_nu over nu with parts <= top, keyed by (lambda, top)
@@ -150,80 +165,134 @@ def schur_expansion(tau: Poly, species: int) -> dict[tuple[PartitionKey, ...], F
     return {key: Fraction(c, den) for key, c in coeffs.items()}
 
 
-def _maya(mu: PartitionKey, charge: int, floor: int) -> Maya:
-    """{mu_i - i + charge} for i = 1..charge - floor."""
-    return tuple(
-        p - i + charge for i, p in enumerate(mu + (0,) * (charge - floor - len(mu)), 1)
-    )
+class Field(NamedTuple):
+    """Species b's bits in a state: Maya position p is bit offset + p - floor."""
+
+    offset: int
+    floor: int
+    width: int
+
+
+Layout = tuple[Field, ...]
+
+
+def _layout(states: Iterable[tuple[Label, State]], species: int) -> Layout:
+    """The fields of the states S at species charges l, for every (l, S) of ``states``.
+
+    Species b's floor is the least l_b - len(S_b), below which every state
+    fills every position, and its field ends above the highest occupied
+    position, at S_b[0] + 1, or at l_b where S_b is empty; the fields are
+    packed in species order.
+    """
+    states = list(states)
+    fields, offset = [], 0
+    for b in range(species):
+        floor = min((label[b] - len(s[b]) for label, s in states), default=0)
+        top = max((s[b][0] + 1 if s[b] else label[b] for label, s in states), default=floor)
+        fields.append(Field(offset, floor, top - floor))
+        offset += top - floor
+    return tuple(fields)
+
+
+def _encode(state: State, charges: Label, layout: Layout) -> int:
+    """``state`` as one int: the bits of its positions, and of every position from the
+    floor up to l_b - len(S_b), below which a Maya set leaves its positions implicit."""
+    code = 0
+    for maya, c, (offset, floor, _) in zip(state, charges, layout):
+        bits = (1 << (c - len(maya) - floor)) - 1
+        for p in maya:
+            bits |= 1 << (p - floor)
+        code |= bits << offset
+    return code
+
+
+def _shapes(state: int, charges: Label, layout: Layout) -> tuple[PartitionKey, ...]:
+    """lambda(S_b) of each species b of ``state``: lambda_i = S_i + i - l_b over the
+    occupied positions S_1 > S_2 > .. of its field, up to the first zero part."""
+    out = []
+    for c, (offset, floor, width) in zip(charges, layout):
+        bits = (state >> offset) & ((1 << width) - 1)
+        lam, row = [], 1
+        while bits:
+            k = bits.bit_length() - 1
+            part = floor + k + row - c
+            if not part:
+                break
+            lam.append(part)
+            bits ^= 1 << k
+            row += 1
+        out.append(tuple(lam))
+    return tuple(out)
 
 
 def fock_states(
     entries: Mapping[Label, Poly], species: int
-) -> tuple[dict[Label, list[tuple[State, int]]], int]:
-    """Each entry's Schur expansion as states with integer numerators, and d.
+) -> tuple[dict[Label, list[tuple[int, int]]], int, Layout]:
+    """Each entry's Schur expansion as states with integer numerators, d, and the layout.
 
     The state of xi_mu at label l has numerator xi_mu * d; species b holds
-    the Maya set {mu_i - i + l_b} above a floor f_b shared by every state of
-    species b, so it lists l_b - f_b positions.
+    the Maya set {mu_i - i + l_b} in its field of the layout (module
+    docstring).
     """
     xis = {label: schur_expansion(tau, species) for label, tau in entries.items()}
     den = lcm(*(c.denominator for xi in xis.values() for c in xi.values()))
-    floors = [
-        min((label[b] - len(key[b]) for label, xi in xis.items() for key in xi), default=0)
-        for b in range(species)
-    ]
-    states = {
+    mayas = {
         label: [
-            (tuple(map(_maya, key, label, floors)), c.numerator * (den // c.denominator))
+            (tuple(tuple(p - i + l for i, p in enumerate(mu, 1)) for mu, l in zip(key, label)),
+             c.numerator * (den // c.denominator))
             for key, c in xi.items()
         ]
         for label, xi in xis.items()
     }
-    return states, den
+    layout = _layout(((label, s) for label, listed in mayas.items() for s, _ in listed), species)
+    states = {
+        label: [(_encode(s, label, layout), c) for s, c in listed]
+        for label, listed in mayas.items()
+    }
+    return states, den, layout
 
 
-def sato_b(states: Mapping[Label, list[tuple[State, int]]], terms: Iterable[Term]) -> StateMatrix:
+def sato_b(
+    states: Mapping[Label, list[tuple[int, int]]], layout: Layout, terms: Iterable[Term]
+) -> StateMatrix:
     """B = sum over terms of sign * sum_i psi^(a)_i tau^(l) (x) psi*^(a)_{i + shift} tau^(l').
 
-    A term is (sign, a, l, l', shift), with ``a`` the 0-based species;
-    ``states`` are those of ``fock_states``.  B comes back as {A: {B': c}}
-    with c over d^2; zero entries are dropped, so B = 0 is the empty dict.
+    A term is (sign, a, l, l', shift), with ``a`` the 0-based species and
+    shift >= 0, so that no inserted position passes the top of its field;
+    ``states`` and ``layout`` are those of ``fock_states``.  psi*_k clears
+    the bit of position k and psi_i sets that of i, each signed by the
+    parity of the set bits above it in the field; positions i below the
+    floor are occupied in every state and are skipped.  B comes back as
+    {A: {B': c}} with c over d^2; zero entries are dropped, so B = 0 is the
+    empty dict.
     """
     out: StateMatrix = {}
     for sign, a, left, right, shift in terms:
-        removed: dict[int, list[tuple[State, int]]] = {}
+        offset, _, width = layout[a]
+        field = ((1 << width) - 1) << offset
+        removed: dict[int, list[tuple[int, int]]] = {}
         for state, c in states[right]:
-            maya = state[a]
-            for r, k in enumerate(maya):
-                removed.setdefault(k - shift, []).append(
-                    (state[:a] + (maya[:r] + maya[r + 1:],) + state[a + 1:], -c if r & 1 else c)
-                )
+            bits = state & field
+            above = 0
+            while bits:
+                k = bits.bit_length() - 1
+                bits ^= 1 << k
+                if k - shift >= offset:
+                    removed.setdefault(k - shift, []).append(
+                        (state ^ (1 << k), -c if above & 1 else c)
+                    )
+                above += 1
+        inserts = [(1 << i, field & -(2 << i), targets) for i, targets in removed.items()]
         for state, c in states[left]:
-            maya = state[a]
-            floor = left[a] - len(maya)
-            members = set(maya)
-            ascending = maya[::-1]
-            for i, targets in removed.items():
-                if i < floor or i in members:
+            for bit, higher, targets in inserts:
+                if state & bit:
                     continue
-                above = len(maya) - bisect_right(ascending, i)
-                ca = -sign * c if above & 1 else sign * c
-                inserted = state[:a] + (maya[:above] + (i,) + maya[above:],) + state[a + 1:]
-                row = out.setdefault(inserted, {})
+                ca = -sign * c if (state & higher).bit_count() & 1 else sign * c
+                row = out.setdefault(state | bit, {})
                 for b, cb in targets:
                     row[b] = row.get(b, 0) + ca * cb
     rows = ((a, {b: c for b, c in row.items() if c}) for a, row in out.items())
     return {a: row for a, row in rows if row}
-
-
-def _shape(maya: Maya, charge: int) -> PartitionKey:
-    return tuple(lam for lam in (p + i - charge for i, p in enumerate(maya, 1)) if lam)
-
-
-def _times(
-    left: Sequence[tuple[Monomial, int]], right: Sequence[tuple[Monomial, int]]
-) -> list[tuple[Monomial, int]]:
-    return [(ml + mr, cl * cr) for ml, cl in left for mr, cr in right]
 
 
 def _expansion(lam: PartitionKey, family: Family, component: int, table: RowTable) -> Expansion:
@@ -240,69 +309,107 @@ def _expansion(lam: PartitionKey, family: Family, component: int, table: RowTabl
 
 
 def expand(
-    states: Iterable[State], charges: Label, family: Family, table: RowTable
-) -> tuple[dict[State, Sequence[tuple[Monomial, int]]], int]:
-    """Each state as prod_b top_b! s_{lambda(S_b)} over (monomial, integer), and prod_b top_b!.
+    states: Iterable[int], layout: Layout, charges: Label, family: Family, table: RowTable
+) -> tuple[dict[int, list[tuple[int, int]]], list[list[Monomial]], int]:
+    """Each state as prod_b top_b! s_{lambda(S_b)} over (monomial id, integer), the
+    monomials by species and id, and prod_b top_b!.
 
     top_b is the largest size in species b.  Each factor is the kept term
-    list of s_lambda (module docstring), rescaled by top_b!/|lambda|! unless
-    that is 1; only a missing list builds character rows, read from and left
-    in ``table``.  Monomials sort by family, then component, so a product
-    monomial is the concatenation of its factors.
+    list of s_lambda (module docstring), rescaled by top_b!/|lambda|!; only a
+    missing list builds character rows, read from and left in ``table``.
+    A monomial of species b gets the id of its place in the b-th list, and a
+    product the mixed-radix id sum_b id_b * prod_{b' < b} len(list b').
     """
-    shapes = {s: [_shape(maya, c) for maya, c in zip(s, charges)] for s in states}
+    shapes = {s: _shapes(s, charges, layout) for s in states}
     tops = [max((sum(sh[k]) for sh in shapes.values()), default=0) for k in range(len(charges))]
-    factors: dict[tuple[PartitionKey, int], Sequence[tuple[Monomial, int]]] = {}
+    ids: list[dict[Monomial, int]] = [{} for _ in charges]
+    factors: dict[tuple[PartitionKey, int], list[tuple[int, int]]] = {}
+    for lams in shapes.values():
+        for k, lam in enumerate(lams):
+            if (lam, k) not in factors:
+                index = ids[k]
+                scale = factorial(tops[k]) // factorial(sum(lam))
+                factors[lam, k] = [
+                    (index.setdefault(mono, len(index)), c * scale)
+                    for mono, c in _expansion(lam, family, k + 1, table)
+                ]
+    out = {}
+    for s, lams in shapes.items():
+        terms, step = factors[lams[0], 0], len(ids[0])
+        for k in range(1, len(lams)):
+            terms = [(i + step * j, ci * cj) for i, ci in terms for j, cj in factors[lams[k], k]]
+            step *= len(ids[k])
+        out[s] = terms
+    return out, [list(index) for index in ids], prod(factorial(top) for top in tops)
 
-    def factor(lam: PartitionKey, k: int) -> Sequence[tuple[Monomial, int]]:
-        hit = factors.get((lam, k))
-        if hit is None:
-            hit = _expansion(lam, family, k + 1, table)
-            scale = factorial(tops[k]) // factorial(sum(lam))
-            if scale != 1:
-                hit = [(mono, c * scale) for mono, c in hit]
-            factors[lam, k] = hit
-        return hit
 
-    out = {
-        s: reduce(_times, [factor(lam, k) for k, lam in enumerate(lams)])
-        for s, lams in shapes.items()
-    }
-    return out, prod(factorial(top) for top in tops)
+def _monomial_of(key: int, monomials: Sequence[Sequence[Monomial]]) -> Monomial:
+    """The product monomial of a mixed-radix id of ``expand``."""
+    mono: Monomial = ()
+    for listed in monomials:
+        key, k = divmod(key, len(listed))
+        mono += listed[k]
+    return mono
 
 
 def boson_image(vector: Mapping[State, Fraction], charges: Label, ncomp: int) -> Poly:
     """sum_S c_S prod_b s_{lambda(S_b)}(t^(b)) for {S: c_S} at species charges ``charges``:
-    ``bosonize`` of {S: {vacuum: c_S}} against the vacuum at charge 0 (module docstring)."""
+    ``bosonize`` of {S: {vacuum: c_S}} against the vacuum at charge 0 (module
+    docstring), with each S, and the vacuum, encoded in one layout."""
     d = lcm(*(c.denominator for c in vector.values()))
-    vacuum = ((),) * len(charges)
-    b = {s: {vacuum: c.numerator * (d // c.denominator)} for s, c in vector.items()}
-    return bosonize(b, d, charges, (0,) * len(charges), ncomp)
+    zero, vacuum = (0,) * len(charges), ((),) * len(charges)
+    layout = _layout([(charges, s) for s in vector] + [(zero, vacuum)], len(charges))
+    below = _encode(vacuum, zero, layout)
+    b: StateMatrix = {}
+    for s, c in vector.items():
+        row = b.setdefault(_encode(s, charges, layout), {below: 0})
+        row[below] += c.numerator * (d // c.denominator)
+    return bosonize(b, layout, d, charges, zero, ncomp)
 
 
-def bosonize(b: StateMatrix, denominator: int, m: Label, q: Label, ncomp: int) -> Poly:
+def bosonize(b: StateMatrix, layout: Layout, denominator: int, m: Label, q: Label,
+             ncomp: int) -> Poly:
     """(1/d) sum B_AB prod_s s_{lambda(A_s)}(t^(s)) s_{lambda(B_s)}(y^(s)), grouped by A.
 
-    A has species charges ``m`` and B has ``q``; both sides are ``expand``ed
-    from the kept term lists, and the rows behind missing ones go into one
-    table that both sides share and that is dropped on return.  Each
-    product monomial is the concatenation t^(1), .., t^(s), y^(1), ..,
-    y^(s) of its factors.
+    A has species charges ``m`` and B has ``q``, both in ``layout``; both
+    sides are ``expand``ed from the kept term lists, and the rows behind
+    missing ones go into one table that both sides share and that is
+    dropped on return.  The y-sum of each A, and then the product, are
+    summed on monomial ids, the product in one row of t-ids per y-id; only
+    a nonzero term's monomial is built, as the concatenation t^(1), ..,
+    t^(s), y^(1), .., y^(s) of its factors.
     """
     table: RowTable = {}
-    terms_t, den_t = expand(b, m, Family.T, table)
-    terms_y, den_y = expand({s for row in b.values() for s in row}, q, Family.Y, table)
-    out: dict[Monomial, int] = {}
+    terms_t, monos_t, den_t = expand(b, layout, m, Family.T, table)
+    terms_y, monos_y, den_y = expand({s for row in b.values() for s in row}, layout, q, Family.Y,
+                                     table)
+    out: dict[int, dict[int, int]] = {}  # {y-id: {t-id: numerator}}
     for a, row in b.items():
-        inner: dict[Monomial, int] = {}
+        inner: dict[int, int] = {}
         for s, cb in row.items():
-            for my, cy in terms_y[s]:
-                inner[my] = inner.get(my, 0) + cb * cy
-        inner = {mono: c for mono, c in inner.items() if c}
-        for mt, ct in terms_t[a]:
-            for my, cy in inner.items():
-                mono = mt + my
-                out[mono] = out.get(mono, 0) + ct * cy
+            for y, cy in terms_y[s]:
+                inner[y] = inner.get(y, 0) + cb * cy
+        listed = terms_t[a]
+        for y, cy in inner.items():
+            if cy:
+                acc = out.get(y)
+                if acc is None:
+                    acc = out[y] = {}
+                for t, ct in listed:
+                    acc[t] = acc.get(t, 0) + ct * cy
     den = denominator * den_t * den_y
-    return Poly._raw({mono: Fraction(c, den) for mono, c in out.items() if c}, ncomp)
-
+    fractions: dict[int, Fraction] = {}
+    names: dict[int, Monomial] = {}
+    terms: dict[Monomial, Fraction] = {}
+    for y, acc in out.items():
+        my = _monomial_of(y, monos_y)
+        for t, c in acc.items():
+            if c:
+                f = fractions.get(c)
+                if f is None:
+                    f = fractions[c] = Fraction(c, den)
+                mt = names.get(t)
+                if mt is None:
+                    mt = names[t] = _monomial_of(t, monos_t)
+                terms[mt + my] = f
+    return Poly._raw(terms, ncomp)

@@ -167,14 +167,18 @@ def wedge_from_generators(fs: Sequence[GeneratorVector], ncomp: int) -> dict[fer
                 key = mask | bit
                 nxt[key] = nxt.get(key, 0) + (-c if (mask & after).bit_count() & 1 else c)
         wedge = {mask: c for mask, c in nxt.items() if c}
-    positions = range(width - 1, -1, -1)
-    return {
-        tuple(
-            tuple(p for p in positions if (mask >> ((ncomp - a) * width + p)) & 1)
-            for a in range(1, ncomp + 1)
-        ): Fraction(c, den)
-        for mask, c in wedge.items()
-    }
+    return {_maya_sets(mask, width, ncomp): Fraction(c, den) for mask, c in wedge.items()}
+
+
+def _maya_sets(mask: int, width: int, ncomp: int) -> fermion.State:
+    """The wedge monomial ``mask`` as one Maya set per component: e_i^(a) is position
+    i - 1, and the set bits are read from the top, component 1 first."""
+    sets: list[list[int]] = [[] for _ in range(ncomp)]
+    while mask:
+        top = mask.bit_length() - 1
+        mask ^= 1 << top
+        sets[ncomp - 1 - top // width].append(top % width)
+    return tuple(map(tuple, sets))
 
 
 def wedge_tau(states: Mapping[fermion.State, Fraction], charge: Sequence[int]) -> Poly:

@@ -142,8 +142,9 @@ def verify_kp(tau: Poly, n: int = 1, j_values: Sequence[int] = (0,)) -> list[Ver
                         lambda mv, qv, j, parts: {"j": j, "n": n})
 
 
-def _sector(entries: Mapping[ChargeVector, Poly], fock: tuple[dict, int], mv: ChargeVector,
-            qv: ChargeVector, j: int, parts: ChargeVector, ambient: int) -> Poly:
+def _sector(entries: Mapping[ChargeVector, Poly], fock: tuple[dict, int, fermion.Layout],
+            mv: ChargeVector, qv: ChargeVector, j: int, parts: ChargeVector,
+            ambient: int) -> Poly:
     """The obstruction of the (m, q) sector at j, with fock = fermion.fock_states(entries, s).
 
     Component a (0-based) adds the term (sign, a, m - e_a, q + e_a, j * n_a)
@@ -158,9 +159,9 @@ def _sector(entries: Mapping[ChargeVector, Poly], fock: tuple[dict, int], mv: Ch
         if m_shift in entries and q_shift in entries:
             terms.append((-1 if prefix & 1 else 1, a, m_shift, q_shift, j * parts[a]))
         prefix += mv[a] + qv[a]
-    states, den = fock
-    b = fermion.sato_b(states, terms)
-    return fermion.bosonize(b, den**2, mv, qv, ambient) if b else Poly.zero(ambient)
+    states, den, layout = fock
+    b = fermion.sato_b(states, layout, terms)
+    return fermion.bosonize(b, layout, den**2, mv, qv, ambient) if b else Poly.zero(ambient)
 
 
 def _mkp_params(mv: ChargeVector, qv: ChargeVector, j: int, parts: ChargeVector) -> dict:
@@ -178,6 +179,9 @@ def _mkp_reports(
     parts = int_tuple(n_parts) if n_parts is not None else (1,) * collection.ncomp
     if len(parts) != collection.ncomp:
         raise ValueError("n_parts length must match the collection")
+    if any(n < 1 for n in parts):
+        # j * n_a >= 0 keeps every psi-insertion of sato_b inside its species' field
+        raise ValueError("reduction orders must be >= 1")
     js = int_tuple(j_values)
     if any(j < 0 for j in js):
         raise ValueError("need j >= 0")

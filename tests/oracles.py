@@ -11,10 +11,11 @@ independently.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from tauforge import (
@@ -738,14 +739,148 @@ def tau_kp_by_windowed_tables(partition, shifts=None) -> Poly:
     return _block_det(tables, (m,), 1)
 
 
+# -- the residue kernel on tuple states, as it was before the integer layout ---------
+
+
+def _maya(mu: tuple[int, ...], charge: int, floor: int) -> tuple[int, ...]:
+    """{mu_i - i + charge} for i = 1..charge - floor."""
+    return tuple(
+        p - i + charge for i, p in enumerate(mu + (0,) * (charge - floor - len(mu)), 1)
+    )
+
+
+def fock_states_by_maya(entries: Mapping[tuple[int, ...], Poly], species: int):
+    """``fermion.fock_states`` on tuple states: each entry's Schur expansion as
+    (state, numerator) pairs, species b a Maya tuple above a shared floor, and d."""
+    xis = {label: fermion.schur_expansion(tau, species) for label, tau in entries.items()}
+    den = lcm(*(c.denominator for xi in xis.values() for c in xi.values()))
+    floors = [
+        min((label[b] - len(key[b]) for label, xi in xis.items() for key in xi), default=0)
+        for b in range(species)
+    ]
+    states = {
+        label: [
+            (tuple(map(_maya, key, label, floors)), c.numerator * (den // c.denominator))
+            for key, c in xi.items()
+        ]
+        for label, xi in xis.items()
+    }
+    return states, den
+
+
+def sato_b_by_maya(states, terms) -> dict[State, dict[State, int]]:
+    """``fermion.sato_b`` on tuple states: psi*_k deletes k from a Maya tuple and
+    psi_i inserts i, each signed by the number of positions above it."""
+    out: dict[State, dict[State, int]] = {}
+    for sign, a, left, right, shift in terms:
+        removed: dict[int, list[tuple[State, int]]] = {}
+        for state, c in states[right]:
+            maya = state[a]
+            for r, k in enumerate(maya):
+                removed.setdefault(k - shift, []).append(
+                    (state[:a] + (maya[:r] + maya[r + 1:],) + state[a + 1:], -c if r & 1 else c)
+                )
+        for state, c in states[left]:
+            maya = state[a]
+            floor = left[a] - len(maya)
+            members = set(maya)
+            ascending = maya[::-1]
+            for i, targets in removed.items():
+                if i < floor or i in members:
+                    continue
+                above = len(maya) - bisect_right(ascending, i)
+                ca = -sign * c if above & 1 else sign * c
+                inserted = state[:a] + (maya[:above] + (i,) + maya[above:],) + state[a + 1:]
+                row = out.setdefault(inserted, {})
+                for b, cb in targets:
+                    row[b] = row.get(b, 0) + ca * cb
+    rows = ((a, {b: c for b, c in row.items() if c}) for a, row in out.items())
+    return {a: row for a, row in rows if row}
+
+
+def _shape(maya: tuple[int, ...], charge: int) -> tuple[int, ...]:
+    return tuple(lam for lam in (p + i - charge for i, p in enumerate(maya, 1)) if lam)
+
+
+def _times(left, right) -> list[tuple[Monomial, int]]:
+    return [(ml + mr, cl * cr) for ml, cl in left for mr, cr in right]
+
+
+def expand_by_maya(states: Iterable[State], charges: Sequence[int], family: Family, table: dict):
+    """``fermion.expand`` on tuple states: each state as prod_b top_b! s_{lambda(S_b)}
+    over (monomial, integer), and prod_b top_b!."""
+    shapes = {s: [_shape(maya, c) for maya, c in zip(s, charges)] for s in states}
+    tops = [max((sum(sh[k]) for sh in shapes.values()), default=0) for k in range(len(charges))]
+    factors: dict[tuple[tuple[int, ...], int], list[tuple[Monomial, int]]] = {}
+
+    def factor(lam: tuple[int, ...], k: int) -> list[tuple[Monomial, int]]:
+        hit = factors.get((lam, k))
+        if hit is None:
+            hit = fermion._expansion(lam, family, k + 1, table)
+            scale = factorial(tops[k]) // factorial(sum(lam))
+            if scale != 1:
+                hit = [(mono, c * scale) for mono, c in hit]
+            factors[lam, k] = hit
+        return hit
+
+    out = {
+        s: reduce(_times, [factor(lam, k) for k, lam in enumerate(lams)])
+        for s, lams in shapes.items()
+    }
+    return out, prod(factorial(top) for top in tops)
+
+
+def bosonize_by_maya(b, denominator: int, m: Sequence[int], q: Sequence[int], ncomp: int) -> Poly:
+    """``fermion.bosonize`` on tuple states, summing on monomial tuples."""
+    table: dict = {}
+    terms_t, den_t = expand_by_maya(b, m, Family.T, table)
+    terms_y, den_y = expand_by_maya({s for row in b.values() for s in row}, q, Family.Y, table)
+    out: dict[Monomial, int] = {}
+    for a, row in b.items():
+        inner: dict[Monomial, int] = {}
+        for s, cb in row.items():
+            for my, cy in terms_y[s]:
+                inner[my] = inner.get(my, 0) + cb * cy
+        inner = {mono: c for mono, c in inner.items() if c}
+        for mt, ct in terms_t[a]:
+            for my, cy in inner.items():
+                mono = mt + my
+                out[mono] = out.get(mono, 0) + ct * cy
+    den = denominator * den_t * den_y
+    return Poly({mono: Fraction(c, den) for mono, c in out.items()}, ncomp)
+
+
+def sector_terms(entries, mv: tuple[int, ...], qv: tuple[int, ...], j: int,
+                 parts: Sequence[int]) -> list[tuple[int, int, tuple, tuple, int]]:
+    """The terms (sign, a, m - e_a, q + e_a, j * n_a) of the (m, q) sector whose two
+    labels are entries, with the Klein sign (-1)^{m_1 + .. + m_{a-1} + q_1 + .. + q_{a-1}}."""
+    terms = []
+    for a in range(len(mv)):
+        left = mv[:a] + (mv[a] - 1,) + mv[a + 1:]
+        right = qv[:a] + (qv[a] + 1,) + qv[a + 1:]
+        if left in entries and right in entries:
+            sign = -1 if (sum(mv[:a]) + sum(qv[:a])) & 1 else 1
+            terms.append((sign, a, left, right, j * parts[a]))
+    return terms
+
+
+def maya_state(state: int, layout) -> State:
+    """An integer state of ``fermion.fock_states`` as the tuple state of
+    ``fock_states_by_maya``: each species' occupied field positions, decreasing."""
+    return tuple(
+        tuple(floor + k for k in range(width - 1, -1, -1) if state >> (offset + k) & 1)
+        for offset, floor, width in layout
+    )
+
+
 def boson_image_by_state_loop(
     vector: Mapping[State, Fraction], charges: Sequence[int], ncomp: int
 ) -> Poly:
     """``fermion.boson_image`` as first written, beside ``bosonize``: expand the
-    states once and accumulate c_S times each state's term list, one state at a
-    time, with the character rows in a table of its own."""
+    tuple states once and accumulate c_S times each state's term list, one state at
+    a time, with the character rows in a table of its own."""
     d = lcm(*(c.denominator for c in vector.values()))
-    terms, den = fermion.expand(vector, tuple(charges), Family.T, {})
+    terms, den = expand_by_maya(vector, tuple(charges), Family.T, {})
     out: dict[Monomial, int] = {}
     for s, c in vector.items():
         n = c.numerator * (d // c.denominator)

@@ -9,16 +9,22 @@ from math import factorial
 
 from oracles import (
     boson_image_by_state_loop,
+    bosonize_by_maya,
+    fock_states_by_maya,
     kp_residue_obstructions,
+    maya_state,
     mkp_residue_obstruction,
     random_fraction,
     random_shifts_for,
+    sato_b_by_maya,
+    sector_terms,
 )
 from tauforge import (
     Family,
     HSpec,
     KdVProfile,
     Partition,
+    Poly,
     TauCollection,
     all_partitions,
     fermion,
@@ -215,6 +221,85 @@ def test_mkp_obstruction_matches_the_residue_reference():
             checks += 1
             failing += not report.passed
     assert failing > 20 and checks > 2 * failing  # neither vacuous nor all failing
+
+
+# -- the integer kernel against the tuple-state kernel it replaced ------------------
+
+
+def _assert_kernels_agree(coll: TauCollection, parts, sectors, reports) -> tuple[int, int]:
+    """Fock states, B of every (m, q, j) sector and its obstruction, from the integer
+    kernel and from the tuple-state reference; returns (nonzero B, reports)."""
+    states, den, layout = fermion.fock_states(coll.entries, coll.ncomp)
+    reference, ref_den = fock_states_by_maya(coll.entries, coll.ncomp)
+    assert den == ref_den
+    decoded = {l: [(maya_state(s, layout), c) for s, c in v] for l, v in states.items()}
+    assert decoded == reference
+    nonzero = 0
+    for (mv, qv, j), report in zip(sectors, reports, strict=True):
+        terms = sector_terms(coll.entries, mv, qv, j, parts)
+        b = fermion.sato_b(states, layout, terms)
+        expected = sato_b_by_maya(reference, terms)
+        assert {
+            maya_state(a, layout): {maya_state(s, layout): c for s, c in row.items()}
+            for a, row in b.items()
+        } == expected, (mv, qv, j)
+        obstruction = (
+            bosonize_by_maya(expected, den**2, mv, qv, coll.ambient)
+            if expected else Poly.zero(coll.ambient)
+        )
+        assert report.obstruction == obstruction, (mv, qv, j)
+        nonzero += bool(b)
+    return nonzero, len(reports)
+
+
+def _mkp_agree(coll: TauCollection, n_parts, js) -> tuple[int, int]:
+    reports = verify_mkp_collection(coll, n_parts, js)
+    sectors = [(tuple(r.params["m"]), tuple(r.params["q"]), r.params["j"]) for r in reports]
+    return _assert_kernels_agree(coll, n_parts or (1,) * coll.ncomp, sectors, reports)
+
+
+def _kp_agree(tau, n: int, js) -> tuple[int, int]:
+    coll = TauCollection(0, 1, {(0,): tau})
+    sectors = [((1,), (-1,), j) for j in js]
+    return _assert_kernels_agree(coll, (n,), sectors, verify_kp(tau, n, js))
+
+
+def test_integer_kernel_equals_the_tuple_state_kernel():
+    rng = random.Random(23)
+    nonzero = checks = 0
+
+    def tally(counts: tuple[int, int]) -> None:
+        nonlocal nonzero, checks
+        nonzero, checks = nonzero + counts[0], checks + counts[1]
+
+    for lam in all_partitions(6):
+        tau = tau_kp(lam, random_shifts_for(rng, lam))
+        for control in (tau, tau + tvar(2).scale(_nonzero_fraction(rng))):
+            tally(_kp_agree(control, 1, (0,)))
+    for parts, n in [((3, 2, 1), 2), ((4, 2), 3), ((2, 1), 2)]:
+        shifts = {k: [random_fraction(rng) for _ in range(6)] for k in range(n)}
+        tau = tau_nkdv(parts, n, shifts)
+        for control in (tau, tau + (tvar(1) ** 4 * tvar(2)).scale(_nonzero_fraction(rng))):
+            tally(_kp_agree(control, n, range(3)))
+    # a 3-component collection; a (3,2)-reduced profile, whose shifts j * n_a up to
+    # 6 carry positions below the floor of their field; and a 3-component
+    # collection whose middle component is absent, so its species' field is empty
+    absent = [
+        HSpec.make([(2, _nonzero_fraction(rng), [random_fraction(rng)] * 2), (2, 0, None),
+                    (3, _nonzero_fraction(rng), [random_fraction(rng)] * 3)])
+        for _ in range(3)
+    ]
+    collections = [
+        (tau_mkp_collection(_columns(rng, 3, 3, 2)), None, (0,)),
+        (tau_mnkdv_collection(KdVProfile((3, 2), tuple(_columns(rng, 2, 1, 3)))), (3, 2),
+         range(3)),
+        (tau_mkp_collection(absent), None, (0, 1)),
+    ]
+    assert fermion.fock_states(collections[2][0].entries, 3)[2][1].width == 0
+    for coll, n_parts, js in collections:
+        tally(_mkp_agree(coll, n_parts, js))
+        tally(_mkp_agree(_perturbed(coll, rng), n_parts, js))
+    assert nonzero > 50 and checks > 2 * nonzero  # neither vacuous nor all failing
 
 
 def test_four_components_with_three_degree_3_columns():

@@ -171,6 +171,16 @@ def test_mkp_check_validation():
         hirota_mkp_check(coll, (2, 1), (1, 0), j=-1)
 
 
+def test_reduction_orders_below_1_are_rejected():
+    # a shift j * n_a < 0 would move a psi-insertion past the top of its species' field
+    coll = two_component_collection()
+    for parts in ((-1, 1), (0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="reduction orders must be >= 1"):
+            verify_mkp_collection(coll, parts, (1,))
+        with pytest.raises(ValueError, match="reduction orders must be >= 1"):
+            hirota_mkp_check(coll, (2, 1), (1, 0), 1, parts)
+
+
 def test_mkp_check_single_component_reduces_to_kp():
     p = Partition((2, 1))
     coll = tau_mkp_collection(kp_specs_from_partition(p))
