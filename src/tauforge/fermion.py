@@ -10,14 +10,14 @@ element B; for polynomial tau-functions it is a finite sum:
    xi_mu = sum_nu a_nu chi^mu_nu / prod_k k^{m_k(nu)}, with a_nu = [t^nu] tau
    and the characters chi^mu_nu of the symmetric group (Murnaghan-Nakayama
    rule on beta-numbers).
-2. Write species b of a state at charge l_b as the Maya set
+2. Write species b of a state at charge l_b as its occupied positions
    {mu_i - i + l_b}; below a floor that every state of species b shares,
    each position is occupied.  psi_i inserts i with sign
    (-1)^{#occupied > i} and psi*_k removes k with sign (-1)^{#occupied > k}.
 3. The identity holds exactly when B is empty.
 
 A state is one int under a layout that ``fock_states`` builds per call.
-Species b owns the bit field [off_b, off_b + w_b): Maya position p is bit
+Species b owns the bit field [off_b, off_b + w_b): position p is bit
 off_b + p - floor_b, and w_b = max(l_b + mu(b)_1) - floor_b over the
 states, so the field ends just above the highest occupied position; a
 species whose every state is empty at one charge has w_b = 0.  psi*_k
@@ -32,11 +32,12 @@ s_lambda with lambda_i = S_i + i - c, and
 [t^nu] s_lambda = chi^lambda_nu / prod_k m_k(nu)!.  Each distinct state is
 decoded from its bits once, each monomial of a call gets an integer id,
 and the sums run on those ids; only the nonzero terms of the result are
-built as monomials.  ``boson_image`` is the same map against the vacuum at
-charge 0, whose image is s_empty = 1, so a state vector {S: c_S}, given as
-Maya sets, is encoded in one layout with the vacuum and bosonizes as the
-matrix {S: {vacuum: c_S}}; ``fock``'s oracle sends the Plucker coordinates
-of its generators through it.
+built as monomials.
+
+The kernel reads a field only through its offset, floor and width, so the
+fields may sit at any offsets that do not overlap: ``fock_states`` packs
+them in species order, and ``fock``'s wedge runs them in descending
+component order, component 1 on top.
 
 The expansion, B and the bosonization run on integer numerators over one
 common denominator each; only the coefficients they return are fractions,
@@ -52,9 +53,8 @@ race only computes an entry twice and needs no lock:
   of at most p(n) terms, a size that one failing check's row table already
   reaches at its peak.
 
-The shapes of B reach twice the size of tau, so ``bosonize``, and with it
-``boson_image``, builds the rows behind a missing term list in a table that
-it drops on return.
+The shapes of B reach twice the size of tau, so ``bosonize`` builds the rows
+behind a missing term list in a table that it drops on return.
 """
 
 from __future__ import annotations
@@ -70,9 +70,7 @@ from .polycore import Family, Monomial, Poly
 from .schur import _monomial
 
 PartitionKey = tuple[int, ...]
-Maya = tuple[int, ...]  # the occupied positions >= charge - len, decreasing
 Label = tuple[int, ...]  # one charge per species
-State = tuple[Maya, ...]  # one Maya set per species
 StateMatrix = dict[int, dict[int, int]]  # B over states encoded in a layout
 # (sign, species index a, label of the psi side, label of the psi* side, shift)
 Term = tuple[int, int, Label, Label, int]
@@ -166,7 +164,7 @@ def schur_expansion(tau: Poly, species: int) -> dict[tuple[PartitionKey, ...], F
 
 
 class Field(NamedTuple):
-    """Species b's bits in a state: Maya position p is bit offset + p - floor."""
+    """Species b's bits in a state: position p is bit offset + p - floor."""
 
     offset: int
     floor: int
@@ -176,32 +174,32 @@ class Field(NamedTuple):
 Layout = tuple[Field, ...]
 
 
-def _layout(states: Iterable[tuple[Label, State]], species: int) -> Layout:
-    """The fields of the states S at species charges l, for every (l, S) of ``states``.
+def _layout(keys: Sequence[tuple[Label, tuple[PartitionKey, ...]]], species: int) -> Layout:
+    """The fields of the states mu = (mu(1), .., mu(s)) at species charges l, for
+    every (l, mu) of ``keys``.
 
-    Species b's floor is the least l_b - len(S_b), below which every state
+    Species b's floor is the least l_b - len(mu(b)), below which every state
     fills every position, and its field ends above the highest occupied
-    position, at S_b[0] + 1, or at l_b where S_b is empty; the fields are
-    packed in species order.
+    position, at l_b + mu(b)_1, or at l_b where mu(b) is empty; the fields
+    are packed in species order.
     """
-    states = list(states)
     fields, offset = [], 0
     for b in range(species):
-        floor = min((label[b] - len(s[b]) for label, s in states), default=0)
-        top = max((s[b][0] + 1 if s[b] else label[b] for label, s in states), default=floor)
+        floor = min((label[b] - len(key[b]) for label, key in keys), default=0)
+        top = max((label[b] + max(key[b], default=0) for label, key in keys), default=floor)
         fields.append(Field(offset, floor, top - floor))
         offset += top - floor
     return tuple(fields)
 
 
-def _encode(state: State, charges: Label, layout: Layout) -> int:
-    """``state`` as one int: the bits of its positions, and of every position from the
-    floor up to l_b - len(S_b), below which a Maya set leaves its positions implicit."""
+def _encode(key: tuple[PartitionKey, ...], charges: Label, layout: Layout) -> int:
+    """The state mu at species charges l as one int: the bits of the positions
+    mu(b)_i - i + l_b, and of every position from the floor up to l_b - len(mu(b))."""
     code = 0
-    for maya, c, (offset, floor, _) in zip(state, charges, layout):
-        bits = (1 << (c - len(maya) - floor)) - 1
-        for p in maya:
-            bits |= 1 << (p - floor)
+    for mu, c, (offset, floor, _) in zip(key, charges, layout):
+        bits = (1 << (c - len(mu) - floor)) - 1
+        for i, part in enumerate(mu, 1):
+            bits |= 1 << (part - i + c - floor)
         code |= bits << offset
     return code
 
@@ -231,23 +229,18 @@ def fock_states(
     """Each entry's Schur expansion as states with integer numerators, d, and the layout.
 
     The state of xi_mu at label l has numerator xi_mu * d; species b holds
-    the Maya set {mu_i - i + l_b} in its field of the layout (module
+    the positions {mu_i - i + l_b} in its field of the layout (module
     docstring).
     """
     xis = {label: schur_expansion(tau, species) for label, tau in entries.items()}
     den = lcm(*(c.denominator for xi in xis.values() for c in xi.values()))
-    mayas = {
+    layout = _layout([(label, key) for label, xi in xis.items() for key in xi], species)
+    states = {
         label: [
-            (tuple(tuple(p - i + l for i, p in enumerate(mu, 1)) for mu, l in zip(key, label)),
-             c.numerator * (den // c.denominator))
+            (_encode(key, label, layout), c.numerator * (den // c.denominator))
             for key, c in xi.items()
         ]
         for label, xi in xis.items()
-    }
-    layout = _layout(((label, s) for label, listed in mayas.items() for s, _ in listed), species)
-    states = {
-        label: [(_encode(s, label, layout), c) for s, c in listed]
-        for label, listed in mayas.items()
     }
     return states, den, layout
 
@@ -350,21 +343,6 @@ def _monomial_of(key: int, monomials: Sequence[Sequence[Monomial]]) -> Monomial:
         key, k = divmod(key, len(listed))
         mono += listed[k]
     return mono
-
-
-def boson_image(vector: Mapping[State, Fraction], charges: Label, ncomp: int) -> Poly:
-    """sum_S c_S prod_b s_{lambda(S_b)}(t^(b)) for {S: c_S} at species charges ``charges``:
-    ``bosonize`` of {S: {vacuum: c_S}} against the vacuum at charge 0 (module
-    docstring), with each S, and the vacuum, encoded in one layout."""
-    d = lcm(*(c.denominator for c in vector.values()))
-    zero, vacuum = (0,) * len(charges), ((),) * len(charges)
-    layout = _layout([(charges, s) for s in vector] + [(zero, vacuum)], len(charges))
-    below = _encode(vacuum, zero, layout)
-    b: StateMatrix = {}
-    for s, c in vector.items():
-        row = b.setdefault(_encode(s, charges, layout), {below: 0})
-        row[below] += c.numerator * (d // c.denominator)
-    return bosonize(b, layout, d, charges, zero, ncomp)
 
 
 def bosonize(b: StateMatrix, layout: Layout, denominator: int, m: Label, q: Label,

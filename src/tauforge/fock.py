@@ -11,14 +11,15 @@ Evolution commutes with the wedge, so the oracle wedges the rational
 generators at t = 0 (``wedge_from_generators``), which gives one coordinate
 xi_S per wedge monomial S.  Evolving S and reading off the target gives
 prod_a s_{lambda(S_a)}(t^(a)), so tau = sum_S xi_S prod_a s_{lambda(S_a)}(t^(a))
-over the S with m_a factors in each component a.  ``wedge_tau`` sends that
-state vector through ``fermion.boson_image``, the map the bilinear checks
-bosonize with, e_i^(a) being Maya position i - 1 of species a at charge m_a.
-The oracle never builds a determinant, which keeps it independent of the
-constructors it certifies.
+over the S with m_a factors in each component a.  ``wedge_tau`` bosonizes
+that sector against the vacuum with ``fermion.bosonize``, the map of the
+bilinear checks.  The oracle never builds a determinant, which keeps it
+independent of the constructors it certifies.
 
-A wedge monomial is one int: with W the largest generator index, e_i^(a)
-of s components is bit (s - a) * W + i - 1, so a higher bit is an earlier
+A wedge monomial is one int, already a kernel state: with W the largest
+generator index, e_i^(a) of s components is bit (s - a) * W + i - 1, which
+is position i - 1 of species a in the field ``fermion.Field((s - a) * W, 0,
+W)``, and the vacuum at charge 0 is the int 0.  A higher bit is an earlier
 factor in the order e_W^(1), .., e_1^(1), e_W^(2), .., e_1^(s) of the
 target monomials.  Entries at index <= 0 collide with the vacuum and are
 skipped.  Appending e_i^(a) is psi-insertion: it dies on a set bit, and
@@ -68,7 +69,7 @@ class GeneratorVector:
         if not clean:
             raise ValueError("a generator must have at least one nonzero entry")
         self.entries = clean
-        self.ncomp = maxcomp if ncomp is None else ncomp
+        self.ncomp = maxcomp if ncomp is None else _json_int(ncomp)
         if maxcomp > self.ncomp:
             raise ValueError("entry component exceeds the ambient count")
 
@@ -129,28 +130,30 @@ def oracle_tau(fs: Sequence[GeneratorVector], charge: Sequence[int]) -> Poly:
         raise ValueError(f"charge {label} must sum to the factor count {m}")
     if m == 0:
         return Poly.const(1, s if s else 1)
-    for g in fs:
-        if g.ncomp != s:
-            raise ValueError("generator ambient must match the charge arity")
     return wedge_tau(wedge_from_generators(fs, s), label)
 
 
 # -- the wedge -------------------------------------------------------------------
 
 
-def wedge_from_generators(fs: Sequence[GeneratorVector], ncomp: int) -> dict[fermion.State, Fraction]:
+def wedge_from_generators(
+    fs: Sequence[GeneratorVector], ncomp: int
+) -> tuple[dict[int, int], int, fermion.Layout]:
     """f_1 ^ ... ^ f_m over the vacuum at t = 0: the Plucker coordinates of the fs.
 
-    Each monomial is an int key (module docstring); appending a factor is a
-    psi-insertion.  Each generator's entries are integer numerators over its
-    lcm denominator, so the wedge runs on integers over the product of those
-    denominators, and each key is decoded once, into a ``fermion`` state with
-    one ``Fraction``.
+    Each monomial is an int key, a state in the returned layout (module
+    docstring); appending a factor is a psi-insertion.  Each generator's
+    entries are integer numerators over its lcm denominator, so the wedge
+    runs on integers over d, the product of those denominators, and returns
+    ({state: numerator}, d, layout).  A generator of another component
+    count than ``ncomp`` raises ``ValueError``.
     """
-    width = max((bv.index for g in fs for bv in g.entries), default=0)
+    width = max([0, *(bv.index for g in fs for bv in g.entries)])  # 0 if no entry is above 0
     wedge: dict[int, int] = {0: 1}
     den = 1
     for g in fs:
+        if g.ncomp != ncomp:
+            raise ValueError(f"a generator has {g.ncomp} components, the wedge {ncomp}")
         d = lcm(*[b.denominator for b in g.entries.values()])
         den *= d
         nxt: dict[int, int] = {}
@@ -167,28 +170,25 @@ def wedge_from_generators(fs: Sequence[GeneratorVector], ncomp: int) -> dict[fer
                 key = mask | bit
                 nxt[key] = nxt.get(key, 0) + (-c if (mask & after).bit_count() & 1 else c)
         wedge = {mask: c for mask, c in nxt.items() if c}
-    return {_maya_sets(mask, width, ncomp): Fraction(c, den) for mask, c in wedge.items()}
+    layout = tuple(fermion.Field((ncomp - a) * width, 0, width) for a in range(1, ncomp + 1))
+    return wedge, den, layout
 
 
-def _maya_sets(mask: int, width: int, ncomp: int) -> fermion.State:
-    """The wedge monomial ``mask`` as one Maya set per component: e_i^(a) is position
-    i - 1, and the set bits are read from the top, component 1 first."""
-    sets: list[list[int]] = [[] for _ in range(ncomp)]
-    while mask:
-        top = mask.bit_length() - 1
-        mask ^= 1 << top
-        sets[ncomp - 1 - top // width].append(top % width)
-    return tuple(map(tuple, sets))
-
-
-def wedge_tau(states: Mapping[fermion.State, Fraction], charge: Sequence[int]) -> Poly:
+def wedge_tau(wedge: tuple[dict[int, int], int, fermion.Layout], charge: Sequence[int]) -> Poly:
     """The boson image of a wedge at ``charge``: sum_S xi_S prod_a s_{lambda(S_a)}(t^(a)).
 
-    Only the states with charge_a positions in each species a count.
+    Only the states with charge_a positions in each species a count; they are
+    bosonized against the vacuum, the int 0 at charge 0.  Raises
+    ``ValueError`` unless ``charge`` has one part per component.
     """
+    coords, den, layout = wedge
     label = tuple(charge)
-    sector = {s: c for s, c in states.items() if tuple(map(len, s)) == label}
-    return fermion.boson_image(sector, label, len(label))
+    if len(label) != len(layout):
+        raise ValueError(f"charge {label} for a wedge of {len(layout)} components")
+    fields = [((1 << width) - 1) << offset for offset, _, width in layout]
+    b = {s: {0: c} for s, c in coords.items()
+         if all((s & f).bit_count() == m for f, m in zip(fields, label))}
+    return fermion.bosonize(b, layout, den, label, (0,) * len(label), len(label))
 
 
 # -- bridges from column specs to generators ------------------------------------

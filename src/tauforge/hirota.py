@@ -22,16 +22,16 @@ summing to total + 1 and total - 1.
 
 Both are computed in their fermionic form (module ``fermion``), with one
 fermion species per component.  Each entry is expanded as
-tau^(l) = sum xi prod_b s_{mu(b)}(t^(b)), a state whose species b is the
-Maya set {mu(b)_i - i + l_b}, and the residue is the bosonization of
+tau^(l) = sum xi prod_b s_{mu(b)}(t^(b)), a state whose species b occupies the
+positions {mu(b)_i - i + l_b}, and the residue is the bosonization of
 
     B = sum_a sign_a sum_i psi^(a)_i tau^(m - e_a) (x) psi*^(a)_{i + j n_a} tau^(q + e_a).
 
 psi^(a)_i inserts position i into species a and psi*^(a)_k removes k, each
 with sign (-1)^{#occupied positions above} in that species, and the Klein
 sign sign_a = (-1)^{m_1+..+m_{a-1}+q_1+..+q_{a-1}} is the parity of the
-charges the species before a carry on both sides.  The charges in the Maya
-sets are absolute, so every a lands in the same (m, q) sector, and a pair
+charges the species before a carry on both sides.  The charges in the occupied
+positions are absolute, so every a lands in the same (m, q) sector, and a pair
 passes exactly when B = 0.  A nonzero B maps back term by term: species b
 of a state S becomes s_lambda(t^(b)) at charge m_b and s_lambda(y^(b)) at
 charge q_b, with lambda_i = S_i + i - charge, which gives the residue

@@ -39,10 +39,12 @@ from tauforge import (
     xvar,
     yvar,
 )
-from tauforge.fermion import State
 from tauforge.polycore import Monomial
 from tauforge.schur import schur_shifted_table
 from tauforge.tau import _block_det
+
+# one tuple of occupied positions per species, each decreasing
+State = tuple[tuple[int, ...], ...]
 
 
 def eval_poly(p: Poly, values: Mapping[VarId, Fraction]) -> Fraction:
@@ -873,10 +875,32 @@ def maya_state(state: int, layout) -> State:
     )
 
 
+def decode_wedge(wedge) -> dict[State, Fraction]:
+    """A wedge ``(coords, d, layout)`` of ``fock.wedge_from_generators`` as
+    {tuple state: coordinate}."""
+    coords, den, layout = wedge
+    return {maya_state(s, layout): Fraction(c, den) for s, c in coords.items()}
+
+
+def encode_wedge(vector: Mapping[State, Fraction], ncomp: int):
+    """{tuple state: coordinate}, every position >= 0, as the ``(coords, d, layout)``
+    that ``fock.wedge_from_generators`` returns: species b in the field
+    ((ncomp - 1 - b) W, 0, W), W one above the highest position, and integer
+    numerators over the lcm d of the denominators."""
+    width = max([0, *(p + 1 for s in vector for maya in s for p in maya)])
+    layout = tuple(fermion.Field((ncomp - 1 - b) * width, 0, width) for b in range(ncomp))
+    den = lcm(*(c.denominator for c in vector.values()))
+    coords = {}
+    for s, c in vector.items():
+        code = sum(1 << (offset + p) for maya, (offset, _, _) in zip(s, layout) for p in maya)
+        coords[code] = c.numerator * (den // c.denominator)
+    return coords, den, layout
+
+
 def boson_image_by_state_loop(
     vector: Mapping[State, Fraction], charges: Sequence[int], ncomp: int
 ) -> Poly:
-    """``fermion.boson_image`` as first written, beside ``bosonize``: expand the
+    """``fock.wedge_tau``'s bosonization as first written, beside ``bosonize``: expand the
     tuple states once and accumulate c_S times each state's term list, one state at
     a time, with the character rows in a table of its own."""
     d = lcm(*(c.denominator for c in vector.values()))

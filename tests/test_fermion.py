@@ -10,6 +10,8 @@ from math import factorial
 from oracles import (
     boson_image_by_state_loop,
     bosonize_by_maya,
+    decode_wedge,
+    encode_wedge,
     fock_states_by_maya,
     kp_residue_obstructions,
     maya_state,
@@ -40,6 +42,7 @@ from tauforge import (
     verify_kp,
     verify_mkp_collection,
     wedge_from_generators,
+    wedge_tau,
 )
 from tauforge.partitions import partitions_of
 
@@ -60,9 +63,18 @@ def _z(nu: tuple[int, ...]) -> int:
     return out
 
 
-def _state(lam: tuple[int, ...]) -> tuple[tuple[int, ...]]:
-    """lambda as a one-species state at charge 0: the Maya set {lambda_i - i}."""
-    return (tuple(p - i for i, p in enumerate(lam, 1)),)
+def _state(lam: tuple[int, ...], charge: int) -> tuple[tuple[int, ...]]:
+    """lambda as a one-species state at a charge >= len(lambda): the occupied
+    positions {lambda_i - i + charge} for i = 1..charge, all >= 0."""
+    parts = lam + (0,) * (charge - len(lam))
+    return (tuple(p - i + charge for i, p in enumerate(parts, 1)),)
+
+
+def _schur_image(xi) -> Poly:
+    """sum_lambda xi_lambda s_lambda through ``wedge_tau``: one wedge of the states
+    ``_state(lambda, m)`` at the charge m, the longest len(lambda)."""
+    m = max(map(len, xi))
+    return wedge_tau(encode_wedge({_state(lam, m): c for lam, c in xi.items()}, 1), (m,))
 
 
 # -- Murnaghan-Nakayama characters ------------------------------------------------
@@ -70,7 +82,7 @@ def _state(lam: tuple[int, ...]) -> tuple[tuple[int, ...]]:
 
 def test_character_schur_functions_equal_the_jacobi_trudi_determinant():
     for lam in all_partitions(10):
-        assert fermion.boson_image({_state(lam.parts): Fraction(1)}, (0,), 1) == tau_kp(lam), lam
+        assert _schur_image({lam.parts: Fraction(1)}) == tau_kp(lam), lam
 
 
 def test_characters_are_orthogonal():
@@ -91,7 +103,7 @@ def test_characters_are_orthogonal():
 def test_schur_expansion_recovers_the_coefficients():
     rng = random.Random(11)
     xi = {lam.parts: _nonzero_fraction(rng) for lam in all_partitions(5)}
-    tau = fermion.boson_image({_state(lam): c for lam, c in xi.items()}, (0,), 1)
+    tau = _schur_image(xi)
     assert fermion.schur_expansion(tau, 1) == {(lam,): c for lam, c in xi.items()}
 
 
@@ -99,16 +111,18 @@ def test_schur_expansion_recovers_the_coefficients():
 
 
 def _wedge_sectors(rng: random.Random, ncomp: int, ncol: int, degree: int):
-    """The charge sectors of a seeded wedge; some generators are lowered by one
-    or two places, so that their bottom entries sit at index <= 0."""
+    """A seeded wedge and its charge sectors as tuple-state vectors; some
+    generators are lowered by one or two places, so that their bottom entries sit
+    at index <= 0."""
     gens = []
     for spec in _columns(rng, ncomp, ncol, degree):
         power = rng.choice((0, 0, 1, 2))
         gens.append(generator_from_hspec(spec, ncomp).lambda_shift((1,) * ncomp, power))
+    wedge = wedge_from_generators(gens, ncomp)
     sectors: dict[tuple[int, ...], dict] = {}
-    for state, c in wedge_from_generators(gens, ncomp).items():
+    for state, c in decode_wedge(wedge).items():
         sectors.setdefault(tuple(map(len, state)), {})[state] = c
-    return sectors
+    return wedge, sectors
 
 
 def test_boson_image_equals_the_state_loop_on_every_wedge_sector():
@@ -117,14 +131,16 @@ def test_boson_image_equals_the_state_loop_on_every_wedge_sector():
     images = 0
     for ncomp, ncol, degree in cases:
         for _ in range(3):
-            for label, vector in _wedge_sectors(rng, ncomp, ncol, degree).items():
-                got = fermion.boson_image(vector, label, ncomp)
+            wedge, sectors = _wedge_sectors(rng, ncomp, ncol, degree)
+            for label, vector in sectors.items():
+                got = wedge_tau(wedge, label)
                 assert got == boson_image_by_state_loop(vector, label, ncomp), (ncomp, label)
                 images += bool(got.terms)
-    # the Jacobi-Trudi shapes: s_lambda as one state at charge 0
+    # the Jacobi-Trudi shapes: s_lambda as one state at charge len(lambda)
     for lam in all_partitions(8):
-        vector = {_state(lam.parts): Fraction(1)}
-        assert fermion.boson_image(vector, (0,), 1) == boson_image_by_state_loop(vector, (0,), 1)
+        vector, label = {_state(lam.parts, len(lam.parts)): Fraction(1)}, (len(lam.parts),)
+        got = wedge_tau(encode_wedge(vector, 1), label)
+        assert got == boson_image_by_state_loop(vector, label, 1)
     assert images > 40  # the comparison is not vacuous
 
 

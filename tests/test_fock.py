@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     alpha_action,
+    decode_wedge,
+    encode_wedge,
     evolve,
+    maya_state,
     oracle_by_permutations,
     random_fraction,
     random_shifts_for,
@@ -26,9 +29,11 @@ from tauforge import (
     charge_vectors,
     compute_kj,
     elementary_schur,
+    fermion,
     generator_from_hspec,
     generators_from_partition,
     generators_from_profile,
+    kp_specs_from_partition,
     oracle_tau,
     tau_kp,
     tau_mkp_entry,
@@ -301,19 +306,38 @@ def test_oracle_matches_the_permutation_sum_reference():
 
 def test_wedge_add_term_normalizes_sign():
     # e_1 ^ e_2 = -e_2 ^ e_1, and e_i is Maya position i - 1
-    assert wedge_from_generators([basis(1), basis(2)], 1) == {((1, 0),): -1}
-    assert wedge_from_generators([basis(2), basis(1)], 1) == {((1, 0),): 1}
+    assert decode_wedge(wedge_from_generators([basis(1), basis(2)], 1)) == {((1, 0),): -1}
+    assert decode_wedge(wedge_from_generators([basis(2), basis(1)], 1)) == {((1, 0),): 1}
 
 
 def test_wedge_add_term_kills_repeats_and_vacuum_collisions():
-    assert wedge_from_generators([basis(1), basis(1)], 1) == {}
-    assert wedge_from_generators([basis(0)], 1) == {}
-    assert wedge_from_generators([basis(3)], 1) == {((2,),): 1}
+    assert decode_wedge(wedge_from_generators([basis(1), basis(1)], 1)) == {}
+    assert decode_wedge(wedge_from_generators([basis(0)], 1)) == {}
+    assert decode_wedge(wedge_from_generators([basis(3)], 1)) == {((2,),): 1}
+    assert oracle_tau([basis(-1)], (1,)) == Poly.zero()  # every entry below index 1
 
 
 def test_wedge_terms_cancel():
     g = GeneratorVector({BasisVector(1, 1): Fraction(3, 2), BasisVector(1, 2): Fraction(3, 2)})
-    assert wedge_from_generators([g, g], 1) == {}
+    assert decode_wedge(wedge_from_generators([g, g], 1)) == {}
+
+
+def test_wedge_rejects_a_generator_of_another_component_count():
+    with pytest.raises(ValueError, match="has 3 components, the wedge 2"):
+        wedge_from_generators([basis(1, ncomp=2), basis(2, 3, ncomp=3)], 2)
+    with pytest.raises(ValueError, match="has 1 components, the wedge 2"):
+        wedge_from_generators([basis(1, ncomp=1)], 2)
+    # oracle_tau leaves the check to the wedge
+    with pytest.raises(ValueError, match="has 3 components, the wedge 2"):
+        oracle_tau([basis(1, ncomp=2), basis(2, 3, ncomp=3)], (1, 1))
+
+
+def test_wedge_tau_rejects_a_charge_of_another_arity():
+    w = wedge_from_generators([basis(1, 1, 2), basis(1, 2, 2)], 2)
+    assert wedge_tau(w, (1, 1)) == Poly.const(1, 2)
+    for charge in [(2,), (1,), (2, 0, 0), ()]:
+        with pytest.raises(ValueError, match="for a wedge of 2 components"):
+            wedge_tau(w, charge)
 
 
 def test_wedge_expansion_matches_oracle():
@@ -323,7 +347,7 @@ def test_wedge_expansion_matches_oracle():
     gens = generators_from_partition((2, 1), shifts)
     w = wedge_from_generators(gens, 1)
     tau = tau_kp((2, 1), shifts)
-    assert w.get(((1, 0),), 0) == tau.terms.get((), 0)
+    assert decode_wedge(w).get(((1, 0),), 0) == tau.terms.get((), 0)
     assert wedge_tau(w, (2,)) == tau == oracle_by_permutations(gens, (2,))
 
 
@@ -347,12 +371,12 @@ def test_alpha_action_is_time_derivative():
     # modes commute, so the boson image of alpha_j w is d tau / d t_j
     shifts = random_shifts_for(random.Random(4), Partition((3, 2, 1)))
     gens = generators_from_partition((3, 2, 1), shifts)
-    w = wedge_from_generators(gens, 1)
+    w = decode_wedge(wedge_from_generators(gens, 1))
     tau = oracle_tau(gens, (3,))
     for j in range(1, 6):
         derivative = tau.diff(VarId(Family.T, 1, j))
         assert derivative.terms
-        assert wedge_tau(alpha_action(w, 1, j), (3,)) == derivative, j
+        assert wedge_tau(encode_wedge(alpha_action(w, 1, j), 1), (3,)) == derivative, j
 
 
 def test_alpha_action_is_time_derivative_multicomponent():
@@ -361,11 +385,51 @@ def test_alpha_action_is_time_derivative_multicomponent():
         HSpec.make([(1, 1, None), (2, Fraction(1, 2), None)]),
     ]
     gens = [generator_from_hspec(spec, 2) for spec in specs]
-    w = wedge_from_generators(gens, 2)
+    w = decode_wedge(wedge_from_generators(gens, 2))
     assert w
     for charge in charge_vectors(2, 2):
         tau = oracle_tau(gens, charge)
         for a in (1, 2):
             for j in (1, 2):
-                moved = wedge_tau(alpha_action(w, a, j), charge)
+                moved = wedge_tau(encode_wedge(alpha_action(w, a, j), 2), charge)
                 assert moved == tau.diff(VarId(Family.T, a, j)), (charge, a, j)
+
+
+# -- one state type for the oracle and the kernel ---------------------------------
+
+
+def _from_zero(state: int, layout) -> tuple[tuple[int, ...], ...]:
+    """``maya_state``, each species also listing its implicit positions from its
+    floor down to 0, as the wedge's states do."""
+    return tuple(
+        maya + tuple(range(floor - 1, -1, -1))
+        for maya, (_, floor, _) in zip(maya_state(state, layout), layout)
+    )
+
+
+def _oracle_and_kernel_cases():
+    """(specs, s, charges) for every KP partition of size <= 6 with seeded
+    shifts, and for seeded 2- and 3-component spec sets."""
+    rng = random.Random(24)
+    for lam in all_partitions(6):
+        specs = kp_specs_from_partition(lam, random_shifts_for(rng, lam))
+        yield specs, 1, [(len(lam),)]
+    for ncomp, ncol in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]:
+        for _ in range(3):
+            yield _specs(rng, ncomp, ncol), ncomp, list(charge_vectors(ncol, ncomp))
+
+
+def test_the_wedge_states_are_the_kernel_states():
+    # the Plucker coordinates of a charge sector are the Schur-expansion
+    # coefficients of that entry, state for state
+    sectors = states = 0
+    for specs, s, charges in _oracle_and_kernel_cases():
+        wedge = decode_wedge(wedge_from_generators([generator_from_hspec(g, s) for g in specs], s))
+        for label in charges:
+            sector = {state: c for state, c in wedge.items() if tuple(map(len, state)) == label}
+            kernel, den, layout = fermion.fock_states({label: tau_mkp_entry(specs, label)}, s)
+            expanded = {_from_zero(state, layout): Fraction(c, den) for state, c in kernel[label]}
+            assert sector == expanded, (specs, label)
+            sectors += bool(sector)
+            states += len(sector)
+    assert sectors > 100 and states > 500  # the comparison is not vacuous

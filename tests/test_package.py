@@ -135,9 +135,12 @@ API_SIGNATURES = {
         "j_values: 'Sequence[int]' = (0,)) -> 'list[VerificationReport]'"
     ),
     "wedge_from_generators": (
-        "(fs: 'Sequence[GeneratorVector]', ncomp: 'int') -> 'dict[fermion.State, Fraction]'"
+        "(fs: 'Sequence[GeneratorVector]', ncomp: 'int') "
+        "-> 'tuple[dict[int, int], int, fermion.Layout]'"
     ),
-    "wedge_tau": "(states: 'Mapping[fermion.State, Fraction]', charge: 'Sequence[int]') -> 'Poly'",
+    "wedge_tau": (
+        "(wedge: 'tuple[dict[int, int], int, fermion.Layout]', charge: 'Sequence[int]') -> 'Poly'"
+    ),
     "xvar": "(index: 'int', component: 'int' = 1, ncomp: 'int' = 1) -> 'Poly'",
     "yvar": "(index: 'int', component: 'int' = 1, ncomp: 'int' = 1) -> 'Poly'",
 }

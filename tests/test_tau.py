@@ -235,6 +235,8 @@ def test_library_boundary_rejects_strings_and_inexact_integers():
         lambda: tvar(1) + True,
         lambda: GeneratorVector({(1, 2.7): 1}),  # read e_2, and oracle_tau answered t1
         lambda: GeneratorVector({(True, 2): 1}),  # read component 1
+        lambda: GeneratorVector({(1, 2): 1}, 2.0),  # kept ncomp 2.0
+        lambda: GeneratorVector.basis(1, 2, True),  # kept ncomp True
         lambda: GeneratorVector.basis(1, 2).lambda_shift((1.5,)),  # moved e_2 by 1
         lambda: GeneratorVector.basis(1, 2).lambda_shift((1,), 1.5),  # power was truncated
         lambda: tau_nkdv((2, 1), 2, {0.9: [5]}),  # read class 0
