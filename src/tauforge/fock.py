@@ -13,7 +13,8 @@ xi_S per wedge monomial S.  Evolving S and reading off the target gives
 prod_a s_{lambda(S_a)}(t^(a)), so tau = sum_S xi_S prod_a s_{lambda(S_a)}(t^(a))
 over the S with m_a factors in each component a.  ``wedge_tau`` bosonizes
 that sector against the vacuum with ``fermion.bosonize``, the map of the
-bilinear checks.  The oracle never builds a determinant, which keeps it
+bilinear checks; it owns the charge rules: one part m_a >= 0 per component,
+summing to the factor count when the wedge is nonzero.  The oracle never builds a determinant, which keeps it
 independent of the constructors it certifies.
 
 A wedge monomial is one int, already a kernel state: with W the largest
@@ -34,9 +35,9 @@ from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from . import fermion
-from .polycore import Poly, RationalLike, _json_int, exact_fraction, int_tuple
+from .polycore import Poly, RationalLike, _json_int, _ncomp, exact_fraction, int_tuple
 from .schur import schur_constants
-from .tau import HSpec, KdVProfile, kp_specs_from_partition
+from .tau import HSpec, KdVProfile, _reduction_orders, kp_specs_from_partition
 
 
 class BasisVector(NamedTuple):
@@ -103,9 +104,7 @@ class GeneratorVector:
 
         Entries may land at index <= 0; they are kept (see class docstring).
         """
-        n_parts = int_tuple(n_parts)
-        if len(n_parts) != self.ncomp:
-            raise ValueError("n_parts length must match the ambient count")
+        n_parts = _reduction_orders(n_parts, self.ncomp)
         if _json_int(power) < 0:
             raise ValueError("shift power must be >= 0")
         moved = {
@@ -119,18 +118,12 @@ def oracle_tau(fs: Sequence[GeneratorVector], charge: Sequence[int]) -> Poly:
     """Coefficient of the charge's target wedge monomial in f_1(t) ^ ... ^ f_m(t).
 
     Evolution commutes with the wedge, so f_1 ^ ... ^ f_m is expanded at
-    t = 0 and its Plucker coordinates are bosonized by ``wedge_tau``.
+    t = 0 and bosonized by ``wedge_tau``, which checks all but the sum rule of a zero wedge.
     """
     label = int_tuple(charge)
-    s = len(label)
-    m = len(fs)
-    if any(x < 0 for x in label):
-        raise ValueError(f"charge {label} has negative parts")
-    if sum(label) != m:
-        raise ValueError(f"charge {label} must sum to the factor count {m}")
-    if m == 0:
-        return Poly.const(1, s if s else 1)
-    return wedge_tau(wedge_from_generators(fs, s), label)
+    if sum(label) != len(fs):
+        raise ValueError(f"charge {label} must sum to the factor count {len(fs)}")
+    return wedge_tau(wedge_from_generators(fs, len(label)), label)
 
 
 # -- the wedge -------------------------------------------------------------------
@@ -148,6 +141,7 @@ def wedge_from_generators(
     ({state: numerator}, d, layout).  A generator of another component
     count than ``ncomp`` raises ``ValueError``.
     """
+    _ncomp(ncomp)
     width = max([0, *(bv.index for g in fs for bv in g.entries)])  # 0 if no entry is above 0
     wedge: dict[int, int] = {0: 1}
     den = 1
@@ -179,12 +173,18 @@ def wedge_tau(wedge: tuple[dict[int, int], int, fermion.Layout], charge: Sequenc
 
     Only the states with charge_a positions in each species a count; they are
     bosonized against the vacuum, the int 0 at charge 0.  Raises
-    ``ValueError`` unless ``charge`` has one part per component.
+    ``ValueError`` unless ``charge`` has one part >= 0 per component and, when
+    the wedge is nonzero, sums to its factor count.
     """
     coords, den, layout = wedge
-    label = tuple(charge)
+    label = int_tuple(charge)
     if len(label) != len(layout):
         raise ValueError(f"charge {label} for a wedge of {len(layout)} components")
+    if any(x < 0 for x in label):
+        raise ValueError(f"charge {label} has negative parts")
+    factors = next(iter(coords), 0).bit_count()  # every state has one bit per factor
+    if coords and sum(label) != factors:
+        raise ValueError(f"charge {label} must sum to the factor count {factors}")
     fields = [((1 << width) - 1) << offset for offset, _, width in layout]
     b = {s: {0: c} for s, c in coords.items()
          if all((s & f).bit_count() == m for f, m in zip(fields, label))}

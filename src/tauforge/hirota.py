@@ -73,11 +73,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import fermion
 from .polycore import Family, Poly, VarId, _json_int, int_tuple
-from .tau import ChargeVector, TauCollection, apply_D
+from .tau import ChargeVector, TauCollection, _reduction_orders, apply_D
 
 
 @dataclass
@@ -142,24 +142,23 @@ def verify_kp(tau: Poly, n: int = 1, j_values: Sequence[int] = (0,)) -> list[Ver
                         lambda mv, qv, j, parts: {"j": j, "n": n})
 
 
-def _sector(entries: Mapping[ChargeVector, Poly], fock: tuple[dict, int, fermion.Layout],
-            mv: ChargeVector, qv: ChargeVector, j: int, parts: ChargeVector,
-            ambient: int) -> Poly:
+def _sector(fock: tuple[dict, int, fermion.Layout], mv: ChargeVector, qv: ChargeVector,
+            j: int, parts: ChargeVector, ambient: int) -> Poly:
     """The obstruction of the (m, q) sector at j, with fock = fermion.fock_states(entries, s).
 
     Component a (0-based) adds the term (sign, a, m - e_a, q + e_a, j * n_a)
-    when both labels are entries; its Klein sign is the parity of
-    m_1 + .. + m_{a-1} + q_1 + .. + q_{a-1}.
+    when both labels are entries, the labels that key the fock states; its
+    Klein sign is the parity of m_1 + .. + m_{a-1} + q_1 + .. + q_{a-1}.
     """
+    states, den, layout = fock
     terms = []
     prefix = 0
     for a in range(len(mv)):
         m_shift = mv[:a] + (mv[a] - 1,) + mv[a + 1:]
         q_shift = qv[:a] + (qv[a] + 1,) + qv[a + 1:]
-        if m_shift in entries and q_shift in entries:
+        if m_shift in states and q_shift in states:
             terms.append((-1 if prefix & 1 else 1, a, m_shift, q_shift, j * parts[a]))
         prefix += mv[a] + qv[a]
-    states, den, layout = fock
     b = fermion.sato_b(states, layout, terms)
     return fermion.bosonize(b, layout, den**2, mv, qv, ambient) if b else Poly.zero(ambient)
 
@@ -176,12 +175,8 @@ def _mkp_reports(
     """One report per j and (m, q) pair, every entry expanded once, with params
     ``params_of(m, q, j, n_parts)``.  A report's time runs from the end of the one
     before, so the first also counts the expansion."""
-    parts = int_tuple(n_parts) if n_parts is not None else (1,) * collection.ncomp
-    if len(parts) != collection.ncomp:
-        raise ValueError("n_parts length must match the collection")
-    if any(n < 1 for n in parts):
-        # j * n_a >= 0 keeps every psi-insertion of sato_b inside its species' field
-        raise ValueError("reduction orders must be >= 1")
+    parts = _reduction_orders((1,) * collection.ncomp if n_parts is None else n_parts,
+                              collection.ncomp)
     js = int_tuple(j_values)
     if any(j < 0 for j in js):
         raise ValueError("need j >= 0")
@@ -190,7 +185,7 @@ def _mkp_reports(
     reports = []
     for j in js:
         for mv, qv in pairs:
-            obstruction = _sector(collection.entries, fock, mv, qv, j, parts, collection.ambient)
+            obstruction = _sector(fock, mv, qv, j, parts, collection.ambient)
             reports.append(_finish(identity, params_of(mv, qv, j, parts), obstruction, t0))
             t0 = time.perf_counter()
     return reports

@@ -82,6 +82,13 @@ def _json_int(value: object) -> int:
     return value
 
 
+def _ncomp(value: object) -> int:
+    # the one check of a component count: every ambient and charge-label arity
+    if _json_int(value) < 1:
+        raise ValueError("ambient component count must be >= 1")
+    return value
+
+
 def int_tuple(value: Iterable[int]) -> tuple[int, ...]:
     """A partition or a charge label as a tuple of integers; a string, or a float or bool
     part, raises ``TypeError``."""
@@ -109,10 +116,7 @@ class Poly:
     __slots__ = ("terms", "ncomp")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, ncomp: int = 1):
-        # the one check of an ambient count: zero, const and var construct through here
-        if _json_int(ncomp) < 1:
-            raise ValueError("ambient component count must be >= 1")
-        self.ncomp = ncomp
+        self.ncomp = _ncomp(ncomp)  # zero, const and var construct through here
         if terms:
             self.terms = {m: c for m, c in terms.items() if c}
         else:
@@ -265,7 +269,7 @@ class Poly:
 
     def diff(self, v: VarId, order: int = 1) -> "Poly":
         """Partial derivative of the given order with respect to one variable."""
-        if order < 0:
+        if _json_int(order) < 0:
             raise ValueError("derivative order must be >= 0")
         if order == 0:
             return self

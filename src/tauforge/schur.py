@@ -159,7 +159,7 @@ def schur_constants(upto: int, c: ShiftLike) -> list[Fraction]:
     v = [top]
     for n in range(1, upto + 1):
         v.append(sum(w * v[n - i] for i, w in weights if i <= n) // n)
-    return [Fraction(x, top * d**n) for n, x in enumerate(v)]
+    return [Fraction(x, top * d**n) for n, x in enumerate(v[:upto + 1])]  # v has s_0 at upto < 0
 
 
 def schur_constant(j: int, c: ShiftLike) -> Fraction:

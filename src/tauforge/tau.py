@@ -62,8 +62,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, is_n_periodic
 from .polycore import (
-    Family, Packed, Packing, Poly, RationalLike, VarId, _json_int, exact_fraction, int_tuple,
-    packed_sum,
+    Family, Packed, Packing, Poly, RationalLike, VarId, _json_int, _ncomp, exact_fraction,
+    int_tuple, packed_sum,
 )
 from .schur import ShiftLike, ShiftVector, schur_shifted_table
 
@@ -179,29 +179,34 @@ class HSpec:
         return len(self.terms)
 
 
+def _reduction_orders(n_parts: Sequence[int], ncomp: int | None) -> tuple[int, ...]:
+    """n_parts as one order n_a >= 1 for each of ``ncomp`` components (any count when
+    None): the parts of the reduction's partition are positive, and j * n_a >= 0 keeps
+    every psi-insertion of ``fermion.sato_b`` inside its species' field."""
+    parts = int_tuple(n_parts)
+    if ncomp is not None and len(parts) != ncomp:
+        raise ValueError(f"n_parts {parts} must have one order for each of {ncomp} components")
+    if any(n < 1 for n in parts):
+        raise ValueError("reduction orders must be >= 1")
+    return parts
+
+
 def compute_kj(spec: HSpec, n_parts: Sequence[int]) -> int:
     """Largest shift power before the column dies: max ceil(M_a/n_a) - 1.
 
     Components with zero coefficient do not count; HSpec refuses a spec with
     none left.
     """
-    n_parts = int_tuple(n_parts)
-    if len(n_parts) != spec.ncomp:
-        raise ValueError("n_parts length must match the spec's component count")
-    if min(n_parts) < 1:
-        raise ValueError("reduction orders must be >= 1")
-    return max(-(-t.degree // n_a) - 1 for t, n_a in zip(spec.terms, n_parts) if t.coeff)
+    parts = _reduction_orders(n_parts, spec.ncomp)
+    return max(-(-t.degree // n_a) - 1 for t, n_a in zip(spec.terms, parts) if t.coeff)
 
 
 def apply_D(p: Poly, j: int, n_parts: Sequence[int]) -> Poly:
     """D_j p = sum_a dp/dt_{j * n_a}^(a), with one order n_a per component of p."""
     if _json_int(j) < 1:
         raise ValueError("D_j requires j >= 1")
-    n_parts = int_tuple(n_parts)
-    if len(n_parts) != p.ncomp:
-        raise ValueError("n_parts length must match the polynomial's component count")
     total = Poly.zero(p.ncomp)
-    for a, n_a in enumerate(n_parts, start=1):
+    for a, n_a in enumerate(_reduction_orders(n_parts, p.ncomp), start=1):
         total = total + p.diff(VarId(Family.T, a, j * n_a))
     return total
 
@@ -211,7 +216,7 @@ def apply_D(p: Poly, j: int, n_parts: Sequence[int]) -> Poly:
 
 def charge_vectors(total: int, ncomp: int) -> Iterator[ChargeVector]:
     """All labels (m_1, ..., m_s) with m_a >= 0 and sum = total."""
-    if ncomp == 1:
+    if _ncomp(ncomp) == 1:
         if total >= 0:
             yield (total,)
         return
@@ -240,6 +245,8 @@ class TauCollection:
         if self.ambient is None:
             first = next(iter(self.entries.values()), None)
             self.ambient = self.ncomp if first is None else first.ncomp
+        _ncomp(self.ncomp)
+        _ncomp(self.ambient)
         for label, poly in self.entries.items():
             if len(label) != self.ncomp:
                 raise ValueError(f"label {label} has wrong arity")
@@ -342,16 +349,12 @@ def tau_mkp_entry(specs: Sequence[HSpec], charge: Sequence[int]) -> Poly:
 
 def tau_mkp_collection(specs: Sequence[HSpec], ncomp: int | None = None) -> TauCollection:
     """All nonzero charge-labelled entries for the given columns."""
-    if specs:
-        s = specs[0].ncomp
-    elif ncomp is not None:
-        s = ncomp
-    else:
+    s = specs[0].ncomp if specs else ncomp
+    if s is None:
         raise ValueError("empty spec list needs an explicit component count")
-    if any(spec.ncomp != s for spec in specs):
-        raise ValueError("all specs must agree with the charge arity")
-    columns = [_spec_column(spec, len(specs)) for spec in specs]
-    return _collection(len(specs), s, lambda label: _block_det(columns, label, s))
+    labels = list(charge_vectors(len(specs), s))
+    pairs = zip(labels, tau_mkp_entries(specs, labels))
+    return TauCollection(len(specs), s, {label: poly for label, poly in pairs if poly.terms})
 
 
 # -- (n_1, ..., n_s)-KdV ---------------------------------------------------------
@@ -365,14 +368,10 @@ class KdVProfile:
     specs: tuple[HSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_parts", int_tuple(self.n_parts))
+        object.__setattr__(self, "n_parts", _reduction_orders(self.n_parts, None))
         if not self.n_parts:
             raise ValueError("need at least one reduction order")
-        if any(n < 1 for n in self.n_parts):
-            raise ValueError("reduction orders must be >= 1")
-        if any(
-            self.n_parts[i] < self.n_parts[i + 1] for i in range(len(self.n_parts) - 1)
-        ):
+        if any(a < b for a, b in zip(self.n_parts, self.n_parts[1:])):
             raise ValueError("reduction orders must be weakly decreasing")
         for spec in self.specs:
             if spec.ncomp != len(self.n_parts):

@@ -181,6 +181,10 @@ def test_oracle_validation():
         oracle_tau([basis(2)], (2,))
     with pytest.raises(ValueError):
         oracle_tau([basis(2, ncomp=1)], (0, 1))  # ambient mismatch
+    for call in [lambda: oracle_tau([], ()), lambda: wedge_from_generators([], 0),
+                 lambda: wedge_from_generators([], -1)]:
+        with pytest.raises(ValueError, match="component count must be >= 1"):
+            call()  # oracle_tau answered 1, the wedges were built
     assert oracle_tau([], (0,)) == Poly.const(1, 1)
     assert oracle_tau([], (0, 0)) == Poly.const(1, 2)
 
@@ -338,6 +342,14 @@ def test_wedge_tau_rejects_a_charge_of_another_arity():
     for charge in [(2,), (1,), (2, 0, 0), ()]:
         with pytest.raises(ValueError, match="for a wedge of 2 components"):
             wedge_tau(w, charge)
+    # the wedge's other charge rules: both gave Poly(0) on the two factors of (2, 1)
+    w21 = wedge_from_generators(generators_from_partition((2, 1)), 1)
+    with pytest.raises(ValueError, match=r"charge \(-1,\) has negative parts"):
+        wedge_tau(w21, (-1,))
+    with pytest.raises(ValueError, match=r"charge \(5,\) must sum to the factor count 2"):
+        wedge_tau(w21, (5,))
+    # no factor: the general path gives 1, and oracle_tau([], (0, 0)) now takes it
+    assert wedge_tau(wedge_from_generators([], 2), (0, 0)) == oracle_tau([], (0, 0)) == 1
 
 
 def test_wedge_expansion_matches_oracle():

@@ -15,6 +15,7 @@ from oracles import (
 )
 from tauforge import (
     Family,
+    GeneratorVector,
     HSpec,
     HTerm,
     KdVProfile,
@@ -179,6 +180,24 @@ def test_reduction_orders_below_1_are_rejected():
             verify_mkp_collection(coll, parts, (1,))
         with pytest.raises(ValueError, match="reduction orders must be >= 1"):
             hirota_mkp_check(coll, (2, 1), (1, 0), 1, parts)
+    # every other reader of the orders: reduction_check passed tvar(2) at (0,) and (-1,)
+    spec = HSpec.make([(3, 1, None)])
+    calls = [
+        lambda parts: apply_D(tvar(2), 1, parts),
+        lambda parts: reduction_check(tvar(2), parts),
+        lambda parts: compute_kj(spec, parts),
+        lambda parts: KdVProfile(parts, (spec,)),
+        lambda parts: GeneratorVector.basis(1, 2).lambda_shift(parts),
+    ]
+    for i, call in enumerate(calls):
+        for parts in ((0,), (-1,)):
+            with pytest.raises(ValueError, match="reduction orders must be >= 1"):
+                call(parts)
+                pytest.fail(f"call {i} accepted {parts}")
+        with pytest.raises(ValueError, match="n_parts"):
+            call((2, 2))  # two orders for one component
+            pytest.fail(f"call {i} accepted two orders")
+    assert not reduction_check(tvar(2), (2,)).passed
 
 
 def test_mkp_check_single_component_reduces_to_kp():

@@ -1,10 +1,13 @@
+import argparse
 import ast
 import enum
+import importlib
 import inspect
 import sys
 from pathlib import Path
 
 import tauforge
+from tauforge import cli
 
 SRC = Path(tauforge.__file__).parent
 
@@ -153,3 +156,80 @@ def test_public_signatures_are_pinned():
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, enum.Enum))
     }
     assert got == API_SIGNATURES
+
+
+# The command line's knobs and the package's module state.  A change that adds a
+# flag, an environment variable, a mutable module-level table or a functools
+# cache has to edit these tables.  Positional arguments are listed by name.
+CLI_OPTIONS = {
+    "tauforge": ["-h", "--help", "command"],
+    "schur": ["-h", "--help", "j", "--component", "--json", "--timings"],
+    "tau-kp": ["-h", "--help", "--partition", "--shifts", "--json", "--timings"],
+    "tau-mkp": ["-h", "--help", "--specs", "--charge", "--json", "--timings"],
+    "tau-nkdv": ["-h", "--help", "--partition", "--n", "--shifts", "--json", "--timings"],
+    "tau-mnkdv": ["-h", "--help", "--profile", "--charge", "--json", "--timings"],
+    "akns": [
+        "-h", "--help", "--m1", "--m2", "--k", "--p", "--b1", "--b2", "--c1", "--c2", "--json",
+        "--timings",
+    ],
+    "verify": [
+        "-h", "--help", "--what", "--partition", "--n", "--shifts", "--specs", "--profile",
+        "--m1", "--m2", "--k", "--b1", "--b2", "--c1", "--c2", "--base", "--j", "--j-max",
+        "--d-max", "--seed", "--trials", "--json", "--timings",
+    ],
+    "oracle-compare": ["-h", "--help", "--case", "--json", "--timings"],
+    "list-periodic": ["-h", "--help", "--n", "--max-size", "--json", "--timings"],
+}
+MODULE_STATE = [
+    "cli.VERIFY",
+    "cli.build_parser",
+    "fermion._CHARACTERS",
+    "fermion._EXPANSIONS",
+    "schur._MONOMIALS",
+    "schur._power",
+]
+ENVIRONMENT = ["cli.py: TAUFORGE_MAX_DEGREE"]
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _options(parser: argparse.ArgumentParser) -> list[str]:
+    return [o for action in parser._actions for o in action.option_strings or [action.dest]]
+
+
+def _environment_reads(path: Path) -> list[str]:
+    """``path.name: NAME`` for each use of os.environ or os.getenv, NAME being the first
+    string constant of the call or subscript around it (``?`` if there is none)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = []
+    for node in ast.walk(tree):
+        if getattr(node, "attr", getattr(node, "id", None)) not in ENVIRONMENT_NAMES:
+            continue
+        while node in parents and not isinstance(node, (ast.Call, ast.Subscript)):
+            node = parents[node]
+        keys = [n.value for n in ast.walk(node) if isinstance(n, ast.Constant)]
+        reads.append(f"{path.name}: {next((k for k in keys if isinstance(k, str)), '?')}")
+    return reads
+
+
+def test_knobs_and_module_state_are_pinned():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: _options(sp) for name, sp in commands.choices.items()}
+    assert {"tauforge": _options(parser), **options} == CLI_OPTIONS
+
+    modules = [importlib.import_module(f"tauforge.{p.stem}") for p in sorted(SRC.glob("*.py"))
+               if p.stem not in ("__init__", "__main__")]
+    state = sorted(
+        f"{module.__name__.rpartition('.')[2]}.{name}"
+        for module in [tauforge, *modules]
+        for name, value in vars(module).items()
+        if not name.startswith("__") and (
+            isinstance(value, (dict, list, set, bytearray))
+            or hasattr(value, "cache_info") and value.__module__ == module.__name__
+        )
+    )
+    assert state == MODULE_STATE
+
+    assert [read for path in sorted(SRC.glob("*.py")) for read in _environment_reads(path)] \
+        == ENVIRONMENT

@@ -56,6 +56,8 @@ def test_negative_index_is_zero():
     assert elementary_schur(-5) == 0
     assert schur_constant(-2, [1, 2]) == 0
     assert schur_shifted(-1, [1]) == 0
+    # [s_0, ..., s_upto] is empty below 0; it was [1]
+    assert schur_constants(-1, [1]) == schur_constants(-2, None) == []
 
 
 def test_matches_series_oracle():

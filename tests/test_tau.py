@@ -256,6 +256,8 @@ def test_library_boundary_rejects_strings_and_inexact_integers():
         lambda: Poly.const(1, True),
         lambda: tvar(1, 1, True) + tvar(1),  # was 2*t1
         lambda: Poly({}, 2.0),
+        lambda: tvar(1).diff(VarId(Family.T, 1, 1), 1.5),  # was Poly(0)
+        lambda: (tvar(1) ** 2).diff(VarId(Family.T, 1, 1), True),  # was 2*t1
     ]
     for i, call in enumerate(calls):
         with pytest.raises(TypeError):
@@ -352,6 +354,8 @@ def test_charge_vectors():
     assert list(charge_vectors(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(charge_vectors(0, 3)) == [(0, 0, 0)]
     assert list(charge_vectors(3, 1)) == [(3,)]
+    with pytest.raises(ValueError, match="component count must be >= 1"):
+        list(charge_vectors(2, 0))  # leaked itertools' "r must be non-negative"
     assert sorted(charge_vectors(3, 3)) == sorted(
         (a, b, 3 - a - b) for a in range(4) for b in range(4 - a) if 3 - a - b >= 0
     )
@@ -445,6 +449,9 @@ def test_tau_collection_validation():
         TauCollection(total=2, ncomp=2, entries={(3, -1): Poly.const(1, 2)})
     with pytest.raises(ValueError):
         TauCollection(total=2, ncomp=2, entries={(1, 1): Poly.zero(2)})
+    for ncomp, ambient in ((0, None), (2, 0)):
+        with pytest.raises(ValueError, match="component count must be >= 1"):
+            TauCollection(0, ncomp, {}, ambient)  # was built with ambient 0
     coll = TauCollection(total=2, ncomp=2, entries={(1, 1): Poly.const(1, 2)})
     with pytest.raises(ValueError):
         coll.get((1, 1, 0))
