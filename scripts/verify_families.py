@@ -3,7 +3,9 @@
 
 One line per family member with the verdict, the number of checks and the
 timing, then a summary.  A member passes when it ran at least one check and
-every check passed.  Exit status 0 when every member passes, 1 otherwise.
+every check passed; a perturbed control, tagged ``control``, passes when it
+ran at least one check and one of them failed.  Exit status 0 when every
+member passes, 1 otherwise.
 
     python3 scripts/verify_families.py --max-size 6 --seed 0
 """
@@ -17,6 +19,7 @@ from fractions import Fraction
 from tauforge import (
     HSpec,
     KdVProfile,
+    TauCollection,
     akns_collection,
     akns_pde_check,
     all_partitions,
@@ -25,8 +28,10 @@ from tauforge import (
     hirota_kp_check,
     reduction_check,
     tau_kp,
+    tau_mkp_collection,
     tau_mnkdv_collection,
     tau_nkdv,
+    tvar,
     verify_kp,
     verify_mkp_collection,
 )
@@ -51,16 +56,28 @@ def default_profiles(rng: random.Random) -> list[KdVProfile]:
     return out
 
 
+def mkp_columns(rng: random.Random, ncomp: int, ncol: int, degree: int) -> list[HSpec]:
+    """Columns of one degree in every component, with seeded coefficients and shifts."""
+    return [
+        HSpec.make([
+            (degree, Fraction(rng.randint(1, 5)), random_shift_vector(rng, degree))
+            for _ in range(ncomp)
+        ])
+        for _ in range(ncol)
+    ]
+
+
 def members(args: argparse.Namespace):
-    """(tag, checks) for every family member, where ``checks()`` returns its
-    reports.  Each family draws from its own generator seeded with --seed, and
-    each member is checked before the next one is drawn."""
+    """(tag, checks, control) for every family member, where ``checks()`` returns
+    its reports and a control must fail.  Each family draws from its own generator
+    seeded with --seed, and each member is checked before the next one is drawn."""
     j_values = range(args.j_max + 1)
     rng = random.Random(args.seed)
     for p in all_partitions(args.max_size):
         for trial in range(args.trials):
             shifts = [random_shift_vector(rng, n) for n in expected_shift_lengths(p)]
-            yield f"kp {tuple(p)} trial={trial}", lambda: [hirota_kp_check(tau_kp(p, shifts), j=0)]
+            yield (f"kp {tuple(p)} trial={trial}",
+                   lambda: [hirota_kp_check(tau_kp(p, shifts), j=0)], False)
 
     rng = random.Random(args.seed)
     for n in (2, 3):
@@ -68,7 +85,7 @@ def members(args: argparse.Namespace):
             tau = tau_nkdv(p, n, {k: random_shift_vector(rng, 4) for k in range(n)})
             yield f"nkdv {tuple(p)} n={n}", lambda: [
                 reduction_check(tau, (n,), j_max=3), *verify_kp(tau, n, j_values)
-            ]
+            ], False
 
     for idx, profile in enumerate(default_profiles(random.Random(args.seed))):
         def checks():
@@ -78,7 +95,19 @@ def members(args: argparse.Namespace):
                 for label in coll.labels()
             ] + verify_mkp_collection(coll, profile.n_parts, j_values=tuple(j_values))
 
-        yield f"mnkdv profile#{idx} n_parts={profile.n_parts}", checks
+        yield f"mnkdv profile#{idx} n_parts={profile.n_parts}", checks, False
+
+    # the mKP frontier: 4 columns of degree 4 in s components, and the same
+    # collection with t_2^(1) added to its lowest entry
+    rng = random.Random(args.seed)
+    for s in range(3, args.max_components + 1):
+        coll = tau_mkp_collection(mkp_columns(rng, s, 4, 4))
+        entries = dict(coll.entries)
+        low = min(entries)
+        entries[low] = entries[low] + tvar(2, 1, s)
+        control = TauCollection(coll.total, s, entries)
+        yield f"mkp s={s} 4x4", lambda: verify_mkp_collection(coll), False
+        yield f"mkp s={s} 4x4 control", lambda: verify_mkp_collection(control), True
 
     rng = random.Random(args.seed)
     for m1, m2 in ((2, 2), (2, 3), (3, 2), (3, 3)):
@@ -88,7 +117,8 @@ def members(args: argparse.Namespace):
             random_shift_vector(rng, m1 - 1), random_shift_vector(rng, m2 - 1),
         )
         bases = [(p, big_k - p) for p in range(1, big_k) if coll.get((p, big_k - p)).terms]
-        yield f"akns M=({m1},{m2}) K={big_k}", lambda: [akns_pde_check(coll, b) for b in bases]
+        yield (f"akns M=({m1},{m2}) K={big_k}",
+               lambda: [akns_pde_check(coll, b) for b in bases], False)
 
 
 def main(argv=None) -> int:
@@ -98,15 +128,17 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=2,
                         help="random shift sets per partition in the KP sweep")
     parser.add_argument("--j-max", type=int, default=2)
+    parser.add_argument("--max-components", type=int, default=4,
+                        help="largest component count of the mKP frontier members, from 3")
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
     failures = []
-    for tag, checks in members(args):
+    for tag, checks, control in members(args):
         start = time.perf_counter()
         reports = checks()
         ms = (time.perf_counter() - start) * 1000.0
-        ok = bool(reports) and all(r.passed for r in reports)
+        ok = bool(reports) and all(r.passed for r in reports) != control
         print(f"{'ok  ' if ok else 'FAIL'} {tag} [{len(reports)} checks] ({ms:.1f} ms)")
         if not ok:
             failures.append(tag)

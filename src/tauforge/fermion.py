@@ -34,6 +34,22 @@ decoded from its bits once, each monomial of a call gets an integer id,
 and the sums run on those ids; only the nonzero terms of the result are
 built as monomials.
 
+Certificate.  Every state of a collection has k = sum_b (l_b - floor_b) bits,
+whatever its label l, so the states with weight (-1)^{sum_b C(l_b, 2)} form one
+T in the k-th exterior power of the layout's bits.  As a wedge of the whole
+int, psi_p carries the parity of every set bit above p: species a's own sign
+times that of the species after a, sum_{b>a} (m_b + q_b) on the two sides of
+an (m, q) sector, which has the parity of sum_{b<a} (m_b + q_b) + m_a + q_a.
+The weights of m - e_a and q + e_a are -(-1)^{m_a + q_a} times those of m and
+q, so the (m, q) part of sum_p psi_p T (x) psi*_p T is that sector's B at
+j = 0 up to one sign, and the sum vanishes exactly when T is decomposable
+(Plucker).  ``decomposable`` decides it with no elimination, prime or
+tolerance: for one state S0 of T and each bit i of S0, the witness
+w_i = sum_p (-1)^{#(S0 - i) above p} T[S0 - i + p] e_p is T contracted by
+S0 - i, so it lies in W when T spans the line of W's wedge; and the w_i are
+independent, w_i having T[S0] at e_i and 0 at every other bit of S0, so
+w_i ^ T = 0 for all k of them makes T their wedge.
+
 The kernel reads a field only through its offset, floor and width, so the
 fields may sit at any offsets that do not overlap: ``fock_states`` packs
 them in species order, and ``fock``'s wedge runs them in descending
@@ -45,7 +61,7 @@ one per distinct numerator of a call.
 Two tables outlive a call, in dicts whose values are never mutated, so a
 race only computes an entry twice and needs no lock:
 
-- the character rows that ``schur_expansion`` reads through ``characters``,
+- the character rows that ``schur_expansion`` reads, keyed by (lambda, |lambda|),
   no larger than the entries it expands;
 - the term list of each s_lambda that ``expand`` reads,
   [(t^nu, chi^lambda_nu |lambda|! / prod_k m_k(nu)!)], keyed by (lambda,
@@ -62,7 +78,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import factorial, lcm, prod
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .partitions import partitions_of
@@ -123,11 +138,6 @@ def _row(lam: PartitionKey, top: int, table: RowTable) -> dict[PartitionKey, int
     return table.setdefault((lam, top), row)
 
 
-def characters(lam: PartitionKey) -> Mapping[PartitionKey, int]:
-    """The nonzero chi^lambda_nu over nu of size |lambda|; ``lam`` is decreasing."""
-    return MappingProxyType(_row(lam, sum(lam), _CHARACTERS))
-
-
 def schur_expansion(tau: Poly, species: int) -> dict[tuple[PartitionKey, ...], Fraction]:
     """The nonzero xi of tau = sum xi_{mu(1)..mu(s)} prod_b s_{mu(b)}(t^(b)).
 
@@ -156,7 +166,7 @@ def schur_expansion(tau: Poly, species: int) -> dict[tuple[PartitionKey, ...], F
         coeffs = {}
         for (head, size, tail), group in groups.items():
             for lam in partitions_of(size):
-                row = characters(lam)
+                row = _row(lam, size, _CHARACTERS)
                 c = sum(row.get(nu, 0) * n for nu, n in group.items())
                 if c:
                     coeffs[head + (lam,) + tail] = c
@@ -243,6 +253,36 @@ def fock_states(
         for label, xi in xis.items()
     }
     return states, den, layout
+
+
+def decomposable(states: Mapping[Label, list[tuple[int, int]]]) -> bool:
+    """Whether T = sum_l (-1)^{sum_b C(l_b, 2)} sum_S c_S S, over the labels and states
+    of ``fock_states``, is decomposable: whether w_i ^ T = 0 over Z for the witness
+    w_i of each bit of one state (module docstring).  True makes every (m, q)
+    sector vanish at j = 0."""
+    vector = {}
+    for label, listed in states.items():
+        flip = sum(x * (x - 1) // 2 for x in label) & 1
+        for state, c in listed:
+            vector[state] = -c if flip else c
+    pivot = next(iter(vector), 0)
+    positions = [1 << p for p in range(max(vector, default=0).bit_length())]
+    for bit in (e for e in positions if pivot & e):
+        rest = pivot ^ bit
+        witness = [
+            (e, -c if (rest & -(e << 1)).bit_count() & 1 else c)
+            for e in positions if not rest & e and (c := vector.get(rest | e))
+        ]
+        wedge: dict[int, int] = {}
+        for e, cw in witness:
+            higher = -(e << 1)
+            for state, c in vector.items():
+                if not state & e:
+                    v = -cw * c if (state & higher).bit_count() & 1 else cw * c
+                    wedge[state | e] = wedge.get(state | e, 0) + v
+        if any(wedge.values()):
+            return False
+    return True
 
 
 def sato_b(

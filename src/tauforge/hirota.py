@@ -39,6 +39,18 @@ polynomial itself.  The single-component check is one species with tau at
 charge 0, m = 1 and q = -1, so B = sum_i psi_i tau (x) psi*_{i + j n} tau.
 Every entry must be a polynomial in the t-variables of components 1..s.
 
+A whole collection's check (``verify_kp``, ``verify_mkp_collection``) first
+asks ``fermion.decomposable`` whether T = sum_l (-1)^{sum_b C(l_b, 2)} tau^(l)
+is one wedge.  Its Plucker relations are the j = 0 sectors of every pair, so a
+certified collection's j = 0 obstructions are all zero; otherwise every pair
+runs as above, which alone decides a FAIL.  At j >= 1, where
+D_j = sum_a d/dt^(a)_{j n_a} kills every entry, a pair's obstruction is D_j,
+on the t-variables only, of its j = 0 obstruction: D_j commutes with the Miwa
+shift, so it passes through each tau onto exp xi(t^(a) - y^(a), z), which it
+multiplies by z^{j n_a}.  That is used when the collection is certified (all
+zero) or its j = 0 runs in the same call; ``hirota_mkp_check`` and every
+other sector run B.
+
 AKNS check.  The two-component (1,1)-reduced families in the half-difference
 variables x satisfy, with w = tau^(p, K-p) at a base label and its lattice
 neighbors u = -tau^(p+1, K-p-1) and v = tau^(p-1, K-p+1), the coupled system
@@ -77,7 +89,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import fermion
 from .polycore import Family, Poly, VarId, _json_int, int_tuple
-from .tau import ChargeVector, TauCollection, _reduction_orders, apply_D
+from .tau import ChargeVector, TauCollection, _apply_d, _reduction_orders, apply_D
 
 
 @dataclass
@@ -139,7 +151,7 @@ def verify_kp(tau: Poly, n: int = 1, j_values: Sequence[int] = (0,)) -> list[Ver
         raise ValueError("need j >= 0 and n >= 1")
     collection = TauCollection(0, 1, {(0,): tau} if tau.terms else {}, tau.ncomp)
     return _mkp_reports(collection, [((1,), (-1,))], (n,), js, "kp-residue",
-                        lambda mv, qv, j, parts: {"j": j, "n": n})
+                        lambda mv, qv, j, parts: {"j": j, "n": n}, whole=True)
 
 
 def _sector(fock: tuple[dict, int, fermion.Layout], mv: ChargeVector, qv: ChargeVector,
@@ -170,11 +182,12 @@ def _mkp_params(mv: ChargeVector, qv: ChargeVector, j: int, parts: ChargeVector)
 def _mkp_reports(
     collection: TauCollection, pairs: Sequence[tuple[ChargeVector, ChargeVector]],
     n_parts: Sequence[int] | None, j_values: Sequence[int], identity: str,
-    params_of: Callable[[ChargeVector, ChargeVector, int, ChargeVector], dict],
+    params_of: Callable[[ChargeVector, ChargeVector, int, ChargeVector], dict], whole: bool,
 ) -> list[VerificationReport]:
     """One report per j and (m, q) pair, every entry expanded once, with params
     ``params_of(m, q, j, n_parts)``.  A report's time runs from the end of the one
-    before, so the first also counts the expansion."""
+    before, so the first also counts the expansion.  Only a ``whole`` collection's
+    check is certified and derived (module docstring)."""
     parts = _reduction_orders((1,) * collection.ncomp if n_parts is None else n_parts,
                               collection.ncomp)
     js = int_tuple(j_values)
@@ -182,10 +195,25 @@ def _mkp_reports(
         raise ValueError("need j >= 0")
     t0 = time.perf_counter()
     fock = fermion.fock_states(collection.entries, collection.ncomp)
+    ambient = collection.ambient
+    derived = {
+        j for j in js if j and whole
+        and not any(_apply_d(tau, j, parts).terms for tau in collection.entries.values())
+    }
+    certified = whole and (0 in js or bool(derived)) and fermion.decomposable(fock[0])
+    if not certified and 0 not in js:
+        derived = set()  # j = 0 is never bosonized only to derive from it
+    base: list[Poly | None] = [None] * len(pairs)  # each pair's j = 0 obstruction
     reports = []
     for j in js:
-        for mv, qv in pairs:
-            obstruction = _sector(fock, mv, qv, j, parts, collection.ambient)
+        for k, (mv, qv) in enumerate(pairs):
+            if j and j not in derived:
+                obstruction = _sector(fock, mv, qv, j, parts, ambient)
+            else:
+                if base[k] is None:
+                    base[k] = (Poly.zero(ambient) if certified
+                               else _sector(fock, mv, qv, 0, parts, ambient))
+                obstruction = _apply_d(base[k], j, parts) if j else base[k]
             reports.append(_finish(identity, params_of(mv, qv, j, parts), obstruction, t0))
             t0 = time.perf_counter()
     return reports
@@ -216,7 +244,8 @@ def hirota_mkp_check(
         raise ValueError(f"m must sum to {collection.total + 1}")
     if sum(qv) != collection.total - 1:
         raise ValueError(f"q must sum to {collection.total - 1}")
-    return _mkp_reports(collection, [(mv, qv)], n_parts, (j,), "mkp-residue", _mkp_params)[0]
+    return _mkp_reports(collection, [(mv, qv)], n_parts, (j,), "mkp-residue", _mkp_params,
+                        whole=False)[0]
 
 
 def verify_mkp_collection(
@@ -237,7 +266,8 @@ def verify_mkp_collection(
         (left[:a] + (left[a] + 1,) + left[a + 1:], right[:a] + (right[a] - 1,) + right[a + 1:])
         for left in labels for right in labels for a in range(collection.ncomp) if right[a] >= 1
     })
-    return _mkp_reports(collection, pairs, n_parts, j_values, "mkp-residue", _mkp_params)
+    return _mkp_reports(collection, pairs, n_parts, j_values, "mkp-residue", _mkp_params,
+                        whole=True)
 
 
 def reduction_check(

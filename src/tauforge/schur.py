@@ -41,7 +41,7 @@ from .partitions import (
     expected_shift_lengths,
     partitions_of,
 )
-from .polycore import Family, Monomial, Poly, RationalLike, VarId, exact_fraction
+from .polycore import Family, Monomial, Poly, RationalLike, VarId, _json_int, exact_fraction
 
 ShiftLike = Union["ShiftVector", Sequence[RationalLike], None]
 
@@ -148,6 +148,7 @@ def schur_constants(upto: int, c: ShiftLike) -> list[Fraction]:
     upto!, and n! d^n s_n(c) = sum over partitions nu of n of
     n!/prod_j m_j(nu)! * prod_j (d^j c_j)^{m_j(nu)} is one.
     """
+    _json_int(upto)
     cv = ShiftVector.coerce(c)
     d = lcm(*[x.denominator for x in cv.entries])
     weights = [
@@ -164,14 +165,14 @@ def schur_constants(upto: int, c: ShiftLike) -> list[Fraction]:
 
 def schur_constant(j: int, c: ShiftLike) -> Fraction:
     """s_j evaluated at constants; zero for j < 0."""
-    if j < 0:
+    if _json_int(j) < 0:
         return Fraction(0)
     return schur_constants(j, c)[j]
 
 
 def schur_shifted(j: int, c: ShiftLike, component: int = 1, ncomp: int = 1) -> Poly:
     """s_j(t + c), the one entry of ``schur_shifted_table`` from j to j; zero for j < 0."""
-    if j < 0:
+    if _json_int(j) < 0:
         return Poly.zero(ncomp)
     return schur_shifted_table(j, c, component, ncomp, lowest=j)[0]
 

@@ -205,8 +205,13 @@ def apply_D(p: Poly, j: int, n_parts: Sequence[int]) -> Poly:
     """D_j p = sum_a dp/dt_{j * n_a}^(a), with one order n_a per component of p."""
     if _json_int(j) < 1:
         raise ValueError("D_j requires j >= 1")
+    return _apply_d(p, j, _reduction_orders(n_parts, p.ncomp))
+
+
+def _apply_d(p: Poly, j: int, parts: Sequence[int]) -> Poly:
+    """D_j on the t-variables of components 1..len(parts) of p, whatever its ambient."""
     total = Poly.zero(p.ncomp)
-    for a, n_a in enumerate(_reduction_orders(n_parts, p.ncomp), start=1):
+    for a, n_a in enumerate(parts, start=1):
         total = total + p.diff(VarId(Family.T, a, j * n_a))
     return total
 
@@ -216,6 +221,7 @@ def apply_D(p: Poly, j: int, n_parts: Sequence[int]) -> Poly:
 
 def charge_vectors(total: int, ncomp: int) -> Iterator[ChargeVector]:
     """All labels (m_1, ..., m_s) with m_a >= 0 and sum = total."""
+    _json_int(total)
     if _ncomp(ncomp) == 1:
         if total >= 0:
             yield (total,)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import permutations
 from math import factorial, lcm, prod
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from tauforge import (
@@ -739,6 +740,15 @@ def tau_kp_by_windowed_tables(partition, shifts=None) -> Poly:
         for j, part in enumerate(p.parts)
     ]
     return _block_det(tables, (m,), 1)
+
+
+# -- the character rows of the Schur expansion ---------------------------------------
+
+
+def characters(lam: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
+    """The nonzero chi^lambda_nu over nu of size |lambda|, read-only, from the rows
+    that ``fermion.schur_expansion`` keeps; ``lam`` is decreasing."""
+    return MappingProxyType(fermion._row(lam, sum(lam), fermion._CHARACTERS))
 
 
 # -- the residue kernel on tuple states, as it was before the integer layout ---------

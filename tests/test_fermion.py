@@ -10,6 +10,7 @@ from math import factorial
 from oracles import (
     boson_image_by_state_loop,
     bosonize_by_maya,
+    characters,
     decode_wedge,
     encode_wedge,
     fock_states_by_maya,
@@ -32,6 +33,7 @@ from tauforge import (
     fermion,
     generator_from_hspec,
     hirota_kp_check,
+    hirota_mkp_check,
     oracle_tau,
     tau_kp,
     tau_mkp_collection,
@@ -92,7 +94,7 @@ def test_characters_are_orthogonal():
             for mu in classes:
                 total = sum(
                     Fraction(
-                        fermion.characters(lam).get(nu, 0) * fermion.characters(mu).get(nu, 0),
+                        characters(lam).get(nu, 0) * characters(mu).get(nu, 0),
                         _z(nu),
                     )
                     for nu in classes
@@ -316,6 +318,92 @@ def test_integer_kernel_equals_the_tuple_state_kernel():
         tally(_mkp_agree(coll, n_parts, js))
         tally(_mkp_agree(_perturbed(coll, rng), n_parts, js))
     assert nonzero > 50 and checks > 2 * nonzero  # neither vacuous nor all failing
+
+
+# -- the Plucker certificate against every sector -------------------------------------
+
+
+def _every_pair(coll: TauCollection) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(l + e_a, r - e_a) for all entries l, r and every a: each sector with a term
+    whose two labels are entries, the q_a = -1 ones that ``verify_mkp_collection``
+    skips included."""
+    return sorted({
+        (left[:a] + (left[a] + 1,) + left[a + 1:], right[:a] + (right[a] - 1,) + right[a + 1:])
+        for left in coll.entries for right in coll.entries for a in range(coll.ncomp)
+    })
+
+
+def _unsigned(states):
+    """Fock states whose label sign (-1)^{sum_b C(l_b, 2)} in ``decomposable`` cancels."""
+    return {
+        label: [(state, -c if sum(x * (x - 1) // 2 for x in label) & 1 else c)
+                for state, c in listed]
+        for label, listed in states.items()
+    }
+
+
+def _seeded_collection(rng: random.Random, ncomp: int, ncol: int) -> TauCollection:
+    """Columns of degrees 1..3 per component, one leading coefficient in five zero."""
+    specs = []
+    for _ in range(ncol):
+        terms = [
+            (d, _nonzero_fraction(rng) if rng.randrange(5) else 0,
+             [random_fraction(rng) for _ in range(d)])
+            for d in (rng.randint(1, 3) for _ in range(ncomp))
+        ]
+        if not any(b for _, b, _ in terms):
+            terms[0] = (terms[0][0], 1, terms[0][2])
+        specs.append(HSpec.make(terms))
+    return tau_mkp_collection(specs)
+
+
+def _certificate_cases():
+    """The wedge oracle's collections, seeded collections with s <= 4 and perturbed
+    copies, and the perturbed controls of this file."""
+    rng = random.Random(26)
+    for ncomp, ncol, degree in [(1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 2)]:
+        wedge, sectors = _wedge_sectors(rng, ncomp, ncol, degree)
+        entries = {label: wedge_tau(wedge, label) for label in sectors}
+        yield TauCollection(ncol, ncomp, {label: p for label, p in entries.items() if p.terms})
+    for _ in range(40):
+        s = rng.randint(2, 4)
+        coll = _seeded_collection(rng, s, rng.randint(1, 2 if s == 4 else 3))
+        if not coll.entries:
+            continue
+        yield coll
+        entries = dict(coll.entries)
+        label = rng.choice(sorted(entries))
+        a = rng.randint(1, s)
+        bump = tvar(1, a, s) ** rng.randint(0, 2) * tvar(2, a, s)
+        entries[label] = entries[label] + bump.scale(_nonzero_fraction(rng))
+        yield TauCollection(coll.total, s, entries)
+    for coll in (tau_mkp_collection(_columns(rng, 2, 2, 2)),
+                 tau_mkp_collection(_columns(rng, 3, 3, 2)),
+                 tau_mnkdv_collection(KdVProfile((3, 2), tuple(_columns(rng, 2, 1, 3))))):
+        yield coll
+        yield _perturbed(coll, rng)
+    for tau in [*_kp_taus(), *(tau for tau, _ in _nkdv_taus())]:
+        yield TauCollection(0, 1, {(0,): tau})
+
+
+def test_the_certificate_holds_exactly_when_every_sector_passes():
+    verdicts, unsigned_wrong = [], 0
+    for coll in _certificate_cases():
+        states = fermion.fock_states(coll.entries, coll.ncomp)[0]
+        certified = fermion.decomposable(states)
+        every = all(hirota_mkp_check(coll, m, q).passed for m, q in _every_pair(coll))
+        assert certified == every, coll.entries
+        verdicts.append(certified)
+        unsigned_wrong += fermion.decomposable(_unsigned(states)) != every
+        if not certified:
+            # the per-pair path decides, so each report is the single pair's
+            kp = coll.total == 0
+            for r in verify_kp(coll.get((0,))) if kp else verify_mkp_collection(coll):
+                m, q = ((1,), (-1,)) if kp else (r.params["m"], r.params["q"])
+                single = hirota_mkp_check(coll, m, q)
+                assert r.obstruction == single.obstruction and r.passed == single.passed
+    assert verdicts.count(True) > 40 and verdicts.count(False) > 40
+    assert unsigned_wrong > 5  # labels with odd charges make the sign matter
 
 
 def test_four_components_with_three_degree_3_columns():

@@ -27,6 +27,7 @@ from tauforge import (
     apply_D,
     compute_kj,
     elementary_schur,
+    hirota,
     hirota_kp_check,
     hirota_mkp_check,
     kp_specs_from_partition,
@@ -244,6 +245,86 @@ def test_verify_mkp_collection_visits_the_offset_scan_pairs():
         reports = verify_mkp_collection(coll, j_values=(0, 1))
         got = [(r.params["m"], r.params["q"], r.params["j"]) for r in reports]
         assert got and got == mkp_pairs_by_offset_scan(coll, (0, 1))
+
+
+def _count_sectors(monkeypatch) -> list[int]:
+    """The j of every sector the kernel runs from here on."""
+    calls: list[int] = []
+    run = hirota._sector
+
+    def counted(fock, mv, qv, j, parts, ambient):
+        calls.append(j)
+        return run(fock, mv, qv, j, parts, ambient)
+
+    monkeypatch.setattr(hirota, "_sector", counted)
+    return calls
+
+
+def _reduced_cases():
+    """(collection, n_parts, sectors run at j = 0, 1, 2 by one call over all three):
+    true reduced profiles, each sector certified or derived; c t1^2 t2 in component
+    1 at n_parts (3, 3), which keeps D_j tau = 0, so only j = 0 runs; and c t3 in
+    component 1, which breaks D_1 tau = 0 but not D_2 tau = 0, so j = 0 and 1 run."""
+    rng = random.Random(26)
+
+    def columns(ncomp, ncol, degree):
+        return tuple(HSpec.make([(degree, random_fraction(rng) or 1,
+                                  [random_fraction(rng) for _ in range(degree)])
+                                 for _ in range(ncomp)])
+                     for _ in range(ncol))
+
+    def bumped(coll, mono):
+        entries = dict(coll.entries)
+        low = min(entries)
+        entries[low] = entries[low] + mono.scale(Fraction(rng.choice([-3, 2, 5]), 7))
+        return TauCollection(coll.total, coll.ncomp, entries)
+
+    for n_parts, ncol, degree in [((3, 2), 1, 3), ((2, 1), 1, 3), ((2, 2), 2, 3), ((3, 3), 2, 4)]:
+        yield tau_mnkdv_collection(KdVProfile(n_parts, columns(2, ncol, degree))), n_parts, ()
+    coll = tau_mnkdv_collection(KdVProfile((3, 3), columns(2, 2, 4)))
+    yield bumped(coll, tvar(1, 1, 2) ** 2 * tvar(2, 1, 2)), (3, 3), (0,)
+    yield bumped(coll, tvar(3, 1, 2)), (3, 3), (0, 1)
+
+
+def test_derived_reduced_reports_equal_each_pair_at_every_j(monkeypatch):
+    derived_nonzero = 0
+    for coll, n_parts, ran in _reduced_cases():
+        calls = _count_sectors(monkeypatch)
+        reports = verify_mkp_collection(coll, n_parts, (0, 1, 2))
+        pairs = len(reports) // 3
+        assert calls == [j for j in ran for _ in range(pairs)], (n_parts, ran)
+        for r in reports:
+            p = r.params
+            single = hirota_mkp_check(coll, p["m"], p["q"], p["j"], n_parts)
+            assert str(r) == str(single) and r.obstruction == single.obstruction, p
+            derived_nonzero += ran == (0,) and p["j"] > 0 and bool(r.obstruction.terms)
+        # a call at j >= 1 alone derives only from a certified collection
+        calls.clear()
+        single_j = verify_mkp_collection(coll, n_parts, (2,))
+        assert calls == ([] if not ran else [2] * pairs)
+        assert [r.obstruction for r in single_j] == [r.obstruction for r in reports[2 * pairs:]]
+        monkeypatch.undo()
+    assert derived_nonzero > 3  # the reduction-preserving control fails at j >= 1 too
+
+
+def test_derived_kp_reports_equal_the_single_pair(monkeypatch):
+    # c t1^4 t2 keeps D_j tau = 0 at n = 3; at n = 2 it breaks D_1 tau = 0 but not
+    # D_2 tau = 0.  Sectors run by verify_kp over j = 0, 1, 2, then by
+    # hirota_kp_check at each j, which derives only from a certified tau.
+    rng = random.Random(27)
+    bump = (tvar(1) ** 4 * tvar(2)).scale(Fraction(3, 2))
+    for parts, n, ran in [((3, 2, 1), 2, [0, 1, 0, 1, 2]), ((4, 2), 3, [0, 0, 1, 2])]:
+        tau = tau_nkdv(parts, n, {k: [random_fraction(rng) for _ in range(6)] for k in range(n)})
+        for candidate, sectors in ((tau, []), (tau + bump, ran)):
+            coll = TauCollection(0, 1, {(0,): candidate})
+            expected = [hirota_mkp_check(coll, (1,), (-1,), j, (n,)).obstruction
+                        for j in range(3)]
+            calls = _count_sectors(monkeypatch)
+            assert [r.obstruction for r in verify_kp(candidate, n, range(3))] == expected
+            assert [hirota_kp_check(candidate, j, n).obstruction for j in range(3)] == expected
+            assert calls == sectors, (parts, n)
+            assert any(p.terms for p in expected) == bool(sectors)
+            monkeypatch.undo()
 
 
 def test_mkp_check_takes_t_variables_of_components_1_to_s_only():

@@ -31,6 +31,7 @@ from tauforge import (
 )
 from tauforge import schur
 from tauforge.schur import schur_shifted_table
+from tauforge.tau import charge_vectors
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -58,6 +59,23 @@ def test_negative_index_is_zero():
     assert schur_shifted(-1, [1]) == 0
     # [s_0, ..., s_upto] is empty below 0; it was [1]
     assert schur_constants(-1, [1]) == schur_constants(-2, None) == []
+
+
+def test_index_arguments_must_be_integers():
+    # True read as 1: [1, 1], 2, t1 and the labels (0, 1), (1, 0)
+    calls = [
+        lambda: schur_constants(True, [1]),
+        lambda: schur_constant(True, [2]),
+        lambda: elementary_schur(True),
+        lambda: schur_shifted(2.0, [1]),
+        lambda: list(charge_vectors(True, 2)),
+        lambda: list(charge_vectors(True, 1)),
+    ]
+    for i, call in enumerate(calls):
+        with pytest.raises(TypeError, match="integer"):
+            call()
+            pytest.fail(f"call {i} accepted a non-integer index")
+    assert schur_constants(1, [1]) == [1, 1] and list(charge_vectors(1, 2)) == [(0, 1), (1, 0)]
 
 
 def test_matches_series_oracle():

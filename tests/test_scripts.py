@@ -21,14 +21,15 @@ def run_script(argv, **env):
 def test_end_to_end_scripts_succeed():
     # each run takes about 0.3 s; the summary line carries a timing, so only
     # its shape is fixed.  The crosscheck prints one line per comparison and
-    # the sweep one per family member: 12 kp, 9 nkdv, 7 mnkdv and 4 akns.
+    # the sweep one per family member: 12 kp, 9 nkdv, 7 mnkdv, 4 akns, and the
+    # 3-component mkp collection with its control, whose "ok" means it failed.
     runs = [
         (["scripts/oracle_crosscheck.py", "--trials", "10", "--seed", "2"],
          r"MATCH +kind=(kp partition|mkp charge)=\(.*\)", 38,
          r"all 38 comparisons match in \d+\.\d s"),
         (["scripts/verify_families.py", "--max-size", "4", "--seed", "3", "--trials", "1",
-          "--j-max", "1"],
-         r"ok   (kp|nkdv|mnkdv|akns) .* \[\d+ checks\] \(\d+\.\d ms\)", 32,
+          "--j-max", "1", "--max-components", "3"],
+         r"ok   (kp|nkdv|mnkdv|mkp|akns) .* \[\d+ checks\] \(\d+\.\d ms\)", 34,
          r"all families verified in \d+\.\d s"),
     ]
     for argv, member, count, summary in runs:
@@ -37,6 +38,7 @@ def test_end_to_end_scripts_succeed():
         *lines, last = proc.stdout.splitlines()
         assert len(lines) == count and all(re.fullmatch(member, line) for line in lines), argv
         assert re.fullmatch(summary, last), (argv, proc.stdout[-300:])
+    assert re.search(r"^ok   mkp s=3 4x4 control \[210 checks\]", proc.stdout, re.M)
 
 
 def test_crosscheck_refusals_exit_2_with_one_line():
