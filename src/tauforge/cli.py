@@ -560,9 +560,6 @@ def cmd_oracle_compare(args) -> int:
 
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sp.add_argument(
-        "--timings", action="store_true", help="include timings in JSON reports"
-    )
 
 
 @cache
@@ -642,6 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=1)
     _add_output_flags(sp)
+    sp.add_argument("--timings", action="store_true", help="include timings in JSON reports")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("oracle-compare", help="determinants vs the exterior oracle")

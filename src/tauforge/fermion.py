@@ -48,7 +48,9 @@ tolerance: for one state S0 of T and each bit i of S0, the witness
 w_i = sum_p (-1)^{#(S0 - i) above p} T[S0 - i + p] e_p is T contracted by
 S0 - i, so it lies in W when T spans the line of W's wedge; and the w_i are
 independent, w_i having T[S0] at e_i and 0 at every other bit of S0, so
-w_i ^ T = 0 for all k of them makes T their wedge.
+w_i ^ T = 0 for all k of them makes T their wedge.  ``wedge``, the one
+exterior product on states, forms w_i ^ T here and the oracle's wedge in
+``fock``: a factor enters in front, e_p ^ S being S + p with psi_p's sign.
 
 The kernel reads a field only through its offset, floor and width, so the
 fields may sit at any offsets that do not overlap: ``fock_states`` packs
@@ -56,8 +58,8 @@ them in species order, and ``fock``'s wedge runs them in descending
 component order, component 1 on top.
 
 The expansion, B and the bosonization run on integer numerators over one
-common denominator each; only the coefficients they return are fractions,
-one per distinct numerator of a call.
+common denominator each; only ``bosonize`` returns fractions, one per
+distinct numerator of a call.
 Two tables outlive a call, in dicts whose values are never mutated, so a
 race only computes an entry twice and needs no lock:
 
@@ -77,7 +79,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .partitions import partitions_of
@@ -138,12 +140,14 @@ def _row(lam: PartitionKey, top: int, table: RowTable) -> dict[PartitionKey, int
     return table.setdefault((lam, top), row)
 
 
-def schur_expansion(tau: Poly, species: int) -> dict[tuple[PartitionKey, ...], Fraction]:
-    """The nonzero xi of tau = sum xi_{mu(1)..mu(s)} prod_b s_{mu(b)}(t^(b)).
+def schur_expansion(tau: Poly, species: int) -> tuple[dict[tuple[PartitionKey, ...], int], int]:
+    """The nonzero xi of tau = sum xi_{mu(1)..mu(s)} prod_b s_{mu(b)}(t^(b)) as
+    ({key: numerator}, d), keys holding one partition per species.
 
-    Keys hold one partition per species.  The transform runs on integer
-    numerators over one common denominator.  Raises ``ValueError`` unless
-    every variable of tau is a t-variable of a component 1..``species``.
+    The transform runs on integer numerators over d, reduced by their common
+    factor, so d is the lcm of the xi's reduced denominators.  Raises
+    ``ValueError`` unless every variable of tau is a t-variable of a component
+    1..``species``.
     """
     ratios: dict[tuple[PartitionKey, ...], tuple[int, int]] = {}
     for mono, a in tau.terms.items():
@@ -159,18 +163,21 @@ def schur_expansion(tau: Poly, species: int) -> dict[tuple[PartitionKey, ...], F
         ratios[tuple(tuple(nu[::-1]) for nu in nus)] = (a.numerator, weight)
     den = lcm(*(d for _, d in ratios.values()))
     coeffs = {key: n * (den // d) for key, (n, d) in ratios.items()}
+    rows: dict[int, list] = {}  # each size's (lambda, character row)
     for b in range(species):
         groups: dict[tuple, dict[PartitionKey, int]] = {}
         for key, c in coeffs.items():
             groups.setdefault((key[:b], sum(key[b]), key[b + 1:]), {})[key[b]] = c
         coeffs = {}
         for (head, size, tail), group in groups.items():
-            for lam in partitions_of(size):
-                row = _row(lam, size, _CHARACTERS)
+            if size not in rows:
+                rows[size] = [(lam, _row(lam, size, _CHARACTERS)) for lam in partitions_of(size)]
+            for lam, row in rows[size]:
                 c = sum(row.get(nu, 0) * n for nu, n in group.items())
                 if c:
                     coeffs[head + (lam,) + tail] = c
-    return {key: Fraction(c, den) for key, c in coeffs.items()}
+    common = gcd(den, *coeffs.values())
+    return {key: c // common for key, c in coeffs.items()}, den // common
 
 
 class Field(NamedTuple):
@@ -243,16 +250,29 @@ def fock_states(
     docstring).
     """
     xis = {label: schur_expansion(tau, species) for label, tau in entries.items()}
-    den = lcm(*(c.denominator for xi in xis.values() for c in xi.values()))
-    layout = _layout([(label, key) for label, xi in xis.items() for key in xi], species)
+    den = lcm(*(d for _, d in xis.values()))
+    layout = _layout([(label, key) for label, (xi, _) in xis.items() for key in xi], species)
     states = {
-        label: [
-            (_encode(key, label, layout), c.numerator * (den // c.denominator))
-            for key, c in xi.items()
-        ]
-        for label, xi in xis.items()
+        label: [(_encode(key, label, layout), c * (den // d)) for key, c in xi.items()]
+        for label, (xi, d) in xis.items()
     }
     return states, den, layout
+
+
+def wedge(vector: Mapping[int, int], factor: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """f ^ T for T = ``vector`` and f = sum c e over the (one-bit int e, c) of ``factor``:
+    e ^ S is S | e, signed by the parity of the set bits of S above e, or 0 when e
+    is in S.  Zero terms are dropped, so f ^ T = 0 is the empty dict."""
+    out: dict[int, int] = {}
+    for e, ce in factor:
+        higher = -(e << 1)
+        for state, c in vector.items():
+            if not state & e:
+                v = -ce * c if (state & higher).bit_count() & 1 else ce * c
+                out[state | e] = out.get(state | e, 0) + v
+    for s in [s for s, c in out.items() if not c]:  # in place: no copy of a nonzero f ^ T
+        del out[s]
+    return out
 
 
 def decomposable(states: Mapping[Label, list[tuple[int, int]]]) -> bool:
@@ -273,14 +293,7 @@ def decomposable(states: Mapping[Label, list[tuple[int, int]]]) -> bool:
             (e, -c if (rest & -(e << 1)).bit_count() & 1 else c)
             for e in positions if not rest & e and (c := vector.get(rest | e))
         ]
-        wedge: dict[int, int] = {}
-        for e, cw in witness:
-            higher = -(e << 1)
-            for state, c in vector.items():
-                if not state & e:
-                    v = -cw * c if (state & higher).bit_count() & 1 else cw * c
-                    wedge[state | e] = wedge.get(state | e, 0) + v
-        if any(wedge.values()):
+        if wedge(vector, witness):
             return False
     return True
 

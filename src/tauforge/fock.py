@@ -23,9 +23,8 @@ is position i - 1 of species a in the field ``fermion.Field((s - a) * W, 0,
 W)``, and the vacuum at charge 0 is the int 0.  A higher bit is an earlier
 factor in the order e_W^(1), .., e_1^(1), e_W^(2), .., e_1^(s) of the
 target monomials.  Entries at index <= 0 collide with the vacuum and are
-skipped.  Appending e_i^(a) is psi-insertion: it dies on a set bit, and
-otherwise moves past the (mask & (bit - 1)).bit_count() factors that sort
-after it, each flipping the sign.
+skipped.  ``fermion.wedge`` takes the generators last to first, each in
+front: e_i^(a) dies on a set bit of S, or moves past S's set bits above it.
 """
 
 from __future__ import annotations
@@ -135,35 +134,26 @@ def wedge_from_generators(
     """f_1 ^ ... ^ f_m over the vacuum at t = 0: the Plucker coordinates of the fs.
 
     Each monomial is an int key, a state in the returned layout (module
-    docstring); appending a factor is a psi-insertion.  Each generator's
+    docstring); ``fermion.wedge`` builds f_1 ^ (f_2 ^ .. ^ f_m).  Each generator's
     entries are integer numerators over its lcm denominator, so the wedge
     runs on integers over d, the product of those denominators, and returns
     ({state: numerator}, d, layout).  A generator of another component
     count than ``ncomp`` raises ``ValueError``.
     """
     _ncomp(ncomp)
-    width = max([0, *(bv.index for g in fs for bv in g.entries)])  # 0 if no entry is above 0
-    wedge: dict[int, int] = {0: 1}
-    den = 1
     for g in fs:
         if g.ncomp != ncomp:
             raise ValueError(f"a generator has {g.ncomp} components, the wedge {ncomp}")
+    width = max([0, *(bv.index for g in fs for bv in g.entries)])  # 0 if no entry is above 0
+    wedge: dict[int, int] = {0: 1}
+    den = 1
+    for g in reversed(fs):
         d = lcm(*[b.denominator for b in g.entries.values()])
         den *= d
-        nxt: dict[int, int] = {}
-        for bv, b in g.entries.items():
-            if bv.index < 1:
-                continue  # collides with a vacuum factor
-            nb = b.numerator * (d // b.denominator)
-            bit = 1 << ((ncomp - bv.component) * width + bv.index - 1)
-            after = bit - 1  # the factors that sort after this one
-            for mask, acc in wedge.items():
-                if mask & bit:
-                    continue
-                c = acc * nb
-                key = mask | bit
-                nxt[key] = nxt.get(key, 0) + (-c if (mask & after).bit_count() & 1 else c)
-        wedge = {mask: c for mask, c in nxt.items() if c}
+        wedge = fermion.wedge(wedge, [  # an index <= 0 meets a vacuum factor
+            (1 << ((ncomp - v.component) * width + v.index - 1), c.numerator * d // c.denominator)
+            for v, c in g.entries.items() if v.index >= 1
+        ])
     layout = tuple(fermion.Field((ncomp - a) * width, 0, width) for a in range(1, ncomp + 1))
     return wedge, den, layout
 

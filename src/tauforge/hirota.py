@@ -145,12 +145,9 @@ def verify_kp(tau: Poly, n: int = 1, j_values: Sequence[int] = (0,)) -> list[Ver
     """Residue identity for a single-component tau at each j, z^{jn} selecting the
     reduction, with tau expanded once: the sector m = (1,), q = (-1,) of the
     collection {(0,): tau}.  Raises ``ValueError`` if tau has a variable other
-    than a t-variable of component 1."""
-    js = int_tuple(j_values)
-    if any(j < 0 for j in js) or _json_int(n) < 1:
-        raise ValueError("need j >= 0 and n >= 1")
+    than a t-variable of component 1, if some j < 0 or if n < 1."""
     collection = TauCollection(0, 1, {(0,): tau} if tau.terms else {}, tau.ncomp)
-    return _mkp_reports(collection, [((1,), (-1,))], (n,), js, "kp-residue",
+    return _mkp_reports(collection, [((1,), (-1,))], (n,), j_values, "kp-residue",
                         lambda mv, qv, j, parts: {"j": j, "n": n}, whole=True)
 
 
@@ -253,13 +250,14 @@ def verify_mkp_collection(
     n_parts: Sequence[int] | None = None,
     j_values: Sequence[int] = (0,),
 ) -> list[VerificationReport]:
-    """Run the residue identity over every label pair touching the collection.
+    """Run the residue identity over the label pairs (l + e_a, r - e_a) for nonzero
+    entries l, r and each a with r_a >= 1, in sorted order.
 
-    The pairs are (l + e_a, r - e_a) for nonzero entries l, r and each a with
-    r_a >= 1, in sorted order: exactly the pairs with a term whose two
-    labels are both entries.  The others hold trivially and are skipped.
-    Each entry is expanded once, for every pair and j; entries are checked
-    as in ``hirota_mkp_check``.
+    The pairs with r_a = 0 are not visited, although their term a also has
+    both labels as entries: a collection can fail one of them and pass, even
+    when ``fermion.decomposable`` refutes it, since its visited pairs alone
+    decide then.  Each entry is expanded once, for every pair and j; entries
+    are checked as in ``hirota_mkp_check``.
     """
     labels = collection.entries
     pairs = sorted({

@@ -765,17 +765,14 @@ def fock_states_by_maya(entries: Mapping[tuple[int, ...], Poly], species: int):
     """``fermion.fock_states`` on tuple states: each entry's Schur expansion as
     (state, numerator) pairs, species b a Maya tuple above a shared floor, and d."""
     xis = {label: fermion.schur_expansion(tau, species) for label, tau in entries.items()}
-    den = lcm(*(c.denominator for xi in xis.values() for c in xi.values()))
+    den = lcm(*(d for _, d in xis.values()))
     floors = [
-        min((label[b] - len(key[b]) for label, xi in xis.items() for key in xi), default=0)
+        min((label[b] - len(key[b]) for label, (xi, _) in xis.items() for key in xi), default=0)
         for b in range(species)
     ]
     states = {
-        label: [
-            (tuple(map(_maya, key, label, floors)), c.numerator * (den // c.denominator))
-            for key, c in xi.items()
-        ]
-        for label, xi in xis.items()
+        label: [(tuple(map(_maya, key, label, floors)), c * (den // d)) for key, c in xi.items()]
+        for label, (xi, d) in xis.items()
     }
     return states, den
 

@@ -347,6 +347,11 @@ def test_verify_json_omits_timing_by_default(capsys):
     )
     payload = json.loads(out)
     assert all("time_ms" in r for r in payload["reports"])
+    # only verify reads --timings, so only verify takes it
+    with pytest.raises(SystemExit) as exc:
+        main(["tau-kp", "--partition", "2,1", "--json", "--timings"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --timings" in capsys.readouterr().err
 
 
 EMPTY_PROFILE = {

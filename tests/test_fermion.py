@@ -5,7 +5,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from oracles import (
     boson_image_by_state_loop,
@@ -106,7 +106,11 @@ def test_schur_expansion_recovers_the_coefficients():
     rng = random.Random(11)
     xi = {lam.parts: _nonzero_fraction(rng) for lam in all_partitions(5)}
     tau = _schur_image(xi)
-    assert fermion.schur_expansion(tau, 1) == {(lam,): c for lam, c in xi.items()}
+    numerators, d = fermion.schur_expansion(tau, 1)
+    assert {key: Fraction(n, d) for key, n in numerators.items()} == {
+        (lam,): c for lam, c in xi.items()
+    }
+    assert d == lcm(*(c.denominator for c in xi.values()))  # the numerators share no factor
 
 
 # -- the boson image against the state loop it replaced ----------------------------
@@ -357,9 +361,16 @@ def _seeded_collection(rng: random.Random, ncomp: int, ncol: int) -> TauCollecti
     return tau_mkp_collection(specs)
 
 
+# An entry that is no KP tau in t^(2): its one pair with r_a >= 1 passes, and only a
+# pair that ``verify_mkp_collection`` skips, m = (2, 1), q = (2, -1), fails.
+SKIPPED_SECTOR = TauCollection(
+    2, 2, {(2, 0): Poly.const(Fraction(1, 4), 2) - tvar(2, 2, 2).scale(Fraction(2, 3))}
+)
+
+
 def _certificate_cases():
     """The wedge oracle's collections, seeded collections with s <= 4 and perturbed
-    copies, and the perturbed controls of this file."""
+    copies, the perturbed controls of this file and ``SKIPPED_SECTOR``."""
     rng = random.Random(26)
     for ncomp, ncol, degree in [(1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 2)]:
         wedge, sectors = _wedge_sectors(rng, ncomp, ncol, degree)
@@ -384,6 +395,7 @@ def _certificate_cases():
         yield _perturbed(coll, rng)
     for tau in [*_kp_taus(), *(tau for tau, _ in _nkdv_taus())]:
         yield TauCollection(0, 1, {(0,): tau})
+    yield SKIPPED_SECTOR
 
 
 def test_the_certificate_holds_exactly_when_every_sector_passes():
@@ -404,6 +416,11 @@ def test_the_certificate_holds_exactly_when_every_sector_passes():
                 assert r.obstruction == single.obstruction and r.passed == single.passed
     assert verdicts.count(True) > 40 and verdicts.count(False) > 40
     assert unsigned_wrong > 5  # labels with odd charges make the sign matter
+    # the certificate refutes SKIPPED_SECTOR, whose every visited pair passes
+    reports = verify_mkp_collection(SKIPPED_SECTOR)
+    assert len(reports) == 1 and reports[0].passed
+    assert not fermion.decomposable(fermion.fock_states(SKIPPED_SECTOR.entries, 2)[0])
+    assert len(hirota_mkp_check(SKIPPED_SECTOR, (2, 1), (2, -1)).obstruction.terms) == 10
 
 
 def test_four_components_with_three_degree_3_columns():

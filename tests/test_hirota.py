@@ -70,9 +70,9 @@ def test_report_failure_formatting():
 
 
 def test_kp_residue_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need j >= 0"):
         hirota_kp_check(tvar(1), j=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reduction orders must be >= 1"):
         hirota_kp_check(tvar(1), n=0)
 
 
@@ -82,7 +82,7 @@ def test_verify_kp_reads_its_j_values_once():
     reports = verify_kp(tau, 2, iter(range(3)))
     assert [r.params for r in reports] == [{"j": j, "n": 2} for j in range(3)]
     assert all(r.passed for r in reports)
-    with pytest.raises(ValueError, match="need j >= 0 and n >= 1"):
+    with pytest.raises(ValueError, match="need j >= 0$"):
         verify_kp(tau, 2, iter([0, -1]))
 
 

@@ -163,22 +163,21 @@ def test_public_signatures_are_pinned():
 # cache has to edit these tables.  Positional arguments are listed by name.
 CLI_OPTIONS = {
     "tauforge": ["-h", "--help", "command"],
-    "schur": ["-h", "--help", "j", "--component", "--json", "--timings"],
-    "tau-kp": ["-h", "--help", "--partition", "--shifts", "--json", "--timings"],
-    "tau-mkp": ["-h", "--help", "--specs", "--charge", "--json", "--timings"],
-    "tau-nkdv": ["-h", "--help", "--partition", "--n", "--shifts", "--json", "--timings"],
-    "tau-mnkdv": ["-h", "--help", "--profile", "--charge", "--json", "--timings"],
+    "schur": ["-h", "--help", "j", "--component", "--json"],
+    "tau-kp": ["-h", "--help", "--partition", "--shifts", "--json"],
+    "tau-mkp": ["-h", "--help", "--specs", "--charge", "--json"],
+    "tau-nkdv": ["-h", "--help", "--partition", "--n", "--shifts", "--json"],
+    "tau-mnkdv": ["-h", "--help", "--profile", "--charge", "--json"],
     "akns": [
         "-h", "--help", "--m1", "--m2", "--k", "--p", "--b1", "--b2", "--c1", "--c2", "--json",
-        "--timings",
     ],
     "verify": [
         "-h", "--help", "--what", "--partition", "--n", "--shifts", "--specs", "--profile",
         "--m1", "--m2", "--k", "--b1", "--b2", "--c1", "--c2", "--base", "--j", "--j-max",
         "--d-max", "--seed", "--trials", "--json", "--timings",
     ],
-    "oracle-compare": ["-h", "--help", "--case", "--json", "--timings"],
-    "list-periodic": ["-h", "--help", "--n", "--max-size", "--json", "--timings"],
+    "oracle-compare": ["-h", "--help", "--case", "--json"],
+    "list-periodic": ["-h", "--help", "--n", "--max-size", "--json"],
 }
 MODULE_STATE = [
     "cli.VERIFY",
