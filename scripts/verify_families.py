@@ -8,6 +8,9 @@ ran at least one check and one of them failed.  Exit status 0 when every
 member passes, 1 otherwise.
 
     python3 scripts/verify_families.py --max-size 6 --seed 0
+    python3 scripts/verify_families.py --max-size 11 --max-kp-size 13 --trials 0
+
+The second run adds the KP frontier at sizes 12 and 13.
 """
 
 import argparse
@@ -19,6 +22,7 @@ from fractions import Fraction
 from tauforge import (
     HSpec,
     KdVProfile,
+    Partition,
     TauCollection,
     akns_collection,
     akns_pde_check,
@@ -35,6 +39,7 @@ from tauforge import (
     verify_kp,
     verify_mkp_collection,
 )
+from tauforge.partitions import partitions_of
 
 
 def random_shift_vector(rng: random.Random, length: int) -> list[Fraction]:
@@ -78,6 +83,19 @@ def members(args: argparse.Namespace):
             shifts = [random_shift_vector(rng, n) for n in expected_shift_lengths(p)]
             yield (f"kp {tuple(p)} trial={trial}",
                    lambda: [hirota_kp_check(tau_kp(p, shifts), j=0)], False)
+
+    # the KP frontier: one member per size n above --max-size, tau_kp of every
+    # partition of n with seeded shifts, each checked by verify_kp; its tag carries
+    # the construction time.  The control adds t_2 to the first tau.
+    rng = random.Random(args.seed)
+    for n in range(args.max_size + 1, args.max_kp_size + 1):
+        start = time.perf_counter()
+        taus = [tau_kp(p, [random_shift_vector(rng, k) for k in expected_shift_lengths(p)])
+                for p in map(Partition, partitions_of(n))]
+        build_ms = (time.perf_counter() - start) * 1000.0
+        yield (f"kp n={n} partitions={len(taus)} build={build_ms:.1f} ms",
+               lambda: [r for tau in taus for r in verify_kp(tau)], False)
+        yield f"kp n={n} control", lambda: verify_kp(taus[0] + tvar(2)), True
 
     rng = random.Random(args.seed)
     for n in (2, 3):
@@ -130,6 +148,9 @@ def main(argv=None) -> int:
     parser.add_argument("--j-max", type=int, default=2)
     parser.add_argument("--max-components", type=int, default=4,
                         help="largest component count of the mKP frontier members, from 3")
+    parser.add_argument("--max-kp-size", type=int, default=0,
+                        help="largest size of the KP frontier members, one per size above "
+                             "--max-size; none by default")
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()

@@ -9,7 +9,8 @@ element B; for polynomial tau-functions it is a finite sum:
    at a time.  The Hall form is diagonal on t-monomials, so
    xi_mu = sum_nu a_nu chi^mu_nu / prod_k k^{m_k(nu)}, with a_nu = [t^nu] tau
    and the characters chi^mu_nu of the symmetric group (Murnaghan-Nakayama
-   rule on beta-numbers).
+   rule on beta-numbers); the xi of one size are the sum over nu of
+   a_nu / prod_k k^{m_k(nu)} times the column chi^._nu.
 2. Write species b of a state at charge l_b as its occupied positions
    {mu_i - i + l_b}; below a floor that every state of species b shares,
    each position is occupied.  psi_i inserts i with sign
@@ -63,8 +64,11 @@ distinct numerator of a call.
 Two tables outlive a call, in dicts whose values are never mutated, so a
 race only computes an entry twice and needs no lock:
 
-- the character rows that ``schur_expansion`` reads, keyed by (lambda, |lambda|),
-  no larger than the entries it expands;
+- the dense character columns that ``schur_expansion`` reads, keyed by the size
+  n: the partitions lambda of n and, for each nu of n, the integer column
+  [chi^lambda_nu for each lambda], p(n)^2 integers, only for the sizes of the
+  entries it expands; the character rows behind a new size are built in a
+  table that is dropped on return;
 - the term list of each s_lambda that ``expand`` reads,
   [(t^nu, chi^lambda_nu |lambda|! / prod_k m_k(nu)!)], keyed by (lambda,
   family, component): per size n, family and component at most p(n) shapes
@@ -97,7 +101,7 @@ RowTable = dict[tuple[PartitionKey, int], dict[PartitionKey, int]]
 # the term list of one s_lambda (module docstring)
 Expansion = tuple[tuple[Monomial, int], ...]
 
-_CHARACTERS: RowTable = {}
+_CHARACTERS: dict[int, tuple[list[PartitionKey], dict[PartitionKey, list[int]]]] = {}
 _EXPANSIONS: dict[tuple[PartitionKey, Family, int], Expansion] = {}
 
 
@@ -140,6 +144,20 @@ def _row(lam: PartitionKey, top: int, table: RowTable) -> dict[PartitionKey, int
     return table.setdefault((lam, top), row)
 
 
+def _characters(size: int) -> tuple[list[PartitionKey], dict[PartitionKey, list[int]]]:
+    """The partitions lambda of ``size`` and, for each nu of ``size``, the column
+    [chi^lambda_nu for each lambda], kept in ``_CHARACTERS``; the rows behind a new
+    size are built in a table dropped on return."""
+    hit = _CHARACTERS.get(size)
+    if hit is None:
+        shapes = list(partitions_of(size))
+        table: RowTable = {}
+        rows = [_row(lam, size, table) for lam in shapes]
+        hit = _CHARACTERS.setdefault(size, (shapes, {
+            nu: [row.get(nu, 0) for row in rows] for nu in shapes}))
+    return hit
+
+
 def schur_expansion(tau: Poly, species: int) -> tuple[dict[tuple[PartitionKey, ...], int], int]:
     """The nonzero xi of tau = sum xi_{mu(1)..mu(s)} prod_b s_{mu(b)}(t^(b)) as
     ({key: numerator}, d), keys holding one partition per species.
@@ -163,17 +181,19 @@ def schur_expansion(tau: Poly, species: int) -> tuple[dict[tuple[PartitionKey, .
         ratios[tuple(tuple(nu[::-1]) for nu in nus)] = (a.numerator, weight)
     den = lcm(*(d for _, d in ratios.values()))
     coeffs = {key: n * (den // d) for key, (n, d) in ratios.items()}
-    rows: dict[int, list] = {}  # each size's (lambda, character row)
     for b in range(species):
         groups: dict[tuple, dict[PartitionKey, int]] = {}
         for key, c in coeffs.items():
             groups.setdefault((key[:b], sum(key[b]), key[b + 1:]), {})[key[b]] = c
         coeffs = {}
         for (head, size, tail), group in groups.items():
-            if size not in rows:
-                rows[size] = [(lam, _row(lam, size, _CHARACTERS)) for lam in partitions_of(size)]
-            for lam, row in rows[size]:
-                c = sum(row.get(nu, 0) * n for nu, n in group.items())
+            shapes, columns = _characters(size)
+            acc = None
+            for nu, n in group.items():
+                column = columns[nu]
+                acc = [n * x for x in column] if acc is None else [
+                    a + n * x for a, x in zip(acc, column)]
+            for lam, c in zip(shapes, acc):
                 if c:
                     coeffs[head + (lam,) + tail] = c
     common = gcd(den, *coeffs.values())

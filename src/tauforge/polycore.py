@@ -12,16 +12,16 @@ different ambient counts, while mixing variable families or components inside
 one ambient is fine.
 
 Every ``Poly`` product runs through one packed kernel, ``packed_sum``, which
-returns sum_k w_k * a_k * b_k on integers: ``Poly.sum_of_products`` and
-``tau.det_poly`` both call it, and ``a * b`` is the one-pair case of the
-first.  A ``Packing`` gives each variable a bit field, in canonical variable
-order, so a monomial packs into one int and multiplying monomials adds their
-ints.  Its caller names a bound ``top`` on every exponent the products can
+returns sum_k w_k * a_k * b_k on integers: ``Poly.sum_of_products`` and the
+determinant kernel ``tau._det`` both call it, and ``a * b`` is the one-pair
+case of the first.  A ``Packing`` gives each variable a bit field, in
+canonical variable order, so a monomial packs into one int and multiplying
+monomials adds their ints.  Its caller names a bound ``top`` on every exponent the products can
 reach, and each field is ``top.bit_length()`` bits wide, so no field ever
 carries into the next: there is no exponent cap to check.
 ``sum_of_products`` takes ``top`` = max_k(max exponent of a_k + max exponent
 of b_k), since a product's exponent is the sum of its factors' exponents;
-``det_poly`` takes the sum over rows of the largest exponent in each row.
+``tau._det`` takes the sum over rows of the largest exponent in each row.
 Coefficients are packed as integer numerators over a common denominator, and
 only the final sum becomes ``Fraction``s, one reduced ``Fraction`` per term.
 """
@@ -55,6 +55,8 @@ class VarId(NamedTuple):
 
 Monomial = tuple[tuple[VarId, int], ...]
 RationalLike = Union[Fraction, int]
+# the nonzero terms of one polynomial as (monomial, integer numerator) over one denominator
+Numerators = tuple[list[tuple[Monomial, int]], int]
 
 #: Canonical constant-term monomial.
 ONE_MONOMIAL: Monomial = ()
@@ -239,10 +241,11 @@ class Poly:
         # once, as numerators over its own lcm denominator.
         factors = {id(f): f for _, a, b in pairs for f in (a, b)}
         tops = {key: f.max_exponent() for key, f in factors.items()}
-        layout = Packing(factors.values(), max(tops[id(a)] + tops[id(b)] for _, a, b in pairs))
-        dens = {key: lcm(*[c.denominator for c in f.terms.values()]) for key, f in factors.items()}
-        packed = {key: layout.pack(f, dens[key]) for key, f in factors.items()}
-        scales = [c.denominator * dens[id(a)] * dens[id(b)] for c, a, b in pairs]
+        layout = Packing((m for f in factors.values() for m in f.terms),
+                         max(tops[id(a)] + tops[id(b)] for _, a, b in pairs))
+        numerators = {key: f._numerators() for key, f in factors.items()}
+        packed = {key: layout.pack(terms, 1) for key, (terms, _) in numerators.items()}
+        scales = [c.denominator * numerators[id(a)][1] * numerators[id(b)][1] for c, a, b in pairs]
         den = lcm(*scales)
         return layout.unpack(packed_sum(
             (c.numerator * (den // scale), packed[id(a)], packed[id(b)])
@@ -296,6 +299,17 @@ class Poly:
             for v, _ in mono:
                 seen.add(v)
         return seen
+
+    def _numerators(self) -> "Numerators":
+        """The terms as integer numerators over the lcm of their denominators."""
+        den = lcm(*[c.denominator for c in self.terms.values()])
+        return [(m, c.numerator * (den // c.denominator)) for m, c in self.terms.items()], den
+
+    @classmethod
+    def _from_numerators(cls, terms: "Numerators", ncomp: int) -> "Poly":
+        """The Poly of nonzero integer numerators over one denominator."""
+        listed, den = terms
+        return cls._raw({m: Fraction(n, den) for m, n in listed}, ncomp)
 
     def max_exponent(self) -> int:
         """The largest exponent of any variable in any term; 0 without variables."""
@@ -372,7 +386,7 @@ Packed = list[tuple[int, int]]  # (packed monomial, integer numerator) per nonze
 
 
 class Packing:
-    """One bit layout for the monomials of some polynomials (module docstring).
+    """One bit layout for some monomials (module docstring).
 
     Variable k of the sorted variables owns bits [k * width, (k + 1) * width),
     so unpacking from bit 0 up yields canonical monomials.  ``top`` must bound
@@ -381,20 +395,20 @@ class Packing:
 
     __slots__ = ("variables", "width", "shift")
 
-    def __init__(self, polys: Iterable[Poly], top: int):
-        self.variables = sorted({v for p in polys for mono in p.terms for v, _ in mono})
+    def __init__(self, monomials: Iterable[Monomial], top: int):
+        self.variables = sorted({v for mono in monomials for v, _ in mono})
         self.width = top.bit_length()
         self.shift = {v: k * self.width for k, v in enumerate(self.variables)}
 
-    def pack(self, p: Poly, den: int) -> Packed:
-        """p's terms as numerators over ``den``, a multiple of every denominator of p."""
+    def pack(self, terms: Iterable[tuple[Monomial, int]], scale: int) -> Packed:
+        """Each (monomial, integer numerator) of ``terms``, its numerator times ``scale``."""
         shift = self.shift
         out = []
-        for mono, c in p.terms.items():
+        for mono, n in terms:
             key = 0
             for v, e in mono:
                 key += e << shift[v]
-            out.append((key, c.numerator * (den // c.denominator)))
+            out.append((key, n * scale))
         return out
 
     def unpack(self, packed: Packed, den: int, ncomp: int) -> Poly:

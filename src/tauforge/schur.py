@@ -10,10 +10,25 @@ number of parts equal to j and l(nu) the number of parts:
 
 Proof: exp(sum_i (+-t_i + c_i) z^i) = exp(sum_i c_i z^i) prod_i exp(+-t_i z^i),
 and the product expands as sum_nu (+-1)^{l(nu)} t^nu z^{|nu|} / prod_j m_j(nu)!.
-So ``schur_shifted_table`` fills one dict per entry, term by term, with no
-polynomial product or sum; s_j(t) is the case c = 0.  The recurrence
+So a table fills one term list per entry, term by term, with no polynomial
+product or sum; s_j(t) is the case c = 0.  The recurrence
 j*s_j = sum_{i=1}^{j} i * c_i * s_{j-i} runs only on constants, in
 ``schur_constants``.
+
+A table b * [s_L, ..., s_M](+-v + c) is built on integers: each entry is a list
+of (v^nu, numerator) over one denominator for the whole table,
+D = b.den * M! * d^M, with d the lcm of the denominators of c.  The numerator
+of v^nu in entry k is (+-1)^{l(nu)} u_i / prod_j m_j(nu)! with i = k - |nu|, where
+u_i = b.num * v_i * d^(M - i) = D * b * s_i(c) and v_i = M! d^i s_i(c) are the
+integers of ``schur_constants``.  Each numerator is an integer: with n = |nu|,
+
+    D b s_i(c) / prod_j m_j(nu)!
+        = b.num * [i! d^i s_i(c)] * [n! / prod_j m_j(nu)!] * [M! / (i! n!)] * d^(M - k),
+
+where the first bracket is an integer by ``schur_constants``, the second is a
+multinomial coefficient, and i! n! divides k!, which divides M!.  A zero b or
+s_i(c) stores no term.  The determinants in ``tau`` read these lists as they
+are; ``schur_shifted_table`` makes them into Polys.
 
 ``solve_shifts`` and ``canonicalize_shifts`` share one rule, ``_hit``: since
 s_d(c) = c_d + s_d(c_1, ..., c_{d-1}, 0), setting c_d to the target minus
@@ -41,7 +56,9 @@ from .partitions import (
     expected_shift_lengths,
     partitions_of,
 )
-from .polycore import Family, Monomial, Poly, RationalLike, VarId, _json_int, exact_fraction
+from .polycore import (
+    Family, Monomial, Numerators, Poly, RationalLike, VarId, _json_int, _ncomp, exact_fraction,
+)
 
 ShiftLike = Union["ShiftVector", Sequence[RationalLike], None]
 
@@ -106,37 +123,73 @@ def _monomials(size: int, family: Family, component: int) -> tuple[tuple[Monomia
     return hit
 
 
+def _shifted_table(
+    upto: int, c: ShiftLike, component: int, lowest: int, b: Fraction,
+    family: Family = Family.T, sign: int = 1,
+) -> list[Numerators]:
+    """b * [s_lowest(sign*v + c), ..., s_upto(sign*v + c)] as integer numerators over
+    D = b.den * upto! * d^upto (module docstring); the arguments are checked by the caller."""
+    v, d = _schur_numerators(upto, c)
+    top = max(upto, 0)
+    den = b.denominator * factorial(top) * d**top
+    u = [b.numerator * x * d ** (top - i) for i, x in enumerate(v)]  # D * b * s_i(c)
+    sizes = [_monomials(n, family, component) for n in range(upto + 1)]
+    quotients: list[dict[int, int]] = [{} for _ in u]  # u_i // weight, per distinct weight
+    table = []
+    for k in range(lowest, upto + 1):
+        terms = []
+        for n in range(k + 1):
+            s = u[k - n]
+            if s:
+                known = quotients[k - n]
+                for mono, weight, length in sizes[n]:
+                    q = known.get(weight)
+                    if q is None:
+                        q = known[weight] = s // weight
+                    terms.append((mono, -q if sign < 0 and length & 1 else q))
+        table.append((terms, den))
+    return table
+
+
 def schur_shifted_table(
     upto: int, c: ShiftLike, component: int = 1, ncomp: int = 1, lowest: int = 0,
     coeff: RationalLike = 1, family: Family = Family.T, sign: int = 1,
 ) -> list[Poly]:
     """coeff * [s_lowest(sign*v + c), ..., s_upto(sign*v + c)] in the variables v
-    of ``family`` in ``component``, each entry by the closed form (module docstring)."""
-    if not 1 <= component <= ncomp:
+    of ``family`` in ``component``, each entry by the closed form (module docstring);
+    entries at a negative index are zero.  The arguments are checked before any cache
+    is read, since 1.0 and True would key the monomial caches as 1."""
+    if not 1 <= _json_int(component) <= _ncomp(ncomp):
         raise ValueError(f"component {component} outside ambient range 1..{ncomp}")
+    if not isinstance(family, Family):
+        raise TypeError(f"expected a Family member, got {family!r}")
+    if _json_int(sign) not in (-1, 1):
+        raise ValueError(f"sign must be -1 or 1, got {sign!r}")
     b = exact_fraction(coeff)
-    consts = [b * s for s in schur_constants(upto, c)]
-    sizes = [_monomials(n, family, component) for n in range(upto + 1)]
-    table = []
-    for k in range(lowest, upto + 1):
-        terms: dict[Monomial, Fraction] = {}
-        for n in range(k + 1):
-            s = consts[k - n]
-            if s:
-                quotients: dict[int, Fraction] = {}  # s / weight, one per distinct weight
-                for mono, weight, length in sizes[n]:
-                    q = quotients.get(weight)
-                    if q is None:
-                        q = quotients[weight] = s / weight
-                    terms[mono] = -q if sign < 0 and length & 1 else q
-        table.append(Poly._raw(terms, ncomp))
-    return table
+    table = _shifted_table(upto, c, component, _json_int(lowest), b, family, sign)
+    return [Poly._from_numerators(entry, ncomp) for entry in table]
 
 
 def elementary_schur(j: int, component: int = 1, ncomp: int = 1) -> Poly:
     """s_j in the t-variables of one component, the c = 0 case of the closed form;
     zero for j < 0."""
     return schur_shifted(j, None, component, ncomp)
+
+
+def _schur_numerators(upto: int, c: ShiftLike) -> tuple[list[int], int]:
+    """(v, d) of ``schur_constants``: v_n = upto! d^n s_n(c) for n = 0..upto."""
+    _json_int(upto)
+    cv = ShiftVector.coerce(c)
+    d = lcm(*[x.denominator for x in cv.entries])
+    weights = [
+        (i, i * x.numerator * (d // x.denominator) * d ** (i - 1))
+        for i, x in enumerate(cv.entries[:upto], start=1)
+        if x
+    ]
+    v = [factorial(max(upto, 0))]
+    for n in range(1, upto + 1):
+        v.append(sum(w * v[n - i] for i, w in weights if i <= n) // n)
+    return v[:upto + 1], d  # v has s_0 at upto < 0
 
 
 def schur_constants(upto: int, c: ShiftLike) -> list[Fraction]:
@@ -148,19 +201,8 @@ def schur_constants(upto: int, c: ShiftLike) -> list[Fraction]:
     upto!, and n! d^n s_n(c) = sum over partitions nu of n of
     n!/prod_j m_j(nu)! * prod_j (d^j c_j)^{m_j(nu)} is one.
     """
-    _json_int(upto)
-    cv = ShiftVector.coerce(c)
-    d = lcm(*[x.denominator for x in cv.entries])
-    weights = [
-        (i, i * x.numerator * (d // x.denominator) * d ** (i - 1))
-        for i, x in enumerate(cv.entries[:upto], start=1)
-        if x
-    ]
-    top = factorial(max(upto, 0))
-    v = [top]
-    for n in range(1, upto + 1):
-        v.append(sum(w * v[n - i] for i, w in weights if i <= n) // n)
-    return [Fraction(x, top * d**n) for n, x in enumerate(v[:upto + 1])]  # v has s_0 at upto < 0
+    v, d = _schur_numerators(upto, c)
+    return [Fraction(x, v[0] * d**n) for n, x in enumerate(v)]
 
 
 def schur_constant(j: int, c: ShiftLike) -> Fraction:
@@ -172,8 +214,6 @@ def schur_constant(j: int, c: ShiftLike) -> Fraction:
 
 def schur_shifted(j: int, c: ShiftLike, component: int = 1, ncomp: int = 1) -> Poly:
     """s_j(t + c), the one entry of ``schur_shifted_table`` from j to j; zero for j < 0."""
-    if _json_int(j) < 0:
-        return Poly.zero(ncomp)
     return schur_shifted_table(j, c, component, ncomp, lowest=j)[0]
 
 

@@ -27,7 +27,11 @@ per column and component, zero at a negative index:
 Proof: ds_M/dt_n = s_{M-n} for constant c, so D^i lowers each M_a by i*n_a;
 then d/dt_1^(a) kills every other component and lowers M_a by one per order.
 With k the column's largest i and r the most rows a block can have, no entry
-reads below L = max(M_a - k*n_a - r, 0), so each table starts there.
+reads below L = max(M_a - k*n_a - r, 0), so each table starts there.  The
+tables are integer numerators over one denominator per table
+(``schur._shifted_table``), and every determinant, ``det_poly``'s included,
+runs in one kernel, ``_det``, which packs those integers as they are: no
+``Fraction`` is made before the determinant is decoded.
 ``tau_kp`` is the one-component case, with column degrees l_j + m - j + 1.
 
 ``tau_nkdv`` is the reduced case n_parts = (n,) whose towers are the KP
@@ -62,25 +66,17 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, is_n_periodic
 from .polycore import (
-    Family, Packed, Packing, Poly, RationalLike, VarId, _json_int, _ncomp, exact_fraction,
-    int_tuple, packed_sum,
+    Family, Numerators, Packed, Packing, Poly, RationalLike, VarId, _json_int, _ncomp,
+    exact_fraction, int_tuple, packed_sum,
 )
-from .schur import ShiftLike, ShiftVector, schur_shifted_table
+from .schur import ShiftLike, ShiftVector, _shifted_table
 
 ChargeVector = tuple[int, ...]
 
 
 def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square Poly matrix by memoized Laplace expansion.
-
-    Each distinct entry is packed once (``polycore.Packing``) as integer
-    numerators over D, the lcm of every entry's denominators, so the minor on
-    rows i..m-1 is packed numerators over D^(m-i).  The memo keeps each minor
-    packed, and only the determinant is decoded.  The fields are as wide as
-    the sum over rows of the largest exponent in the row: every monomial of a
-    minor is a product of one entry monomial from each of its rows, so none of
-    its exponents exceeds that sum, and no field carries into the next.
-    """
+    """Determinant of a square Poly matrix: ``_det`` of its entries, each as
+    integer numerators over the lcm of its denominators."""
     m = len(rows)
     if m == 0:
         raise ValueError("determinant of an empty matrix needs an ambient; use const 1")
@@ -91,12 +87,32 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
         for entry in row:
             if entry.ncomp != ncomp:
                 raise ValueError(f"ambient component count mismatch: {ncomp} vs {entry.ncomp}")
-    distinct = {id(p): p for row in rows for p in row if p.terms}
-    tops = {key: p.max_exponent() for key, p in distinct.items()}
-    layout = Packing(distinct.values(), sum(max(tops.get(id(p), 0) for p in row) for row in rows))
-    den = lcm(*[c.denominator for p in distinct.values() for c in p.terms.values()])
-    packed = {key: layout.pack(p, den) for key, p in distinct.items()}
-    cells = [[packed.get(id(p)) for p in row] for row in rows]  # None at a zero entry
+    numerators = {id(p): p._numerators() for row in rows for p in row if p.terms}
+    return _det([[numerators.get(id(p)) for p in row] for row in rows], ncomp)
+
+
+def _det(rows: Sequence[Sequence[Numerators | None]], ncomp: int) -> Poly:
+    """Determinant, in ``ncomp`` components, of a nonempty square matrix of integer
+    numerators over one denominator per entry (None at a zero entry), by memoized
+    Laplace expansion: the one determinant kernel.
+
+    Each distinct entry is packed once (``polycore.Packing``) over D, the lcm of
+    the entries' denominators, so the minor on rows i..m-1 is packed numerators
+    over D^(m-i).  The memo keeps each minor packed, and only the determinant is
+    decoded.  The fields are as wide as the sum over rows of the largest exponent
+    in the row: every monomial of a minor is a product of one entry monomial from
+    each of its rows, so none of its exponents exceeds that sum, and no field
+    carries into the next.
+    """
+    m = len(rows)
+    distinct = {id(e): e for row in rows for e in row if e and e[0]}
+    tops = {key: max((x for mono, _ in terms for _, x in mono), default=0)
+            for key, (terms, _) in distinct.items()}
+    layout = Packing((mono for terms, _ in distinct.values() for mono, _ in terms),
+                     sum(max(tops.get(id(e), 0) for e in row) for row in rows))
+    den = lcm(*[d for _, d in distinct.values()])
+    packed = {key: layout.pack(terms, den // d) for key, (terms, d) in distinct.items()}
+    cells = [[packed.get(id(e)) for e in row] for row in rows]  # None at a zero entry
     full = (1 << m) - 1
     memo: dict[tuple[int, int], Packed] = {}
 
@@ -286,9 +302,10 @@ class TauCollection:
 
 # A determinant column: per component a, the table b_a * [s_L, ..., s_{M_a - 1}]
 # (t^(a) + c_a) of a generating function h = sum_a b_a * s_{M_a}(t^(a) + c_a),
-# empty when b_a = 0, from the lowest entry L that a row reads.  D^i h has the
-# same table without its last i*n_a entries.
-Column = tuple[Sequence[Poly], ...]
+# as integer numerators (``schur._shifted_table``), empty when b_a = 0, from the
+# lowest entry L that a row reads.  D^i h has the same table without its last
+# i*n_a entries.
+Column = tuple[Sequence[Numerators], ...]
 
 
 def _block_det(columns: Sequence[Column], label: ChargeVector, ncomp: int) -> Poly:
@@ -300,13 +317,12 @@ def _block_det(columns: Sequence[Column], label: ChargeVector, ncomp: int) -> Po
     """
     if any(x < 0 for x in label):
         return Poly.zero(ncomp)
-    zero = Poly.zero(ncomp)
     rows = [
-        [col[a][-p] if p <= len(col[a]) else zero for col in columns]
+        [col[a][-p] if p <= len(col[a]) else None for col in columns]
         for a, m_a in enumerate(label)
         for p in range(m_a, 0, -1)
     ]
-    return det_poly(rows) if rows else Poly.const(1, ncomp)
+    return _det(rows, ncomp) if rows else Poly.const(1, ncomp)
 
 
 def _collection(total: int, ncomp: int, entry: Callable[[ChargeVector], Poly],
@@ -326,8 +342,8 @@ def _spec_column(spec: HSpec, rows: int, n_parts: Sequence[int] | None = None,
     determinant of ``rows`` rows per block: table a starts at
     s_{max(M_a - k*n_a - rows, 0)}, the lowest entry any row can read."""
     return tuple(
-        schur_shifted_table(t.degree - 1, t.shift, a, spec.ncomp, coeff=t.coeff,
-                            lowest=max(t.degree - k * n - rows, 0)) if t.coeff else []
+        _shifted_table(t.degree - 1, t.shift, a, max(t.degree - k * n - rows, 0), t.coeff)
+        if t.coeff else []
         for a, (t, n) in enumerate(zip(spec.terms, n_parts or (1,) * spec.ncomp), start=1)
     )
 
@@ -522,7 +538,7 @@ def _akns_columns(
     coeffs = exact_fraction(b1), exact_fraction(b2)
     # table a: b_a * s_k(sign_a * x + c_a), for k = 0..m_a - 1
     h = tuple(
-        schur_shifted_table(m - 1, c, coeff=b, family=Family.X, sign=sign) if b else []
+        _shifted_table(m - 1, c, 1, 0, b, Family.X, sign) if b else []
         for m, b, c, sign in zip((m1, m2), coeffs, shifts, (1, -1))
     )
     return _tower(h, (1, 1), big_k - 1)

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import permutations
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -34,12 +34,14 @@ from tauforge import (
     elementary_schur,
     fermion,
     expected_shift_lengths,
+    schur,
     schur_constants,
     schur_shifted,
     tvar,
     xvar,
     yvar,
 )
+from tauforge.partitions import partitions_of
 from tauforge.polycore import Monomial
 from tauforge.schur import schur_shifted_table
 from tauforge.tau import _block_det
@@ -574,6 +576,31 @@ def shifted_table_by_convolution(
     ]
 
 
+def shifted_table_by_fractions(
+    upto: int, c, component: int = 1, ncomp: int = 1, lowest: int = 0, coeff=1,
+    family: Family = Family.T, sign: int = 1,
+) -> list[Poly]:
+    """``schur_shifted_table`` as it was before its integer numerators: the closed
+    form in ``Fraction``s, one division per distinct prod_j m_j(nu)!."""
+    b = Fraction(coeff)
+    consts = [b * s for s in schur_constants(upto, c)]
+    sizes = [schur._monomials(n, family, component) for n in range(upto + 1)]
+    table = []
+    for k in range(lowest, upto + 1):
+        terms: dict[Monomial, Fraction] = {}
+        for n in range(k + 1):
+            s = consts[k - n]
+            if s:
+                quotients: dict[int, Fraction] = {}
+                for mono, weight, length in sizes[n]:
+                    q = quotients.get(weight)
+                    if q is None:
+                        q = quotients[weight] = s / weight
+                    terms[mono] = -q if sign < 0 and length & 1 else q
+        table.append(Poly(terms, ncomp))
+    return table
+
+
 def akns_by_args(m1: int, m2: int, b1, b2, c1, c2, big_k: int, p: int) -> Poly:
     """AKNS tau^(p, K-p) from Schur tables at the arguments +x_i + c1_i and
     -x_i + c2_i, with a permutation-sum determinant."""
@@ -736,7 +763,8 @@ def tau_kp_by_windowed_tables(partition, shifts=None) -> Poly:
     shifts = [] if shifts is None else shifts
     columns = [ShiftVector.coerce(shifts[j] if j < len(shifts) else None) for j in range(m)]
     tables = [
-        (schur_shifted_table(part + m - j - 1, columns[j], lowest=max(part - j, 0)),)
+        ([e._numerators() for e in schur_shifted_table(part + m - j - 1, columns[j],
+                                                        lowest=max(part - j, 0))],)
         for j, part in enumerate(p.parts)
     ]
     return _block_det(tables, (m,), 1)
@@ -746,9 +774,42 @@ def tau_kp_by_windowed_tables(partition, shifts=None) -> Poly:
 
 
 def characters(lam: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
-    """The nonzero chi^lambda_nu over nu of size |lambda|, read-only, from the rows
-    that ``fermion.schur_expansion`` keeps; ``lam`` is decreasing."""
-    return MappingProxyType(fermion._row(lam, sum(lam), fermion._CHARACTERS))
+    """The nonzero chi^lambda_nu over nu of size |lambda|, read-only, from the dense
+    columns that ``fermion.schur_expansion`` keeps; ``lam`` is decreasing."""
+    shapes, columns = fermion._characters(sum(lam))
+    i = shapes.index(tuple(lam))
+    return MappingProxyType({nu: column[i] for nu, column in columns.items() if column[i]})
+
+
+def schur_expansion_by_rows(tau: Poly, species: int) -> tuple[dict[tuple, int], int]:
+    """``fermion.schur_expansion`` as it was before its dense character columns: each
+    coefficient summed over one character row dict per lambda, the rows in a table
+    of its own."""
+    ratios: dict[tuple, tuple[int, int]] = {}
+    for mono, a in tau.terms.items():
+        nus: list[list[int]] = [[] for _ in range(species)]
+        weight = a.denominator
+        for v, e in mono:
+            assert v.family == Family.T and 1 <= v.component <= species, v
+            nus[v.component - 1] += [v.index] * e
+            weight *= v.index**e
+        ratios[tuple(tuple(nu[::-1]) for nu in nus)] = (a.numerator, weight)
+    den = lcm(*(d for _, d in ratios.values()))
+    coeffs = {key: n * (den // d) for key, (n, d) in ratios.items()}
+    table: dict = {}
+    for b in range(species):
+        groups: dict[tuple, dict[tuple[int, ...], int]] = {}
+        for key, c in coeffs.items():
+            groups.setdefault((key[:b], sum(key[b]), key[b + 1:]), {})[key[b]] = c
+        coeffs = {}
+        for (head, size, tail), group in groups.items():
+            for lam in partitions_of(size):
+                row = fermion._row(lam, size, table)
+                c = sum(row.get(nu, 0) * n for nu, n in group.items())
+                if c:
+                    coeffs[head + (lam,) + tail] = c
+    common = gcd(den, *coeffs.values())
+    return {key: c // common for key, c in coeffs.items()}, den // common
 
 
 # -- the residue kernel on tuple states, as it was before the integer layout ---------

@@ -20,6 +20,7 @@ from oracles import (
     random_fraction,
     random_shifts_for,
     sato_b_by_maya,
+    schur_expansion_by_rows,
     sector_terms,
 )
 from tauforge import (
@@ -423,6 +424,21 @@ def test_the_certificate_holds_exactly_when_every_sector_passes():
     assert len(hirota_mkp_check(SKIPPED_SECTOR, (2, 1), (2, -1)).obstruction.terms) == 10
 
 
+def test_dense_expansion_matches_the_row_dict_reference():
+    # every entry of the certificate's collections, and every partition of 6 with
+    # seeded shifts and a perturbed copy: the same numerators in the same order
+    rng = random.Random(27)
+    taus = [(tau, coll.ncomp) for coll in _certificate_cases() for tau in coll.entries.values()]
+    for lam in all_partitions(6):
+        tau = tau_kp(lam, random_shifts_for(rng, lam))
+        taus += [(tau, 1), (tau + tvar(2).scale(_nonzero_fraction(rng)), 1)]
+    for tau, species in taus:
+        got, den = fermion.schur_expansion(tau, species)
+        expected, ref_den = schur_expansion_by_rows(tau, species)
+        assert den == ref_den and list(got.items()) == list(expected.items()), str(tau)
+    assert len(taus) > 300 and max(s for _, s in taus) == 4
+
+
 def test_four_components_with_three_degree_3_columns():
     coll = tau_mkp_collection(_columns(random.Random(4), 4, 3, 3))
     reports = verify_mkp_collection(coll)
@@ -442,7 +458,7 @@ def test_every_partition_of_8_passes_and_a_perturbed_copy_fails():
 
 def test_a_failing_check_keeps_no_characters_beyond_the_input():
     # The bosonization reads s_lambda(t) up to |lambda| = 11 here; only the
-    # rows of the expansion, of size at most 6, may stay cached.
+    # character columns of the expansion, of size at most 6, may stay cached.
     tau = tau_kp((3, 2, 1)) + (tvar(1) ** 4 * tvar(2)).scale(Fraction(3, 2))
     fermion._CHARACTERS.clear()
     report = hirota_kp_check(tau)
@@ -451,7 +467,7 @@ def test_a_failing_check_keeps_no_characters_beyond_the_input():
         for mono in report.obstruction.terms
     ]
     assert max(t_weights) == 11
-    assert max(sum(lam) for lam, _ in fermion._CHARACTERS) == 6
+    assert max(fermion._CHARACTERS) == 6  # keyed by size
 
 
 def _top_t_weight(obstruction) -> int:

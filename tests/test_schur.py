@@ -13,6 +13,7 @@ from oracles import (
     schur_by_series,
     schur_of_args,
     shifted_table_by_convolution,
+    shifted_table_by_fractions,
     shift_vars,
     solve_shifts_triangular,
     weighted_degree,
@@ -27,6 +28,7 @@ from tauforge import (
     schur_constants,
     schur_shifted,
     solve_shifts,
+    tau_kp,
     tvar,
 )
 from tauforge import schur
@@ -164,6 +166,72 @@ def test_scaled_signed_tables_match_relabelled_convolution(family, sign):
             assert schur_shifted_table(12, c, 1, 1, 0, coeff, family, sign) == ref, (c, coeff)
     ref = shifted_table_by_convolution(9, CLOSED_FORM_SHIFTS[2], 2, 3, 4, Fraction(5, 2), family, sign)
     assert schur_shifted_table(9, CLOSED_FORM_SHIFTS[2], 2, 3, 4, Fraction(5, 2), family, sign) == ref
+
+
+def test_integer_tables_match_the_fraction_closed_form():
+    # every upto <= 12 from 0 and from its middle and last entries, in the t, y
+    # and x families with sign +-1, components 1-3, and each shift vector with
+    # three of the coefficients 1, -2/3, 0 and 5/2
+    coeffs = (1, Fraction(-2, 3), 0, Fraction(5, 2))
+    cases = 0
+    for family, sign in [(Family.T, 1), (Family.T, -1), (Family.Y, -1), (Family.X, 1),
+                         (Family.X, -1)]:
+        for component in (1, 2, 3):
+            for i, c in enumerate(CLOSED_FORM_SHIFTS):
+                coeff = coeffs[(i + component) % 4]
+                for upto in range(13):
+                    for lowest in sorted({0, upto // 2, upto}):
+                        args = (upto, c, component, 3, lowest, coeff, family, sign)
+                        got = schur_shifted_table(*args)
+                        assert got == shifted_table_by_fractions(*args), args
+                        assert all(all(p.terms.values()) for p in got)  # zero-free
+                        numerators = schur._shifted_table(
+                            upto, c, component, lowest, Fraction(coeff), family, sign)
+                        assert all(n for terms, _ in numerators for _, n in terms), args
+                        assert len({den for _, den in numerators}) == 1  # one per table
+                        cases += 1
+    assert cases == 5 * 3 * 4 * 36
+
+
+# 1.0 and True hash as 1, so an accepted one would key the monomial caches
+INEXACT_TABLE_CALLS = [
+    lambda: schur_shifted_table(3, None, 1.0),
+    lambda: schur_shifted_table(3, None, True),
+    lambda: schur_shifted_table(3, None, 1, True),
+    lambda: schur_shifted_table(3, None, 1, 1.0),
+    lambda: schur_shifted_table(3, None, lowest=True),
+    lambda: schur_shifted_table(3, None, family=0),
+    lambda: schur_shifted_table(3, None, sign=0),
+    lambda: schur_shifted_table(3, None, sign=2),
+    lambda: schur_shifted_table(3, None, sign=True),
+    lambda: schur_shifted_table(3, None, sign=-1.0),
+    lambda: schur_shifted(2, None, 1.0),
+    lambda: schur_shifted(-1, None, True),
+    lambda: elementary_schur(3, 1.0, 2),
+    lambda: elementary_schur(2, True),
+]
+
+
+def test_table_arguments_must_be_exact():
+    for i, call in enumerate(INEXACT_TABLE_CALLS):
+        with pytest.raises((TypeError, ValueError)):
+            call()
+            pytest.fail(f"call {i} was accepted")
+
+
+def test_a_rejected_table_call_leaves_the_caches_clean():
+    schur._MONOMIALS.clear()
+    schur._power.cache_clear()
+    for call in INEXACT_TABLE_CALLS:
+        try:
+            call()
+        except (TypeError, ValueError):
+            pass
+    elementary_schur(3, 1, 2)
+    assert all(type(component) is int for _, _, component in schur._MONOMIALS)
+    tau = tau_kp((2, 1), [[1, 2], [3]])
+    assert Poly.from_json_obj(tau.to_json_obj()) == tau
+    assert str(elementary_schur(2, 1, 2)) == "t2[1] + 1/2*t1[1]^2"
 
 
 def test_elementary_schur_matches_polynomial_recurrence():

@@ -41,6 +41,19 @@ def test_end_to_end_scripts_succeed():
     assert re.search(r"^ok   mkp s=3 4x4 control \[210 checks\]", proc.stdout, re.M)
 
 
+def test_the_smallest_kp_frontier_member_and_its_control():
+    # one member above --max-size: tau_kp and verify_kp over the 3 partitions of 3,
+    # and its control, whose "ok" means it failed
+    proc = run_script(["scripts/verify_families.py", "--max-size", "2", "--max-kp-size", "3",
+                       "--trials", "1", "--j-max", "0", "--max-components", "2"])
+    assert proc.returncode == 0, proc.stderr
+    frontier = [line for line in proc.stdout.splitlines() if line.startswith("ok   kp n=")]
+    assert len(frontier) == 2, proc.stdout
+    assert re.fullmatch(r"ok   kp n=3 partitions=3 build=\d+\.\d ms \[3 checks\] \(\d+\.\d ms\)",
+                        frontier[0])
+    assert re.fullmatch(r"ok   kp n=3 control \[1 checks\] \(\d+\.\d ms\)", frontier[1])
+
+
 def test_crosscheck_refusals_exit_2_with_one_line():
     # no trials compares nothing, which is no success; a drawn case above the
     # degree cap (here the partition (4, 4, 2, 1) of the second trial) is
