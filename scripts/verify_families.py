@@ -97,13 +97,17 @@ def members(args: argparse.Namespace):
                lambda: [r for tau in taus for r in verify_kp(tau)], False)
         yield f"kp n={n} control", lambda: verify_kp(taus[0] + tvar(2)), True
 
+    def nkdv_checks(tau, n):
+        return lambda: [reduction_check(tau, (n,), j_max=3), *verify_kp(tau, n, j_values)]
+
+    # each n ends with a control: t_n added to the last tau of its sweep, which
+    # breaks D_1 tau = 0
     rng = random.Random(args.seed)
     for n in (2, 3):
         for p in enumerate_n_periodic(n, args.max_size):
             tau = tau_nkdv(p, n, {k: random_shift_vector(rng, 4) for k in range(n)})
-            yield f"nkdv {tuple(p)} n={n}", lambda: [
-                reduction_check(tau, (n,), j_max=3), *verify_kp(tau, n, j_values)
-            ], False
+            yield f"nkdv {tuple(p)} n={n}", nkdv_checks(tau, n), False
+        yield f"nkdv n={n} control", nkdv_checks(tau + tvar(n), n), True
 
     for idx, profile in enumerate(default_profiles(random.Random(args.seed))):
         def checks():

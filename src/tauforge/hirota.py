@@ -43,13 +43,12 @@ A whole collection's check (``verify_kp``, ``verify_mkp_collection``) first
 asks ``fermion.decomposable`` whether T = sum_l (-1)^{sum_b C(l_b, 2)} tau^(l)
 is one wedge.  Its Plucker relations are the j = 0 sectors of every pair, so a
 certified collection's j = 0 obstructions are all zero; otherwise every pair
-runs as above, which alone decides a FAIL.  At j >= 1, where
-D_j = sum_a d/dt^(a)_{j n_a} kills every entry, a pair's obstruction is D_j,
-on the t-variables only, of its j = 0 obstruction: D_j commutes with the Miwa
-shift, so it passes through each tau onto exp xi(t^(a) - y^(a), z), which it
-multiplies by z^{j n_a}.  That is used when the collection is certified (all
-zero) or its j = 0 runs in the same call; ``hirota_mkp_check`` and every
-other sector run B.
+runs as above, which alone decides a FAIL.  A certified collection's pairs
+are zero also at each j >= 1 where D_j = sum_a d/dt^(a)_{j n_a} kills every
+entry: D_j commutes with the Miwa shift, so it passes through each tau onto
+exp xi(t^(a) - y^(a), z), which it multiplies by z^{j n_a}, and the
+obstruction at j is D_j, on the t-variables, of the one at j = 0.  Every
+other report runs B.
 
 AKNS check.  The two-component (1,1)-reduced families in the half-difference
 variables x satisfy, with w = tau^(p, K-p) at a base label and its lattice
@@ -184,7 +183,7 @@ def _mkp_reports(
     """One report per j and (m, q) pair, every entry expanded once, with params
     ``params_of(m, q, j, n_parts)``.  A report's time runs from the end of the one
     before, so the first also counts the expansion.  Only a ``whole`` collection's
-    check is certified and derived (module docstring)."""
+    check is certified (module docstring)."""
     parts = _reduction_orders((1,) * collection.ncomp if n_parts is None else n_parts,
                               collection.ncomp)
     js = int_tuple(j_values)
@@ -193,24 +192,16 @@ def _mkp_reports(
     t0 = time.perf_counter()
     fock = fermion.fock_states(collection.entries, collection.ncomp)
     ambient = collection.ambient
-    derived = {
-        j for j in js if j and whole
-        and not any(_apply_d(tau, j, parts).terms for tau in collection.entries.values())
+    zero_js = {  # the j whose reports a certified collection makes zero
+        j for j in js if whole
+        and not (j and any(_apply_d(tau, j, parts).terms for tau in collection.entries.values()))
     }
-    certified = whole and (0 in js or bool(derived)) and fermion.decomposable(fock[0])
-    if not certified and 0 not in js:
-        derived = set()  # j = 0 is never bosonized only to derive from it
-    base: list[Poly | None] = [None] * len(pairs)  # each pair's j = 0 obstruction
+    certified = bool(zero_js) and fermion.decomposable(fock[0])
     reports = []
     for j in js:
-        for k, (mv, qv) in enumerate(pairs):
-            if j and j not in derived:
-                obstruction = _sector(fock, mv, qv, j, parts, ambient)
-            else:
-                if base[k] is None:
-                    base[k] = (Poly.zero(ambient) if certified
-                               else _sector(fock, mv, qv, 0, parts, ambient))
-                obstruction = _apply_d(base[k], j, parts) if j else base[k]
+        for mv, qv in pairs:
+            obstruction = (Poly.zero(ambient) if certified and j in zero_js
+                           else _sector(fock, mv, qv, j, parts, ambient))
             reports.append(_finish(identity, params_of(mv, qv, j, parts), obstruction, t0))
             t0 = time.perf_counter()
     return reports

@@ -107,7 +107,7 @@ def enumerate_n_periodic(n: int, max_size: int) -> list[Partition]:
     """All n-periodic partitions with |lambda| <= max_size, sorted by (size, parts)."""
     if _json_int(n) < 2:
         raise ValueError("periodicity requires n >= 2")
-    if max_size > MAX_ENUMERATION_SIZE:
+    if _json_int(max_size) > MAX_ENUMERATION_SIZE:
         raise ValueError(
             f"max_size {max_size} exceeds the enumeration guard {MAX_ENUMERATION_SIZE}"
         )

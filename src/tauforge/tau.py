@@ -34,16 +34,11 @@ runs in one kernel, ``_det``, which packs those integers as they are: no
 ``Fraction`` is made before the determinant is decoded.
 ``tau_kp`` is the one-component case, with column degrees l_j + m - j + 1.
 
-``tau_nkdv`` is the reduced case n_parts = (n,) whose towers are the KP
-columns of lambda.  Its degrees M_j = l_j + m - j + 1 are the positive members
-of V + m, so n-periodicity (V - n in V) splits them into chains M, M - n, ...,
->= 1, each under a top M with M + n not a degree.  One unit spec per top, with
-the shift c of class (M - m) mod n cut to M - 1 entries, has D^i h =
-s_{M-i*n}(t + c): the KP column of degree M - i*n, which has M's class and
-reads no entry past c_{M-1}.  The chains end in distinct classes in 2..n
-(M_m = l_m + 1 >= 2), so there are fewer than n tops.  The towers list the KP
-columns chain by chain, so tau_nkdv is the reduced entry at (m,) times the sign
-of their sort into descending degree: the parity of the pairs in ascending order.
+``tau_nkdv`` is ``tau_kp`` whose column of degree M carries the vector of the
+class (M - m) mod n, cut to the M - 1 entries it reads.  D_j = d/dt_{jn} maps
+the column of degree M and shift c to the column of degree M - jn with the
+same c, which by n-periodicity is another column of the matrix or zero; so
+D_j tau is a sum of determinants with two equal columns or a zero one.
 
 The AKNS constructor is the two-component (1,1)-reduced family written in
 the half-difference variables x_i = (t_i^(1) - t_i^(2))/2: b_1^p b_2^(K-p)
@@ -80,10 +75,10 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
     m = len(rows)
     if m == 0:
         raise ValueError("determinant of an empty matrix needs an ambient; use const 1")
+    if any(len(row) != m for row in rows):
+        raise ValueError("matrix must be square")
     ncomp = rows[0][0].ncomp
     for row in rows:
-        if len(row) != m:
-            raise ValueError("matrix must be square")
         for entry in row:
             if entry.ncomp != ncomp:
                 raise ValueError(f"ambient component count mismatch: {ncomp} vs {entry.ncomp}")
@@ -264,6 +259,7 @@ class TauCollection:
     ambient: int | None = None
 
     def __post_init__(self):
+        _json_int(self.total)
         if self.ambient is None:
             first = next(iter(self.entries.values()), None)
             self.ambient = self.ncomp if first is None else first.ncomp
@@ -280,7 +276,7 @@ class TauCollection:
                 raise ValueError(f"entry {label} has ambient {poly.ncomp}, not {self.ambient}")
 
     def get(self, label: Sequence[int]) -> Poly:
-        key = tuple(label)
+        key = int_tuple(label)
         if len(key) != self.ncomp:
             raise ValueError(f"label {key} has wrong arity")
         hit = self.entries.get(key)
@@ -452,8 +448,9 @@ def tau_nkdv(
     n: int,
     shifts_by_class: Mapping[int, ShiftLike] | None = None,
 ) -> Poly:
-    """n-KdV tau-function for an n-periodic partition: the signed reduced entry of
-    its chain tops (module docstring).  Missing classes read as zero shifts;
+    """n-KdV tau-function for an n-periodic partition: ``tau_kp`` with column j
+    shifted by the vector of the class of l_j - j + 1 mod n, cut to the entries
+    the column reads (module docstring).  Missing classes read as zero shifts;
     raises for non-periodic input."""
     p = Partition.coerce(partition)
     if not is_n_periodic(p, n):
@@ -464,15 +461,8 @@ def tau_nkdv(
             raise ValueError(f"residue class {k} outside 0..{n - 1}")
         classes[k] = ShiftVector.coerce(value)
     m = len(p)
-    degrees = [part + m - j for j, part in enumerate(p.parts)]
-    tops = [d for d in degrees if d + n not in degrees]
-    specs = tuple(
-        HSpec.make([(d, 1, classes.get((d - m) % n, ShiftVector()).entries[:d - 1])])
-        for d in tops
-    )
-    tower = [d for top in tops for d in range(top, 0, -n)]
-    tau = tau_mnkdv_entry(KdVProfile((n,), specs), (m,))
-    return -tau if sum(a < b for i, a in enumerate(tower) for b in tower[i + 1:]) % 2 else tau
+    return tau_kp(p, [classes.get((part - j) % n, ShiftVector()).entries[:part + m - j - 1]
+                      for j, part in enumerate(p.parts)])
 
 
 # -- bridges ---------------------------------------------------------------------
@@ -522,7 +512,7 @@ def akns_tau(
     s_{m2 - u - v + 1}(-x + c2) (u = 1..K-p).  Zero whenever
     K > max(m1, m2) and whenever p lies outside 0..K.
     """
-    return _akns_entry(_akns_columns(m1, m2, b1, b2, c1, c2, big_k), (p, big_k - p))
+    return _akns_entry(_akns_columns(m1, m2, b1, b2, c1, c2, big_k), (_json_int(p), big_k - p))
 
 
 def _akns_columns(
@@ -530,9 +520,9 @@ def _akns_columns(
     big_k: int,
 ) -> list[Column]:
     """The K towers of h = b1 s_{m1}(x + c1) + b2 s_{m2}(-x + c2) under n = (1, 1)."""
-    if m1 < 1 or m2 < 1:
+    if _json_int(m1) < 1 or _json_int(m2) < 1:
         raise ValueError("degrees must be >= 1")
-    if big_k < 1:
+    if _json_int(big_k) < 1:
         raise ValueError("K must be >= 1")
     shifts = ShiftVector.coerce(c1), ShiftVector.coerce(c2)
     coeffs = exact_fraction(b1), exact_fraction(b2)

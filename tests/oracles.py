@@ -37,6 +37,7 @@ from tauforge import (
     schur,
     schur_constants,
     schur_shifted,
+    tau_mnkdv_entry,
     tvar,
     xvar,
     yvar,
@@ -530,12 +531,12 @@ def random_shifts_for(rng: random.Random, partition) -> list[list[Fraction]]:
     ]
 
 
-def nkdv_by_row_shifts(partition, n: int, shifts_by_class) -> Poly:
+def nkdv_by_row_shifts(partition, n: int, shifts_by_class, det=det_by_permutations) -> Poly:
     """n-KdV determinant with the shifts on rows, as first built.
 
     Row i is s_{l_i + j - i}(t + c) for j = 1..m, with c the whole vector of
     the residue class (l_i - i + 1) mod n: no transpose, no truncation, and a
-    permutation-sum determinant.
+    permutation-sum determinant unless ``det`` names another reference.
     """
     p = Partition.coerce(partition)
     m = len(p)
@@ -543,7 +544,29 @@ def nkdv_by_row_shifts(partition, n: int, shifts_by_class) -> Poly:
         return Poly.const(1)
     row_shifts = [shifts_by_class.get((p.parts[i] - i) % n) for i in range(m)]
     rows = [[schur_shifted(p.parts[i] + j - i, row_shifts[i]) for j in range(m)] for i in range(m)]
-    return det_by_permutations(rows)
+    return det(rows)
+
+
+def nkdv_by_chain_tops(partition, n: int, shifts_by_class) -> Poly:
+    """n-KdV determinant as the signed reduced entry of its chain tops, as built
+    before ``tau_nkdv`` became ``tau_kp`` with class shifts.
+
+    The KP degrees M_j = l_j + m - j + 1 split under n-periodicity into chains
+    M, M - n, ..., >= 1, each under a top M with M + n not a degree.  One unit
+    spec per top, with the vector of the class (M - m) mod n cut to M - 1
+    entries, has the chain's KP columns as its tower under D = d/dt_n.  The
+    reduced entry at (m,) lists them chain by chain, so tau is that entry times
+    the sign of their sort into descending degree.
+    """
+    p = Partition.coerce(partition)
+    m = len(p)
+    degrees = [part + m - j for j, part in enumerate(p.parts)]
+    tops = [d for d in degrees if d + n not in degrees]
+    specs = tuple(HSpec.make([(d, 1, list(shifts_by_class.get((d - m) % n, []))[:d - 1])])
+                  for d in tops)
+    tower = [d for top in tops for d in range(top, 0, -n)]
+    tau = tau_mnkdv_entry(KdVProfile((n,), specs), (m,))
+    return -tau if sum(a < b for i, a in enumerate(tower) for b in tower[i + 1:]) % 2 else tau
 
 
 def schur_of_args(upto: int, args: Sequence[Poly]) -> list[Poly]:

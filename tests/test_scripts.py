@@ -21,15 +21,16 @@ def run_script(argv, **env):
 def test_end_to_end_scripts_succeed():
     # each run takes about 0.3 s; the summary line carries a timing, so only
     # its shape is fixed.  The crosscheck prints one line per comparison and
-    # the sweep one per family member: 12 kp, 9 nkdv, 7 mnkdv, 4 akns, and the
-    # 3-component mkp collection with its control, whose "ok" means it failed.
+    # the sweep one per family member: 12 kp, 9 nkdv with one control per n, 7
+    # mnkdv, 4 akns, and the 3-component mkp collection with its control; a
+    # control's "ok" means it failed.
     runs = [
         (["scripts/oracle_crosscheck.py", "--trials", "10", "--seed", "2"],
          r"MATCH +kind=(kp partition|mkp charge)=\(.*\)", 38,
          r"all 38 comparisons match in \d+\.\d s"),
         (["scripts/verify_families.py", "--max-size", "4", "--seed", "3", "--trials", "1",
           "--j-max", "1", "--max-components", "3"],
-         r"ok   (kp|nkdv|mnkdv|mkp|akns) .* \[\d+ checks\] \(\d+\.\d ms\)", 34,
+         r"ok   (kp|nkdv|mnkdv|mkp|akns) .* \[\d+ checks\] \(\d+\.\d ms\)", 36,
          r"all families verified in \d+\.\d s"),
     ]
     for argv, member, count, summary in runs:
@@ -39,6 +40,7 @@ def test_end_to_end_scripts_succeed():
         assert len(lines) == count and all(re.fullmatch(member, line) for line in lines), argv
         assert re.fullmatch(summary, last), (argv, proc.stdout[-300:])
     assert re.search(r"^ok   mkp s=3 4x4 control \[210 checks\]", proc.stdout, re.M)
+    assert re.search(r"^ok   nkdv n=3 control \[3 checks\]", proc.stdout, re.M)
 
 
 def test_the_smallest_kp_frontier_member_and_its_control():

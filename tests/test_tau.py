@@ -12,6 +12,7 @@ from oracles import (
     det_by_permutations,
     generating_poly,
     mnkdv_columns_by_derivatives,
+    nkdv_by_chain_tops,
     nkdv_by_row_shifts,
     random_fraction,
     random_shifts_for,
@@ -178,6 +179,8 @@ def test_det_validation():
         det_poly([])
     with pytest.raises(ValueError):
         det_poly([[Poly.const(1), Poly.const(2)]])
+    with pytest.raises(ValueError, match="matrix must be square"):
+        det_poly([[]])  # raised IndexError
 
 
 def test_det_triangular():
@@ -258,6 +261,16 @@ def test_library_boundary_rejects_strings_and_inexact_integers():
         lambda: Poly({}, 2.0),
         lambda: tvar(1).diff(VarId(Family.T, 1, 1), 1.5),  # was Poly(0)
         lambda: (tvar(1) ** 2).diff(VarId(Family.T, 1, 1), True),  # was 2*t1
+        lambda: akns_collection(True, 2, 1, 1, None, None),  # was built with m1 = 1
+        lambda: akns_collection(2.0, 2, 1, 1, None, None),  # raised on m1 - 1 = 1.0
+        lambda: akns_collection(2, 2, 1, 1, None, None, 2.0),
+        lambda: akns_tau(2, 2, 1, 1, None, None, 2, True),  # was tau^(1,1)
+        lambda: akns_tau(2, True, 1, 1, None, None, 2, 1),
+        lambda: TauCollection(True, 1, {}),  # serialized as "total": true
+        lambda: TauCollection(1.5, 1, {}),
+        lambda: TauCollection(1, 1, {(1,): tvar(1)}).get([1.0]),  # read label (1,)
+        lambda: enumerate_n_periodic(2, True),  # enumerated up to size 1
+        lambda: enumerate_n_periodic(2, 2.5),  # raised Python's own TypeError
     ]
     for i, call in enumerate(calls):
         with pytest.raises(TypeError):
@@ -548,6 +561,21 @@ def test_tau_nkdv_matches_row_shift_reference():
             width = max(expected_shift_lengths(p), default=0) + 2
             classes = {k: [random_fraction(rng) for _ in range(width)] for k in range(n)}
             assert tau_nkdv(p, n, classes) == nkdv_by_row_shifts(p, n, classes), (p, n)
+
+
+def test_tau_nkdv_matches_chain_tops_and_row_shifts():
+    # every n-periodic partition up to size 10 for n = 2..5 against the chain-top
+    # construction tau_nkdv replaced and the row-shift determinant; the rows take
+    # the decoded-minor Laplace reference, since a permutation sum over the 7 rows
+    # of (2, 2, 2, 1, 1, 1, 1) alone takes over ten seconds
+    rng = random.Random(29)
+    for n in (2, 3, 4, 5):
+        for p in enumerate_n_periodic(n, 10):
+            width = max(expected_shift_lengths(p), default=0) + 2
+            classes = {k: [random_fraction(rng) for _ in range(width)] for k in range(n)}
+            tau = tau_nkdv(p, n, classes)
+            assert tau == nkdv_by_chain_tops(p, n, classes), (p, n)
+            assert tau == nkdv_by_row_shifts(p, n, classes, det_by_decoded_minors), (p, n)
 
 
 def test_tau_nkdv_has_no_reduced_variables():
