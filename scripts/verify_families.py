@@ -9,8 +9,10 @@ member passes, 1 otherwise.
 
     python3 scripts/verify_families.py --max-size 6 --seed 0
     python3 scripts/verify_families.py --max-size 11 --max-kp-size 13 --trials 0
+    python3 scripts/verify_families.py --max-akns-order 8
 
-The second run adds the KP frontier at sizes 12 and 13.
+The second run adds the KP frontier at sizes 12 and 13, the third the AKNS
+frontier at orders 4 to 8.
 """
 
 import argparse
@@ -38,6 +40,7 @@ from tauforge import (
     tvar,
     verify_kp,
     verify_mkp_collection,
+    xvar,
 )
 from tauforge.partitions import partitions_of
 
@@ -131,16 +134,27 @@ def members(args: argparse.Namespace):
         yield f"mkp s={s} 4x4", lambda: verify_mkp_collection(coll), False
         yield f"mkp s={s} 4x4 control", lambda: verify_mkp_collection(control), True
 
+    # AKNS, then the frontier: one (m, m) member per order m above 3 up to
+    # --max-akns-order, checked over its interior bases.  Each tag carries the
+    # construction time, and each member has a control, x_2 added to tau^(0, K).
     rng = random.Random(args.seed)
-    for m1, m2 in ((2, 2), (2, 3), (3, 2), (3, 3)):
+    orders = [(2, 2), (2, 3), (3, 2), (3, 3)] + [(m, m) for m in range(4, args.max_akns_order + 1)]
+    for m1, m2 in orders:
         big_k = max(m1, m2)
+        start = time.perf_counter()
         coll = akns_collection(
             m1, m2, Fraction(rng.randint(1, 5)), Fraction(rng.randint(1, 5)),
             random_shift_vector(rng, m1 - 1), random_shift_vector(rng, m2 - 1),
         )
-        bases = [(p, big_k - p) for p in range(1, big_k) if coll.get((p, big_k - p)).terms]
-        yield (f"akns M=({m1},{m2}) K={big_k}",
+        build_ms = (time.perf_counter() - start) * 1000.0
+        bases = [(p, big_k - p) for p in range(1, big_k) if coll.get((p, big_k - p))]
+        entries = dict(coll.entries)
+        entries[0, big_k] = coll.get((0, big_k)) + xvar(2)
+        control = TauCollection(coll.total, 2, entries, ambient=1)
+        tag = f"akns M=({m1},{m2}) K={big_k}"
+        yield (f"{tag} build={build_ms:.1f} ms",
                lambda: [akns_pde_check(coll, b) for b in bases], False)
+        yield f"{tag} control", lambda: [akns_pde_check(control, b) for b in bases], True
 
 
 def main(argv=None) -> int:
@@ -155,6 +169,9 @@ def main(argv=None) -> int:
     parser.add_argument("--max-kp-size", type=int, default=0,
                         help="largest size of the KP frontier members, one per size above "
                              "--max-size; none by default")
+    parser.add_argument("--max-akns-order", type=int, default=3,
+                        help="largest order m of the AKNS frontier members (m, m), one per "
+                             "order above 3; none by default")
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()

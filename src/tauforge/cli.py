@@ -518,7 +518,7 @@ def _verify_akns(args) -> list[VerificationReport]:
     if args.base is not None:
         bases = [parse_charge(args.base)]
     else:
-        bases = [(p, big_k - p) for p in range(1, big_k) if coll.get((p, big_k - p)).terms]
+        bases = [(p, big_k - p) for p in range(1, big_k) if coll.get((p, big_k - p))]
         if not bases:
             raise UsageError("no interior base label with a nonzero tau")
     return [akns_pde_check(coll, base) for base in bases]

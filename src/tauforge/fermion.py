@@ -59,8 +59,8 @@ them in species order, and ``fock``'s wedge runs them in descending
 component order, component 1 on top.
 
 The expansion, B and the bosonization run on integer numerators over one
-common denominator each; only ``bosonize`` returns fractions, one per
-distinct numerator of a call.
+common denominator each: ``schur_expansion`` reads tau's numerators, and
+``bosonize`` returns an integer ``Poly``, reduced by its common factor.
 Two tables outlive a call, in dicts whose values are never mutated, so a
 race only computes an entry twice and needs no lock:
 
@@ -82,7 +82,6 @@ behind a missing term list in a table that it drops on return.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -162,15 +161,16 @@ def schur_expansion(tau: Poly, species: int) -> tuple[dict[tuple[PartitionKey, .
     """The nonzero xi of tau = sum xi_{mu(1)..mu(s)} prod_b s_{mu(b)}(t^(b)) as
     ({key: numerator}, d), keys holding one partition per species.
 
-    The transform runs on integer numerators over d, reduced by their common
+    The transform runs on tau's integer numerators over tau.den times the lcm of
+    the weights prod_k k^{m_k(nu)}, and the result is reduced by its common
     factor, so d is the lcm of the xi's reduced denominators.  Raises
     ``ValueError`` unless every variable of tau is a t-variable of a component
     1..``species``.
     """
     ratios: dict[tuple[PartitionKey, ...], tuple[int, int]] = {}
-    for mono, a in tau.terms.items():
+    for mono, num in tau.numerators.items():
         nus: list[list[int]] = [[] for _ in range(species)]
-        weight = a.denominator
+        weight = 1
         for v, e in mono:
             if v.family != Family.T or not 1 <= v.component <= species:
                 raise ValueError(
@@ -178,9 +178,10 @@ def schur_expansion(tau: Poly, species: int) -> tuple[dict[tuple[PartitionKey, .
                 )
             nus[v.component - 1] += [v.index] * e
             weight *= v.index**e
-        ratios[tuple(tuple(nu[::-1]) for nu in nus)] = (a.numerator, weight)
+        ratios[tuple(tuple(nu[::-1]) for nu in nus)] = (num, weight)
     den = lcm(*(d for _, d in ratios.values()))
     coeffs = {key: n * (den // d) for key, (n, d) in ratios.items()}
+    den *= tau.den
     for b in range(species):
         groups: dict[tuple, dict[PartitionKey, int]] = {}
         for key, c in coeffs.items():
@@ -449,18 +450,17 @@ def bosonize(b: StateMatrix, layout: Layout, denominator: int, m: Label, q: Labe
                 for t, ct in listed:
                     acc[t] = acc.get(t, 0) + ct * cy
     den = denominator * den_t * den_y
-    fractions: dict[int, Fraction] = {}
+    common = den  # of every numerator and den, taken before any monomial is built
+    for acc in out.values():
+        common = gcd(common, *acc.values())
     names: dict[int, Monomial] = {}
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int] = {}
     for y, acc in out.items():
         my = _monomial_of(y, monos_y)
         for t, c in acc.items():
             if c:
-                f = fractions.get(c)
-                if f is None:
-                    f = fractions[c] = Fraction(c, den)
                 mt = names.get(t)
                 if mt is None:
                     mt = names[t] = _monomial_of(t, monos_t)
-                terms[mt + my] = f
-    return Poly._raw(terms, ncomp)
+                terms[mt + my] = c // common
+    return Poly._raw(terms, den // common, ncomp)

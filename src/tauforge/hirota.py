@@ -125,14 +125,14 @@ def _finish(identity: str, params: dict, obstruction: Poly, t0: float,
         identity=identity,
         params=params,
         obstruction=obstruction,
-        passed=not obstruction.terms,
+        passed=not obstruction,
         time_ms=(time.perf_counter() - t0) * 1000.0,
         per_param=per_param or {},
     )
 
 
 def _first_nonzero(residuals: Iterable[Poly], ncomp: int) -> Poly:
-    return next((r for r in residuals if r.terms), Poly.zero(ncomp))
+    return next((r for r in residuals if r), Poly.zero(ncomp))
 
 
 def hirota_kp_check(tau: Poly, j: int = 0, n: int = 1) -> VerificationReport:
@@ -145,7 +145,7 @@ def verify_kp(tau: Poly, n: int = 1, j_values: Sequence[int] = (0,)) -> list[Ver
     reduction, with tau expanded once: the sector m = (1,), q = (-1,) of the
     collection {(0,): tau}.  Raises ``ValueError`` if tau has a variable other
     than a t-variable of component 1, if some j < 0 or if n < 1."""
-    collection = TauCollection(0, 1, {(0,): tau} if tau.terms else {}, tau.ncomp)
+    collection = TauCollection(0, 1, {(0,): tau} if tau else {}, tau.ncomp)
     return _mkp_reports(collection, [((1,), (-1,))], (n,), j_values, "kp-residue",
                         lambda mv, qv, j, parts: {"j": j, "n": n}, whole=True)
 
@@ -194,13 +194,14 @@ def _mkp_reports(
     ambient = collection.ambient
     zero_js = {  # the j whose reports a certified collection makes zero
         j for j in js if whole
-        and not (j and any(_apply_d(tau, j, parts).terms for tau in collection.entries.values()))
+        and not (j and any(_apply_d(tau, j, parts) for tau in collection.entries.values()))
     }
     certified = bool(zero_js) and fermion.decomposable(fock[0])
+    zero = Poly.zero(ambient)  # shared by the certified reports, as Polys are immutable
     reports = []
     for j in js:
         for mv, qv in pairs:
-            obstruction = (Poly.zero(ambient) if certified and j in zero_js
+            obstruction = (zero if certified and j in zero_js
                            else _sector(fock, mv, qv, j, parts, ambient))
             reports.append(_finish(identity, params_of(mv, qv, j, parts), obstruction, t0))
             t0 = time.perf_counter()
@@ -289,7 +290,7 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
     if len(base_label) != 2:
         raise ValueError("base label must have two parts")
     w = collection.get(base_label)
-    if not w.terms:
+    if not w:
         raise ValueError(f"base entry {base_label} is zero")
     t0 = time.perf_counter()
 
@@ -308,7 +309,7 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
         # takes three products.  sum_of_products drops zero factors, so where
         # P_f and Q vanish no product of three entries is formed.
         f1, f2, f11 = f.diff(x1), f.diff(x2), f.diff(x1, 2)
-        by_w, by_f = f2.scale(2 * orientation) - f11, -w2.scale(2 * orientation) - w11
+        by_w, by_f = f2.scale(2 * orientation) - f11, w2.scale(-2 * orientation) - w11
         bilinear_p = Poly.sum_of_products([(1, by_w, w), (1, f, by_f), (2, f1, w1)], w.ncomp)
         return Poly.sum_of_products([(1, w, bilinear_p), (1, f, bilinear_q)], w.ncomp)
 

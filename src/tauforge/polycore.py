@@ -1,9 +1,21 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a dict from monomial to coefficient.  Coefficients are
-``fractions.Fraction`` (always reduced, exact); a monomial is a tuple of
-``(VarId, exponent)`` pairs sorted by variable with all exponents >= 1.
-The zero polynomial has an empty term dict.
+A ``Poly`` holds integer numerators over one positive denominator: a dict
+from monomial to nonzero int, and ``den``.  A monomial is a tuple of
+``(VarId, exponent)`` pairs sorted by variable with all exponents >= 1.  The
+form is canonical: ``den`` and the numerators have no common factor, and zero
+is ``({}, 1)``, so two equal polynomials have equal dicts and equal
+denominators, and ``==`` compares them as they are.
+
+The rationals enter at the constructors alone (``Poly(terms)``, ``const``,
+``var``, ``scale`` and ``from_json_obj``), each coefficient through
+``_as_fraction``: an int or a ``Fraction``, never a float, bool or string.
+Every operation runs on the integers, and a result whose numerators may
+share a factor with its denominator (a sum, a derivative, a product) is
+divided by their gcd.  ``terms`` is a view, the reduced ``Fraction`` of each
+term, built on its first read and kept; the renderers and the serializer
+read it, and nothing in the package reads it to test for zero.  A race only
+builds the view twice.
 
 Variables are indexed symbols t_i, y_i, x_i, each optionally attached to a
 component (for multicomponent hierarchies).  Every ``Poly`` carries the
@@ -22,8 +34,8 @@ carries into the next: there is no exponent cap to check.
 ``sum_of_products`` takes ``top`` = max_k(max exponent of a_k + max exponent
 of b_k), since a product's exponent is the sum of its factors' exponents;
 ``tau._det`` takes the sum over rows of the largest exponent in each row.
-Coefficients are packed as integer numerators over a common denominator, and
-only the final sum becomes ``Fraction``s, one reduced ``Fraction`` per term.
+The factors' numerators are packed as they are, over the lcm of the pairs'
+denominators, and ``Packing.unpack`` returns the integer ``Poly`` of the sum.
 """
 
 from __future__ import annotations
@@ -31,8 +43,10 @@ from __future__ import annotations
 from collections import defaultdict
 from enum import IntEnum
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Union
+from itertools import chain
+from math import gcd, lcm
+from operator import itemgetter
+from typing import Collection, Iterable, Mapping, NamedTuple, Union
 
 
 class Family(IntEnum):
@@ -56,10 +70,13 @@ class VarId(NamedTuple):
 Monomial = tuple[tuple[VarId, int], ...]
 RationalLike = Union[Fraction, int]
 # the nonzero terms of one polynomial as (monomial, integer numerator) over one denominator
-Numerators = tuple[list[tuple[Monomial, int]], int]
+Numerators = tuple[Collection[tuple[Monomial, int]], int]
 
 #: Canonical constant-term monomial.
 ONE_MONOMIAL: Monomial = ()
+
+# the two items of a pair: a monomial's (variable, exponent), a term's (key, numerator)
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -113,32 +130,49 @@ def _term_sort_key(mono: Monomial):
 
 
 class Poly:
-    """Immutable-by-convention sparse polynomial with Fraction coefficients."""
+    """Immutable-by-convention sparse polynomial: integer numerators over one
+    positive denominator, in canonical form (module docstring)."""
 
-    __slots__ = ("terms", "ncomp")
+    __slots__ = ("numerators", "den", "ncomp", "_terms")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, ncomp: int = 1):
-        self.ncomp = _ncomp(ncomp)  # zero, const and var construct through here
-        if terms:
-            self.terms = {m: c for m, c in terms.items() if c}
-        else:
-            self.terms = {}
+        self.ncomp = _ncomp(ncomp)  # const and var construct through here
+        coeffs = {m: _as_fraction(c) for m, c in (terms or {}).items()}
+        # den is the lcm of the reduced denominators: each prime power in den is the
+        # whole denominator of some term, whose numerator that prime does not divide.
+        den = lcm(*[c.denominator for c in coeffs.values()])
+        self.numerators = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
+        self.den = den
+        self._terms = None
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Fraction], ncomp: int) -> "Poly":
-        # Trusted fast path: terms must already be canonical and zero-free.
+    def _raw(cls, numerators: dict[Monomial, int], den: int, ncomp: int) -> "Poly":
+        # Trusted fast path: the numerators must be nonzero and canonical over den.
         self = object.__new__(cls)
-        self.terms = terms
+        self.numerators = numerators
+        self.den = den
         self.ncomp = ncomp
+        self._terms = None
         return self
 
     @classmethod
+    def _reduced(cls, numerators: dict[Monomial, int], den: int, ncomp: int) -> "Poly":
+        """The Poly of nonzero integer numerators over a positive ``den``, divided
+        by their common factor."""
+        if den != 1:
+            g = gcd(den, *numerators.values())
+            if g != 1:
+                numerators = {m: n // g for m, n in numerators.items()}
+                den //= g
+        return cls._raw(numerators, den, ncomp)
+
+    @classmethod
     def zero(cls, ncomp: int = 1) -> "Poly":
-        return cls(None, ncomp)
+        return cls._raw({}, 1, _ncomp(ncomp))
 
     @classmethod
     def const(cls, value: RationalLike, ncomp: int = 1) -> "Poly":
-        return cls({ONE_MONOMIAL: _as_fraction(value)}, ncomp)
+        return cls({ONE_MONOMIAL: value}, ncomp)
 
     @classmethod
     def var(cls, v: VarId, ncomp: int = 1) -> "Poly":
@@ -150,24 +184,39 @@ class Poly:
             raise ValueError(
                 f"component {v.component} outside ambient range 1..{ncomp}"
             )
-        return cls({((v, 1),): Fraction(1)}, ncomp)
+        return cls({((v, 1),): 1}, ncomp)
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """Each term's reduced ``Fraction``: a read-only view, built on first read."""
+        view = self._terms
+        if view is None:
+            den, view, known = self.den, {}, {}  # one Fraction per distinct numerator
+            for m, n in self.numerators.items():
+                f = known.get(n)
+                if f is None:
+                    f = known[n] = Fraction(n, den)
+                view[m] = f
+            self._terms = view
+        return view
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self.ncomp == other.ncomp and self.terms == other.terms
+            return (self.ncomp == other.ncomp and self.den == other.den
+                    and self.numerators == other.numerators)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             c = _as_fraction(other)
             if not c:
-                return not self.terms
-            return self.terms == {ONE_MONOMIAL: c}
+                return not self.numerators
+            return self.den == c.denominator and self.numerators == {ONE_MONOMIAL: c.numerator}
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
@@ -175,48 +224,55 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly | RationalLike") -> "Poly":
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "Poly | RationalLike") -> "Poly":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Poly | RationalLike", sign: int) -> "Poly":
+        """self + sign * other, on the numerators over the lcm of the denominators."""
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other, self.ncomp)
         elif not isinstance(other, Poly):
             return NotImplemented
         _check_ambient(self.ncomp, other)
-        if not other.terms:
+        if not other.numerators:
             return self
-        if not self.terms:
-            return other
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        if not self.numerators:
+            return other if sign == 1 else -other
+        den = lcm(self.den, other.den)
+        scale = den // self.den
+        out = ({m: n * scale for m, n in self.numerators.items()} if scale != 1
+               else dict(self.numerators))
+        scale = sign * (den // other.den)
+        for m, n in other.numerators.items():
+            n *= scale
             acc = out.get(m)
             if acc is None:
-                out[m] = c
+                out[m] = n
             else:
-                acc = acc + c
+                acc += n
                 if acc:
                     out[m] = acc
                 else:
                     del out[m]
-        return Poly._raw(out, self.ncomp)
-
-    __radd__ = __add__
+        return Poly._reduced(out, den, self.ncomp)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw({m: -c for m, c in self.terms.items()}, self.ncomp)
-
-    def __sub__(self, other: "Poly | RationalLike") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other, self.ncomp)
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        return self.__add__(-other)
+        return Poly._raw({m: -n for m, n in self.numerators.items()}, self.den, self.ncomp)
 
     def __rsub__(self, other: RationalLike) -> "Poly":
         return Poly.const(other, self.ncomp).__sub__(self)
 
     def scale(self, value: RationalLike) -> "Poly":
-        c = _as_fraction(value)
+        c = value if type(value) is int else _as_fraction(value)  # both have .numerator
         if not c:
             return Poly.zero(self.ncomp)
-        return Poly._raw({m: co * c for m, co in self.terms.items()}, self.ncomp)
+        n = c.numerator
+        return Poly._reduced({m: x * n for m, x in self.numerators.items()},
+                             self.den * c.denominator, self.ncomp)
 
     def __mul__(self, other: "Poly | RationalLike") -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -230,22 +286,22 @@ class Poly:
         """sum_k c_k * a_k * b_k over (c_k, a_k, b_k) in ``triples``, in one ``packed_sum``."""
         pairs = []
         for c, a, b in triples:
-            _check_ambient(ncomp, a)
-            _check_ambient(ncomp, b)
-            c = _as_fraction(c)
-            if c and a.terms and b.terms:
+            if a.ncomp != ncomp or b.ncomp != ncomp:
+                _check_ambient(ncomp, a)
+                _check_ambient(ncomp, b)
+            if type(c) is not int:  # an int has .numerator and .denominator too
+                c = _as_fraction(c)
+            if c and a.numerators and b.numerators:
                 pairs.append((c, a, b))
         if not pairs:
             return Poly.zero(ncomp)
-        # Factors are keyed by identity, so one Poly in several pairs is packed
-        # once, as numerators over its own lcm denominator.
+        # Factors are keyed by identity, so one Poly in several pairs is packed once.
         factors = {id(f): f for _, a, b in pairs for f in (a, b)}
         tops = {key: f.max_exponent() for key, f in factors.items()}
-        layout = Packing((m for f in factors.values() for m in f.terms),
+        layout = Packing(chain.from_iterable(f.numerators for f in factors.values()),
                          max(tops[id(a)] + tops[id(b)] for _, a, b in pairs))
-        numerators = {key: f._numerators() for key, f in factors.items()}
-        packed = {key: layout.pack(terms, 1) for key, (terms, _) in numerators.items()}
-        scales = [c.denominator * numerators[id(a)][1] * numerators[id(b)][1] for c, a, b in pairs]
+        packed = {key: layout.pack(f.numerators.items(), 1) for key, f in factors.items()}
+        scales = [c.denominator * a.den * b.den for c, a, b in pairs]
         den = lcm(*scales)
         return layout.unpack(packed_sum(
             (c.numerator * (den // scale), packed[id(a)], packed[id(b)])
@@ -276,44 +332,28 @@ class Poly:
             raise ValueError("derivative order must be >= 0")
         if order == 0:
             return self
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for mono, n in self.numerators.items():
             for i, (w, e) in enumerate(mono):
                 if w != v:
                     continue
                 if e >= order:
-                    c = coeff
                     for k in range(order):
-                        c *= e - k
+                        n *= e - k
                     # lowering one exponent keeps distinct monomials distinct
                     rest = ((w, e - order),) if e > order else ()
-                    out[mono[:i] + rest + mono[i + 1 :]] = c
+                    out[mono[:i] + rest + mono[i + 1 :]] = n
                 break
-        return Poly._raw(out, self.ncomp)
+        return Poly._reduced(out, self.den, self.ncomp)
 
     # -- structure ----------------------------------------------------------
 
     def variables(self) -> set[VarId]:
-        seen: set[VarId] = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                seen.add(v)
-        return seen
-
-    def _numerators(self) -> "Numerators":
-        """The terms as integer numerators over the lcm of their denominators."""
-        den = lcm(*[c.denominator for c in self.terms.values()])
-        return [(m, c.numerator * (den // c.denominator)) for m, c in self.terms.items()], den
-
-    @classmethod
-    def _from_numerators(cls, terms: "Numerators", ncomp: int) -> "Poly":
-        """The Poly of nonzero integer numerators over one denominator."""
-        listed, den = terms
-        return cls._raw({m: Fraction(n, den) for m, n in listed}, ncomp)
+        return set(map(_first, chain.from_iterable(self.numerators)))
 
     def max_exponent(self) -> int:
         """The largest exponent of any variable in any term; 0 without variables."""
-        return max((e for mono in self.terms for _, e in mono), default=0)
+        return max(map(_second, chain.from_iterable(self.numerators)), default=0)
 
     # -- rendering ----------------------------------------------------------
 
@@ -324,7 +364,7 @@ class Poly:
         return base
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.numerators:
             return "0"
         pieces: list[str] = []
         for mono, coeff in sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0])):
@@ -396,7 +436,7 @@ class Packing:
     __slots__ = ("variables", "width", "shift")
 
     def __init__(self, monomials: Iterable[Monomial], top: int):
-        self.variables = sorted({v for mono in monomials for v, _ in mono})
+        self.variables = sorted(set(map(_first, chain.from_iterable(monomials))))
         self.width = top.bit_length()
         self.shift = {v: k * self.width for k, v in enumerate(self.variables)}
 
@@ -412,10 +452,12 @@ class Packing:
         return out
 
     def unpack(self, packed: Packed, den: int, ncomp: int) -> Poly:
-        """The Poly whose terms are the packed numerators over ``den``."""
+        """The Poly of the packed nonzero numerators over ``den``, divided by their
+        common factor before any monomial is decoded."""
         width, variables = self.width, self.variables
         mask = (1 << width) - 1
-        out: dict[Monomial, Fraction] = {}
+        g = gcd(den, *map(_second, packed))
+        out: dict[Monomial, int] = {}
         for key, n in packed:
             mono = []
             k = 0
@@ -425,8 +467,8 @@ class Packing:
                     mono.append((variables[k], e))
                 key >>= width
                 k += 1
-            out[tuple(mono)] = Fraction(n, den)
-        return Poly._raw(out, ncomp)
+            out[tuple(mono)] = n // g
+        return Poly._raw(out, den // g, ncomp)
 
 
 def packed_sum(triples: Iterable[tuple[int, Packed, Packed]]) -> Packed:

@@ -28,7 +28,8 @@ integers of ``schur_constants``.  Each numerator is an integer: with n = |nu|,
 where the first bracket is an integer by ``schur_constants``, the second is a
 multinomial coefficient, and i! n! divides k!, which divides M!.  A zero b or
 s_i(c) stores no term.  The determinants in ``tau`` read these lists as they
-are; ``schur_shifted_table`` makes them into Polys.
+are; ``schur_shifted_table`` makes each into a Poly, divided by the common factor
+of its numerators and D.
 
 ``solve_shifts`` and ``canonicalize_shifts`` share one rule, ``_hit``: since
 s_d(c) = c_d + s_d(c_1, ..., c_{d-1}, 0), setting c_d to the target minus
@@ -167,7 +168,7 @@ def schur_shifted_table(
         raise ValueError(f"sign must be -1 or 1, got {sign!r}")
     b = exact_fraction(coeff)
     table = _shifted_table(upto, c, component, _json_int(lowest), b, family, sign)
-    return [Poly._from_numerators(entry, ncomp) for entry in table]
+    return [Poly._reduced(dict(terms), den, ncomp) for terms, den in table]
 
 
 def elementary_schur(j: int, component: int = 1, ncomp: int = 1) -> Poly:

@@ -30,8 +30,9 @@ With k the column's largest i and r the most rows a block can have, no entry
 reads below L = max(M_a - k*n_a - r, 0), so each table starts there.  The
 tables are integer numerators over one denominator per table
 (``schur._shifted_table``), and every determinant, ``det_poly``'s included,
-runs in one kernel, ``_det``, which packs those integers as they are: no
-``Fraction`` is made before the determinant is decoded.
+runs in one kernel, ``_det``, which packs those integers as they are and
+unpacks the determinant into an integer ``Poly``: a construction makes no
+``Fraction``.
 ``tau_kp`` is the one-component case, with column degrees l_j + m - j + 1.
 
 ``tau_nkdv`` is ``tau_kp`` whose column of degree M carries the vector of the
@@ -70,8 +71,7 @@ ChargeVector = tuple[int, ...]
 
 
 def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square Poly matrix: ``_det`` of its entries, each as
-    integer numerators over the lcm of its denominators."""
+    """Determinant of a square Poly matrix: ``_det`` of its entries' numerators."""
     m = len(rows)
     if m == 0:
         raise ValueError("determinant of an empty matrix needs an ambient; use const 1")
@@ -82,7 +82,7 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
         for entry in row:
             if entry.ncomp != ncomp:
                 raise ValueError(f"ambient component count mismatch: {ncomp} vs {entry.ncomp}")
-    numerators = {id(p): p._numerators() for row in rows for p in row if p.terms}
+    numerators = {id(p): (p.numerators.items(), p.den) for row in rows for p in row if p}
     return _det([[numerators.get(id(p)) for p in row] for row in rows], ncomp)
 
 
@@ -270,7 +270,7 @@ class TauCollection:
                 raise ValueError(f"label {label} has wrong arity")
             if any(x < 0 for x in label) or sum(label) != self.total:
                 raise ValueError(f"label {label} is outside the charge polyhedron")
-            if not poly.terms:
+            if not poly:
                 raise ValueError("store only nonzero entries")
             if poly.ncomp != self.ambient:
                 raise ValueError(f"entry {label} has ambient {poly.ncomp}, not {self.ambient}")
@@ -325,7 +325,7 @@ def _collection(total: int, ncomp: int, entry: Callable[[ChargeVector], Poly],
                 ambient: int | None = None) -> TauCollection:
     """Every nonzero ``entry(label)`` on the level ``total``."""
     pairs = ((label, entry(label)) for label in charge_vectors(total, ncomp))
-    entries = {label: poly for label, poly in pairs if poly.terms}
+    entries = {label: poly for label, poly in pairs if poly}
     return TauCollection(total, ncomp, entries, ambient)
 
 
@@ -372,7 +372,7 @@ def tau_mkp_collection(specs: Sequence[HSpec], ncomp: int | None = None) -> TauC
         raise ValueError("empty spec list needs an explicit component count")
     labels = list(charge_vectors(len(specs), s))
     pairs = zip(labels, tau_mkp_entries(specs, labels))
-    return TauCollection(len(specs), s, {label: poly for label, poly in pairs if poly.terms})
+    return TauCollection(len(specs), s, {label: poly for label, poly in pairs if poly})
 
 
 # -- (n_1, ..., n_s)-KdV ---------------------------------------------------------

@@ -43,7 +43,7 @@ from tauforge import (
     yvar,
 )
 from tauforge.partitions import partitions_of
-from tauforge.polycore import Monomial
+from tauforge.polycore import Monomial, Packing, _term_sort_key, packed_sum
 from tauforge.schur import schur_shifted_table
 from tauforge.tau import _block_det
 
@@ -107,7 +107,7 @@ def relabel_vars(p: Poly, fn: Callable[[VarId], tuple[VarId, int | Fraction]]) -
                 out[mono2] = acc
             else:
                 del out[mono2]
-    return Poly._raw(out, p.ncomp)
+    return Poly(out, p.ncomp)
 
 
 def schur_by_series(upto: int, component: int = 1, ncomp: int = 1) -> list[Poly]:
@@ -786,8 +786,8 @@ def tau_kp_by_windowed_tables(partition, shifts=None) -> Poly:
     shifts = [] if shifts is None else shifts
     columns = [ShiftVector.coerce(shifts[j] if j < len(shifts) else None) for j in range(m)]
     tables = [
-        ([e._numerators() for e in schur_shifted_table(part + m - j - 1, columns[j],
-                                                        lowest=max(part - j, 0))],)
+        ([(e.numerators.items(), e.den)
+          for e in schur_shifted_table(part + m - j - 1, columns[j], lowest=max(part - j, 0))],)
         for j, part in enumerate(p.parts)
     ]
     return _block_det(tables, (m,), 1)
@@ -1003,3 +1003,107 @@ def boson_image_by_state_loop(
             out[mono] = out.get(mono, 0) + n * ct
     den *= d
     return Poly({mono: Fraction(c, den) for mono, c in out.items()}, ncomp)
+
+
+# -- Poly arithmetic on Fraction coefficients, as it was before integer numerators ------
+
+
+class FractionPoly:
+    """``Poly`` as it was before it held integer numerators over one denominator:
+    a dict of reduced ``Fraction`` coefficients, every operation on them, and
+    products through ``packed_sum`` on numerators over each factor's lcm
+    denominator, decoded into one ``Fraction`` per term."""
+
+    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, ncomp: int = 1):
+        self.ncomp = ncomp
+        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
+
+    @classmethod
+    def of(cls, p: Poly) -> "FractionPoly":
+        return cls(p.terms, p.ncomp)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FractionPoly):
+            return self.ncomp == other.ncomp and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({(): Fraction(other)} if other else {})
+        return NotImplemented
+
+    def __add__(self, other: "FractionPoly") -> "FractionPoly":
+        assert self.ncomp == other.ncomp
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return FractionPoly(out, self.ncomp)
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly({m: -c for m, c in self.terms.items()}, self.ncomp)
+
+    def __sub__(self, other: "FractionPoly") -> "FractionPoly":
+        return self + -other
+
+    def scale(self, value) -> "FractionPoly":
+        return FractionPoly({m: c * value for m, c in self.terms.items()}, self.ncomp)
+
+    def __mul__(self, other: "FractionPoly") -> "FractionPoly":
+        return FractionPoly.sum_of_products([(1, self, other)], self.ncomp)
+
+    def _numerators(self) -> tuple[list[tuple[Monomial, int]], int]:
+        den = lcm(*[c.denominator for c in self.terms.values()])
+        return [(m, c.numerator * (den // c.denominator)) for m, c in self.terms.items()], den
+
+    @staticmethod
+    def sum_of_products(triples, ncomp: int) -> "FractionPoly":
+        pairs = [(Fraction(c), a, b) for c, a, b in triples if c and a.terms and b.terms]
+        assert all(f.ncomp == ncomp for _, a, b in pairs for f in (a, b))
+        if not pairs:
+            return FractionPoly({}, ncomp)
+        factors = {id(f): f for _, a, b in pairs for f in (a, b)}
+        tops = {key: max((e for mono in f.terms for _, e in mono), default=0)
+                for key, f in factors.items()}
+        layout = Packing((m for f in factors.values() for m in f.terms),
+                         max(tops[id(a)] + tops[id(b)] for _, a, b in pairs))
+        numerators = {key: f._numerators() for key, f in factors.items()}
+        packed = {key: layout.pack(terms, 1) for key, (terms, _) in numerators.items()}
+        scales = [c.denominator * numerators[id(a)][1] * numerators[id(b)][1]
+                  for c, a, b in pairs]
+        den = lcm(*scales)
+        total = packed_sum((c.numerator * (den // scale), packed[id(a)], packed[id(b)])
+                           for (c, a, b), scale in zip(pairs, scales))
+        mask = (1 << layout.width) - 1
+        out = {}
+        for key, n in total:
+            mono = []
+            for k, v in enumerate(layout.variables):
+                e = (key >> (k * layout.width)) & mask
+                if e:
+                    mono.append((v, e))
+            out[tuple(mono)] = Fraction(n, den)
+        return FractionPoly(out, ncomp)
+
+    def __pow__(self, exponent: int) -> "FractionPoly":
+        result = FractionPoly({(): Fraction(1)}, self.ncomp)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def diff(self, v: VarId, order: int = 1) -> "FractionPoly":
+        out = {}
+        for mono, coeff in self.terms.items():
+            for i, (w, e) in enumerate(mono):
+                if w == v:
+                    if e >= order:
+                        c = coeff
+                        for k in range(order):
+                            c *= e - k
+                        rest = ((w, e - order),) if e > order else ()
+                        out[mono[:i] + rest + mono[i + 1:]] = c
+                    break
+        return FractionPoly(out, self.ncomp) if order else self
+
+    def to_json_obj(self) -> dict:
+        return {"ncomp": self.ncomp, "terms": [
+            {"coeff": str(coeff),
+             "monomial": [[v.family.name, v.component, v.index, e] for v, e in mono]}
+            for mono, coeff in sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+        ]}

@@ -614,3 +614,22 @@ def test_non_integer_orders_raise_type_error():
             call()
             pytest.fail(f"call {i} accepted a non-integer order")
     assert not reduction_check(tau, (2,), 1).passed
+
+
+def test_passing_checks_leave_every_fraction_view_unbuilt():
+    # emptiness is read off the integer numerators, so a passing check builds no
+    # Fraction view of an entry, an obstruction or a per-flow residual
+    rng = random.Random(30)
+    tau = tau_kp((3, 2, 1), random_shifts_for(rng, (3, 2, 1)))
+    mkp = tau_mkp_collection([
+        HSpec.make([(3, random_fraction(rng) or 1, [random_fraction(rng) for _ in range(3)])
+                    for _ in range(2)])
+        for _ in range(2)
+    ])
+    akns = akns_collection(4, 4, 2, Fraction(1, 3), [Fraction(1, 2)] * 3, [Fraction(-2, 5)] * 3)
+    reports = [*verify_kp(tau), *verify_mkp_collection(mkp),
+               *(akns_pde_check(akns, (p, 4 - p)) for p in range(1, 4))]
+    assert reports and all(r.passed for r in reports)
+    polys = [tau, *mkp.entries.values(), *akns.entries.values()]
+    polys += [p for r in reports for p in (r.obstruction, *r.per_param.values())]
+    assert all(p._terms is None for p in polys)

@@ -1,12 +1,14 @@
 import json
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    FractionPoly,
     difference_series,
     eval_poly,
     miwa_by_operator,
@@ -56,6 +58,26 @@ def test_zero_and_const():
     assert Poly.const(Fraction(3, 2)) == Fraction(3, 2)
     assert str(Poly.zero()) == "0"
     assert str(Poly.const(-2)) == "-2"
+
+
+def test_inexact_coefficients_are_type_errors():
+    # a float is not the rational it prints, True is not the integer 1 here, and a
+    # string is parsed only by exact_fraction and from_json_obj
+    for bad in (0.5, True, "1/2"):
+        with pytest.raises(TypeError):
+            Poly({(): bad})
+        with pytest.raises(TypeError):
+            Poly({((VarId(Family.T, 1, 1), 1),): bad})
+
+
+def test_poly_holds_canonical_integer_numerators():
+    p = Poly({(): Fraction(2, 4), ((VarId(Family.T, 1, 1), 1),): Fraction(1, 3)})
+    assert (p.numerators, p.den) == ({(): 3, ((VarId(Family.T, 1, 1), 1),): 2}, 6)
+    q = (tvar(1) ** 2).scale(Fraction(1, 2)).diff(VarId(Family.T, 1, 1))  # 1/2 * 2 t1
+    assert (q.numerators, q.den) == ({((VarId(Family.T, 1, 1), 1),): 1}, 1) and q == tvar(1)
+    zero = tvar(1).scale(Fraction(1, 3)) - tvar(1).scale(Fraction(1, 3))
+    assert (zero.numerators, zero.den) == ({}, 1) and zero == Poly.zero()
+    assert p._terms is None and p.terms is p.terms  # built on the first read, then kept
 
 
 def test_var_validation():
@@ -318,6 +340,52 @@ def test_weighted_degree():
 def test_variables():
     p = tvar(1, 1, 2) * tvar(2, 2, 2) + Poly.const(1, 2)
     assert p.variables() == {VarId(Family.T, 1, 1), VarId(Family.T, 2, 2)}
+
+
+# -- the Fraction reference ----------------------------------------------------------
+
+
+def _random_poly(rng: random.Random, ncomp: int, families) -> Poly:
+    terms: dict = {}
+    for _ in range(rng.randint(0, 5)):
+        mono = {VarId(rng.choice(families), rng.randint(1, ncomp), rng.randint(1, 3)):
+                rng.randint(1, 3) for _ in range(rng.randint(0, 3))}
+        key = tuple(sorted(mono.items()))
+        terms[key] = terms.get(key, 0) + Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return Poly(terms, ncomp)
+
+
+def test_poly_arithmetic_matches_the_fraction_reference():
+    # every operation against the Fraction-coefficient Poly of tests/oracles.py, term
+    # for term, over the T, Y and X families, mixed families and 1-3 components; each
+    # result is canonical and survives the JSON round trip
+    rng = random.Random(30)
+    family_sets = [(Family.T,), (Family.Y,), (Family.X,), tuple(Family)]
+    for trial in range(400):
+        ncomp, families = 1 + trial % 3, family_sets[trial // 3 % 4]
+        p, q, r = (_random_poly(rng, ncomp, families) for _ in range(3))
+        fp, fq, fr = map(FractionPoly.of, (p, q, r))
+        c = rng.choice([0, 1, -2, Fraction(rng.randint(-6, 6), rng.randint(1, 6))])
+        v = VarId(rng.choice(families), rng.randint(1, ncomp), rng.randint(1, 3))
+        k = rng.randint(0, 3)
+        triples = [(c, 0, 1), (2, 1, 2), (Fraction(-1, 3), 2, 2), (1, 0, 0)]
+        cases = [
+            (p + q, fp + fq), (p - q, fp - fq), (-p, -fp), (p.scale(c), fp.scale(c)),
+            (p * q, fp * fq), (p.diff(v, k), fp.diff(v, k)), (p ** k, fp ** k),
+            (Poly.sum_of_products([(w, (p, q, r)[i], (p, q, r)[j]) for w, i, j in triples], ncomp),
+             FractionPoly.sum_of_products(
+                 [(w, (fp, fq, fr)[i], (fp, fq, fr)[j]) for w, i, j in triples], ncomp)),
+        ]
+        for got, want in cases:
+            assert got.ncomp == want.ncomp and got.terms == want.terms
+            assert got.den == lcm(*[x.denominator for x in want.terms.values()])
+            assert gcd(got.den, *got.numerators.values()) == 1
+            assert got.to_json_obj() == want.to_json_obj()
+            assert Poly.from_json_obj(json.loads(json.dumps(got.to_json_obj()))) == got
+        for x in (0, 1, -3, c, Fraction(1, 2)):
+            assert (p == x) == (fp == x)
+            assert Poly.const(x, ncomp) == x and (Poly.const(x, ncomp) == x + 1) is False
+        assert (p == q) == (fp == fq) and p == Poly(fp.terms, ncomp)
 
 
 # -- serialization ------------------------------------------------------------------

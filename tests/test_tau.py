@@ -312,7 +312,8 @@ def test_reduced_tables_start_at_the_lowest_entry_a_row_reads():
         column = _spec_column(spec, profile.total_charge, profile.n_parts, profile.k_values()[0])
         for a, (table, term, low) in enumerate(zip(column, spec.terms, lowest), start=1):
             assert len(table) == term.degree - low
-            first = Poly._from_numerators(table[0], 2)  # the integer table as a Poly
+            terms, den = table[0]  # the integer table as a Poly
+            first = Poly({mono: Fraction(n, den) for mono, n in terms}, 2)
             assert first == schur_shifted(low, term.shift, a, 2).scale(term.coeff)
         coll = tau_mnkdv_collection(profile)
         reference = mnkdv_columns_by_derivatives(profile)
