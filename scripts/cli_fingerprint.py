@@ -3,7 +3,9 @@
 
 Draws ``--count`` argvs from ``--seed``, spread over every subcommand and
 every input-file kind (shift, specs, profile and case files), each input
-either well-formed or broken in one or more ways.  Every argv runs through
+either well-formed or broken in one or more ways.  Many ``verify`` draws are
+KP residue checks at j = 1 or 2, most of which fail, so the output of
+failing reports is covered in both modes.  Every argv runs through
 ``tauforge.cli.main`` in this process, and the script prints one line per
 argv: the sha256 of its (exit code, stdout, stderr) and the argv itself.
 Input files are written to a temporary directory that is the working
@@ -255,8 +257,16 @@ def make_akns(rng):
 
 
 def make_verify(rng):
-    what = rng.choice(["kp", "nkdv", "mkp", "mnkdv", "reduction", "akns"])
+    what = rng.choice(["kp", "kp", "kp", "nkdv", "mkp", "mnkdv", "reduction", "akns"])
     argv: list = ["verify", "--what", what]
+    if what == "kp" and rng.random() < 0.6:
+        # a valid tau's residue check at j >= 1, which fails at j = 1
+        partition = rng.choice(["3,2,1", "2,2", "1,1", "3,1,1", "4"])
+        argv += [f"--partition={partition}", f"--j={rng.choice([1, 1, 2])}"]
+        if rng.random() < 0.5:
+            argv += ["--shifts", "random", f"--trials={rng.randint(1, 2)}",
+                     f"--seed={rng.randint(0, 9)}"]
+        return argv
     p = 0.9 if what in ("kp", "nkdv") else 0.05
     if rng.random() < p:
         argv.append(f"--partition={pick(rng, PARTITIONS, BAD_PARTITIONS, 0.2)}")
@@ -303,7 +313,7 @@ def make_list_periodic(rng):
 
 MAKERS = [
     (make_schur, 1), (make_tau_kp, 2), (make_tau_nkdv, 2), (make_tau_mkp, 2),
-    (make_tau_mnkdv, 2), (make_akns, 2), (make_verify, 6), (make_oracle_compare, 3),
+    (make_tau_mnkdv, 2), (make_akns, 2), (make_verify, 8), (make_oracle_compare, 3),
     (make_list_periodic, 1),
 ]
 CAPS = [None] * 12 + ["6", "2", "0", "lots", "-1"]

@@ -54,7 +54,9 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Sequence
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .fock import generator_from_hspec, wedge_from_generators, wedge_tau
 from .hirota import (
@@ -352,9 +354,11 @@ def compare_case(case) -> list[tuple[str, bool]]:
 # -- output ----------------------------------------------------------------------
 
 
-def emit(args, lines: Iterable[str], obj) -> None:
+def emit(args, lines: Iterable[str], obj: Callable[[], object]) -> None:
+    """Print ``lines``, or with --json the object ``obj()``: each mode builds only
+    what it prints, so ``lines`` should be lazy where a line costs a render."""
     if args.json:
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        print(json.dumps(obj(), sort_keys=True, indent=2))
     else:
         for line in lines:
             print(line)
@@ -362,7 +366,7 @@ def emit(args, lines: Iterable[str], obj) -> None:
 
 def emit_poly(args, p: Poly) -> int:
     text = str(p)
-    emit(args, [text], {"text": text, "poly": p.to_json_obj()})
+    emit(args, [text], lambda: {"text": text, "poly": p.to_json_obj()})
     return 0
 
 
@@ -371,7 +375,7 @@ def emit_collection(args, coll: TauCollection) -> int:
         f"tau[{','.join(str(x) for x in label)}] = {coll.entries[label]}"
         for label in coll.labels()
     )
-    emit(args, lines, coll.to_json_obj())
+    emit(args, lines, coll.to_json_obj)
     return 0
 
 
@@ -381,18 +385,20 @@ CHECKS = ("checks", "verified", "passed", "FAILED", "reports")
 COMPARISONS = ("comparisons", "compared", "match", "differ", "cases")
 
 
-def report(args, rows: list[tuple[str, bool, dict]], words: tuple[str, ...]) -> int:
-    """Each row's line and a summary, or {"pass": ..., key: [row objects]} as JSON;
-    exit code 0 when every row passed and 1 otherwise.  No rows is an input error."""
-    noun, done, passed, failed, key = words
+def report(args, rows: list, words: tuple[str, ...], passed: Callable[[object], bool],
+           line: Callable[[object], str], row_obj: Callable[[object], dict]) -> int:
+    """Each row's ``line`` and a summary, or {"pass": ..., key: [``row_obj`` of each
+    row]} as JSON; exit code 0 when every row ``passed`` and 1 otherwise.  No rows
+    is an input error."""
+    noun, done, all_passed, failed, key = words
     if not rows:
         raise UsageError(f"no {noun} were run; nothing was {done}")
-    bad = sum(1 for _, ok, _ in rows if not ok)
+    bad = sum(not passed(row) for row in rows)
     summary = (
-        f"{bad} of {len(rows)} {noun} {failed}" if bad else f"all {len(rows)} {noun} {passed}"
+        f"{bad} of {len(rows)} {noun} {failed}" if bad else f"all {len(rows)} {noun} {all_passed}"
     )
-    obj = {"pass": not bad, key: [row for _, _, row in rows]}
-    emit(args, [line for line, _, _ in rows] + [summary], obj)
+    emit(args, chain(map(line, rows), [summary]),
+         lambda: {"pass": not bad, key: list(map(row_obj, rows))})
     return 1 if bad else 0
 
 
@@ -451,9 +457,9 @@ def cmd_list_periodic(args) -> int:
         raise UsageError("--max-size must be >= 0")
     guard_degree(args.max_size)
     found = enumerate_n_periodic(args.n, args.max_size)
-    lines = [",".join(str(x) for x in p.parts) if p.parts else "()" for p in found]
-    obj = {"n": args.n, "max_size": args.max_size, "partitions": [list(p) for p in found]}
-    emit(args, lines, obj)
+    lines = (",".join(str(x) for x in p.parts) if p.parts else "()" for p in found)
+    emit(args, lines,
+         lambda: {"n": args.n, "max_size": args.max_size, "partitions": [list(p) for p in found]})
     return 0
 
 
@@ -539,20 +545,17 @@ def cmd_verify(args) -> int:
     flags, checks = VERIFY[args.what]
     if any(getattr(args, flag[2:]) is None for flag in flags):
         raise UsageError(f"verify --what {args.what} needs {' and '.join(flags)}")
-    rows = [
-        (str(r), r.passed, r.to_json_obj(include_timing=args.timings)) for r in checks(args)
-    ]
-    return report(args, rows, CHECKS)
+    return report(args, checks(args), CHECKS, attrgetter("passed"), str,
+                  lambda r: r.to_json_obj(include_timing=args.timings))
 
 
 def cmd_oracle_compare(args) -> int:
     data = load_json_file(args.case)
-    rows = [
-        (("MATCH " if match else "MISMATCH ") + desc, match, {"case": desc, "match": match})
-        for case in (data if isinstance(data, list) else [data])
-        for desc, match in compare_case(case)
-    ]
-    return report(args, rows, COMPARISONS)
+    rows = [row for case in (data if isinstance(data, list) else [data])
+            for row in compare_case(case)]
+    return report(args, rows, COMPARISONS, itemgetter(1),
+                  lambda row: ("MATCH " if row[1] else "MISMATCH ") + row[0],
+                  lambda row: {"case": row[0], "match": row[1]})
 
 
 # -- parser ------------------------------------------------------------------------

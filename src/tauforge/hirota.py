@@ -43,12 +43,13 @@ A whole collection's check (``verify_kp``, ``verify_mkp_collection``) first
 asks ``fermion.decomposable`` whether T = sum_l (-1)^{sum_b C(l_b, 2)} tau^(l)
 is one wedge.  Its Plucker relations are the j = 0 sectors of every pair, so a
 certified collection's j = 0 obstructions are all zero; otherwise every pair
-runs as above, which alone decides a FAIL.  A certified collection's pairs
-are zero also at each j >= 1 where D_j = sum_a d/dt^(a)_{j n_a} kills every
-entry: D_j commutes with the Miwa shift, so it passes through each tau onto
-exp xi(t^(a) - y^(a), z), which it multiplies by z^{j n_a}, and the
-obstruction at j is D_j, on the t-variables, of the one at j = 0.  Every
-other report runs B.
+runs as above, which alone decides a FAIL, and a refuted collection whose
+pairs all pass runs the j = 0 pairs it did not visit until one fails.  A
+certified collection's pairs are zero also at each j >= 1 where
+D_j = sum_a d/dt^(a)_{j n_a} kills every entry: D_j commutes with the Miwa
+shift, so it passes through each tau onto exp xi(t^(a) - y^(a), z), which it
+multiplies by z^{j n_a}, and the obstruction at j is D_j, on the t-variables,
+of the one at j = 0.  Every other report runs B.
 
 AKNS check.  The two-component (1,1)-reduced families in the half-difference
 variables x satisfy, with w = tau^(p, K-p) at a base label and its lattice
@@ -84,6 +85,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from . import fermion
@@ -147,7 +149,7 @@ def verify_kp(tau: Poly, n: int = 1, j_values: Sequence[int] = (0,)) -> list[Ver
     than a t-variable of component 1, if some j < 0 or if n < 1."""
     collection = TauCollection(0, 1, {(0,): tau} if tau else {}, tau.ncomp)
     return _mkp_reports(collection, [((1,), (-1,))], (n,), j_values, "kp-residue",
-                        lambda mv, qv, j, parts: {"j": j, "n": n}, whole=True)
+                        lambda mv, qv, j, parts: {"j": j, "n": n}, unvisited=())
 
 
 def _sector(fock: tuple[dict, int, fermion.Layout], mv: ChargeVector, qv: ChargeVector,
@@ -178,12 +180,16 @@ def _mkp_params(mv: ChargeVector, qv: ChargeVector, j: int, parts: ChargeVector)
 def _mkp_reports(
     collection: TauCollection, pairs: Sequence[tuple[ChargeVector, ChargeVector]],
     n_parts: Sequence[int] | None, j_values: Sequence[int], identity: str,
-    params_of: Callable[[ChargeVector, ChargeVector, int, ChargeVector], dict], whole: bool,
+    params_of: Callable[[ChargeVector, ChargeVector, int, ChargeVector], dict],
+    unvisited: Sequence[tuple[ChargeVector, ChargeVector]] | None,
 ) -> list[VerificationReport]:
     """One report per j and (m, q) pair, every entry expanded once, with params
     ``params_of(m, q, j, n_parts)``.  A report's time runs from the end of the one
-    before, so the first also counts the expansion.  Only a ``whole`` collection's
-    check is certified (module docstring)."""
+    before, so the first also counts the expansion.  Only a whole collection's
+    check, which names its ``unvisited`` pairs (None for one pair), is certified
+    (module docstring); when the certificate refutes a collection whose reports,
+    j = 0 among them, all pass, the ``unvisited`` pairs run at j = 0 in sorted
+    order until one fails, and its report is appended."""
     parts = _reduction_orders((1,) * collection.ncomp if n_parts is None else n_parts,
                               collection.ncomp)
     js = int_tuple(j_values)
@@ -193,7 +199,7 @@ def _mkp_reports(
     fock = fermion.fock_states(collection.entries, collection.ncomp)
     ambient = collection.ambient
     zero_js = {  # the j whose reports a certified collection makes zero
-        j for j in js if whole
+        j for j in js if unvisited is not None
         and not (j and any(_apply_d(tau, j, parts) for tau in collection.entries.values()))
     }
     certified = bool(zero_js) and fermion.decomposable(fock[0])
@@ -205,6 +211,12 @@ def _mkp_reports(
                            else _sector(fock, mv, qv, j, parts, ambient))
             reports.append(_finish(identity, params_of(mv, qv, j, parts), obstruction, t0))
             t0 = time.perf_counter()
+    if 0 in zero_js and not certified and all(r.passed for r in reports):
+        for mv, qv in sorted(unvisited):
+            obstruction = _sector(fock, mv, qv, 0, parts, ambient)
+            if obstruction:
+                reports.append(_finish(identity, params_of(mv, qv, 0, parts), obstruction, t0))
+                break
     return reports
 
 
@@ -234,7 +246,7 @@ def hirota_mkp_check(
     if sum(qv) != collection.total - 1:
         raise ValueError(f"q must sum to {collection.total - 1}")
     return _mkp_reports(collection, [(mv, qv)], n_parts, (j,), "mkp-residue", _mkp_params,
-                        whole=False)[0]
+                        unvisited=None)[0]
 
 
 def verify_mkp_collection(
@@ -246,18 +258,21 @@ def verify_mkp_collection(
     entries l, r and each a with r_a >= 1, in sorted order.
 
     The pairs with r_a = 0 are not visited, although their term a also has
-    both labels as entries: a collection can fail one of them and pass, even
-    when ``fermion.decomposable`` refutes it, since its visited pairs alone
-    decide then.  Each entry is expanded once, for every pair and j; entries
-    are checked as in ``hirota_mkp_check``.
+    both labels as entries, so a collection could pass every visited pair
+    and be no tau.  ``fermion.decomposable`` decides that: when it refutes a
+    collection whose reports, j = 0 among them, all pass, the unvisited pairs
+    run at j = 0 until one fails, and its report is appended.  Each entry is
+    expanded once, for every pair and j; entries are checked as in
+    ``hirota_mkp_check``.
     """
     labels = collection.entries
-    pairs = sorted({
-        (left[:a] + (left[a] + 1,) + left[a + 1:], right[:a] + (right[a] - 1,) + right[a + 1:])
-        for left in labels for right in labels for a in range(collection.ncomp) if right[a] >= 1
-    })
-    return _mkp_reports(collection, pairs, n_parts, j_values, "mkp-residue", _mkp_params,
-                        whole=True)
+    visited, unvisited = set(), set()
+    for left, right, a in product(labels, labels, range(collection.ncomp)):
+        pair = (left[:a] + (left[a] + 1,) + left[a + 1:],
+                right[:a] + (right[a] - 1,) + right[a + 1:])
+        (visited if right[a] >= 1 else unvisited).add(pair)
+    return _mkp_reports(collection, sorted(visited), n_parts, j_values, "mkp-residue",
+                        _mkp_params, unvisited=unvisited - visited)
 
 
 def reduction_check(

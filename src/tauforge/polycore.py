@@ -12,10 +12,11 @@ The rationals enter at the constructors alone (``Poly(terms)``, ``const``,
 ``_as_fraction``: an int or a ``Fraction``, never a float, bool or string.
 Every operation runs on the integers, and a result whose numerators may
 share a factor with its denominator (a sum, a derivative, a product) is
-divided by their gcd.  ``terms`` is a view, the reduced ``Fraction`` of each
-term, built on its first read and kept; the renderers and the serializer
-read it, and nothing in the package reads it to test for zero.  A race only
-builds the view twice.
+divided by their gcd.  The renderer and the serializer read the numerators
+too, each coefficient reduced on its own as it is printed.  ``terms``, the
+reduced ``Fraction`` of each term, is a fresh dict on every read, for readers
+outside the package; nothing in it reads ``terms``, and a ``Poly`` has no
+state filled after construction.
 
 Variables are indexed symbols t_i, y_i, x_i, each optionally attached to a
 component (for multicomponent hierarchies).  Every ``Poly`` carries the
@@ -46,7 +47,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Collection, Iterable, Mapping, NamedTuple, Union
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Union
 
 
 class Family(IntEnum):
@@ -133,7 +134,7 @@ class Poly:
     """Immutable-by-convention sparse polynomial: integer numerators over one
     positive denominator, in canonical form (module docstring)."""
 
-    __slots__ = ("numerators", "den", "ncomp", "_terms")
+    __slots__ = ("numerators", "den", "ncomp")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, ncomp: int = 1):
         self.ncomp = _ncomp(ncomp)  # const and var construct through here
@@ -143,7 +144,6 @@ class Poly:
         den = lcm(*[c.denominator for c in coeffs.values()])
         self.numerators = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
         self.den = den
-        self._terms = None
 
     @classmethod
     def _raw(cls, numerators: dict[Monomial, int], den: int, ncomp: int) -> "Poly":
@@ -152,7 +152,6 @@ class Poly:
         self.numerators = numerators
         self.den = den
         self.ncomp = ncomp
-        self._terms = None
         return self
 
     @classmethod
@@ -188,17 +187,9 @@ class Poly:
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        """Each term's reduced ``Fraction``: a read-only view, built on first read."""
-        view = self._terms
-        if view is None:
-            den, view, known = self.den, {}, {}  # one Fraction per distinct numerator
-            for m, n in self.numerators.items():
-                f = known.get(n)
-                if f is None:
-                    f = known[n] = Fraction(n, den)
-                view[m] = f
-            self._terms = view
-        return view
+        """Each term's reduced ``Fraction``, in a new dict on every read."""
+        den = self.den
+        return {m: Fraction(n, den) for m, n in self.numerators.items()}
 
     # -- predicates ---------------------------------------------------------
 
@@ -363,24 +354,24 @@ class Poly:
             base += f"[{v.component}]"
         return base
 
+    def _signed_terms(self) -> Iterator[tuple[Monomial, str, str]]:
+        """(monomial, "-" or "", |coefficient| as text) of each term in print order,
+        each coefficient reduced from its numerator over ``den``."""
+        den, numerators = self.den, self.numerators
+        for mono in sorted(numerators, key=_term_sort_key):
+            n = numerators[mono]
+            g = gcd(n, den)
+            mag = f"{abs(n) // g}" if g == den else f"{abs(n) // g}/{den // g}"
+            yield mono, "-" if n < 0 else "", mag
+
     def __str__(self) -> str:
-        if not self.numerators:
-            return "0"
         pieces: list[str] = []
-        for mono, coeff in sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0])):
-            mag = abs(coeff)
-            if mono:
-                vars_text = "*".join(
-                    self._var_text(v) + (f"^{e}" if e > 1 else "") for v, e in mono
-                )
-                body = vars_text if mag == 1 else f"{mag}*{vars_text}"
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append(f"-{body}" if coeff < 0 else body)
-            else:
-                pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-        return "".join(pieces)
+        for mono, sign, mag in self._signed_terms():
+            body = "*".join(self._var_text(v) + (f"^{e}" if e > 1 else "") for v, e in mono)
+            if mag != "1" or not mono:
+                body = f"{mag}*{body}" if mono else mag
+            pieces.append(f" {sign or '+'} " + body if pieces else sign + body)
+        return "".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"Poly({self!s})"
@@ -388,14 +379,13 @@ class Poly:
     # -- serialization ------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        terms = []
-        for mono, coeff in sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0])):
-            terms.append(
-                {
-                    "coeff": str(coeff),
-                    "monomial": [[v.family.name, v.component, v.index, e] for v, e in mono],
-                }
-            )
+        terms = [
+            {
+                "coeff": sign + mag,
+                "monomial": [[v.family.name, v.component, v.index, e] for v, e in mono],
+            }
+            for mono, sign, mag in self._signed_terms()
+        ]
         return {"ncomp": self.ncomp, "terms": terms}
 
     @classmethod

@@ -1010,9 +1010,10 @@ def boson_image_by_state_loop(
 
 class FractionPoly:
     """``Poly`` as it was before it held integer numerators over one denominator:
-    a dict of reduced ``Fraction`` coefficients, every operation on them, and
+    a dict of reduced ``Fraction`` coefficients, every operation on them,
     products through ``packed_sum`` on numerators over each factor's lcm
-    denominator, decoded into one ``Fraction`` per term."""
+    denominator, decoded into one ``Fraction`` per term, and the text and JSON
+    renderers reading the ``Fraction`` of each term."""
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, ncomp: int = 1):
         self.ncomp = ncomp
@@ -1100,6 +1101,27 @@ class FractionPoly:
                         out[mono[:i] + rest + mono[i + 1:]] = c
                     break
         return FractionPoly(out, self.ncomp) if order else self
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        pieces: list[str] = []
+        for mono, coeff in sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0])):
+            mag = abs(coeff)
+            if mono:
+                vars_text = "*".join(
+                    f"{v.family.letter}{v.index}" + (f"[{v.component}]" if self.ncomp > 1 else "")
+                    + (f"^{e}" if e > 1 else "")
+                    for v, e in mono
+                )
+                body = vars_text if mag == 1 else f"{mag}*{vars_text}"
+            else:
+                body = str(mag)
+            if not pieces:
+                pieces.append(f"-{body}" if coeff < 0 else body)
+            else:
+                pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+        return "".join(pieces)
 
     def to_json_obj(self) -> dict:
         return {"ncomp": self.ncomp, "terms": [

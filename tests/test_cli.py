@@ -538,6 +538,41 @@ def test_check_json_bytes_are_pinned(capsys, tmp_path, name):
     assert _pinned_run(capsys, tmp_path, name, args) == (code, digest, "")
 
 
+# sha256 of the --json stdout, the same before the renderers read the integer
+# numerators, and the exit code of each run.
+RENDERED = {
+    ("verify", "--what", "kp", "--partition", "3,2,1", "--j", "1"):
+        (1, "a13c044110aba9c203f58bc242d58c7c8ca0efe76745f1cbf1869a209a35c056"),
+    ("tau-kp", "--partition", "3,2,1"):
+        (0, "bebf30cec2e8befb31e6665c0a2b3c002c33451eb1d850c94fc3f99d0d57c0ef"),
+    ("akns", "--m1", "3", "--m2", "2"):
+        (0, "74474c820760f3f4156b81580dd2687300ffb471a5f77a264af98b207568abcc"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RENDERED))
+def test_each_mode_renders_only_what_it_prints(capsys, monkeypatch, argv):
+    # text mode builds no JSON object, and a text-mode verify renders no
+    # obstruction; --json prints the pinned bytes
+    calls = {"__str__": 0, "to_json_obj": 0}
+    for name in calls:
+        method = getattr(Poly, name)
+
+        def counted(self, method=method, name=name):
+            calls[name] += 1
+            return method(self)
+
+        monkeypatch.setattr(Poly, name, counted)
+    code, digest = RENDERED[argv]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (code, "") and out
+    assert calls["to_json_obj"] == 0
+    assert calls["__str__"] == (0 if argv[0] == "verify" else len(out.splitlines()))
+    rc, out, err = run(capsys, argv[0], "--json", *argv[1:])
+    assert (rc, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
+    assert calls["__str__"] > 0
+
+
 def test_one_parser_serves_every_call(capsys, tmp_path):
     # The same process runs a construction, a rejected argv and the
     # construction again: the rejection exits 2 as before, the repeat prints

@@ -362,8 +362,9 @@ def _seeded_collection(rng: random.Random, ncomp: int, ncol: int) -> TauCollecti
     return tau_mkp_collection(specs)
 
 
-# An entry that is no KP tau in t^(2): its one pair with r_a >= 1 passes, and only a
-# pair that ``verify_mkp_collection`` skips, m = (2, 1), q = (2, -1), fails.
+# An entry that is no KP tau in t^(2): its one pair with r_a >= 1 passes, and only the
+# pair m = (2, 1), q = (2, -1), with r_a = 0, fails; ``verify_mkp_collection`` runs
+# that pair only because the certificate refutes the entry.
 SKIPPED_SECTOR = TauCollection(
     2, 2, {(2, 0): Poly.const(Fraction(1, 4), 2) - tvar(2, 2, 2).scale(Fraction(2, 3))}
 )
@@ -371,7 +372,8 @@ SKIPPED_SECTOR = TauCollection(
 
 def _certificate_cases():
     """The wedge oracle's collections, seeded collections with s <= 4 and perturbed
-    copies, the perturbed controls of this file and ``SKIPPED_SECTOR``."""
+    copies, the perturbed controls of this file, ``SKIPPED_SECTOR`` and seeded
+    collections like it."""
     rng = random.Random(26)
     for ncomp, ncol, degree in [(1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 2)]:
         wedge, sectors = _wedge_sectors(rng, ncomp, ncol, degree)
@@ -397,10 +399,18 @@ def _certificate_cases():
     for tau in [*_kp_taus(), *(tau for tau, _ in _nkdv_taus())]:
         yield TauCollection(0, 1, {(0,): tau})
     yield SKIPPED_SECTOR
+    rng = random.Random(31)
+    for _ in range(6):  # one entry, no KP tau in a component a where its charge is 0
+        s = rng.randint(2, 3)
+        a = rng.randrange(s)
+        label = tuple(0 if b == a else rng.randint(1, 2) for b in range(s))
+        bump = tvar(1, a + 1, s) ** rng.randint(0, 2) * tvar(2, a + 1, s)
+        entry = bump.scale(_nonzero_fraction(rng)) + _nonzero_fraction(rng)
+        yield TauCollection(sum(label), s, {label: entry})
 
 
 def test_the_certificate_holds_exactly_when_every_sector_passes():
-    verdicts, unsigned_wrong = [], 0
+    verdicts, unsigned_wrong, unvisited_fails = [], 0, 0
     for coll in _certificate_cases():
         states = fermion.fock_states(coll.entries, coll.ncomp)[0]
         certified = fermion.decomposable(states)
@@ -409,19 +419,28 @@ def test_the_certificate_holds_exactly_when_every_sector_passes():
         verdicts.append(certified)
         unsigned_wrong += fermion.decomposable(_unsigned(states)) != every
         if not certified:
-            # the per-pair path decides, so each report is the single pair's
+            # the per-pair path decides, so each report is the single pair's, and
+            # no refuted collection passes
             kp = coll.total == 0
-            for r in verify_kp(coll.get((0,))) if kp else verify_mkp_collection(coll):
+            reports = verify_mkp_collection(coll)
+            for r in verify_kp(coll.get((0,))) if kp else reports:
                 m, q = ((1,), (-1,)) if kp else (r.params["m"], r.params["q"])
                 single = hirota_mkp_check(coll, m, q)
                 assert r.obstruction == single.obstruction and r.passed == single.passed
+            assert not all(r.passed for r in reports), coll.entries
+            unvisited_fails += not kp and min(reports[-1].params["q"]) < 0  # some r_a = 0
     assert verdicts.count(True) > 40 and verdicts.count(False) > 40
     assert unsigned_wrong > 5  # labels with odd charges make the sign matter
-    # the certificate refutes SKIPPED_SECTOR, whose every visited pair passes
-    reports = verify_mkp_collection(SKIPPED_SECTOR)
-    assert len(reports) == 1 and reports[0].passed
+    # SKIPPED_SECTOR and the six like it pass every visited pair, and no other case does
+    assert unvisited_fails == 7, unvisited_fails
+    # the certificate refutes SKIPPED_SECTOR, whose one visited pair passes, so the
+    # unvisited pair runs and its FAIL is appended
     assert not fermion.decomposable(fermion.fock_states(SKIPPED_SECTOR.entries, 2)[0])
-    assert len(hirota_mkp_check(SKIPPED_SECTOR, (2, 1), (2, -1)).obstruction.terms) == 10
+    visited, skipped = verify_mkp_collection(SKIPPED_SECTOR)
+    assert visited.passed and (visited.params["m"], visited.params["q"]) == ([3, 0], [1, 0])
+    assert not skipped.passed and (skipped.params["m"], skipped.params["q"]) == ([2, 1], [2, -1])
+    assert skipped.obstruction == hirota_mkp_check(SKIPPED_SECTOR, (2, 1), (2, -1)).obstruction
+    assert len(skipped.obstruction.numerators) == 10
 
 
 def test_dense_expansion_matches_the_row_dict_reference():

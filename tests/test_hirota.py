@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -616,9 +617,43 @@ def test_non_integer_orders_raise_type_error():
     assert not reduction_check(tau, (2,), 1).passed
 
 
-def test_passing_checks_leave_every_fraction_view_unbuilt():
-    # emptiness is read off the integer numerators, so a passing check builds no
-    # Fraction view of an entry, an obstruction or a per-flow residual
+# Every subcommand, with files named by key; the verify targets pass and fail.
+EVERY_SUBCOMMAND = [
+    ["schur", "5", "--component", "2"],
+    ["tau-kp", "--partition", "3,1", "--shifts", "@kp_shifts"],
+    ["tau-mkp", "--specs", "@specs"],
+    ["tau-mkp", "--specs", "@specs", "--charge", "1,1"],
+    ["tau-nkdv", "--partition", "3,2,1", "--n", "2"],
+    ["tau-mnkdv", "--profile", "@profile"],
+    ["tau-mnkdv", "--profile", "@profile", "--charge", "1,0"],
+    ["akns", "--m1", "3", "--m2", "2", "--c1", "1/2,-1"],
+    ["akns", "--m1", "3", "--m2", "2", "--p", "1"],
+    ["verify", "--what", "kp", "--partition", "3,2,1", "--shifts", "random", "--trials", "2"],
+    ["verify", "--what", "kp", "--partition", "3,2,1", "--j", "1"],
+    ["verify", "--what", "nkdv", "--partition", "2,1", "--n", "2"],
+    ["verify", "--what", "nkdv", "--partition", "3,2,1", "--n", "2", "--shifts", "@nkdv_shifts"],
+    ["verify", "--what", "mkp", "--specs", "@specs"],
+    ["verify", "--what", "mnkdv", "--profile", "@profile"],
+    ["verify", "--what", "reduction", "--profile", "@profile"],
+    ["verify", "--what", "akns", "--m1", "3", "--m2", "2", "--b1", "2"],
+    ["verify", "--what", "akns", "--m1", "3", "--m2", "3", "--k", "2"],
+    ["oracle-compare", "--case", "@case"],
+    ["list-periodic", "--n", "2", "--max-size", "6"],
+]
+
+
+def test_nothing_in_the_package_reads_the_fraction_view(monkeypatch, tmp_path, capsys):
+    # the checks, the reports and the command line read the integer numerators
+    # alone: passing and failing library checks, and every subcommand in text and
+    # --json mode, with Poly.terms raising
+    from tauforge.cli import main
+
+    specs = [[{"degree": 2}, {"degree": 1, "shift": ["1/2"]}], [{"degree": 1}, {"degree": 2}]]
+    files = {"kp_shifts": {"1": ["1/2", -1, 2], "2": [3]}, "nkdv_shifts": {"0": [1], "1": [2]},
+             "specs": {"specs": specs}, "profile": {"n_parts": [2, 1], "specs": specs[:1]},
+             "case": [{"kind": "kp", "partition": [2, 1]}, {"kind": "mkp", "specs": specs}]}
+    for key, obj in files.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(obj), encoding="utf-8")
     rng = random.Random(30)
     tau = tau_kp((3, 2, 1), random_shifts_for(rng, (3, 2, 1)))
     mkp = tau_mkp_collection([
@@ -627,9 +662,29 @@ def test_passing_checks_leave_every_fraction_view_unbuilt():
         for _ in range(2)
     ])
     akns = akns_collection(4, 4, 2, Fraction(1, 3), [Fraction(1, 2)] * 3, [Fraction(-2, 5)] * 3)
-    reports = [*verify_kp(tau), *verify_mkp_collection(mkp),
-               *(akns_pde_check(akns, (p, 4 - p)) for p in range(1, 4))]
-    assert reports and all(r.passed for r in reports)
-    polys = [tau, *mkp.entries.values(), *akns.entries.values()]
-    polys += [p for r in reports for p in (r.obstruction, *r.per_param.values())]
-    assert all(p._terms is None for p in polys)
+    bad_akns = TauCollection(akns.total, 2, {**akns.entries, (2, 2): akns.get((2, 2)) + 1}, 1)
+    bad_mkp = TauCollection(mkp.total, 2, {**mkp.entries, (1, 1): mkp.get((1, 1)) + tvar(2, 1, 2)})
+
+    def unread(p):
+        raise AssertionError("Poly.terms was read")
+
+    monkeypatch.setattr(Poly, "terms", property(unread))
+    checks = {  # (passing, failing) reports of each check
+        "verify_kp": (verify_kp(tau), verify_kp(tau + tvar(2))),
+        "verify_mkp_collection": (verify_mkp_collection(mkp), verify_mkp_collection(bad_mkp)),
+        "reduction_check": ([reduction_check(tau_nkdv((2, 1), 2), (2,), 2)],
+                            [reduction_check(tau, (2,), 2)]),
+        "akns_pde_check": ([akns_pde_check(akns, (2, 2))], [akns_pde_check(bad_akns, (2, 2))]),
+    }
+    for name, (good, bad) in checks.items():
+        assert all(r.passed for r in good) and not all(r.passed for r in bad), name
+        for r in good + bad:
+            assert r.to_json_obj(include_timing=True)["obstruction"] == str(r.obstruction)
+    monkeypatch.chdir(tmp_path)
+    codes = set()
+    for argv in EVERY_SUBCOMMAND:
+        argv = [f"{a[1:]}.json" if a.startswith("@") else a for a in argv]
+        for mode in ([], ["--json"]):
+            codes.add(main([argv[0], *mode, *argv[1:]]))
+            assert capsys.readouterr().err == "", argv
+    assert codes == {0, 1}

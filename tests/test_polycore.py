@@ -77,7 +77,7 @@ def test_poly_holds_canonical_integer_numerators():
     assert (q.numerators, q.den) == ({((VarId(Family.T, 1, 1), 1),): 1}, 1) and q == tvar(1)
     zero = tvar(1).scale(Fraction(1, 3)) - tvar(1).scale(Fraction(1, 3))
     assert (zero.numerators, zero.den) == ({}, 1) and zero == Poly.zero()
-    assert p._terms is None and p.terms is p.terms  # built on the first read, then kept
+    assert p.terms == {(): Fraction(1, 2), ((VarId(Family.T, 1, 1), 1),): Fraction(1, 3)}
 
 
 def test_var_validation():
@@ -358,7 +358,8 @@ def _random_poly(rng: random.Random, ncomp: int, families) -> Poly:
 def test_poly_arithmetic_matches_the_fraction_reference():
     # every operation against the Fraction-coefficient Poly of tests/oracles.py, term
     # for term, over the T, Y and X families, mixed families and 1-3 components; each
-    # result is canonical and survives the JSON round trip
+    # result is canonical, prints the reference's text and JSON, and survives the
+    # JSON round trip
     rng = random.Random(30)
     family_sets = [(Family.T,), (Family.Y,), (Family.X,), tuple(Family)]
     for trial in range(400):
@@ -380,7 +381,7 @@ def test_poly_arithmetic_matches_the_fraction_reference():
             assert got.ncomp == want.ncomp and got.terms == want.terms
             assert got.den == lcm(*[x.denominator for x in want.terms.values()])
             assert gcd(got.den, *got.numerators.values()) == 1
-            assert got.to_json_obj() == want.to_json_obj()
+            assert got.to_json_obj() == want.to_json_obj() and str(got) == str(want)
             assert Poly.from_json_obj(json.loads(json.dumps(got.to_json_obj()))) == got
         for x in (0, 1, -3, c, Fraction(1, 2)):
             assert (p == x) == (fp == x)
