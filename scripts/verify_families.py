@@ -122,16 +122,19 @@ def members(args: argparse.Namespace):
 
         yield f"mnkdv profile#{idx} n_parts={profile.n_parts}", checks, False
 
-    # the mKP frontier: 4 columns of degree 4 in s components, and the same
-    # collection with t_2^(1) added to its lowest entry
+    # the mKP frontier: 4 columns of degree 4 in s components, its tag carrying
+    # the construction time, and the same collection with t_2^(1) added to its
+    # lowest entry
     rng = random.Random(args.seed)
     for s in range(3, args.max_components + 1):
+        start = time.perf_counter()
         coll = tau_mkp_collection(mkp_columns(rng, s, 4, 4))
+        build_ms = (time.perf_counter() - start) * 1000.0
         entries = dict(coll.entries)
         low = min(entries)
         entries[low] = entries[low] + tvar(2, 1, s)
         control = TauCollection(coll.total, s, entries)
-        yield f"mkp s={s} 4x4", lambda: verify_mkp_collection(coll), False
+        yield f"mkp s={s} 4x4 build={build_ms:.1f} ms", lambda: verify_mkp_collection(coll), False
         yield f"mkp s={s} 4x4 control", lambda: verify_mkp_collection(control), True
 
     # AKNS, then the frontier: one (m, m) member per order m above 3 up to

@@ -44,7 +44,9 @@ asks ``fermion.decomposable`` whether T = sum_l (-1)^{sum_b C(l_b, 2)} tau^(l)
 is one wedge.  Its Plucker relations are the j = 0 sectors of every pair, so a
 certified collection's j = 0 obstructions are all zero; otherwise every pair
 runs as above, which alone decides a FAIL, and a refuted collection whose
-pairs all pass runs the j = 0 pairs it did not visit until one fails.  A
+pairs all pass runs the j = 0 pairs it did not visit until one fails.  On
+level 0 no label has a positive charge, so the pairs visited there are the
+(e_a, -e_a).  A
 certified collection's pairs are zero also at each j >= 1 where
 D_j = sum_a d/dt^(a)_{j n_a} kills every entry: D_j commutes with the Miwa
 shift, so it passes through each tau onto exp xi(t^(a) - y^(a), z), which it
@@ -255,22 +257,24 @@ def verify_mkp_collection(
     j_values: Sequence[int] = (0,),
 ) -> list[VerificationReport]:
     """Run the residue identity over the label pairs (l + e_a, r - e_a) for nonzero
-    entries l, r and each a with r_a >= 1, in sorted order.
+    entries l, r and each a with r_a >= 1, in sorted order.  On level 0, where
+    no r_a is positive, every a is visited: the pairs (e_a, -e_a), so that a
+    collection with an entry never passes on no checks.
 
-    The pairs with r_a = 0 are not visited, although their term a also has
-    both labels as entries, so a collection could pass every visited pair
-    and be no tau.  ``fermion.decomposable`` decides that: when it refutes a
-    collection whose reports, j = 0 among them, all pass, the unvisited pairs
-    run at j = 0 until one fails, and its report is appended.  Each entry is
-    expanded once, for every pair and j; entries are checked as in
-    ``hirota_mkp_check``.
+    Above level 0 the pairs with r_a = 0 are not visited, although their term
+    a also has both labels as entries, so a collection could pass every
+    visited pair and be no tau.  ``fermion.decomposable`` decides that: when it
+    refutes a collection whose reports, j = 0 among them, all pass, the
+    unvisited pairs run at j = 0 until one fails, and its report is appended.
+    Each entry is expanded once, for every pair and j; entries are checked as
+    in ``hirota_mkp_check``.
     """
     labels = collection.entries
     visited, unvisited = set(), set()
     for left, right, a in product(labels, labels, range(collection.ncomp)):
         pair = (left[:a] + (left[a] + 1,) + left[a + 1:],
                 right[:a] + (right[a] - 1,) + right[a + 1:])
-        (visited if right[a] >= 1 else unvisited).add(pair)
+        (visited if right[a] >= 1 or not collection.total else unvisited).add(pair)
     return _mkp_reports(collection, sorted(visited), n_parts, j_values, "mkp-residue",
                         _mkp_params, unvisited=unvisited - visited)
 

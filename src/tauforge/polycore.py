@@ -26,7 +26,7 @@ one ambient is fine.
 
 Every ``Poly`` product runs through one packed kernel, ``packed_sum``, which
 returns sum_k w_k * a_k * b_k on integers: ``Poly.sum_of_products`` and the
-determinant kernel ``tau._det`` both call it, and ``a * b`` is the one-pair
+determinant kernel ``tau._dets`` both call it, and ``a * b`` is the one-pair
 case of the first.  A ``Packing`` gives each variable a bit field, in
 canonical variable order, so a monomial packs into one int and multiplying
 monomials adds their ints.  Its caller names a bound ``top`` on every exponent the products can
@@ -34,7 +34,7 @@ reach, and each field is ``top.bit_length()`` bits wide, so no field ever
 carries into the next: there is no exponent cap to check.
 ``sum_of_products`` takes ``top`` = max_k(max exponent of a_k + max exponent
 of b_k), since a product's exponent is the sum of its factors' exponents;
-``tau._det`` takes the sum over rows of the largest exponent in each row.
+``tau._dets`` takes the sum over columns of the largest exponent in each column.
 The factors' numerators are packed as they are, over the lcm of the pairs'
 denominators, and ``Packing.unpack`` returns the integer ``Poly`` of the sum.
 """

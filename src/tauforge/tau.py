@@ -29,10 +29,10 @@ then d/dt_1^(a) kills every other component and lowers M_a by one per order.
 With k the column's largest i and r the most rows a block can have, no entry
 reads below L = max(M_a - k*n_a - r, 0), so each table starts there.  The
 tables are integer numerators over one denominator per table
-(``schur._shifted_table``), and every determinant, ``det_poly``'s included,
-runs in one kernel, ``_det``, which packs those integers as they are and
-unpacks the determinant into an integer ``Poly``: a construction makes no
-``Fraction``.
+(``schur._shifted_table``), and every construction, ``det_poly`` included, is
+one call of one kernel, ``_dets``: it packs each distinct table entry once, as
+the integers it holds, and yields each label's determinant as an integer
+``Poly``: a construction makes no ``Fraction``.
 ``tau_kp`` is the one-component case, with column degrees l_j + m - j + 1.
 
 ``tau_nkdv`` is ``tau_kp`` whose column of degree M carries the vector of the
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, is_n_periodic
 from .polycore import (
@@ -71,7 +71,8 @@ ChargeVector = tuple[int, ...]
 
 
 def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square Poly matrix: ``_det`` of its entries' numerators."""
+    """Determinant of a square Poly matrix: the one-component ``_dets`` at label
+    (m,), whose column j lists the matrix's column j from top to bottom."""
     m = len(rows)
     if m == 0:
         raise ValueError("determinant of an empty matrix needs an ambient; use const 1")
@@ -83,57 +84,8 @@ def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
             if entry.ncomp != ncomp:
                 raise ValueError(f"ambient component count mismatch: {ncomp} vs {entry.ncomp}")
     numerators = {id(p): (p.numerators.items(), p.den) for row in rows for p in row if p}
-    return _det([[numerators.get(id(p)) for p in row] for row in rows], ncomp)
-
-
-def _det(rows: Sequence[Sequence[Numerators | None]], ncomp: int) -> Poly:
-    """Determinant, in ``ncomp`` components, of a nonempty square matrix of integer
-    numerators over one denominator per entry (None at a zero entry), by memoized
-    Laplace expansion: the one determinant kernel.
-
-    Each distinct entry is packed once (``polycore.Packing``) over D, the lcm of
-    the entries' denominators, so the minor on rows i..m-1 is packed numerators
-    over D^(m-i).  The memo keeps each minor packed, and only the determinant is
-    decoded.  The fields are as wide as the sum over rows of the largest exponent
-    in the row: every monomial of a minor is a product of one entry monomial from
-    each of its rows, so none of its exponents exceeds that sum, and no field
-    carries into the next.
-    """
-    m = len(rows)
-    distinct = {id(e): e for row in rows for e in row if e and e[0]}
-    tops = {key: max((x for mono, _ in terms for _, x in mono), default=0)
-            for key, (terms, _) in distinct.items()}
-    layout = Packing((mono for terms, _ in distinct.values() for mono, _ in terms),
-                     sum(max(tops.get(id(e), 0) for e in row) for row in rows))
-    den = lcm(*[d for _, d in distinct.values()])
-    packed = {key: layout.pack(terms, den // d) for key, (terms, d) in distinct.items()}
-    cells = [[packed.get(id(e)) for e in row] for row in rows]  # None at a zero entry
-    full = (1 << m) - 1
-    memo: dict[tuple[int, int], Packed] = {}
-
-    def expand(i: int, cols: int) -> Packed:
-        if i == m - 1:
-            return cells[i][cols.bit_length() - 1] or []  # the one column left
-        key = (i, cols)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        triples = []
-        sign = 1
-        rest = cols
-        while rest:
-            low = rest & -rest
-            entry = cells[i][low.bit_length() - 1]
-            if entry:
-                minor = expand(i + 1, cols & ~low)
-                if minor:
-                    triples.append((sign, entry, minor))
-            sign = -sign
-            rest ^= low
-        memo[key] = total = packed_sum(triples)
-        return total
-
-    return layout.unpack(expand(0, full), den**m, ncomp)
+    columns = [([numerators.get(id(p)) for p in col],) for col in zip(*rows)]
+    return next(_dets(columns, [(m,)], ncomp))
 
 
 # -- single-component KP -------------------------------------------------------
@@ -233,9 +185,8 @@ def _apply_d(p: Poly, j: int, parts: Sequence[int]) -> Poly:
 def charge_vectors(total: int, ncomp: int) -> Iterator[ChargeVector]:
     """All labels (m_1, ..., m_s) with m_a >= 0 and sum = total."""
     _json_int(total)
-    if _ncomp(ncomp) == 1:
-        if total >= 0:
-            yield (total,)
+    _ncomp(ncomp)
+    if total < 0:
         return
     for cut in combinations_with_replacement(range(total + 1), ncomp - 1):
         bounds = (0,) + cut + (total,)
@@ -300,33 +251,71 @@ class TauCollection:
 # (t^(a) + c_a) of a generating function h = sum_a b_a * s_{M_a}(t^(a) + c_a),
 # as integer numerators (``schur._shifted_table``), empty when b_a = 0, from the
 # lowest entry L that a row reads.  D^i h has the same table without its last
-# i*n_a entries.
-Column = tuple[Sequence[Numerators], ...]
+# i*n_a entries.  ``det_poly``'s one table per column is the matrix column, None
+# at a zero entry.
+Column = tuple[Sequence[Numerators | None], ...]
 
 
-def _block_det(columns: Sequence[Column], label: ChargeVector, ncomp: int) -> Poly:
-    """The charge-labelled determinant of the columns (module docstring).
+def _dets(columns: Sequence[Column], labels: Iterable[ChargeVector],
+          ambient: int | None = None) -> Iterator[Poly]:
+    """The charge-labelled determinant of the columns at each label in turn, in
+    ``ambient`` components (the label's arity when None): the one determinant kernel.
 
-    Row (a, p), for p = m_a, ..., 1, reads entry M_a - p of every column's
-    table a, counted from its end, or zero when the table is shorter.  Zero
-    off the polyhedron; 1 without rows.
+    Row (a, p), for p = m_a, ..., 1, reads entry M_a - p of every column's table
+    a, counted from its end, or zero when the table is shorter.  Zero off the
+    polyhedron; 1 without rows.  Every distinct entry of the columns is packed
+    once (``polycore.Packing``) over D, the lcm of their denominators, so a minor
+    on rows i..m-1 is packed numerators over D^(m-i); each label's memoized
+    Laplace expansion keeps its minors packed and decodes only the determinant.
+    The fields are as wide as the sum over columns of the largest exponent in the
+    column: every monomial of a minor is a product of at most one entry monomial
+    from each column, so no label's exponents exceed that sum, and no field
+    carries into the next.
     """
-    if any(x < 0 for x in label):
-        return Poly.zero(ncomp)
-    rows = [
-        [col[a][-p] if p <= len(col[a]) else None for col in columns]
-        for a, m_a in enumerate(label)
-        for p in range(m_a, 0, -1)
-    ]
-    return _det(rows, ncomp) if rows else Poly.const(1, ncomp)
+    distinct = {id(e): e for col in columns for table in col for e in table if e and e[0]}
+    tops = {key: max((x for mono, _ in terms for _, x in mono), default=0)
+            for key, (terms, _) in distinct.items()}
+    layout = Packing((mono for terms, _ in distinct.values() for mono, _ in terms),
+                     sum(max((tops.get(id(e), 0) for table in col for e in table), default=0)
+                         for col in columns))
+    den = lcm(*[d for _, d in distinct.values()])
+    packed = {key: layout.pack(terms, den // d) for key, (terms, d) in distinct.items()}
+    for label in labels:
+        ncomp = len(label) if ambient is None else ambient
+        if any(x < 0 for x in label):
+            yield Poly.zero(ncomp)
+            continue
+        cells = [  # None at a zero entry
+            [packed.get(id(col[a][-p])) if p <= len(col[a]) else None for col in columns]
+            for a, m_a in enumerate(label)
+            for p in range(m_a, 0, -1)
+        ]
+        m = len(cells)
+        memo: dict[tuple[int, int], Packed] = {}
 
+        def expand(i: int, cols: int) -> Packed:
+            if i == m - 1:
+                return cells[i][cols.bit_length() - 1] or []  # the one column left
+            key = (i, cols)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            triples = []
+            sign = 1
+            rest = cols
+            while rest:
+                low = rest & -rest
+                entry = cells[i][low.bit_length() - 1]
+                if entry:
+                    minor = expand(i + 1, cols & ~low)
+                    if minor:
+                        triples.append((sign, entry, minor))
+                sign = -sign
+                rest ^= low
+            memo[key] = total = packed_sum(triples)
+            return total
 
-def _collection(total: int, ncomp: int, entry: Callable[[ChargeVector], Poly],
-                ambient: int | None = None) -> TauCollection:
-    """Every nonzero ``entry(label)`` on the level ``total``."""
-    pairs = ((label, entry(label)) for label in charge_vectors(total, ncomp))
-    entries = {label: poly for label, poly in pairs if poly}
-    return TauCollection(total, ncomp, entries, ambient)
+        yield layout.unpack(expand(0, (1 << m) - 1), den**m, ncomp) if m else Poly.const(1, ncomp)
 
 
 # -- multicomponent KP ---------------------------------------------------------
@@ -347,13 +336,15 @@ def _spec_column(spec: HSpec, rows: int, n_parts: Sequence[int] | None = None,
 def tau_mkp_entries(specs: Sequence[HSpec], charges: Iterable[Sequence[int]]) -> Iterator[Poly]:
     """``tau_mkp_entry`` for each charge in turn, all read off one set of
     column tables; each charge is checked when its entry is reached."""
-    columns = [_spec_column(spec, len(specs)) for spec in specs]
-    for label in map(int_tuple, charges):
+    def checked(charge: Sequence[int]) -> ChargeVector:
+        label = int_tuple(charge)
         if any(spec.ncomp != len(label) for spec in specs):
             raise ValueError("all specs must agree with the charge arity")
         if sum(label) != len(specs):
             raise ValueError(f"charge {label} must sum to the column count {len(specs)}")
-        yield _block_det(columns, label, len(label))
+        return label
+
+    yield from _dets([_spec_column(spec, len(specs)) for spec in specs], map(checked, charges))
 
 
 def tau_mkp_entry(specs: Sequence[HSpec], charge: Sequence[int]) -> Poly:
@@ -435,12 +426,14 @@ def tau_mnkdv_entry(profile: KdVProfile, charge: Sequence[int]) -> Poly:
         raise ValueError("charge arity must match the profile")
     if sum(label) != profile.total_charge:
         raise ValueError(f"charge {label} must sum to {profile.total_charge}")
-    return _block_det(_mnkdv_columns(profile), label, profile.ncomp)
+    return next(_dets(_mnkdv_columns(profile), [label]))
 
 
 def tau_mnkdv_collection(profile: KdVProfile) -> TauCollection:
-    columns, s = _mnkdv_columns(profile), profile.ncomp
-    return _collection(profile.total_charge, s, lambda label: _block_det(columns, label, s))
+    total, s = profile.total_charge, profile.ncomp
+    labels = list(charge_vectors(total, s))
+    pairs = zip(labels, _dets(_mnkdv_columns(profile), labels))
+    return TauCollection(total, s, {label: poly for label, poly in pairs if poly})
 
 
 def tau_nkdv(
@@ -512,14 +505,17 @@ def akns_tau(
     s_{m2 - u - v + 1}(-x + c2) (u = 1..K-p).  Zero whenever
     K > max(m1, m2) and whenever p lies outside 0..K.
     """
-    return _akns_entry(_akns_columns(m1, m2, b1, b2, c1, c2, big_k), (_json_int(p), big_k - p))
+    return next(_akns_taus(m1, m2, b1, b2, c1, c2, big_k, p))[1]
 
 
-def _akns_columns(
+def _akns_taus(
     m1: int, m2: int, b1: RationalLike, b2: RationalLike, c1: ShiftLike, c2: ShiftLike,
-    big_k: int,
-) -> list[Column]:
-    """The K towers of h = b1 s_{m1}(x + c1) + b2 s_{m2}(-x + c2) under n = (1, 1)."""
+    big_k: int, p: int | None = None,
+) -> Iterator[tuple[ChargeVector, Poly]]:
+    """(label, tau^label) at the label (p, K - p), or at every label of the level K
+    when p is None: the determinants of the K towers of h = b1 s_{m1}(x + c1) +
+    b2 s_{m2}(-x + c2) under n = (1, 1), each times (-1)^{C(p,2) + C(K-p,2)} as it
+    arrives (module docstring)."""
     if _json_int(m1) < 1 or _json_int(m2) < 1:
         raise ValueError("degrees must be >= 1")
     if _json_int(big_k) < 1:
@@ -531,14 +527,10 @@ def _akns_columns(
         _shifted_table(m - 1, c, 1, 0, b, Family.X, sign) if b else []
         for m, b, c, sign in zip((m1, m2), coeffs, shifts, (1, -1))
     )
-    return _tower(h, (1, 1), big_k - 1)
-
-
-def _akns_entry(columns: Sequence[Column], label: ChargeVector) -> Poly:
-    """tau^(p, q) off the towers, times (-1)^{C(p,2) + C(q,2)} (module docstring)."""
-    p, q = label
-    det = _block_det(columns, label, 1)
-    return -det if (p * (p - 1) + q * (q - 1)) // 2 % 2 else det
+    labels = list(charge_vectors(big_k, 2)) if p is None else [(_json_int(p), big_k - p)]
+    dets = _dets(_tower(h, (1, 1), big_k - 1), labels, 1)
+    return ((label, -det if sum(x * (x - 1) for x in label) // 2 % 2 else det)
+            for label, det in zip(labels, dets))
 
 
 def akns_collection(
@@ -553,5 +545,5 @@ def akns_collection(
     """All nonzero tau^(p, K-p); ``big_k`` defaults to max(m1, m2), the only
     size for which the family solves the AKNS system."""
     K = max(m1, m2) if big_k is None else big_k
-    columns = _akns_columns(m1, m2, b1, b2, c1, c2, K)
-    return _collection(K, 2, lambda label: _akns_entry(columns, label), ambient=1)
+    entries = {label: tau for label, tau in _akns_taus(m1, m2, b1, b2, c1, c2, K) if tau}
+    return TauCollection(K, 2, entries, ambient=1)

@@ -45,7 +45,7 @@ from tauforge import (
 from tauforge.partitions import partitions_of
 from tauforge.polycore import Monomial, Packing, _term_sort_key, packed_sum
 from tauforge.schur import schur_shifted_table
-from tauforge.tau import _block_det
+from tauforge.tau import _dets
 
 # one tuple of occupied positions per species, each decreasing
 State = tuple[tuple[int, ...], ...]
@@ -790,7 +790,7 @@ def tau_kp_by_windowed_tables(partition, shifts=None) -> Poly:
           for e in schur_shifted_table(part + m - j - 1, columns[j], lowest=max(part - j, 0))],)
         for j, part in enumerate(p.parts)
     ]
-    return _block_det(tables, (m,), 1)
+    return next(_dets(tables, [(m,)], 1))
 
 
 # -- the character rows of the Schur expansion ---------------------------------------

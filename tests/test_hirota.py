@@ -227,6 +227,29 @@ def test_verify_mkp_collection_catches_corruption():
     assert sum(1 for r in reports if not r.passed) == 3
 
 
+def test_a_level_zero_collection_checks_its_e_a_pairs():
+    # no label on level 0 has a positive charge, so the visited pairs are the
+    # (e_a, -e_a); without them a collection with an entry passed on no checks
+    tau = tau_kp((2, 1))
+    [report] = verify_mkp_collection(TauCollection(0, 1, {(0,): tau}))
+    assert report.passed and report.obstruction == hirota_kp_check(tau).obstruction
+
+    def in_component(p, a):
+        return Poly({tuple((v._replace(component=a), e) for v, e in mono): c
+                     for mono, c in p.terms.items()}, 2)
+
+    product = in_component(tau_kp((2, 1), [[1, 2], [Fraction(-1, 3)]]), 1) * in_component(
+        tau_kp((3,), [[2, 0, 5]]), 2)
+    good = verify_mkp_collection(TauCollection(0, 2, {(0, 0): product}))
+    assert [(r.params["m"], r.params["q"], r.passed) for r in good] == [
+        ([0, 1], [0, -1], True), ([1, 0], [-1, 0], True)]
+    bad = TauCollection(0, 2, {(0, 0): product + tvar(2, 2, 2)})
+    reports = verify_mkp_collection(bad)
+    assert len(reports) == 2 and not any(r.passed for r in reports)
+    for r in reports:
+        assert r.obstruction == hirota_mkp_check(bad, r.params["m"], r.params["q"]).obstruction
+
+
 def test_verify_mkp_collection_visits_the_offset_scan_pairs():
     # the pairs built from the entries, against the |ms| x |qs| scan they replaced
     rng = random.Random(3)

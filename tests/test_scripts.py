@@ -39,6 +39,8 @@ def test_end_to_end_scripts_succeed():
         *lines, last = proc.stdout.splitlines()
         assert len(lines) == count and all(re.fullmatch(member, line) for line in lines), argv
         assert re.fullmatch(summary, last), (argv, proc.stdout[-300:])
+    assert re.search(r"^ok   mkp s=3 4x4 build=\d+\.\d ms \[210 checks\] \(\d+\.\d ms\)$",
+                     proc.stdout, re.M)
     assert re.search(r"^ok   mkp s=3 4x4 control \[210 checks\]", proc.stdout, re.M)
     assert re.search(r"^ok   nkdv n=3 control \[3 checks\]", proc.stdout, re.M)
     assert re.search(r"^ok   akns M=\(3,3\) K=3 control \[2 checks\]", proc.stdout, re.M)

@@ -59,8 +59,9 @@ from tauforge import (
     tvar,
     xvar,
 )
+from tauforge import tau as tau_module
 from tauforge.polycore import exact_fraction
-from tauforge.tau import _spec_column
+from tauforge.tau import _spec_column, tau_mkp_entries
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -143,11 +144,9 @@ def test_det_matches_the_decoded_minor_reference(rows):
         assert list(mono) == sorted(mono) and all(e >= 1 for _, e in mono)
 
 
-@given(st.integers(1, 40), st.data())
-def test_det_at_the_field_width_edge(k, data):
-    # The rows' largest exponents sum to 2^k, the bound det_poly sizes its
-    # fields by, and one monomial of the determinant reaches it: a field of
-    # one bit less would carry.
+def edge_rows(k, data):
+    """A square matrix whose rows' largest exponents sum to 2^k, and a variable
+    v whose power 2^k is a monomial of its determinant."""
     n = data.draw(st.integers(1, min(4, 2**k)))
     cuts = sorted(data.draw(st.lists(st.integers(1, 2**k - 1), min_size=n - 1, max_size=n - 1,
                                      unique=True)))
@@ -167,11 +166,72 @@ def test_det_at_the_field_width_edge(k, data):
                 terms[((v, top),)] = data.draw(rationals.filter(bool))
             row.append(Poly(terms, 2))
         rows.append(row)
+    return rows, v
+
+
+@given(st.integers(1, 40), st.data())
+def test_det_at_the_field_width_edge(k, data):
+    # The rows' largest exponents sum to 2^k and one monomial of the
+    # determinant reaches it.  det_poly sizes its fields by the columns' sum,
+    # which is at least that monomial's exponent; the transposed matrix below
+    # sits at that bound.
+    rows, v = edge_rows(k, data)
     got = det_poly(rows)
     assert got == det_by_decoded_minors(rows)
     assert ((v, 2**k),) in got.terms
-    if n <= 3:
+    if len(rows) <= 3:
         assert got == det_by_permutations(rows)
+
+
+@given(st.integers(1, 40), st.data())
+def test_det_at_the_column_field_width_edge(k, data):
+    # The transpose: the columns' largest exponents sum to 2^k, the bound the
+    # determinant kernel sizes its fields by, and one monomial of the
+    # determinant reaches it: a field of one bit less would carry.
+    rows, v = edge_rows(k, data)
+    columns = [list(col) for col in zip(*rows)]
+    got = det_poly(columns)
+    assert got == det_by_decoded_minors(columns) == det_by_decoded_minors(rows)
+    assert ((v, 2**k),) in got.terms
+    if len(rows) <= 3:
+        assert got == det_by_permutations(columns)
+
+
+def test_one_packing_per_construction(monkeypatch):
+    # every label of a construction reads one packing of its columns' tables
+    made = []
+
+    class Counted(tau_module.Packing):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tau_module, "Packing", Counted)
+    rng = random.Random(5)
+    specs = [HSpec.make([(3, random_fraction(rng) or 1, [random_fraction(rng)] * 2)
+                         for _ in range(3)]) for _ in range(3)]
+    profile = KdVProfile((2, 1), (HSpec.make([(4, 1, None), (2, 1, None)]),
+                                  HSpec.make([(2, 3, None), (1, 1, None)])))
+    constructions = [  # (the nonzero entries it builds, how many)
+        (lambda: list(tau_mkp_collection(specs).entries.values()), 10),
+        (lambda: list(tau_mnkdv_collection(profile).entries.values()), 2),
+        (lambda: list(akns_collection(3, 3, 2, 3, [Fraction(1, 2)] * 2, None).entries.values()),
+         4),
+        (lambda: list(tau_mkp_entries(specs, charge_vectors(3, 3))), 10),
+        (lambda: [det_poly([[tvar(1), tvar(2)], [Poly.const(1), tvar(1) + tvar(3)]])], 1),
+    ]
+    for build, count in constructions:
+        made.clear()
+        taus = build()
+        assert len(made) == 1 and len(taus) == count and all(taus), build
+
+
+def test_tau_mkp_entries_checks_each_charge_when_reached():
+    spec = HSpec.make([(2, 1, None), (2, 3, None)])
+    entries = tau_mkp_entries([spec], iter([(1, 0), (2, 0)]))
+    assert next(entries) == tau_mkp_entry([spec], (1, 0)) != 0
+    with pytest.raises(ValueError, match="must sum to the column count 1"):
+        next(entries)
 
 
 def test_det_validation():
@@ -369,6 +429,7 @@ def test_charge_vectors():
     assert list(charge_vectors(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(charge_vectors(0, 3)) == [(0, 0, 0)]
     assert list(charge_vectors(3, 1)) == [(3,)]
+    assert list(charge_vectors(-1, 1)) == list(charge_vectors(-1, 2)) == []
     with pytest.raises(ValueError, match="component count must be >= 1"):
         list(charge_vectors(2, 0))  # leaked itertools' "r must be non-negative"
     assert sorted(charge_vectors(3, 3)) == sorted(
