@@ -168,11 +168,12 @@ def schur_expansion(tau: Poly, species: int) -> tuple[dict[tuple[PartitionKey, .
     1..``species``.
     """
     ratios: dict[tuple[PartitionKey, ...], tuple[int, int]] = {}
+    t_family = Family.T  # a local: read once per variable
     for mono, num in tau.numerators.items():
         nus: list[list[int]] = [[] for _ in range(species)]
         weight = 1
         for v, e in mono:
-            if v.family != Family.T or not 1 <= v.component <= species:
+            if v.family != t_family or not 1 <= v.component <= species:
                 raise ValueError(
                     f"the check takes t-variables of components 1..{species} only, got {v}"
                 )

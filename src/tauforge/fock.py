@@ -2,14 +2,18 @@
 
 The semi-infinite wedge model underlying every determinant constructor in
 this package.  A generator is a finite rational combination of basis vectors
-e_i^(a); time evolution sends e_l^(a) to sum_{i>=0} s_i(t^(a)) e_{l-i}^(a),
-and a tau-function is the coefficient of a fixed target wedge monomial in
-the exterior product of the evolved generators over the vacuum (which fills
-every index <= 0 in every component).
+e_i^(a), held as integer numerators over one denominator; time evolution
+sends e_l^(a) to sum_{i>=0} s_i(t^(a)) e_{l-i}^(a), and a tau-function is the
+coefficient of a fixed target wedge monomial in the exterior product of the
+evolved generators over the vacuum (which fills every index <= 0 in every
+component).
 
-Evolution commutes with the wedge, so the oracle wedges the rational
-generators at t = 0 (``wedge_from_generators``), which gives one coordinate
-xi_S per wedge monomial S.  Evolving S and reading off the target gives
+Evolution commutes with the wedge, so the oracle wedges the generators at
+t = 0 (``wedge_from_generators``), which gives one coordinate xi_S per wedge
+monomial S, as an integer over the product of the generators' denominators.
+``generator_from_hspec`` builds a column's numerators from the integer Schur
+constants of ``schur._schur_numerators``, so no ``Fraction`` is made between
+a column spec and its wedge.  Evolving S and reading off the target gives
 prod_a s_{lambda(S_a)}(t^(a)), so tau = sum_S xi_S prod_a s_{lambda(S_a)}(t^(a))
 over the S with m_a factors in each component a.  ``wedge_tau`` bosonizes
 that sector against the vacuum with ``fermion.bosonize``, the map of the
@@ -30,12 +34,12 @@ front: e_i^(a) dies on a set bit of S, or moves past S's set bits above it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from . import fermion
 from .polycore import Poly, RationalLike, _json_int, _ncomp, exact_fraction, int_tuple
-from .schur import schur_constants
+from .schur import _schur_numerators
 from .tau import HSpec, KdVProfile, _reduction_orders, kp_specs_from_partition
 
 
@@ -47,40 +51,73 @@ class BasisVector(NamedTuple):
 class GeneratorVector:
     """Finite rational combination of basis vectors (one wedge factor).
 
+    It holds integer numerators ``{BasisVector: int}`` over one positive
+    denominator ``den`` in canonical form, as ``Poly`` does: the numerators are
+    nonzero and share no factor with ``den``, so two equal generators have equal
+    dicts and denominators.  Rationals enter at the constructor and at
+    ``scale`` alone; ``add``, ``lambda_shift`` and ``==`` run on the integers.
+    ``entries``, each entry's reduced ``Fraction``, is a fresh dict on every
+    read, for readers outside the package; nothing in the package reads it.
+
     Entries with index <= 0 are retained: they decide when a shifted
     generator still wedges nontrivially against the vacuum, even though they
     contribute nothing once evolved.
     """
 
-    __slots__ = ("entries", "ncomp")
+    __slots__ = ("numerators", "den", "ncomp")
 
     def __init__(self, entries: Mapping[BasisVector, RationalLike], ncomp: int | None = None):
-        clean: dict[BasisVector, Fraction] = {}
-        maxcomp = 0
+        coeffs: dict[BasisVector, Fraction] = {}
         for bv, c in entries.items():
+            key = _basis_key(bv)
             cf = exact_fraction(c)
             if cf:
-                key = BasisVector(*int_tuple(bv))
-                if key.component < 1:
-                    raise ValueError("components are 1-indexed")
-                clean[key] = clean.get(key, Fraction(0)) + cf
-                maxcomp = max(maxcomp, key.component)
-        clean = {bv: c for bv, c in clean.items() if c}
-        if not clean:
+                coeffs[key] = coeffs.get(key, 0) + cf
+        # the lcm of the reduced denominators is canonical (see ``polycore.Poly``)
+        den = lcm(*[c.denominator for c in coeffs.values()])
+        numerators = {bv: c.numerator * (den // c.denominator) for bv, c in coeffs.items() if c}
+        self._set(numerators, den, ncomp)
+
+    def _set(self, numerators: dict[BasisVector, int], den: int, ncomp: int | None) -> None:
+        # numerators nonzero and canonical over den, components >= 1
+        if not numerators:
             raise ValueError("a generator must have at least one nonzero entry")
-        self.entries = clean
+        maxcomp = max(bv.component for bv in numerators)
         self.ncomp = maxcomp if ncomp is None else _json_int(ncomp)
         if maxcomp > self.ncomp:
             raise ValueError("entry component exceeds the ambient count")
+        self.numerators = numerators
+        self.den = den
+
+    @classmethod
+    def _reduced(
+        cls, numerators: dict[BasisVector, int], den: int, ncomp: int | None
+    ) -> "GeneratorVector":
+        """The generator of nonzero integer numerators over a positive ``den``,
+        divided by their common factor."""
+        g = gcd(den, *numerators.values())
+        if g != 1:
+            numerators = {bv: n // g for bv, n in numerators.items()}
+            den //= g
+        self = object.__new__(cls)
+        self._set(numerators, den, ncomp)
+        return self
 
     @classmethod
     def basis(cls, component: int, index: int, ncomp: int | None = None) -> "GeneratorVector":
-        return cls({BasisVector(component, index): Fraction(1)}, ncomp)
+        return cls({BasisVector(component, index): 1}, ncomp)
+
+    @property
+    def entries(self) -> dict[BasisVector, Fraction]:
+        """Each entry's reduced ``Fraction``, in a new dict on every read."""
+        den = self.den
+        return {bv: Fraction(n, den) for bv, n in self.numerators.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneratorVector):
             return NotImplemented
-        return self.entries == other.entries and self.ncomp == other.ncomp
+        return (self.ncomp == other.ncomp and self.den == other.den
+                and self.numerators == other.numerators)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -88,15 +125,25 @@ class GeneratorVector:
         c = exact_fraction(value)
         if not c:
             raise ValueError("scaling a generator to zero is not representable")
-        return GeneratorVector({bv: co * c for bv, co in self.entries.items()}, self.ncomp)
+        num = c.numerator
+        return GeneratorVector._reduced(
+            {bv: n * num for bv, n in self.numerators.items()}, self.den * c.denominator,
+            self.ncomp)
 
     def add(self, other: "GeneratorVector") -> "GeneratorVector":
         if self.ncomp != other.ncomp:
             raise ValueError("ambient component count mismatch")
-        merged = dict(self.entries)
-        for bv, c in other.entries.items():
-            merged[bv] = merged.get(bv, Fraction(0)) + c
-        return GeneratorVector(merged, self.ncomp)
+        den = lcm(self.den, other.den)
+        scale = den // self.den
+        merged = {bv: n * scale for bv, n in self.numerators.items()}
+        scale = den // other.den
+        for bv, n in other.numerators.items():
+            acc = merged.get(bv, 0) + n * scale
+            if acc:
+                merged[bv] = acc
+            else:
+                del merged[bv]
+        return GeneratorVector._reduced(merged, den, self.ncomp)
 
     def lambda_shift(self, n_parts: Sequence[int], power: int = 1) -> "GeneratorVector":
         """Apply the reduction shift: e_l^(a) -> e_{l - power * n_a}^(a).
@@ -107,10 +154,23 @@ class GeneratorVector:
         if _json_int(power) < 0:
             raise ValueError("shift power must be >= 0")
         moved = {
-            BasisVector(bv.component, bv.index - power * n_parts[bv.component - 1]): c
-            for bv, c in self.entries.items()
+            BasisVector(bv.component, bv.index - power * n_parts[bv.component - 1]): n
+            for bv, n in self.numerators.items()
         }
-        return GeneratorVector(moved, self.ncomp)
+        return GeneratorVector._reduced(moved, self.den, self.ncomp)
+
+
+def _basis_key(bv: object) -> BasisVector:
+    """A generator key as a ``BasisVector``; anything but a (component, index) pair of
+    integers raises a one-line ``TypeError`` naming it, and a component < 1 ``ValueError``."""
+    try:
+        component, index = int_tuple(bv)  # type: ignore[arg-type]
+    except (TypeError, ValueError):  # not a sequence of integers, or not two of them
+        raise TypeError(
+            f"a generator key is a (component, index) pair of integers, got {bv!r}") from None
+    if component < 1:
+        raise ValueError("components are 1-indexed")
+    return BasisVector(component, index)
 
 
 def oracle_tau(fs: Sequence[GeneratorVector], charge: Sequence[int]) -> Poly:
@@ -134,25 +194,23 @@ def wedge_from_generators(
     """f_1 ^ ... ^ f_m over the vacuum at t = 0: the Plucker coordinates of the fs.
 
     Each monomial is an int key, a state in the returned layout (module
-    docstring); ``fermion.wedge`` builds f_1 ^ (f_2 ^ .. ^ f_m).  Each generator's
-    entries are integer numerators over its lcm denominator, so the wedge
-    runs on integers over d, the product of those denominators, and returns
-    ({state: numerator}, d, layout).  A generator of another component
-    count than ``ncomp`` raises ``ValueError``.
+    docstring); ``fermion.wedge`` builds f_1 ^ (f_2 ^ .. ^ f_m).  The wedge runs
+    on each generator's integer numerators, over d, the product of their
+    denominators, and returns ({state: numerator}, d, layout).  A generator of
+    another component count than ``ncomp`` raises ``ValueError``.
     """
     _ncomp(ncomp)
     for g in fs:
         if g.ncomp != ncomp:
             raise ValueError(f"a generator has {g.ncomp} components, the wedge {ncomp}")
-    width = max([0, *(bv.index for g in fs for bv in g.entries)])  # 0 if no entry is above 0
+    width = max([0, *(bv.index for g in fs for bv in g.numerators)])  # 0 if no entry is above 0
     wedge: dict[int, int] = {0: 1}
     den = 1
     for g in reversed(fs):
-        d = lcm(*[b.denominator for b in g.entries.values()])
-        den *= d
+        den *= g.den
         wedge = fermion.wedge(wedge, [  # an index <= 0 meets a vacuum factor
-            (1 << ((ncomp - v.component) * width + v.index - 1), c.numerator * d // c.denominator)
-            for v, c in g.entries.items() if v.index >= 1
+            (1 << ((ncomp - v.component) * width + v.index - 1), c)
+            for v, c in g.numerators.items() if v.index >= 1
         ])
     layout = tuple(fermion.Field((ncomp - a) * width, 0, width) for a in range(1, ncomp + 1))
     return wedge, den, layout
@@ -188,14 +246,23 @@ def generator_from_hspec(spec: HSpec, ncomp: int) -> GeneratorVector:
     """Basis expansion of the generator behind a column spec.
 
     For component a with degree M, coefficient b, shift c, the entries are
-    b * s_{M-l}(c) at e_l^(a) for l = 1..M (leading entry b at l = M).
+    b * s_{M-l}(c) at e_l^(a) for l = 1..M (leading entry b at l = M).  With
+    (v, d) the integers of ``schur._schur_numerators(M - 1, c)``, v_n =
+    (M-1)! d^n s_n(c), entry l = M - n is b.num * v_n * d^(M-1-n) over
+    b.den * v_0 * d^(M-1); the components meet over the lcm of their denominators.
     """
-    entries: dict[BasisVector, Fraction] = {}
+    parts: list[tuple[dict[BasisVector, int], int]] = []
     for a, term in enumerate(spec.terms, start=1):
-        consts = schur_constants(term.degree - 1, term.shift)
-        for ell in range(1, term.degree + 1):
-            entries[BasisVector(a, ell)] = term.coeff * consts[term.degree - ell]
-    return GeneratorVector(entries, ncomp)
+        b, top = term.coeff, term.degree - 1
+        if b:
+            v, d = _schur_numerators(top, term.shift)
+            parts.append(({
+                BasisVector(a, top + 1 - n): b.numerator * v[n] * d ** (top - n)
+                for n in range(top, -1, -1) if v[n]
+            }, b.denominator * v[0] * d**top))
+    den = lcm(*[d for _, d in parts])
+    numerators = {bv: n * (den // d) for entries, d in parts for bv, n in entries.items()}
+    return GeneratorVector._reduced(numerators, den, ncomp)
 
 
 def generators_from_partition(partition, shifts=None) -> list[GeneratorVector]:

@@ -43,9 +43,11 @@ from tauforge import (
     yvar,
 )
 from tauforge.partitions import partitions_of
-from tauforge.polycore import Monomial, Packing, _term_sort_key, packed_sum
+from tauforge.polycore import (
+    Monomial, Packing, _json_int, _term_sort_key, exact_fraction, int_tuple, packed_sum,
+)
 from tauforge.schur import schur_shifted_table
-from tauforge.tau import _dets
+from tauforge.tau import _dets, _reduction_orders
 
 # one tuple of occupied positions per species, each decreasing
 State = tuple[tuple[int, ...], ...]
@@ -1129,3 +1131,97 @@ class FractionPoly:
              "monomial": [[v.family.name, v.component, v.index, e] for v, e in mono]}
             for mono, coeff in sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
         ]}
+
+
+# -- the oracle's generators on Fraction entries, as they were before integer numerators --
+
+
+class FractionGeneratorVector:
+    """``GeneratorVector`` as it was before it held integer numerators over one
+    denominator: a dict of reduced ``Fraction`` entries, re-validated by the
+    constructor after every operation."""
+
+    __slots__ = ("entries", "ncomp")
+
+    def __init__(self, entries: Mapping[BasisVector, Fraction | int], ncomp: int | None = None):
+        clean: dict[BasisVector, Fraction] = {}
+        maxcomp = 0
+        for bv, c in entries.items():
+            cf = exact_fraction(c)
+            if cf:
+                key = BasisVector(*int_tuple(bv))
+                if key.component < 1:
+                    raise ValueError("components are 1-indexed")
+                clean[key] = clean.get(key, Fraction(0)) + cf
+                maxcomp = max(maxcomp, key.component)
+        clean = {bv: c for bv, c in clean.items() if c}
+        if not clean:
+            raise ValueError("a generator must have at least one nonzero entry")
+        self.entries = clean
+        self.ncomp = maxcomp if ncomp is None else _json_int(ncomp)
+        if maxcomp > self.ncomp:
+            raise ValueError("entry component exceeds the ambient count")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FractionGeneratorVector):
+            return NotImplemented
+        return self.entries == other.entries and self.ncomp == other.ncomp
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def scale(self, value) -> "FractionGeneratorVector":
+        c = exact_fraction(value)
+        if not c:
+            raise ValueError("scaling a generator to zero is not representable")
+        return FractionGeneratorVector({bv: co * c for bv, co in self.entries.items()}, self.ncomp)
+
+    def add(self, other: "FractionGeneratorVector") -> "FractionGeneratorVector":
+        if self.ncomp != other.ncomp:
+            raise ValueError("ambient component count mismatch")
+        merged = dict(self.entries)
+        for bv, c in other.entries.items():
+            merged[bv] = merged.get(bv, Fraction(0)) + c
+        return FractionGeneratorVector(merged, self.ncomp)
+
+    def lambda_shift(self, n_parts: Sequence[int], power: int = 1) -> "FractionGeneratorVector":
+        n_parts = _reduction_orders(n_parts, self.ncomp)
+        if _json_int(power) < 0:
+            raise ValueError("shift power must be >= 0")
+        moved = {
+            BasisVector(bv.component, bv.index - power * n_parts[bv.component - 1]): c
+            for bv, c in self.entries.items()
+        }
+        return FractionGeneratorVector(moved, self.ncomp)
+
+
+def generator_by_fractions(spec: HSpec, ncomp: int) -> FractionGeneratorVector:
+    """b * s_{M-l}(c) at e_l^(a) for l = 1..M, one ``Fraction`` per Schur constant
+    and per entry."""
+    entries: dict[BasisVector, Fraction] = {}
+    for a, term in enumerate(spec.terms, start=1):
+        consts = schur_constants(term.degree - 1, term.shift)
+        for ell in range(1, term.degree + 1):
+            entries[BasisVector(a, ell)] = term.coeff * consts[term.degree - ell]
+    return FractionGeneratorVector(entries, ncomp)
+
+
+def wedge_by_fractions(
+    fs: Sequence[FractionGeneratorVector], ncomp: int
+) -> tuple[dict[int, int], int, fermion.Layout]:
+    """``fock.wedge_from_generators`` on Fraction entries: each generator's entries
+    brought to integers over their lcm denominator, then wedged."""
+    for g in fs:
+        if g.ncomp != ncomp:
+            raise ValueError(f"a generator has {g.ncomp} components, the wedge {ncomp}")
+    width = max([0, *(bv.index for g in fs for bv in g.entries)])
+    wedge: dict[int, int] = {0: 1}
+    den = 1
+    for g in reversed(fs):
+        d = lcm(*[b.denominator for b in g.entries.values()])
+        den *= d
+        wedge = fermion.wedge(wedge, [
+            (1 << ((ncomp - v.component) * width + v.index - 1), c.numerator * d // c.denominator)
+            for v, c in g.entries.items() if v.index >= 1
+        ])
+    layout = tuple(fermion.Field((ncomp - a) * width, 0, width) for a in range(1, ncomp + 1))
+    return wedge, den, layout

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,10 +11,12 @@ from oracles import (
     decode_wedge,
     encode_wedge,
     evolve,
+    generator_by_fractions,
     maya_state,
     oracle_by_permutations,
     random_fraction,
     random_shifts_for,
+    wedge_by_fractions,
     wedges_to_zero_against_vacuum,
 )
 from tauforge import (
@@ -42,6 +45,7 @@ from tauforge import (
     wedge_from_generators,
     wedge_tau,
 )
+from tauforge.cli import main
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -86,6 +90,14 @@ def test_generator_validation():
         g.lambda_shift((2, 2))
     with pytest.raises(ValueError):
         g.lambda_shift((2,), -1)
+
+
+@pytest.mark.parametrize("key", [(1, 1, 1), (1,), (), "12", 5, (1.0, 2), (True, 2), (1, None)])
+def test_generator_rejects_a_key_that_is_not_a_pair_of_integers(key):
+    with pytest.raises(TypeError) as err:
+        GeneratorVector({key: 1})
+    assert str(err.value) == (
+        f"a generator key is a (component, index) pair of integers, got {key!r}")
 
 
 def test_generator_merges_duplicate_entries():
@@ -445,3 +457,95 @@ def test_the_wedge_states_are_the_kernel_states():
             sectors += bool(sector)
             states += len(sector)
     assert sectors > 100 and states > 500  # the comparison is not vacuous
+
+
+# -- integer numerators against the Fraction reference -------------------------------
+
+
+def _generator_families():
+    """(generators, their Fraction references, ncomp, n_parts) for seeded KP,
+    1- to 3-component mKP and reduced-profile columns."""
+    rng = random.Random(33)
+    for p in all_partitions(5):
+        shifts = random_shifts_for(rng, p)
+        ref = [generator_by_fractions(spec, 1) for spec in kp_specs_from_partition(p, shifts)]
+        yield generators_from_partition(p, shifts), ref, 1, (rng.randint(1, 3),)
+    for ncomp in (1, 2, 3):
+        for m in (1, 2, 3, 4):
+            specs = _specs(rng, ncomp, m)
+            n_parts = tuple(rng.randint(1, 3) for _ in range(ncomp))
+            yield ([generator_from_hspec(spec, ncomp) for spec in specs],
+                   [generator_by_fractions(spec, ncomp) for spec in specs], ncomp, n_parts)
+    for n_parts, ncol in [((2,), 1), ((3,), 2), ((3, 2), 1), ((3, 2), 2), ((2, 1), 2)]:
+        profile = KdVProfile(n_parts, tuple(_specs(rng, len(n_parts), ncol)))
+        ref = [generator_by_fractions(spec, profile.ncomp).lambda_shift(n_parts, power)
+               for spec, k in zip(profile.specs, profile.k_values()) for power in range(k + 1)]
+        yield generators_from_profile(profile), ref, profile.ncomp, n_parts
+
+
+def _same(g, r):
+    return g.entries == r.entries and g.ncomp == r.ncomp
+
+
+def _outcome(op):
+    try:
+        return op()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_generators_match_the_fraction_reference():
+    rng = random.Random(34)
+    charges = 0
+    for gens, ref, ncomp, n_parts in _generator_families():
+        assert len(gens) == len(ref)
+        for g, r in zip(gens, ref):
+            assert _same(g, r)
+            assert GeneratorVector(r.entries, ncomp) == g  # one canonical form
+            c = random_fraction(rng) or Fraction(-3, 2)
+            assert _same(g.scale(c), r.scale(c))
+            power = rng.randint(0, 2)
+            assert _same(g.lambda_shift(n_parts, power), r.lambda_shift(n_parts, power))
+        for i, (g1, r1) in enumerate(zip(gens, ref)):
+            for g2, r2 in zip(gens, ref):
+                assert (g1 == g2) == (r1 == r2)
+                common = [bv for bv in r1.entries if bv in r2.entries]
+                # a multiple of g2 that cancels one entry of g1, or all of it
+                x = -r1.entries[common[0]] / r2.entries[common[0]] if common else Fraction(1, 3)
+                got = _outcome(lambda: g1.add(g2.scale(x)))
+                want = _outcome(lambda: r1.add(r2.scale(x)))
+                assert got == want if isinstance(want, str) else _same(got, want)
+        wedge, den, layout = wedge_from_generators(gens, ncomp)
+        ref_wedge = wedge_by_fractions(ref, ncomp)
+        assert layout == ref_wedge[2]
+        assert ({s: Fraction(c, den) for s, c in wedge.items()}
+                == {s: Fraction(c, ref_wedge[1]) for s, c in ref_wedge[0].items()})
+        for charge in charge_vectors(len(gens), ncomp):
+            assert oracle_tau(gens, charge) == wedge_tau(ref_wedge, charge), charge
+            charges += 1
+    assert charges > 50
+
+
+def test_nothing_in_the_package_reads_the_entries_view(monkeypatch, capsys, tmp_path):
+    def refuse(self):
+        raise AssertionError("GeneratorVector.entries was read")
+
+    monkeypatch.setattr(GeneratorVector, "entries", property(refuse))
+    cases = [
+        {"kind": "kp", "partition": [2, 1], "shifts": {"1": ["1/2", 2], "2": [3]}},
+        {"kind": "mkp", "specs": [[{"degree": 2, "shift": ["1/3"]}, {"degree": 1}],
+                                  [{"degree": 1}, {"degree": 2, "coeff": "1/2"}]]},
+    ]
+    for case in cases:
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(case), encoding="utf-8")
+        assert main(["oracle-compare", "--case", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.startswith("MATCH") for line in lines[:-1])
+        assert main(["oracle-compare", "--case", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)
+    shifts = [[Fraction(1, 2), 2], [3]]
+    assert oracle_tau(generators_from_partition((2, 1), shifts), (2,)) == tau_kp((2, 1), shifts)
+    profile = KdVProfile((2,), (HSpec.make([(4, 1, None)]),))
+    wedge = wedge_from_generators(generators_from_profile(profile), 1)
+    assert wedge_tau(wedge, (2,)) == tau_nkdv((2, 1), 2)
