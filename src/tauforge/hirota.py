@@ -81,17 +81,28 @@ here, so a passing check forms no product of three entries.  They are a
 sufficient test, never the verdict: where they do not vanish, R_f is
 formed in full and decides (a common factor of every entry keeps q and r
 but not P_f and Q).
+
+One check packs w, u and v once, into one ``polycore.Packing`` over the
+lcm of their denominators, and forms every piece with ``packed_sum``: the
+x-derivatives are taken on the packed keys (``Packing.diff``), a linear
+combination such as 2o f_2 - f_11 is a sum of products with the packed
+monomial 1, and only the two residuals are decoded.  Each term of R_f is a
+product of three entries or their x-derivatives, and a derivative only
+lowers exponents, so no exponent of it exceeds 3 times the largest exponent
+of w, u and v; that is the layout's ``top``, and no field carries.  Every
+variable must be an x-variable of component 1.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from . import fermion
-from .polycore import Family, Poly, VarId, _json_int, int_tuple
+from .polycore import Family, Packed, Packing, Poly, VarId, _json_int, int_tuple, packed_sum
 from .tau import ChargeVector, TauCollection, _apply_d, _reduction_orders, apply_D
 
 
@@ -301,7 +312,9 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
     ``base`` picks tau^0; the two flows use the lattice neighbors at
     base + (1, -1) and base + (-1, 1).  Both denominator-cleared residuals
     must vanish (see the module docstring for the derivation); the
-    obstruction is the first nonzero one, q_flow before r_flow.
+    obstruction is the first nonzero one, q_flow before r_flow.  Raises
+    ``ValueError`` if w, u or v has a variable other than an x-variable of
+    component 1.
     """
     if collection.ncomp != 2:
         raise ValueError("the AKNS check needs a two-component label lattice")
@@ -313,25 +326,37 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
         raise ValueError(f"base entry {base_label} is zero")
     t0 = time.perf_counter()
 
-    u = -collection.get((base_label[0] + 1, base_label[1] - 1))
-    v = collection.get((base_label[0] - 1, base_label[1] + 1))
-    x1 = VarId(Family.X, 1, 1)
-    x2 = VarId(Family.X, 1, 2)
-
-    w1, w2, w11 = w.diff(x1), w.diff(x2), w.diff(x1, 2)
+    p, k = base_label
+    u, v = collection.get((p + 1, k - 1)), collection.get((p - 1, k + 1))
+    # One layout for w, u and v, with fields wide enough for their triple products.
+    layout = Packing(chain(w.numerators, u.numerators, v.numerators),
+                     3 * max(w.max_exponent(), u.max_exponent(), v.max_exponent()))
+    x1, x2 = VarId(Family.X, 1, 1), VarId(Family.X, 1, 2)
+    other = next((x for x in layout.variables if x.family != Family.X or x.component != 1), None)
+    if other is not None:
+        raise ValueError(f"the AKNS check takes x-variables of component 1 only, got {other}")
+    den = lcm(w.den, u.den, v.den)
+    # u is -tau^(p+1, K-p-1): its numerators are packed negated
+    w, u, v = (layout.pack(f.numerators.items(), sign * (den // f.den))
+               for f, sign in ((w, 1), (u, -1), (v, 1)))
+    diff = layout.diff
+    w1, w2, w11 = diff(w, x1, 1), diff(w, x2, 1), diff(w, x1, 2)
+    unit = [(0, 1)]  # the packed monomial 1, so a linear combination is a packed_sum
     # Q = D_x1^2 (w.w) - 8uv, the same for both flows.
-    bilinear_q = Poly.sum_of_products([(2, w, w11), (-2, w1, w1), (-8, u, v)], w.ncomp)
+    bilinear_q = packed_sum([(2, w, w11), (-2, w1, w1), (-8, u, v)])
 
-    def flow_residual(f: Poly, orientation: int) -> Poly:
+    def flow_residual(f: Packed, orientation: int) -> Poly:
         # R_f = w P_f + f Q (module docstring); orientation o = -1 reverses
         # the time direction.  P_f's five terms share the factors w and f, so it
-        # takes three products.  sum_of_products drops zero factors, so where
-        # P_f and Q vanish no product of three entries is formed.
-        f1, f2, f11 = f.diff(x1), f.diff(x2), f.diff(x1, 2)
-        by_w, by_f = f2.scale(2 * orientation) - f11, w2.scale(-2 * orientation) - w11
-        bilinear_p = Poly.sum_of_products([(1, by_w, w), (1, f, by_f), (2, f1, w1)], w.ncomp)
-        return Poly.sum_of_products([(1, w, bilinear_p), (1, f, bilinear_q)], w.ncomp)
+        # takes three products.  A zero factor adds no term, so where P_f and
+        # Q vanish no product of three entries is formed.
+        f1, f2, f11 = diff(f, x1, 1), diff(f, x2, 1), diff(f, x1, 2)
+        by_w = packed_sum([(2 * orientation, f2, unit), (-1, f11, unit)])
+        by_f = packed_sum([(-2 * orientation, w2, unit), (-1, w11, unit)])
+        bilinear_p = packed_sum([(1, by_w, w), (1, f, by_f), (2, f1, w1)])
+        return layout.unpack(packed_sum([(1, w, bilinear_p), (1, f, bilinear_q)]),
+                             den**3, collection.ambient)
 
     per = {"q_flow": flow_residual(u, +1), "r_flow": flow_residual(v, -1)}
-    return _finish("akns-pde", {"base": list(base_label)}, _first_nonzero(per.values(), w.ncomp),
-                   t0, per_param=per)
+    return _finish("akns-pde", {"base": list(base_label)},
+                   _first_nonzero(per.values(), collection.ambient), t0, per_param=per)

@@ -25,16 +25,20 @@ different ambient counts, while mixing variable families or components inside
 one ambient is fine.
 
 Every ``Poly`` product runs through one packed kernel, ``packed_sum``, which
-returns sum_k w_k * a_k * b_k on integers: ``Poly.sum_of_products`` and the
-determinant kernel ``tau._dets`` both call it, and ``a * b`` is the one-pair
-case of the first.  A ``Packing`` gives each variable a bit field, in
-canonical variable order, so a monomial packs into one int and multiplying
-monomials adds their ints.  Its caller names a bound ``top`` on every exponent the products can
-reach, and each field is ``top.bit_length()`` bits wide, so no field ever
-carries into the next: there is no exponent cap to check.
-``sum_of_products`` takes ``top`` = max_k(max exponent of a_k + max exponent
-of b_k), since a product's exponent is the sum of its factors' exponents;
-``tau._dets`` takes the sum over columns of the largest exponent in each column.
+returns sum_k w_k * a_k * b_k on integers: ``Poly.sum_of_products``, the
+determinant kernel ``tau._dets`` and the AKNS check ``hirota.akns_pde_check``
+call it, and ``a * b`` is the one-pair case of the first.  A ``Packing``
+gives each variable a bit field, in canonical variable order, so a monomial
+packs into one int and multiplying monomials adds their ints.  Its caller
+names a bound ``top`` on every exponent the products can reach, and each
+field is ``top.bit_length()`` bits wide, so no field ever carries into the
+next: there is no exponent cap to check.  ``sum_of_products`` takes ``top`` =
+max_k(max exponent of a_k + max exponent of b_k), since a product's exponent
+is the sum of its factors' exponents; ``tau._dets`` takes the sum over
+columns of the largest exponent in each column, and ``akns_pde_check`` 3
+times the largest exponent of its three entries, as its residuals are cubic
+in them and ``Packing.diff``, which differentiates packed terms in place,
+only lowers exponents.
 The factors' numerators are packed as they are, over the lcm of the pairs'
 denominators, and ``Packing.unpack`` returns the integer ``Poly`` of the sum.
 """
@@ -439,6 +443,25 @@ class Packing:
             for v, e in mono:
                 key += e << shift[v]
             out.append((key, n * scale))
+        return out
+
+    def diff(self, packed: Packed, v: VarId, order: int) -> Packed:
+        """The ``order``-th derivative in ``v`` of packed terms, as ``Poly.diff``
+        takes it: terms whose exponent of ``v`` is below ``order`` drop, and so
+        does every term for a ``v`` outside the layout (order 0 keeps them)."""
+        if not order:
+            return packed
+        shift = self.shift.get(v)
+        if shift is None:
+            return []
+        mask, drop = (1 << self.width) - 1, order << shift
+        out = []
+        for key, n in packed:
+            e = (key >> shift) & mask
+            if e >= order:
+                for k in range(order):
+                    n *= e - k
+                out.append((key - drop, n))
         return out
 
     def unpack(self, packed: Packed, den: int, ncomp: int) -> Poly:

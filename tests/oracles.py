@@ -11,6 +11,7 @@ independently.
 from __future__ import annotations
 
 import random
+import time
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, reduce
@@ -42,6 +43,7 @@ from tauforge import (
     xvar,
     yvar,
 )
+from tauforge.hirota import _finish
 from tauforge.partitions import partitions_of
 from tauforge.polycore import (
     Monomial, Packing, _json_int, _term_sort_key, exact_fraction, int_tuple, packed_sum,
@@ -683,6 +685,30 @@ def akns_bilinear_forms(collection: TauCollection, base: Sequence[int]) -> tuple
 
     q = (w * w11).scale(2) - (w1 * w1).scale(2) - (u * v).scale(8)
     return bilinear_p(u, +1), bilinear_p(v, -1), q
+
+
+def akns_check_by_sum_of_products(collection: TauCollection, base: Sequence[int]):
+    """``akns_pde_check`` on ``Poly``s: R_f = w P_f + f Q with Q, each P_f and
+    each R_f a ``Poly.sum_of_products`` of its own, every one packing its
+    factors afresh and decoding its result."""
+    base_label = int_tuple(base)
+    w = collection.get(base_label)
+    t0 = time.perf_counter()
+    u = -collection.get((base_label[0] + 1, base_label[1] - 1))
+    v = collection.get((base_label[0] - 1, base_label[1] + 1))
+    x1, x2 = VarId(Family.X, 1, 1), VarId(Family.X, 1, 2)
+    w1, w2, w11 = w.diff(x1), w.diff(x2), w.diff(x1, 2)
+    bilinear_q = Poly.sum_of_products([(2, w, w11), (-2, w1, w1), (-8, u, v)], w.ncomp)
+
+    def flow_residual(f: Poly, orientation: int) -> Poly:
+        f1, f2, f11 = f.diff(x1), f.diff(x2), f.diff(x1, 2)
+        by_w, by_f = f2.scale(2 * orientation) - f11, w2.scale(-2 * orientation) - w11
+        bilinear_p = Poly.sum_of_products([(1, by_w, w), (1, f, by_f), (2, f1, w1)], w.ncomp)
+        return Poly.sum_of_products([(1, w, bilinear_p), (1, f, bilinear_q)], w.ncomp)
+
+    per = {"q_flow": flow_residual(u, +1), "r_flow": flow_residual(v, -1)}
+    return _finish("akns-pde", {"base": list(base_label)},
+                   next((r for r in per.values() if r), Poly.zero(w.ncomp)), t0, per_param=per)
 
 
 # -- the derivative-tower construction -------------------------------------------

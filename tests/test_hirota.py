@@ -1,11 +1,13 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from oracles import (
     akns_bilinear_forms,
+    akns_check_by_sum_of_products,
     akns_flow_residuals,
     miwa_by_operator,
     mkp_pairs_by_offset_scan,
@@ -597,6 +599,69 @@ def test_akns_gauge_control_passes_through_the_fallback():
             assert all(verdicts.values()) != control, (m1, m2, control)
             assert verdicts[label] != control, (m1, m2, label)
     assert checked == 30
+
+
+def test_packed_akns_check_matches_the_sum_of_products_reference():
+    # Every order up to (5, 5), at every base p = 0..K whose entry is nonzero (at p = 0
+    # and K a neighbour reads zero), on a seeded collection, on the collections with
+    # b1 = 0 (only tau^(0, K) is nonzero) and b2 = 0 (only tau^(K, 0)), and on a
+    # perturbed control.  Reports agree with the Poly-level check and the unfactored
+    # pair in numerators, denominator and ambient.
+    def form(p: Poly):
+        return p.numerators, p.den, p.ncomp
+
+    rng = random.Random(34)
+    checked: Counter = Counter()
+    for m1 in range(1, 6):
+        for m2 in range(1, 6):
+            coll = _seeded_akns(rng, m1, m2)
+            c1 = [random_fraction(rng) for _ in range(m1)]
+            c2 = [random_fraction(rng) for _ in range(m2)]
+            entries = dict(coll.entries)
+            label = sorted(entries)[len(entries) // 2]
+            entries[label] = entries[label] + xvar(1) ** 2 * xvar(2) * (random_fraction(rng) or 1)
+            cases = [("seeded", coll),
+                     ("control", TauCollection(coll.total, 2, entries, ambient=1)),
+                     ("b1=0", akns_collection(m1, m2, 0, random_fraction(rng) or 1, c1, c2)),
+                     ("b2=0", akns_collection(m1, m2, random_fraction(rng) or 1, 0, c1, c2))]
+            for kind, c in cases:
+                verdicts = []
+                for base in _akns_bases(c):
+                    r = akns_pde_check(c, base)
+                    ref = akns_check_by_sum_of_products(c, base)
+                    flows = akns_flow_residuals(c, base)
+                    assert list(r.per_param) == list(ref.per_param) == ["q_flow", "r_flow"]
+                    for key, got in r.per_param.items():
+                        assert form(got) == form(ref.per_param[key]) == form(flows[key]), (
+                            m1, m2, base, kind, key)
+                    assert form(r.obstruction) == form(ref.obstruction), (m1, m2, base, kind)
+                    assert r.passed == ref.passed, (m1, m2, base, kind)
+                    assert (r.identity, r.params) == (ref.identity, ref.params)
+                    verdicts.append(r.passed)
+                    checked[kind, 0 < base[0] < c.total] += 1
+                # a control checks some base and fails it
+                assert all(verdicts) != (kind == "control"), (m1, m2, kind)
+    # (kind, interior base): with b1 = 0 or b2 = 0, 15 of the 25 orders keep their one entry
+    assert checked == {("seeded", True): 50, ("seeded", False): 30, ("control", True): 50,
+                       ("control", False): 30, ("b1=0", False): 15, ("b2=0", False): 15}
+
+
+def test_akns_pde_rejects_variables_other_than_x_of_component_one():
+    # A t-variable collection used to be checked with every t-variable read as a
+    # constant, and failed with obstruction -64.
+    coll = tau_mkp_collection([HSpec.make([(2, 1, [1, 2]), (2, 1, [0, 1])]),
+                               HSpec.make([(2, 1, [3, 0]), (1, 2, [0])])])
+    with pytest.raises(ValueError, match=r"x-variables of component 1 only, got "
+                                         r"VarId\(family=<Family.T: 0>, component=1, index=1\)"):
+        akns_pde_check(coll, (1, 1))
+    # an x-collection with t_3, or in ambient 2 with x_2 of component 2, added to tau^(0, 2)
+    akns = akns_collection(2, 2, 1, 1, None, None)
+    for bad, ambient, name in [(tvar(3), 1, "family=<Family.T: 0>, component=1, index=3"),
+                               (xvar(2, 2, 2), 2, "family=<Family.X: 2>, component=2, index=2")]:
+        entries = {label: Poly(e.terms, ambient) for label, e in akns.entries.items()}
+        entries[0, 2] = entries[0, 2] + bad
+        with pytest.raises(ValueError, match=rf"got VarId\({name}\)$"):
+            akns_pde_check(TauCollection(2, 2, entries), (1, 1))
 
 
 def test_akns_pde_validation():

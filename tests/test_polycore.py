@@ -20,6 +20,7 @@ from oracles import (
     weighted_degree,
 )
 from tauforge import Family, Poly, VarId, tvar, xvar, yvar
+from tauforge.polycore import Packing
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 t_vars = st.builds(VarId, st.just(Family.T), st.just(1), st.integers(1, 4))
@@ -246,6 +247,38 @@ def test_sum_of_products_edge_cases():
                     [(1, tvar(1), tvar(1)), (0, tvar(1), tvar(1, ncomp=2))]):
         with pytest.raises(ValueError, match="ambient"):
             Poly.sum_of_products(triples, 1)
+
+
+def test_packed_derivative_matches_poly_diff():
+    # Packing.diff on the packed numerators, decoded, is Poly.diff, for orders 0-3
+    # in every variable of seeded polys over 1-3 components, and in variables that
+    # are absent from the layout
+    rng = random.Random(34)
+    absent = [VarId(Family.Y, 1, 4), VarId(Family.X, 1, 4)]  # indices run 1..3
+    checked = empty = 0
+    for trial in range(120):
+        ncomp = 1 + trial % 3
+        p = _random_poly(rng, ncomp, tuple(Family))
+        layout = Packing(p.numerators, p.max_exponent())
+        packed = layout.pack(p.numerators.items(), 1)
+        for v in sorted(p.variables()) + absent:
+            for order in range(4):
+                got = layout.diff(packed, v, order)
+                assert layout.unpack(got, p.den, ncomp) == p.diff(v, order), (p, v, order)
+                if v not in layout.shift:
+                    assert got == (packed if order == 0 else []), (p, v, order)
+                    empty += order > 0
+                checked += 1
+    assert (empty, checked) == (720, 2420)
+    # a term whose exponent is below the order drops; x2 is kept as a factor
+    x1, x2 = VarId(Family.X, 1, 1), VarId(Family.X, 1, 2)
+    p = xvar(1) ** 2 * xvar(2) + xvar(1) ** 5 * xvar(2) ** 3 - xvar(2)
+    layout = Packing(p.numerators, p.max_exponent())
+    packed = layout.pack(p.numerators.items(), 1)
+    third = layout.unpack(layout.diff(packed, x1, 3), 1, 1)
+    assert third == (xvar(1) ** 2 * xvar(2) ** 3).scale(60)
+    assert layout.unpack(layout.diff(packed, x2, 2), 1, 1) == (xvar(1) ** 5 * xvar(2)).scale(6)
+    assert layout.diff(packed, x2, 3) == [(layout.pack([(((x1, 5),), 6)], 1)[0][0], 6)]
 
 
 @given(polys(max_terms=3))
