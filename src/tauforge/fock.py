@@ -2,11 +2,12 @@
 
 The semi-infinite wedge model underlying every determinant constructor in
 this package.  A generator is a finite rational combination of basis vectors
-e_i^(a), held as integer numerators over one denominator; time evolution
-sends e_l^(a) to sum_{i>=0} s_i(t^(a)) e_{l-i}^(a), and a tau-function is the
-coefficient of a fixed target wedge monomial in the exterior product of the
-evolved generators over the vacuum (which fills every index <= 0 in every
-component).
+e_i^(a), held as integer numerators over one denominator in the canonical
+form of ``polycore.Numerated``, the base class it shares with ``Poly``.  Time
+evolution sends e_l^(a) to sum_{i>=0} s_i(t^(a)) e_{l-i}^(a), and a
+tau-function is the coefficient of a fixed target wedge monomial in the
+exterior product of the evolved generators over the vacuum (which fills every
+index <= 0 in every component).
 
 Evolution commutes with the wedge, so the oracle wedges the generators at
 t = 0 (``wedge_from_generators``), which gives one coordinate xi_S per wedge
@@ -34,11 +35,13 @@ front: e_i^(a) dies on a set bit of S, or moves past S's set bits above it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from . import fermion
-from .polycore import Poly, RationalLike, _json_int, _ncomp, exact_fraction, int_tuple
+from .polycore import (
+    Numerated, Poly, RationalLike, _json_int, _ncomp, exact_fraction, int_tuple,
+)
 from .schur import _schur_numerators
 from .tau import HSpec, KdVProfile, _reduction_orders, kp_specs_from_partition
 
@@ -48,23 +51,24 @@ class BasisVector(NamedTuple):
     index: int
 
 
-class GeneratorVector:
+class GeneratorVector(Numerated):
     """Finite rational combination of basis vectors (one wedge factor).
 
     It holds integer numerators ``{BasisVector: int}`` over one positive
-    denominator ``den`` in canonical form, as ``Poly`` does: the numerators are
-    nonzero and share no factor with ``den``, so two equal generators have equal
-    dicts and denominators.  Rationals enter at the constructor and at
-    ``scale`` alone; ``add``, ``lambda_shift`` and ``==`` run on the integers.
-    ``entries``, each entry's reduced ``Fraction``, is a fresh dict on every
-    read, for readers outside the package; nothing in the package reads it.
+    denominator ``den`` in the canonical form of ``polycore.Numerated``, which
+    owns its construction from rationals, its reduction, ``add``'s sum, ``scale``
+    and ``==``.  Its own rules are its keys (``_basis_key``) and ``_ambient``: a
+    generator is never zero, and no entry's component exceeds ``ncomp``.
+    Rationals enter at the constructor and at ``scale`` alone.  ``entries``,
+    each entry's reduced ``Fraction``, is a fresh dict on every read, for
+    readers outside the package; nothing in the package reads it.
 
     Entries with index <= 0 are retained: they decide when a shifted
     generator still wedges nontrivially against the vacuum, even though they
     contribute nothing once evolved.
     """
 
-    __slots__ = ("numerators", "den", "ncomp")
+    __slots__ = ()
 
     def __init__(self, entries: Mapping[BasisVector, RationalLike], ncomp: int | None = None):
         coeffs: dict[BasisVector, Fraction] = {}
@@ -73,77 +77,42 @@ class GeneratorVector:
             cf = exact_fraction(c)
             if cf:
                 coeffs[key] = coeffs.get(key, 0) + cf
-        # the lcm of the reduced denominators is canonical (see ``polycore.Poly``)
-        den = lcm(*[c.denominator for c in coeffs.values()])
-        numerators = {bv: c.numerator * (den // c.denominator) for bv, c in coeffs.items() if c}
-        self._set(numerators, den, ncomp)
+        super().__init__(coeffs, ncomp)
+        self.ncomp = self._ambient(self.numerators, ncomp)
 
-    def _set(self, numerators: dict[BasisVector, int], den: int, ncomp: int | None) -> None:
-        # numerators nonzero and canonical over den, components >= 1
+    @classmethod
+    def _raw(cls, numerators: dict, den: int, ncomp: int | None) -> "GeneratorVector":
+        return super()._raw(numerators, den, cls._ambient(numerators, ncomp))
+
+    @staticmethod
+    def _ambient(numerators: Mapping[BasisVector, int], ncomp: int | None) -> int:
+        """``ncomp``, or the largest entry component when None; raises ``ValueError``
+        for a generator without entries or with a component beyond ``ncomp``."""
         if not numerators:
             raise ValueError("a generator must have at least one nonzero entry")
         maxcomp = max(bv.component for bv in numerators)
-        self.ncomp = maxcomp if ncomp is None else _json_int(ncomp)
-        if maxcomp > self.ncomp:
+        ncomp = maxcomp if ncomp is None else _json_int(ncomp)
+        if maxcomp > ncomp:
             raise ValueError("entry component exceeds the ambient count")
-        self.numerators = numerators
-        self.den = den
-
-    @classmethod
-    def _reduced(
-        cls, numerators: dict[BasisVector, int], den: int, ncomp: int | None
-    ) -> "GeneratorVector":
-        """The generator of nonzero integer numerators over a positive ``den``,
-        divided by their common factor."""
-        g = gcd(den, *numerators.values())
-        if g != 1:
-            numerators = {bv: n // g for bv, n in numerators.items()}
-            den //= g
-        self = object.__new__(cls)
-        self._set(numerators, den, ncomp)
-        return self
+        return ncomp
 
     @classmethod
     def basis(cls, component: int, index: int, ncomp: int | None = None) -> "GeneratorVector":
         return cls({BasisVector(component, index): 1}, ncomp)
 
-    @property
-    def entries(self) -> dict[BasisVector, Fraction]:
-        """Each entry's reduced ``Fraction``, in a new dict on every read."""
-        den = self.den
-        return {bv: Fraction(n, den) for bv, n in self.numerators.items()}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneratorVector):
-            return NotImplemented
-        return (self.ncomp == other.ncomp and self.den == other.den
-                and self.numerators == other.numerators)
-
-    __hash__ = None  # type: ignore[assignment]
+    entries = property(Numerated._fractions,
+                       doc="Each entry's reduced ``Fraction``, in a new dict on every read.")
 
     def scale(self, value: RationalLike) -> "GeneratorVector":
         c = exact_fraction(value)
         if not c:
             raise ValueError("scaling a generator to zero is not representable")
-        num = c.numerator
-        return GeneratorVector._reduced(
-            {bv: n * num for bv, n in self.numerators.items()}, self.den * c.denominator,
-            self.ncomp)
+        return self._scaled(c)
 
     def add(self, other: "GeneratorVector") -> "GeneratorVector":
         if self.ncomp != other.ncomp:
             raise ValueError("ambient component count mismatch")
-        den = lcm(self.den, other.den)
-        scale = den // self.den
-        merged = {bv: n * scale for bv, n in self.numerators.items()}
-        scale = den // other.den
-        for bv, n in other.numerators.items():
-            acc = merged.get(bv, 0) + n * scale
-            if acc:
-                merged[bv] = acc
-            else:
-                del merged[bv]
-        return GeneratorVector._reduced(merged, den, self.ncomp)
+        return self._sum(other, 1)
 
     def lambda_shift(self, n_parts: Sequence[int], power: int = 1) -> "GeneratorVector":
         """Apply the reduction shift: e_l^(a) -> e_{l - power * n_a}^(a).
@@ -157,7 +126,7 @@ class GeneratorVector:
             BasisVector(bv.component, bv.index - power * n_parts[bv.component - 1]): n
             for bv, n in self.numerators.items()
         }
-        return GeneratorVector._reduced(moved, self.den, self.ncomp)
+        return GeneratorVector._raw(moved, self.den, self.ncomp)  # still canonical
 
 
 def _basis_key(bv: object) -> BasisVector:

@@ -82,27 +82,26 @@ sufficient test, never the verdict: where they do not vanish, R_f is
 formed in full and decides (a common factor of every entry keeps q and r
 but not P_f and Q).
 
-One check packs w, u and v once, into one ``polycore.Packing`` over the
-lcm of their denominators, and forms every piece with ``packed_sum``: the
-x-derivatives are taken on the packed keys (``Packing.diff``), a linear
+One check packs w, u and v once, with one ``polycore.pack_over`` call over
+the lcm of their denominators, and forms every piece with ``packed_sum``:
+the x-derivatives are taken on the packed keys (``Packing.diff``), a linear
 combination such as 2o f_2 - f_11 is a sum of products with the packed
 monomial 1, and only the two residuals are decoded.  Each term of R_f is a
 product of three entries or their x-derivatives, and a derivative only
 lowers exponents, so no exponent of it exceeds 3 times the largest exponent
-of w, u and v; that is the layout's ``top``, and no field carries.  Every
-variable must be an x-variable of component 1.
+of w, u and v; that is the packing's ``top``.  Every variable must be an
+x-variable of component 1.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain, product
-from math import lcm
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from . import fermion
-from .polycore import Family, Packed, Packing, Poly, VarId, _json_int, int_tuple, packed_sum
+from .polycore import Family, Packed, Poly, VarId, _json_int, int_tuple, pack_over, packed_sum
 from .tau import ChargeVector, TauCollection, _apply_d, _reduction_orders, apply_D
 
 
@@ -328,17 +327,15 @@ def akns_pde_check(collection: TauCollection, base: Sequence[int]) -> Verificati
 
     p, k = base_label
     u, v = collection.get((p + 1, k - 1)), collection.get((p - 1, k + 1))
-    # One layout for w, u and v, with fields wide enough for their triple products.
-    layout = Packing(chain(w.numerators, u.numerators, v.numerators),
-                     3 * max(w.max_exponent(), u.max_exponent(), v.max_exponent()))
+    # One packing of w, u and v, with fields wide enough for their triple products.
+    layout, (w, u, v), den = pack_over(
+        [(f.numerators.items(), f.den) for f in (w, u, v)],
+        3 * max(w.max_exponent(), u.max_exponent(), v.max_exponent()))
     x1, x2 = VarId(Family.X, 1, 1), VarId(Family.X, 1, 2)
     other = next((x for x in layout.variables if x.family != Family.X or x.component != 1), None)
     if other is not None:
         raise ValueError(f"the AKNS check takes x-variables of component 1 only, got {other}")
-    den = lcm(w.den, u.den, v.den)
-    # u is -tau^(p+1, K-p-1): its numerators are packed negated
-    w, u, v = (layout.pack(f.numerators.items(), sign * (den // f.den))
-               for f, sign in ((w, 1), (u, -1), (v, 1)))
+    u = [(key, -n) for key, n in u]  # u is -tau^(p+1, K-p-1)
     diff = layout.diff
     w1, w2, w11 = diff(w, x1, 1), diff(w, x2, 1), diff(w, x1, 2)
     unit = [(0, 1)]  # the packed monomial 1, so a linear combination is a packed_sum

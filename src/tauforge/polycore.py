@@ -7,6 +7,14 @@ form is canonical: ``den`` and the numerators have no common factor, and zero
 is ``({}, 1)``, so two equal polynomials have equal dicts and equal
 denominators, and ``==`` compares them as they are.
 
+That form has one owner, ``Numerated``, the base class of ``Poly`` and of
+the oracle's ``fock.GeneratorVector``.  It holds ``numerators``, ``den`` and
+``ncomp``, and it provides construction from rationals, ``_raw`` (the trusted
+fast path) and ``_reduced`` (division by the common factor), the sum over the
+lcm of the denominators, scaling by a nonzero rational, ``==`` between
+objects of one type and the fresh ``Fraction`` view.  A subclass keeps only
+its own rules: its keys, its checks, its zero and its error messages.
+
 The rationals enter at the constructors alone (``Poly(terms)``, ``const``,
 ``var``, ``scale`` and ``from_json_obj``), each coefficient through
 ``_as_fraction``: an int or a ``Fraction``, never a float, bool or string.
@@ -25,22 +33,18 @@ different ambient counts, while mixing variable families or components inside
 one ambient is fine.
 
 Every ``Poly`` product runs through one packed kernel, ``packed_sum``, which
-returns sum_k w_k * a_k * b_k on integers: ``Poly.sum_of_products``, the
-determinant kernel ``tau._dets`` and the AKNS check ``hirota.akns_pde_check``
-call it, and ``a * b`` is the one-pair case of the first.  A ``Packing``
-gives each variable a bit field, in canonical variable order, so a monomial
-packs into one int and multiplying monomials adds their ints.  Its caller
-names a bound ``top`` on every exponent the products can reach, and each
+returns sum_k w_k * a_k * b_k on integers, and every packing through one
+entry, ``pack_over(factors, top)``: ``a * b``, the determinant kernel
+``tau._dets`` and the AKNS check ``hirota.akns_pde_check`` call it, and no
+other module names ``Packing``.  A ``Packing`` gives each variable a bit
+field, in canonical variable order, so a monomial packs into one int and
+multiplying monomials adds their ints.  The caller names a bound ``top`` on
+every exponent its products can reach, and states why at the call; each
 field is ``top.bit_length()`` bits wide, so no field ever carries into the
-next: there is no exponent cap to check.  ``sum_of_products`` takes ``top`` =
-max_k(max exponent of a_k + max exponent of b_k), since a product's exponent
-is the sum of its factors' exponents; ``tau._dets`` takes the sum over
-columns of the largest exponent in each column, and ``akns_pde_check`` 3
-times the largest exponent of its three entries, as its residuals are cubic
-in them and ``Packing.diff``, which differentiates packed terms in place,
-only lowers exponents.
-The factors' numerators are packed as they are, over the lcm of the pairs'
-denominators, and ``Packing.unpack`` returns the integer ``Poly`` of the sum.
+next: there is no exponent cap to check.  ``pack_over`` packs every factor's
+numerators over D, the lcm of the factors' denominators, so a product of k
+packed factors is over D^k, and ``Packing.unpack`` divides it by the common
+factor and returns the integer ``Poly``.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 
 class Family(IntEnum):
@@ -134,23 +138,26 @@ def _term_sort_key(mono: Monomial):
     return (degree, flat)
 
 
-class Poly:
-    """Immutable-by-convention sparse polynomial: integer numerators over one
-    positive denominator, in canonical form (module docstring)."""
+class Numerated:
+    """Integer numerators over one positive denominator, in canonical form
+    (module docstring): the representation of ``Poly`` and ``fock.GeneratorVector``.
+
+    ``numerators`` maps each key to a nonzero int, ``den`` shares no factor with
+    them, and ``ncomp`` is the ambient component count.
+    """
 
     __slots__ = ("numerators", "den", "ncomp")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, ncomp: int = 1):
-        self.ncomp = _ncomp(ncomp)  # const and var construct through here
-        coeffs = {m: _as_fraction(c) for m, c in (terms or {}).items()}
+    def __init__(self, coeffs: Mapping[Hashable, Fraction], ncomp: int | None):
         # den is the lcm of the reduced denominators: each prime power in den is the
         # whole denominator of some term, whose numerator that prime does not divide.
         den = lcm(*[c.denominator for c in coeffs.values()])
-        self.numerators = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
+        self.numerators = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items() if c}
         self.den = den
+        self.ncomp = ncomp
 
     @classmethod
-    def _raw(cls, numerators: dict[Monomial, int], den: int, ncomp: int) -> "Poly":
+    def _raw(cls, numerators: dict, den: int, ncomp: int):
         # Trusted fast path: the numerators must be nonzero and canonical over den.
         self = object.__new__(cls)
         self.numerators = numerators
@@ -159,15 +166,66 @@ class Poly:
         return self
 
     @classmethod
-    def _reduced(cls, numerators: dict[Monomial, int], den: int, ncomp: int) -> "Poly":
-        """The Poly of nonzero integer numerators over a positive ``den``, divided
+    def _reduced(cls, numerators: dict, den: int, ncomp: int):
+        """The object of nonzero integer numerators over a positive ``den``, divided
         by their common factor."""
         if den != 1:
             g = gcd(den, *numerators.values())
             if g != 1:
-                numerators = {m: n // g for m, n in numerators.items()}
+                numerators = {k: n // g for k, n in numerators.items()}
                 den //= g
         return cls._raw(numerators, den, ncomp)
+
+    def _sum(self, other: "Numerated", sign: int):
+        """self + sign * other, of one type and ambient, on the numerators over
+        the lcm of the denominators."""
+        den = lcm(self.den, other.den)
+        scale = den // self.den
+        out = ({k: n * scale for k, n in self.numerators.items()} if scale != 1
+               else dict(self.numerators))
+        scale = sign * (den // other.den)
+        for k, n in other.numerators.items():
+            n *= scale
+            acc = out.get(k)
+            if acc is None:
+                out[k] = n
+            else:
+                acc += n
+                if acc:
+                    out[k] = acc
+                else:
+                    del out[k]
+        return self._reduced(out, den, self.ncomp)
+
+    def _scaled(self, c: RationalLike):
+        """self times a nonzero int or ``Fraction``."""
+        n = c.numerator
+        return self._reduced({k: x * n for k, x in self.numerators.items()},
+                             self.den * c.denominator, self.ncomp)
+
+    def _fractions(self) -> dict:
+        """Each key's reduced ``Fraction``, in a new dict on every read."""
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.numerators.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.ncomp == other.ncomp and self.den == other.den
+                and self.numerators == other.numerators)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class Poly(Numerated):
+    """Immutable-by-convention sparse polynomial: integer numerators over one
+    positive denominator, in canonical form (module docstring)."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, ncomp: int = 1):
+        ncomp = _ncomp(ncomp)  # const and var construct through here
+        super().__init__({m: _as_fraction(c) for m, c in (terms or {}).items()}, ncomp)
 
     @classmethod
     def zero(cls, ncomp: int = 1) -> "Poly":
@@ -189,32 +247,21 @@ class Poly:
             )
         return cls({((v, 1),): 1}, ncomp)
 
-    @property
-    def terms(self) -> dict[Monomial, Fraction]:
-        """Each term's reduced ``Fraction``, in a new dict on every read."""
-        den = self.den
-        return {m: Fraction(n, den) for m, n in self.numerators.items()}
+    terms = property(Numerated._fractions,
+                     doc="Each term's reduced ``Fraction``, in a new dict on every read.")
 
     # -- predicates ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.numerators
 
     def __bool__(self) -> bool:
         return bool(self.numerators)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return (self.ncomp == other.ncomp and self.den == other.den
-                    and self.numerators == other.numerators)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             c = _as_fraction(other)
             if not c:
                 return not self.numerators
             return self.den == c.denominator and self.numerators == {ONE_MONOMIAL: c.numerator}
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
+        return super().__eq__(other)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -227,7 +274,7 @@ class Poly:
         return self._plus(other, -1)
 
     def _plus(self, other: "Poly | RationalLike", sign: int) -> "Poly":
-        """self + sign * other, on the numerators over the lcm of the denominators."""
+        """self + sign * other (``Numerated._sum``), a number read as a constant."""
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other, self.ncomp)
         elif not isinstance(other, Poly):
@@ -237,23 +284,7 @@ class Poly:
             return self
         if not self.numerators:
             return other if sign == 1 else -other
-        den = lcm(self.den, other.den)
-        scale = den // self.den
-        out = ({m: n * scale for m, n in self.numerators.items()} if scale != 1
-               else dict(self.numerators))
-        scale = sign * (den // other.den)
-        for m, n in other.numerators.items():
-            n *= scale
-            acc = out.get(m)
-            if acc is None:
-                out[m] = n
-            else:
-                acc += n
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
-        return Poly._reduced(out, den, self.ncomp)
+        return self._sum(other, sign)
 
     def __neg__(self) -> "Poly":
         return Poly._raw({m: -n for m, n in self.numerators.items()}, self.den, self.ncomp)
@@ -263,45 +294,19 @@ class Poly:
 
     def scale(self, value: RationalLike) -> "Poly":
         c = value if type(value) is int else _as_fraction(value)  # both have .numerator
-        if not c:
-            return Poly.zero(self.ncomp)
-        n = c.numerator
-        return Poly._reduced({m: x * n for m, x in self.numerators.items()},
-                             self.den * c.denominator, self.ncomp)
+        return self._scaled(c) if c else Poly.zero(self.ncomp)
 
     def __mul__(self, other: "Poly | RationalLike") -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly.sum_of_products([(1, self, other)], self.ncomp)
-
-    @staticmethod
-    def sum_of_products(triples: Iterable[tuple[RationalLike, Poly, Poly]], ncomp: int) -> Poly:
-        """sum_k c_k * a_k * b_k over (c_k, a_k, b_k) in ``triples``, in one ``packed_sum``."""
-        pairs = []
-        for c, a, b in triples:
-            if a.ncomp != ncomp or b.ncomp != ncomp:
-                _check_ambient(ncomp, a)
-                _check_ambient(ncomp, b)
-            if type(c) is not int:  # an int has .numerator and .denominator too
-                c = _as_fraction(c)
-            if c and a.numerators and b.numerators:
-                pairs.append((c, a, b))
-        if not pairs:
-            return Poly.zero(ncomp)
-        # Factors are keyed by identity, so one Poly in several pairs is packed once.
-        factors = {id(f): f for _, a, b in pairs for f in (a, b)}
-        tops = {key: f.max_exponent() for key, f in factors.items()}
-        layout = Packing(chain.from_iterable(f.numerators for f in factors.values()),
-                         max(tops[id(a)] + tops[id(b)] for _, a, b in pairs))
-        packed = {key: layout.pack(f.numerators.items(), 1) for key, f in factors.items()}
-        scales = [c.denominator * a.den * b.den for c, a, b in pairs]
-        den = lcm(*scales)
-        return layout.unpack(packed_sum(
-            (c.numerator * (den // scale), packed[id(a)], packed[id(b)])
-            for (c, a, b), scale in zip(pairs, scales)
-        ), den, ncomp)
+        _check_ambient(self.ncomp, other)
+        # a product's exponent is the sum of its factors' exponents
+        layout, (a, b), den = pack_over(
+            [(self.numerators.items(), self.den), (other.numerators.items(), other.den)],
+            self.max_exponent() + other.max_exponent())
+        return layout.unpack(packed_sum([(1, a, b)]), den * den, self.ncomp)
 
     def __rmul__(self, other: RationalLike) -> "Poly":
         return self.scale(other)
@@ -482,6 +487,15 @@ class Packing:
                 k += 1
             out[tuple(mono)] = n // g
         return Poly._raw(out, den // g, ncomp)
+
+
+def pack_over(factors: Collection[Numerators], top: int) -> tuple[Packing, list[Packed], int]:
+    """(layout, packed factors, D): one ``Packing`` of every monomial of the
+    (terms, den) ``factors`` with fields for exponents up to ``top``, and each
+    factor's numerators packed over D, the lcm of their denominators."""
+    layout = Packing(map(_first, chain.from_iterable(map(_first, factors))), top)
+    den = lcm(*[d for _, d in factors])
+    return layout, [layout.pack(terms, den // d) for terms, d in factors], den
 
 
 def packed_sum(triples: Iterable[tuple[int, Packed, Packed]]) -> Packed:

@@ -57,13 +57,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import Partition, is_n_periodic
 from .polycore import (
-    Family, Numerators, Packed, Packing, Poly, RationalLike, VarId, _json_int, _ncomp,
-    exact_fraction, int_tuple, packed_sum,
+    Family, Numerators, Packed, Poly, RationalLike, VarId, _json_int, _ncomp,
+    exact_fraction, int_tuple, pack_over, packed_sum,
 )
 from .schur import ShiftLike, ShiftVector, _shifted_table
 
@@ -263,23 +262,22 @@ def _dets(columns: Sequence[Column], labels: Iterable[ChargeVector],
 
     Row (a, p), for p = m_a, ..., 1, reads entry M_a - p of every column's table
     a, counted from its end, or zero when the table is shorter.  Zero off the
-    polyhedron; 1 without rows.  Every distinct entry of the columns is packed
-    once (``polycore.Packing``) over D, the lcm of their denominators, so a minor
-    on rows i..m-1 is packed numerators over D^(m-i); each label's memoized
+    polyhedron; 1 without rows.  One ``polycore.pack_over`` call packs every
+    distinct entry of the columns over D, the lcm of their denominators, so a
+    minor on rows i..m-1 is packed numerators over D^(m-i); each label's memoized
     Laplace expansion keeps its minors packed and decodes only the determinant.
-    The fields are as wide as the sum over columns of the largest exponent in the
-    column: every monomial of a minor is a product of at most one entry monomial
-    from each column, so no label's exponents exceed that sum, and no field
-    carries into the next.
+    Its ``top`` is the sum over columns of the largest exponent in the column:
+    every monomial of a minor is a product of at most one entry monomial from
+    each column, so no label's exponents exceed that sum.
     """
     distinct = {id(e): e for col in columns for table in col for e in table if e and e[0]}
     tops = {key: max((x for mono, _ in terms for _, x in mono), default=0)
             for key, (terms, _) in distinct.items()}
-    layout = Packing((mono for terms, _ in distinct.values() for mono, _ in terms),
-                     sum(max((tops.get(id(e), 0) for table in col for e in table), default=0)
-                         for col in columns))
-    den = lcm(*[d for _, d in distinct.values()])
-    packed = {key: layout.pack(terms, den // d) for key, (terms, d) in distinct.items()}
+    layout, tables, den = pack_over(
+        distinct.values(),
+        sum(max((tops.get(id(e), 0) for table in col for e in table), default=0)
+            for col in columns))
+    packed = dict(zip(distinct, tables))
     for label in labels:
         ncomp = len(label) if ambient is None else ambient
         if any(x < 0 for x in label):

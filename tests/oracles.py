@@ -364,9 +364,9 @@ def det_by_permutations(rows: Sequence[Sequence[Poly]]) -> Poly:
 
 
 def sum_of_products_by_factors(triples, ncomp: int) -> Poly:
-    """sum_k c_k * a_k * b_k as ``Poly.sum_of_products`` computed it before the
-    packed kernel was shared: each factor packed on its own layout, each call
-    decoded into ``Fraction``s."""
+    """sum_k c_k * a_k * b_k as the library computed it before the packed kernel
+    was shared: each factor packed on its own layout, each call decoded into
+    ``Fraction``s."""
     pairs = []
     for c, a, b in triples:
         for f in (a, b):
@@ -596,7 +596,7 @@ def shifted_table_by_convolution(
     one = Poly.const(1, ncomp)
     return [
         relabel_vars(
-            Poly.sum_of_products([(consts[k - i], s[i], one) for i in range(k + 1)], ncomp),
+            sum_of_products_by_factors([(consts[k - i], s[i], one) for i in range(k + 1)], ncomp),
             lambda v: (v._replace(family=family), sign),
         ).scale(coeff)
         for k in range(lowest, upto + 1)
@@ -689,7 +689,7 @@ def akns_bilinear_forms(collection: TauCollection, base: Sequence[int]) -> tuple
 
 def akns_check_by_sum_of_products(collection: TauCollection, base: Sequence[int]):
     """``akns_pde_check`` on ``Poly``s: R_f = w P_f + f Q with Q, each P_f and
-    each R_f a ``Poly.sum_of_products`` of its own, every one packing its
+    each R_f a ``sum_of_products_by_factors`` of its own, every one packing its
     factors afresh and decoding its result."""
     base_label = int_tuple(base)
     w = collection.get(base_label)
@@ -698,13 +698,14 @@ def akns_check_by_sum_of_products(collection: TauCollection, base: Sequence[int]
     v = collection.get((base_label[0] - 1, base_label[1] + 1))
     x1, x2 = VarId(Family.X, 1, 1), VarId(Family.X, 1, 2)
     w1, w2, w11 = w.diff(x1), w.diff(x2), w.diff(x1, 2)
-    bilinear_q = Poly.sum_of_products([(2, w, w11), (-2, w1, w1), (-8, u, v)], w.ncomp)
+    bilinear_q = sum_of_products_by_factors([(2, w, w11), (-2, w1, w1), (-8, u, v)], w.ncomp)
 
     def flow_residual(f: Poly, orientation: int) -> Poly:
         f1, f2, f11 = f.diff(x1), f.diff(x2), f.diff(x1, 2)
         by_w, by_f = f2.scale(2 * orientation) - f11, w2.scale(-2 * orientation) - w11
-        bilinear_p = Poly.sum_of_products([(1, by_w, w), (1, f, by_f), (2, f1, w1)], w.ncomp)
-        return Poly.sum_of_products([(1, w, bilinear_p), (1, f, bilinear_q)], w.ncomp)
+        bilinear_p = sum_of_products_by_factors([(1, by_w, w), (1, f, by_f), (2, f1, w1)],
+                                                w.ncomp)
+        return sum_of_products_by_factors([(1, w, bilinear_p), (1, f, bilinear_q)], w.ncomp)
 
     per = {"q_flow": flow_residual(u, +1), "r_flow": flow_residual(v, -1)}
     return _finish("akns-pde", {"base": list(base_label)},

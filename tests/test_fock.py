@@ -502,6 +502,8 @@ def test_generators_match_the_fraction_reference():
         for g, r in zip(gens, ref):
             assert _same(g, r)
             assert GeneratorVector(r.entries, ncomp) == g  # one canonical form
+            twin = Poly._raw(dict(g.numerators), g.den, g.ncomp)  # the same three fields
+            assert (g == twin) is False and (twin == g) is False
             c = random_fraction(rng) or Fraction(-3, 2)
             assert _same(g.scale(c), r.scale(c))
             power = rng.randint(0, 2)

@@ -39,6 +39,21 @@ def test_the_package_imports_only_itself_and_the_standard_library():
     assert outside == []
 
 
+def test_only_polycore_names_the_packing():
+    # every other module reaches a Packing through polycore.pack_over's return value
+    naming = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "polycore":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None)
+            if name == "Packing":
+                naming.append(f"{path.name}:{node.lineno}")
+    assert naming == []
+
+
 # The signature of every public callable, as ``inspect.signature`` prints it.  A
 # change that adds, removes, renames or re-defaults a public parameter has to
 # edit this table.  ``Family`` is left out: an enum's call signature is the

@@ -52,10 +52,9 @@ def full_assignment(p: Poly, rng_values):
 
 
 def test_zero_and_const():
-    assert Poly.zero().is_zero()
     assert not Poly.zero()
     assert Poly.zero() == 0
-    assert Poly.const(0).is_zero()
+    assert not Poly.const(0)
     assert Poly.const(Fraction(3, 2)) == Fraction(3, 2)
     assert str(Poly.zero()) == "0"
     assert str(Poly.const(-2)) == "-2"
@@ -218,35 +217,49 @@ def product_sums(draw):
     return ncomp, triples
 
 
+def products_by_operators(triples, ncomp: int) -> Poly:
+    """sum_k c_k * a_k * b_k through ``*``, ``scale`` and ``+``, from the ambient's zero."""
+    total = Poly.zero(ncomp)
+    for c, a, b in triples:
+        total = total + (a * b).scale(c)
+    return total
+
+
 @given(product_sums())
 def test_sum_of_products_matches_the_merge_reference(case):
     ncomp, triples = case
     want = Poly.zero(ncomp)
     for c, a, b in triples:
+        got = a * b
+        assert got.ncomp == ncomp and got.terms == poly_mul_by_merge(a, b).terms
+        assert gcd(got.den, *got.numerators.values()) == 1
+        for mono, n in got.numerators.items():
+            assert type(n) is int and n != 0
+            assert list(mono) == sorted(mono) and all(e >= 1 for _, e in mono)
         want = want + poly_mul_by_merge(a, b).scale(c)
-    got = Poly.sum_of_products(triples, ncomp)
+    got = products_by_operators(triples, ncomp)
     assert got.ncomp == ncomp and got.terms == want.terms
     assert got == sum_of_products_by_factors(triples, ncomp)
-    for mono, c in got.terms.items():
-        assert type(c) is Fraction and c != 0
-        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
-        assert list(mono) == sorted(mono) and all(e >= 1 for _, e in mono)
 
 
 def test_sum_of_products_edge_cases():
     a = xvar(1).scale(Fraction(1, 2)) + yvar(2).scale(Fraction(1, 3))
     b = xvar(1).scale(Fraction(2, 5)) - Poly.const(Fraction(3, 7))
-    # complete cancellation, with one object on both sides of a pair
-    assert Poly.sum_of_products([(Fraction(2, 3), a, b), (Fraction(-2, 3), b, a)], 1) == 0
-    assert Poly.sum_of_products([(1, a, a), (-1, a, a)], 1) == 0
-    assert Poly.sum_of_products([], 2) == Poly.zero(2)
-    got = Poly.sum_of_products([(3, a, b), (Fraction(1, 4), a, a), (0, b, b)], 1)
+    # complete cancellation under Fraction weights, with one object on both sides of a pair
+    assert products_by_operators([(Fraction(2, 3), a, b), (Fraction(-2, 3), b, a)], 1) == 0
+    assert products_by_operators([(1, a, a), (-1, a, a)], 1) == 0
+    # a zero factor on either side, and the empty sum, are the ambient's zero
+    for got, ncomp in ((a * Poly.zero(), 1), (Poly.zero() * b, 1),
+                       (tvar(1, ncomp=2) * Poly.zero(2), 2)):
+        assert got == Poly.zero(ncomp)
+    assert products_by_operators([], 2) == Poly.zero(2)
+    got = products_by_operators([(3, a, b), (Fraction(1, 4), a, a), (0, b, b)], 1)
     assert got == poly_mul_by_merge(a, b).scale(3) + poly_mul_by_merge(a, a).scale(Fraction(1, 4))
     # every factor must share the ambient, zero coefficient or not
     for triples in ([(1, tvar(1, ncomp=2), tvar(1, ncomp=2))],
                     [(1, tvar(1), tvar(1)), (0, tvar(1), tvar(1, ncomp=2))]):
         with pytest.raises(ValueError, match="ambient"):
-            Poly.sum_of_products(triples, 1)
+            products_by_operators(triples, 1)
 
 
 def test_packed_derivative_matches_poly_diff():
@@ -406,7 +419,8 @@ def test_poly_arithmetic_matches_the_fraction_reference():
         cases = [
             (p + q, fp + fq), (p - q, fp - fq), (-p, -fp), (p.scale(c), fp.scale(c)),
             (p * q, fp * fq), (p.diff(v, k), fp.diff(v, k)), (p ** k, fp ** k),
-            (Poly.sum_of_products([(w, (p, q, r)[i], (p, q, r)[j]) for w, i, j in triples], ncomp),
+            (products_by_operators([(w, (p, q, r)[i], (p, q, r)[j]) for w, i, j in triples],
+                                   ncomp),
              FractionPoly.sum_of_products(
                  [(w, (fp, fq, fr)[i], (fp, fq, fr)[j]) for w, i, j in triples], ncomp)),
         ]

@@ -59,8 +59,9 @@ from tauforge import (
     tvar,
     xvar,
 )
+from tauforge import hirota, polycore
 from tauforge import tau as tau_module
-from tauforge.polycore import exact_fraction
+from tauforge.polycore import exact_fraction, pack_over
 from tauforge.tau import _spec_column, tau_mkp_entries
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -198,20 +199,24 @@ def test_det_at_the_column_field_width_edge(k, data):
 
 
 def test_one_packing_per_construction(monkeypatch):
-    # every label of a construction reads one packing of its columns' tables
+    # every label of a construction reads one packing of its columns' tables; an
+    # AKNS check packs w, u and v once, and a * b its two factors
     made = []
 
-    class Counted(tau_module.Packing):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
+    def counted(factors, top):
+        made.append(top)
+        return pack_over(factors, top)
 
-    monkeypatch.setattr(tau_module, "Packing", Counted)
+    for module in (polycore, tau_module, hirota):
+        monkeypatch.setattr(module, "pack_over", counted)
     rng = random.Random(5)
     specs = [HSpec.make([(3, random_fraction(rng) or 1, [random_fraction(rng)] * 2)
                          for _ in range(3)]) for _ in range(3)]
     profile = KdVProfile((2, 1), (HSpec.make([(4, 1, None), (2, 1, None)]),
                                   HSpec.make([(2, 3, None), (1, 1, None)])))
+    akns = akns_collection(2, 2, 1, 1, None, None)
+    a = tvar(1).scale(Fraction(1, 3)) + tvar(2)
+    b = tvar(1) * tvar(3) - Poly.const(Fraction(1, 2))
     constructions = [  # (the nonzero entries it builds, how many)
         (lambda: list(tau_mkp_collection(specs).entries.values()), 10),
         (lambda: list(tau_mnkdv_collection(profile).entries.values()), 2),
@@ -219,6 +224,8 @@ def test_one_packing_per_construction(monkeypatch):
          4),
         (lambda: list(tau_mkp_entries(specs, charge_vectors(3, 3))), 10),
         (lambda: [det_poly([[tvar(1), tvar(2)], [Poly.const(1), tvar(1) + tvar(3)]])], 1),
+        (lambda: [akns_pde_check(akns, (1, 1)).passed], 1),
+        (lambda: [a * b], 1),
     ]
     for build, count in constructions:
         made.clear()
